@@ -103,8 +103,8 @@ def simplex_from_doc(problem, doc):
         raise InstanceFormatError(f"bad simplex dimension {n!r}")
     psi = problem.zero(n)
     for row in doc.get("values", []):
-        I = tuple(row["class"])
-        psi.set(I, element_from_list(problem.V, row.get("value", [])))
+        psi.set(_row_class(row),
+                element_from_list(problem.V, row.get("value", [])))
     return psi
 
 
@@ -114,8 +114,15 @@ def horn_from_doc(V, doc):
         raise InstanceFormatError("horn file needs integer n and k")
     values = {}
     for row in doc.get("values", []):
-        values[tuple(row["class"])] = element_from_list(V, row.get("value", []))
+        values[_row_class(row)] = element_from_list(V, row.get("value", []))
     return HornData(n, k, V, values)
+
+
+def _row_class(row):
+    """The simplex class of a value row, as a tuple of vertices."""
+    if not isinstance(row, dict) or not isinstance(row.get("class"), list):
+        raise InstanceFormatError(f"value row {row!r} needs a \"class\" list")
+    return tuple(row["class"])
 
 
 # -- commands ----------------------------------------------------------

@@ -24,7 +24,7 @@ are excluded from the basis.
 from itertools import product as _product
 from math import factorial
 
-from .cooperad import infinitesimal_cocomposition
+from .cooperad import compositions, infinitesimal_cocomposition
 from .errors import (
     CompletenessError,
     InvarianceError,
@@ -230,6 +230,32 @@ class CofreeCoalgebra:
 
     # -- cocomposition -----------------------------------------------------
 
+    def cocompose_plain(self, k, shape, cname, vt):
+        """Delta_{k;shape} of the plain tensor cname (x) vt, blocks kept plain.
+
+        Yields (coeff, outer-name, blocks) with blocks a tuple of plain
+        triples (r_i, inner-name, v-block).  The coefficient carries the
+        Koszul sign of interleaving the inner cooperad factors into the
+        v-blocks: a, g_1..g_k, v's -> a, (g_1 vb_1), ..., (g_k vb_k).
+        """
+        C = self.cooperad
+        ring = self.ring
+        blocks = []
+        pre_odd = []
+        pos = pre = 0
+        for ri in shape:
+            vb = vt[pos:pos + ri]
+            blocks.append(vb)
+            pre_odd.append(pre % 2)
+            pre += sum(self.vdeg(v) for v in vb)
+            pos += ri
+        for lam, a, gs in C.cocompose(k, shape, cname):
+            sign = 1
+            for i in range(k):
+                if pre_odd[i] and C.degree(shape[i], gs[i]) % 2:
+                    sign = -sign
+            yield ring.mul(lam, sign), a, tuple(zip(shape, gs, blocks))
+
     def decompose(self, x, k, check=False):
         """Components of x in uC(k) (x) uC(V)^{(x) k}.
 
@@ -241,45 +267,23 @@ class CofreeCoalgebra:
         ring = self.ring
         out = {}
         for r, plain in self.expand(x).items():
-            from .cooperad import compositions
-
             for shape in compositions(r, k):
                 if any(ri > C.r_max for ri in shape):
                     continue
                 for (cname, vt), coeff in plain.items():
-                    blocks = []
-                    pos = 0
-                    for ri in shape:
-                        blocks.append(vt[pos:pos + ri])
-                        pos += ri
-                    for lam, a, gs in C.cocompose(k, shape, cname):
-                        # interleave: a, g_1..g_k, v's  ->  a, (g_1 vb_1)...
-                        sign = 1
-                        for i in range(k):
-                            gdeg = C.degree(shape[i], gs[i])
-                            if gdeg % 2:
-                                pre = sum(
-                                    self.vdeg(v) for j in range(i) for v in blocks[j]
-                                )
-                                if pre % 2:
-                                    sign = -sign
-                        keyparts = []
-                        ok = True
-                        for i in range(k):
-                            kp, kcoeff = self._block_to_key(
-                                shape[i], gs[i], blocks[i])
+                    for lam, a, blocks in self.cocompose_plain(
+                            k, shape, cname, vt):
+                        cval = ring.mul(coeff, lam)
+                        keys = []
+                        for block in blocks:
+                            kp, kcoeff = self._block_to_key(*block)
                             if kp is None:
-                                ok = False
                                 break
-                            keyparts.append((kp, kcoeff))
-                        if not ok:
+                            keys.append(kp)
+                            cval = ring.mul(cval, kcoeff)
+                        if len(keys) < k or ring.is_zero(cval):
                             continue
-                        cval = ring.mul(coeff, ring.mul(lam, sign))
-                        for _, kc in keyparts:
-                            cval = ring.mul(cval, kc)
-                        if ring.is_zero(cval):
-                            continue
-                        kk = (a, tuple(kp for kp, _ in keyparts))
+                        kk = (a, tuple(keys))
                         out[kk] = ring.add(out.get(kk, ring.zero), cval)
         out = {k2: c for k2, c in out.items() if not ring.is_zero(c)}
         if check:

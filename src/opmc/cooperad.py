@@ -49,16 +49,6 @@ def compositions(total, parts):
     return out
 
 
-def shapes_within(r, r_max):
-    """All cocomposition shapes (k, (r_1..r_k)) for total arity r."""
-    out = []
-    for k in range(1, r_max + 1):
-        for shape in compositions(r, k):
-            if all(ri <= r_max for ri in shape):
-                out.append((k, shape))
-    return out
-
-
 def block_permutation(mu, shape, inner=None):
     """The permutation of {1..sum(shape)} acting by mu on blocks of the
     given sizes, optionally composed with inner permutations per block."""

@@ -103,6 +103,10 @@ def _build_cooperad(ring, block, validate):
         n = block.get("n")
         if not isinstance(d_max, int) or d_max < 0:
             raise InstanceFormatError(f"bad d_max {d_max!r}")
+        if n is not None and (isinstance(n, bool) or not isinstance(n, int)
+                              or n < 1):
+            raise InstanceFormatError(
+                f"be n must be null or an int >= 1, got {n!r}")
         return barratt_eccles(ring, r_max, d_max, n=n, validate=validate)
     raise InstanceFormatError(f"unknown cooperad builder {kind!r}")
 

@@ -12,6 +12,7 @@ chain basis names, cochain degree is minus the chain degree, and the
 group action table is shared (sigma . delta_x = delta_{sigma . x}).
 """
 
+from itertools import combinations
 from itertools import product as _product
 
 from .cooperad import CooperadTruncation, compositions
@@ -108,7 +109,7 @@ def _staircases(p, q):
     out = []
     n = p + q
     # choose which of the n steps advance the first factor
-    for steps_x in _choose(range(n), p):
+    for steps_x in combinations(range(n), p):
         sx = set(steps_x)
         a = b = 0
         pairs = [(0, 0)]
@@ -124,12 +125,6 @@ def _staircases(p, q):
             inv += sum(1 for j in range(i) if j not in sx)
         out.append((pairs, -1 if inv % 2 else 1))
     return out
-
-
-def _choose(pool, k):
-    from itertools import combinations
-
-    return combinations(pool, k)
 
 
 def binary_ez(x, y):

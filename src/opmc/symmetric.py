@@ -65,12 +65,6 @@ class Permutation:
     def identity(cls, r):
         return cls(tuple(range(1, r + 1)))
 
-    @classmethod
-    def transposition(cls, r, i, j):
-        images = list(range(1, r + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(tuple(images))
-
     def oneline(self):
         return "".join(str(i) for i in self.images) if self.r < 10 else \
             "-".join(str(i) for i in self.images)

@@ -9,8 +9,15 @@ uC(V).  The shuffle product is the coalgebra-morphism extension of
 
 the exponential is read off from the unit elements eta_r, and twisting
 conjugates a coderivation by the shuffle action of exp(v).
+
+One kernel, ``_shuffle_plain``, computes the product on plain tensors;
+the key form ``shuffle`` expands both factors, runs the kernel and
+collects the result.  tilde vanishes unless one block has arity 1 and
+the other arity 0, so the kernel only builds cocompositions into 0/1
+block shapes and pairs each with its complement.
 """
 
+from itertools import combinations as _combinations
 from itertools import product as _product
 
 from .cofree import Coderivation, coderivation_extend
@@ -22,7 +29,6 @@ from .errors import (
 )
 
 __all__ = [
-    "pair_decompose",
     "shuffle",
     "one_param",
     "exp_element",
@@ -33,127 +39,20 @@ __all__ = [
 ]
 
 
-def pair_decompose(H, cf, x, y, k):
-    """Cocomposition of x (x) y in the tensor-product coalgebra.
-
-    Returns {(outer-name, ((K_1, L_1) .. (K_k, L_k))): coeff}: both
-    factors are decomposed, the slots are interleaved with Koszul signs,
-    and the two outer cooperad factors are multiplied with mu_k.
-    """
-    C = cf.cooperad
-    ring = cf.ring
-    mod = C.component(k).module
-    out = {}
-    dx = cf.decompose(x, k)
-    dy = cf.decompose(y, k)
-    for (a, Ks), ca in dx.items():
-        degsK = [cf.module.degree(K) for K in Ks]
-        for (b, Ls), cb in dy.items():
-            # reorder a, K_1..K_k, b, L_1..L_k -> (a b), (K_1 L_1), ...
-            sign = 1
-            if C.degree(k, b) % 2 and sum(degsK) % 2:
-                sign = -sign
-            for i in range(k):
-                if cf.module.degree(Ls[i]) % 2 and sum(degsK[i + 1:]) % 2:
-                    sign = -sign
-            coeff = ring.mul(ring.mul(ca, cb), sign)
-            prod = H.multiply(k, mod.gen(a), mod.gen(b))
-            pairs = tuple(zip(Ks, Ls))
-            for aname, pc in prod.terms.items():
-                kk = (aname, pairs)
-                out[kk] = ring.add(out.get(kk, ring.zero), ring.mul(coeff, pc))
-    return {kk: c for kk, c in out.items() if not ring.is_zero(c)}
-
-
-def _tilde(cf, K, L):
-    """T(K) eps(L) + eps(K) T(L) on basis keys; None when zero."""
-    if K[0] == 1 and L[0] == 0:
-        return K[2][0]
-    if K[0] == 0 and L[0] == 1:
-        return L[2][0]
-    return None
-
-
 def shuffle(H, cf, x, y):
     """The generalized shuffle product x * y in uC(V)."""
-    C = cf.cooperad
-    ring = cf.ring
-    acc = {}
-    eps = ring.mul(cf.counit_coefficient(x), cf.counit_coefficient(y))
-    if not ring.is_zero(eps) and cf.unitary:
-        acc[0] = {(C.unit_name, ()): eps}
-    for k in range(1, C.r_max + 1):
-        for (aname, pairs), coeff in pair_decompose(H, cf, x, y, k).items():
-            names = []
-            ok = True
-            for K, L in pairs:
-                vn = _tilde(cf, K, L)
-                if vn is None:
-                    ok = False
-                    break
-                names.append(vn)
-            if not ok:
-                continue
-            if sum(cf.V.weight(vn) for vn in names) > cf.w_max:
-                continue
-            tgt = acc.setdefault(k, {})
-            pk = (aname, tuple(names))
-            tgt[pk] = ring.add(tgt.get(pk, ring.zero), coeff)
-    return cf.collect(acc)
-
-
-def _plain_cocompose(cf, r, cname, vt, k):
-    """Cocomposition of a plain tensor, keeping the blocks plain.
-
-    Yields (coeff, outer-name, blocks) with blocks a tuple of plain
-    triples (r_i, inner-name, v-subtuple); the Koszul sign interleaves
-    the inner cooperad factors into the v-blocks.
-    """
-    from .cooperad import compositions
-
-    C = cf.cooperad
-    for shape in compositions(r, k):
-        if any(ri > C.r_max for ri in shape):
-            continue
-        blocks = []
-        pos = 0
-        for ri in shape:
-            blocks.append(vt[pos:pos + ri])
-            pos += ri
-        for lam, a, gs in C.cocompose(k, shape, cname):
-            sign = 1
-            for i in range(k):
-                if C.degree(shape[i], gs[i]) % 2:
-                    pre = sum(
-                        cf.vdeg(v) for j in range(i) for v in blocks[j]
-                    )
-                    if pre % 2:
-                        sign = -sign
-            out_blocks = tuple(
-                (shape[i], gs[i], blocks[i]) for i in range(k)
-            )
-            yield cf.ring.mul(lam, sign), a, out_blocks
-
-
-def _block_degree(cf, block):
-    ri, g, bvt = block
-    return cf.cooperad.degree(ri, g) + sum(cf.vdeg(v) for v in bvt)
-
-
-def _tilde_plain(block_a, block_b):
-    """tilde on a pair of plain blocks; the generator name or None."""
-    if block_a[0] == 1 and block_b[0] == 0:
-        return block_a[2][0]
-    if block_a[0] == 0 and block_b[0] == 1:
-        return block_b[2][0]
-    return None
+    return cf.collect(_shuffle_plain(H, cf, cf.expand(x), cf.expand(y)))
 
 
 def _shuffle_plain(H, cf, u, x):
     """Shuffle product of two plain presentations, kept plain.
 
     ``u`` and ``x`` map arity -> {(cooperad-name, v-tuple): coeff};
-    the result is in the same form.
+    the result is in the same form.  tilde only pairs an arity-1 block
+    with an arity-0 block, so an arity-p term of u meets an arity-q term
+    of x only at outer arity k = p + q, with the u-blocks of arity 1 on
+    a p-subset S of the k slots and the x-blocks of arity 1 on the
+    complement; the output v-tuple merges the two tuples along S.
     """
     C = cf.cooperad
     ring = cf.ring
@@ -163,54 +62,49 @@ def _shuffle_plain(H, cf, u, x):
         tgt = out.setdefault(r_out, {})
         tgt[pk] = ring.add(tgt.get(pk, ring.zero), c)
 
+    def terms(plain, k, shape):
+        """Per term: (v-tuple, weight, [(coeff, outer, block-degrees)])."""
+        res = []
+        for (cname, vt), c in plain.items():
+            cocomp = []
+            for lam, a, blocks in cf.cocompose_plain(k, shape, cname, vt):
+                degs = [C.degree(ri, g) + sum(cf.vdeg(v) for v in vb)
+                        for ri, g, vb in blocks]
+                cocomp.append((ring.mul(c, lam), a, degs))
+            res.append((vt, sum(cf.V.weight(v) for v in vt), cocomp))
+        return res
+
     eps_u = u.get(0, {}).get((C.unit_name, ()), ring.zero)
     eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
     eps = ring.mul(eps_u, eps_x)
     if not ring.is_zero(eps):
         put(0, (C.unit_name, ()), eps)
-    for k in range(1, C.r_max + 1):
-        du = {}
-        for r, plain in u.items():
-            for (cname, vt), c in plain.items():
-                for coeff, a, blocks in _plain_cocompose(cf, r, cname, vt, k):
-                    kk = (a, blocks)
-                    du[kk] = ring.add(du.get(kk, ring.zero),
-                                      ring.mul(c, coeff))
-        dx = {}
-        for r, plain in x.items():
-            for (cname, vt), c in plain.items():
-                for coeff, b, blocks in _plain_cocompose(cf, r, cname, vt, k):
-                    kk = (b, blocks)
-                    dx[kk] = ring.add(dx.get(kk, ring.zero),
-                                      ring.mul(c, coeff))
-        for (a, Ab), ca in du.items():
-            if ring.is_zero(ca):
+    for p, uplain in u.items():
+        for q, xplain in x.items():
+            k = p + q
+            if not 0 < k <= C.r_max:
                 continue
-            degsA = [_block_degree(cf, blk) for blk in Ab]
-            for (b, Bb), cb in dx.items():
-                if ring.is_zero(cb):
-                    continue
-                names = []
-                ok = True
-                for i in range(k):
-                    vn = _tilde_plain(Ab[i], Bb[i])
-                    if vn is None:
-                        ok = False
-                        break
-                    names.append(vn)
-                if not ok:
-                    continue
-                if sum(cf.V.weight(vn) for vn in names) > cf.w_max:
-                    continue
-                sign = 1
-                if C.degree(k, b) % 2 and sum(degsA) % 2:
-                    sign = -sign
-                for i in range(k):
-                    if _block_degree(cf, Bb[i]) % 2 and sum(degsA[i + 1:]) % 2:
-                        sign = -sign
-                coeff = ring.mul(ring.mul(ca, cb), sign)
-                for pc, cname2 in H.multiply_names(k, a, b):
-                    put(k, (cname2, tuple(names)), ring.mul(coeff, pc))
+            for S in _combinations(range(k), p):
+                shape = tuple(1 if i in S else 0 for i in range(k))
+                xterms = terms(xplain, k, tuple(1 - s for s in shape))
+                for vu, wu, ucomp in terms(uplain, k, shape):
+                    for vx, wx, xcomp in xterms:
+                        if wu + wx > cf.w_max:
+                            continue
+                        iu, ix = iter(vu), iter(vx)
+                        names = tuple(next(iu) if s else next(ix)
+                                      for s in shape)
+                        for ca, a, degsA in ucomp:
+                            for cb, b, degsB in xcomp:
+                                # a, A_1..A_k, b, B_1..B_k
+                                #   -> (a b), (A_1 B_1), ..., (A_k B_k)
+                                odd = C.degree(k, b) * sum(degsA)
+                                for i in range(k):
+                                    odd += degsB[i] * sum(degsA[i + 1:])
+                                coeff = ring.mul(ring.mul(ca, cb),
+                                                 -1 if odd % 2 else 1)
+                                for pc, c in H.multiply_names(k, a, b):
+                                    put(k, (c, names), ring.mul(coeff, pc))
     for r in list(out):
         out[r] = {pk: c for pk, c in out[r].items() if not ring.is_zero(c)}
         if not out[r]:

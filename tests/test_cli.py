@@ -65,6 +65,13 @@ def test_parse_rejects_bad_documents(tmp_path):
     frac["coderivation"][0]["value"] = [["y", "1/2"]]
     with pytest.raises(InstanceFormatError):
         parse_instance(frac)
+    # the be builder takes n = null or an int >= 1; strings and booleans
+    # are refused rather than compared or read as 1
+    for n in ("2", True):
+        be = {**BASE, "cooperad": {"builder": "be", "r_max": 2, "d_max": 1,
+                                   "n": n}}
+        with pytest.raises(InstanceFormatError):
+            parse_instance(be)
 
 
 def test_parse_flags_weight_violations():
@@ -155,6 +162,18 @@ def test_horn_fill_and_reverify(inst_file, tmp_path, capsys):
                  "--verify-simplex", str(broken)]) == 1
     out = capsys.readouterr().out
     assert "mc: false" in out and "witness" in out
+
+
+@pytest.mark.parametrize("args, doc", [
+    (["horn-fill", "--horn"], {"format": "opmc-horn/1", "n": 1, "k": 0}),
+    (["mc-simplicial", "--verify-simplex"], {"format": "opmc-simplex/1",
+                                             "n": 1}),
+], ids=["horn", "simplex"])
+def test_value_row_without_class(inst_file, tmp_path, capsys, args, doc):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({**doc, "values": [{"value": [["x", "1"]]}]}))
+    assert main([args[0], "--instance", inst_file, args[1], str(path)]) == 1
+    assert "error[instance-format]" in capsys.readouterr().err
 
 
 def test_mc_simplicial_enumerate(inst_file, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -30,18 +31,19 @@ Z8 = ring_make({"kind": "integers-mod-m", "modulus": 8})
 QQ = ring_make({"kind": "rationals"})
 
 
-def make_cf(ring, r_max=3, w_max=3, spec=(("x", 0, 1), ("y", -1, 2))):
+def make_cf(ring, r_max=3, w_max=3, spec=(("x", 0, 1), ("y", -1, 2)),
+            build=ass_cochains):
     # y has weight 2 so that random complete coderivations carry honest
     # arity-2 components (weight additivity allows (x,x) -> y)
-    C, H = ass_cochains(ring, r_max, validate=False)
+    C, H = build(ring, r_max, validate=False)
     V = GradedModule(ring, [BasisElement(n, d, w) for n, d, w in spec])
     return H, cofree_build(C, V, w_max)
 
 
-def random_element(cf, rng, n_terms=4):
+def random_element(cf, rng, n_terms=4, keys=None):
     out = cf.zero()
     for _ in range(n_terms):
-        key = rng.choice(cf.module.names)
+        key = rng.choice(keys or cf.module.names)
         out = out.add(cf.module.gen(key, rng.randint(-2, 2)))
     return out
 
@@ -71,16 +73,75 @@ def test_shuffle_associativity():
         assert lhs.eq(rhs)
 
 
-def test_shuffle_associativity_e2():
+def shuffle_decomposed(H, cf, x, y, k):
+    """decompose_k(x * y) from decompose_k(x) and decompose_k(y).
+
+    The shuffle product is a coalgebra map: reorder a, K_1..K_k, b,
+    L_1..L_k to (a b), (K_1 L_1)..(K_k L_k) with Koszul signs, multiply
+    the outer factors with mu_k and shuffle the blocks pairwise.
+    """
+    ring = cf.ring
+    C = cf.cooperad
+    deg = cf.module.degree
+    out = {}
+    for (a, Ks), ca in cf.decompose(x, k).items():
+        for (b, Ls), cb in cf.decompose(y, k).items():
+            odd = C.degree(k, b) * sum(deg(K) for K in Ks)
+            for i in range(k):
+                odd += deg(Ls[i]) * sum(deg(K) for K in Ks[i + 1:])
+            coeff = ring.mul(ring.mul(ca, cb), -1 if odd % 2 else 1)
+            mod = C.component(k).module
+            mu = H.multiply(k, mod.gen(a), mod.gen(b))
+            blocks = [shuffle(H, cf, cf.module.gen(K), cf.module.gen(L))
+                      for K, L in zip(Ks, Ls)]
+            for combo in itertools.product(
+                    *[list(blk.terms.items()) for blk in blocks]):
+                keys = tuple(key for key, _ in combo)
+                if sum(cf.module.weight(key) for key in keys) > cf.w_max:
+                    continue
+                c = coeff
+                for _, ci in combo:
+                    c = ring.mul(c, ci)
+                for name, pc in mu.terms.items():
+                    kk = (name, keys)
+                    out[kk] = ring.add(out.get(kk, ring.zero),
+                                       ring.mul(c, pc))
+    return {kk: c for kk, c in out.items() if not ring.is_zero(c)}
+
+
+@pytest.mark.parametrize("ring", [Z2, Z], ids=["Z2", "Z"])
+def test_shuffle_associativity_e2(ring):
+    # the degree-1 cogenerator a makes Koszul signs visible over Z
     rng = random.Random(3)
-    C, H = barratt_eccles(Z2, 3, 2, n=2, validate=False)
-    V = GradedModule(Z2, [BasisElement("x", 0, 1), BasisElement("y", -1, 1)])
+    C, H = barratt_eccles(ring, 3, 2, n=2, validate=False)
+    V = GradedModule(ring, [BasisElement("x", 0, 1), BasisElement("y", -1, 1),
+                            BasisElement("a", 1, 1)])
     cf = cofree_build(C, V, 3)
+    # products of three factors stay inside arity 3 only for light factors:
+    # one fixed triple of arity-1 classes, then random light ones
+    gx, gy, ga = (cf.from_v(V.gen(n)) for n in ("x", "y", "a"))
+    triples = [(gx.add(ga), gy, ga.scale(-1))]
+    light = [key for key in cf.module.names if key[0] <= 1]
     for _ in range(3):
-        x, y, z = (random_element(cf, rng, 3) for _ in range(3))
+        triples.append([random_element(cf, rng, 3, light) for _ in range(3)])
+    for i, (x, y, z) in enumerate(triples):
         lhs = shuffle(H, cf, shuffle(H, cf, x, y), z)
         rhs = shuffle(H, cf, x, shuffle(H, cf, y, z))
         assert lhs.eq(rhs)
+        if i == 0:
+            # the a, y, a orderings cancel; the six of x, y, a remain
+            assert len(lhs.terms) == 6
+        w = random_element(cf, rng, 3)
+        assert shuffle(H, cf, cf.unit(), w).eq(w)
+        assert shuffle(H, cf, w, cf.unit()).eq(w)
+        w = random_element(cf, rng, 3, [k for k in cf.module.names
+                                        if k[0] == 2])
+        for k in (1, 2):
+            assert cf.decompose(shuffle(H, cf, x, w), k) == \
+                shuffle_decomposed(H, cf, x, w, k), k
+    ev = exp_element(H, cf, V.gen("x"))
+    em = exp_element(H, cf, V.gen("x", -1))
+    assert shuffle(H, cf, em, ev).eq(cf.unit())
 
 
 def test_shuffle_divided_powers_oracle():
@@ -155,10 +216,13 @@ def test_twist_zero_is_identity():
         assert coderivations_equal(twist(H, Qt, cf.V.zero()), Qt)
 
 
-@pytest.mark.parametrize("ring", [Z2, Z8, Z], ids=["Z2", "Z8", "Z"])
-def test_twist_squares_and_involutive(ring):
+@pytest.mark.parametrize("ring, build", [
+    (Z2, ass_cochains), (Z8, ass_cochains), (Z, ass_cochains),
+    (QQ, com_cochains),
+], ids=["Z2", "Z8", "Z", "Q-com"])
+def test_twist_squares_and_involutive(ring, build):
     rng = random.Random(6)
-    H, cf = make_cf(ring)
+    H, cf = make_cf(ring, build=build)
     for t in range(6):
         Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
         v = cf.V.gen("x", rand_scalar(ring, rng))
