@@ -7,7 +7,6 @@ from .cooperad import (
     CooperadMorphism,
     CooperadTruncation,
     HopfStructure,
-    block_permutation,
     validate_cooperad,
     validate_hopf,
     validate_morphism,
@@ -32,7 +31,7 @@ def perm_name(p):
     return p.oneline() if p.r else UNIT_NAME
 
 
-def perm_from_name(name, arity=None):
+def perm_from_name(name):
     if name == UNIT_NAME:
         return Permutation(())
     if "-" in name:

@@ -12,15 +12,38 @@ maps have degree 0, so dualization is sign-free and Koszul signs only
 enter through explicit reorderings of tensor factors.
 
 Validators check every law used downstream (counit, coassociativity,
-equivariance, Hopf compatibility) as exact equalities of sparse tables
-and return a report with a witness for each failure.
+equivariance, Hopf compatibility, morphism laws) and return a report
+with a witness for each failure.  Each law compares two sparse dicts
+holding only nonzero coefficients, and both sides are joins over the
+nonzero table entries, not loops over all pairs or triples of names:
+
+* Hopf associativity: each nonzero (a, b) -> d meets the products
+  (d, c) -> e through an index by left factor, each (b, c) -> f meets
+  (a, f) -> e through an index by right factor; compare on (a, b, c, e).
+  The unit law multiplies eta into every name through the same indexes.
+* Hopf equivariance, per sigma: sigma . eta = eta, and mu(sigma a,
+  sigma b) = sigma . mu(a, b) on the nonzero products and their
+  preimages under sigma x sigma.  Both sides vanish on every other pair,
+  so this is the law over all pairs (a, b) for any map sigma of the
+  names; when sigma permutes the basis it says that sigma carries the
+  table of nonzero products onto itself.
+* Cocomposition compatibility, per shape: Delta of each nonzero product
+  against each term (a_0, x_1..x_k) of Delta(a), joined with the right
+  partners b_0 of a_0 and y_i of x_i, and then with every b having the
+  term (b_0, y_1..y_k) through an index of the table by (outer, inners).
+* Coassociativity, table equivariance and the morphism laws compare two
+  routes per basis name over its cocomposition terms, with degrees and
+  group actions read from dicts built once.
+
+A failing law reports the witness that loops over the basis in order
+would meet first: the differing keys are ordered by basis position.
 """
 
 from itertools import product as _product
 
 from .errors import ShapeError, ValidationError
-from .graded import Element, LinearMap
-from .symmetric import OrbitModule, Permutation, all_permutations
+from .graded import koszul_sign_images
+from .symmetric import all_permutations
 
 __all__ = [
     "CooperadTruncation",
@@ -28,13 +51,11 @@ __all__ = [
     "CooperadMorphism",
     "Report",
     "compositions",
-    "block_permutation",
     "validate_cooperad",
     "validate_hopf",
     "validate_morphism",
     "cocom_unit_morphism",
     "infinitesimal_cocomposition",
-    "reorder_sign",
 ]
 
 
@@ -49,48 +70,20 @@ def compositions(total, parts):
     return out
 
 
-def block_permutation(mu, shape, inner=None):
-    """The permutation of {1..sum(shape)} acting by mu on blocks of the
-    given sizes, optionally composed with inner permutations per block."""
-    k = mu.r
-    if len(shape) != k:
-        raise ShapeError("shape length does not match outer arity")
-    r = sum(shape)
-    starts = []
-    acc = 0
-    for s in shape:
-        starts.append(acc)
-        acc += s
-    # output start of the block that lands in output slot mu(i)
-    out_start = [0] * k
-    for i in range(1, k + 1):
-        s = 0
-        for ip in range(1, k + 1):
-            if mu(ip) < mu(i):
-                s += shape[ip - 1]
-        out_start[i - 1] = s
-    images = [0] * r
-    for i in range(1, k + 1):
-        for j in range(1, shape[i - 1] + 1):
-            jj = inner[i - 1](j) if inner is not None else j
-            images[starts[i - 1] + j - 1] = out_start[i - 1] + jj
-    return Permutation(tuple(images))
+def _shapes(r, r_max):
+    """(k, shape) of every cocomposition of arity r inside the truncation."""
+    for k in range(1, r_max + 1):
+        for shape in compositions(r, k):
+            if all(x <= r_max for x in shape):
+                yield k, shape
 
 
-def reorder_sign(degrees, new_order):
-    """Koszul sign for rearranging tensor factors.
-
-    ``new_order`` lists source indices in their target order; the factor
-    originally at position new_order[t] ends up at position t.
-    """
-    sign = 1
-    n = len(new_order)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if new_order[a] > new_order[b]:
-                if degrees[new_order[a]] % 2 and degrees[new_order[b]] % 2:
-                    sign = -sign
-    return sign
+def _collect(ring, items):
+    """Sum (key, coeff) pairs by key and drop the keys that sum to zero."""
+    out = {}
+    for key, c in items:
+        out[key] = ring.add(out.get(key, ring.zero), c)
+    return {k: c for k, c in out.items() if not ring.is_zero(c)}
 
 
 class Report:
@@ -101,6 +94,11 @@ class Report:
 
     def add(self, law, ok, witness=None):
         self.checks.append((law, bool(ok), witness))
+
+    def add_first(self, law, witnesses):
+        """Record ``law`` with the first witness that is not None, if any."""
+        witness = next((w for w in witnesses if w is not None), None)
+        self.add(law, witness is None, witness)
 
     @property
     def ok(self):
@@ -185,17 +183,13 @@ class HopfStructure:
     def multiply(self, r, x, y):
         """Bilinear extension of mu_r to Elements."""
         ring = self.cooperad.ring
-        mod = self.cooperad.component(r).module
-        out = mod.zero()
-        acc = {}
-        for a, ca in x.terms.items():
-            for b, cb in y.terms.items():
-                for coeff, c in self.multiply_names(r, a, b):
-                    acc[c] = ring.add(
-                        acc.get(c, ring.zero), ring.mul(ring.mul(ca, cb), coeff)
-                    )
-        out.terms = acc
-        return out.prune()
+        out = self.cooperad.component(r).module.zero()
+        out.terms = _collect(ring, (
+            (c, ring.mul(ring.mul(ca, cb), coeff))
+            for a, ca in x.terms.items()
+            for b, cb in y.terms.items()
+            for coeff, c in self.multiply_names(r, a, b)))
+        return out
 
     def unit(self, r):
         return self.units[r]
@@ -231,15 +225,61 @@ class CooperadMorphism:
 # validators
 
 
+def _mismatch(lhs, rhs, order):
+    """The first key, by ``order``, where two sparse dicts differ."""
+    if lhs == rhs:
+        return None
+    return min((k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k)),
+               key=order)
+
+
 def _term_dict(ring, terms):
+    """Cocomposition terms (coeff, outer, inners) as a sparse dict."""
+    return _collect(ring, (((o, tuple(gs)), c) for c, o, gs in terms))
+
+
+def _delta(ring, table, x):
+    """Terms ((outer, inners), coeff) of one cocomposition table applied
+    to the sparse element x = {name: coeff}."""
+    for name, cx in x.items():
+        for c, o, gs in table.get(name, ()):
+            yield (o, tuple(gs)), ring.mul(cx, c)
+
+
+def _tensor(ring, coeff, outer, inners):
+    """Terms ((o, (g_1..g_k)), coeff) of coeff * outer (x) inner_1 ... (x)
+    inner_k for sparse elements given as dicts."""
+    for o, co in outer.items():
+        for combo in _product(*[list(x.items()) for x in inners]):
+            val = ring.mul(coeff, co)
+            for _, c in combo:
+                val = ring.mul(val, c)
+            yield (o, tuple(g for g, _ in combo)), val
+
+
+def _block_starts(mu, shape):
+    """Where each block lands when mu moves blocks of the given sizes:
+    the total size of the blocks that mu places before it."""
+    return [sum(s for s, m in zip(shape, mu) if m < mi) for mi in mu]
+
+
+def _degrees(C):
+    """Degree of every basis name, one dict per arity."""
+    return {r: {n: C.degree(r, n) for n in C.basis_names(r)}
+            for r in range(C.r_max + 1)}
+
+
+def _actions(C):
+    """Per arity: sigma.images -> {name: sigma . name}, in group order."""
     out = {}
-    for coeff, outer, inner in terms:
-        key = (outer, tuple(inner))
-        out[key] = ring.add(out.get(key, ring.zero), coeff)
-    return {k: c for k, c in out.items() if not ring.is_zero(c)}
+    for r in range(C.r_max + 1):
+        om = C.component(r)
+        out[r] = {s.images: {n: om.act_name(s, n) for n in om.module.names}
+                  for s in all_permutations(r)}
+    return out
 
 
-def validate_cooperad(C, check_equivariance=True):
+def validate_cooperad(C):
     """Check counit laws, coassociativity, equivariance and freeness."""
     rep = Report()
     ring = C.ring
@@ -271,49 +311,51 @@ def validate_cooperad(C, check_equivariance=True):
                 if not ok:
                     break
 
-    # coassociativity on all 2-level trees within truncation
+    deg = _degrees(C)
     for r in range(C.r_max + 1):
-        ok_all, witness = True, None
-        for m in range(1, C.r_max + 1):
-            for child_arities in compositions_children(r, m, C.r_max):
-                # child_arities: tuple of tuples, grandchild shapes per child
-                res = _coassoc_check(C, r, child_arities)
-                if res is not None:
-                    ok_all, witness = False, res
-                    break
-            if not ok_all:
-                break
-        rep.add(f"coassociativity arity {r}", ok_all, witness)
+        rep.add_first(f"coassociativity arity {r}", (
+            _coassoc_check(C, r, trees, deg)
+            for m in range(1, C.r_max + 1)
+            for trees in compositions_children(r, m, C.r_max)))
 
-    if check_equivariance:
-        for r in range(C.r_max + 1):
-            res = _equivariance_check(C, r)
-            rep.add(f"equivariance arity {r}", res is None, res)
-
+    act = _actions(C)
+    for r in range(C.r_max + 1):
+        res = _equivariance_check(C, r, deg, act)
+        rep.add(f"equivariance arity {r}", res is None, res)
     return rep
 
 
 def compositions_children(r, m, r_max):
-    """2-level trees: per outer slot i (of m), a grandchild shape; total r."""
+    """2-level trees: per outer slot i (of m), a grandchild shape; total r.
+
+    Only trees with at most r_max grandchildren in all are built, in the
+    order of the full product of the per-slot shape lists.
+    """
+    shapes_of = {}
+    for R in range(r_max + 1):
+        shapes_of[R] = [s for k_i in range(1, r_max + 1)
+                        for s in compositions(R, k_i)
+                        if all(x <= r_max for x in s)]
     out = []
+
+    def grow(per_child, budget, acc):
+        if len(acc) == len(per_child):
+            out.append(tuple(acc))
+            return
+        # every later slot takes at least one grandchild
+        room = budget - (len(per_child) - len(acc) - 1)
+        for s in per_child[len(acc)]:
+            if len(s) > room:
+                break  # shapes are listed by length
+            grow(per_child, budget - len(s), acc + [s])
+
     for mid in compositions(r, m):
-        if any(x > r_max for x in mid):
-            continue
-        per_child = []
-        for R in mid:
-            shapes = []
-            for k_i in range(1, r_max + 1):
-                for s in compositions(R, k_i):
-                    if all(x <= r_max for x in s):
-                        shapes.append(s)
-            per_child.append(shapes)
-        for combo in _product(*per_child):
-            if sum(len(s) for s in combo) <= r_max:
-                out.append(combo)
+        if all(x <= r_max for x in mid):
+            grow([shapes_of[R] for R in mid], r_max, [])
     return out
 
 
-def _coassoc_check(C, r, grand_shapes):
+def _coassoc_check(C, r, grand_shapes, deg):
     """Compare the two evaluation orders of a 2-level cocomposition.
 
     grand_shapes: per outer slot i, the shape of the inner cocomposition
@@ -323,211 +365,220 @@ def _coassoc_check(C, r, grand_shapes):
     m = len(grand_shapes)
     mid_shape = tuple(sum(s) for s in grand_shapes)
     flat_shape = tuple(x for s in grand_shapes for x in s)
-    k = len(flat_shape)
     child_sizes = tuple(len(s) for s in grand_shapes)
+    flat = C.table(len(flat_shape), flat_shape)
+    outer = C.table(m, child_sizes)
+    middle = C.table(m, mid_shape)
+    inner = [C.table(child_sizes[i], grand_shapes[i]) for i in range(m)]
 
     for c in C.basis_names(r):
         # Path A: Delta_{k; flat}(c), then Delta_{m;(k_1..k_m)} on the outer
-        side_a = {}
-        for coeff, a, gs in C.cocompose(k, flat_shape, c):
-            for coeff2, o, cs in C.cocompose(m, child_sizes, a):
-                key = (o, tuple(cs), tuple(gs))
-                val = ring.mul(coeff, coeff2)
-                side_a[key] = ring.add(side_a.get(key, ring.zero), val)
-        side_a = {kk: v for kk, v in side_a.items() if not ring.is_zero(v)}
+        side_a = _collect(ring, (
+            ((o, tuple(cs), tuple(gs)), ring.mul(coeff, coeff2))
+            for coeff, a, gs in flat.get(c, ())
+            for coeff2, o, cs in outer.get(a, ())))
 
-        # Path B: Delta_{m; mid}(c), then inner cocompositions per slot
-        side_b = {}
-        for coeff, o, bs in C.cocompose(m, mid_shape, c):
-            expansions = [
-                C.cocompose(child_sizes[i], grand_shapes[i], b)
-                for i, b in enumerate(bs)
-            ]
-            for combo in _product(*expansions):
-                coeff_b = coeff
-                cs, g_blocks = [], []
-                for (cf, ci, gi) in combo:
-                    coeff_b = ring.mul(coeff_b, cf)
-                    cs.append(ci)
-                    g_blocks.append(tuple(gi))
-                # natural order: o, c_1, g-block_1, c_2, g-block_2, ...
-                # canonical order: o, c_1..c_m, g_1..g_k
-                degs = []
-                order_nat = []
-                idx = 0
-                positions_c, positions_g = [], []
-                for i in range(m):
-                    degs.append(C.degree(child_sizes[i], cs[i]))
-                    positions_c.append(idx)
-                    idx += 1
-                    blk = []
-                    for j, g in enumerate(g_blocks[i]):
-                        degs.append(C.degree(grand_shapes[i][j], g))
-                        blk.append(idx)
-                        idx += 1
-                    positions_g.append(blk)
-                new_order = positions_c + [p for blk in positions_g for p in blk]
-                sign = reorder_sign(degs, new_order)
-                key = (o, tuple(cs), tuple(g for blk in g_blocks for g in blk))
-                val = ring.mul(coeff_b, sign)
-                side_b[key] = ring.add(side_b.get(key, ring.zero), val)
-        side_b = {kk: v for kk, v in side_b.items() if not ring.is_zero(v)}
+        # Path B: Delta_{m; mid}(c), then inner cocompositions per slot,
+        # read in the order o, c_1, g-block_1, c_2, g-block_2, ...  Moving
+        # to o, c_1..c_m, g_1..g_k takes each c_i past the g-blocks before
+        # it.
+        side_b = []
+        for coeff, o, bs in middle.get(c, ()):
+            for combo in _product(*[inner[i].get(b, ()) for i, b in enumerate(bs)]):
+                val, odd, passed = coeff, 0, 0
+                for i, (cf, ci, gi) in enumerate(combo):
+                    val = ring.mul(val, cf)
+                    odd += deg[child_sizes[i]][ci] * passed
+                    passed += sum(deg[s][g] for s, g in zip(grand_shapes[i], gi))
+                key = (o, tuple(ci for _, ci, _ in combo),
+                       tuple(g for _, _, gi in combo for g in gi))
+                side_b.append((key, ring.mul(val, -1 if odd % 2 else 1)))
 
-        if side_a != side_b:
+        if side_a != _collect(ring, side_b):
             return (r, c, grand_shapes, "coassociativity mismatch")
     return None
 
 
-def _equivariance_check(C, r):
-    """Tables commute with block permutations (mu; sigma_1..sigma_k)."""
+def _equivariance_check(C, r, deg, act):
+    """Tables commute with every block permutation (mu; sigma_1..sigma_k)."""
     ring = C.ring
-    om = C.component(r)
-    for k in range(1, C.r_max + 1):
-        for shape in compositions(r, k):
-            if any(x > C.r_max for x in shape):
-                continue
-            outer_om = C.component(k)
-            for mu in all_permutations(k):
-                inner_groups = [all_permutations(ri) for ri in shape]
-                for sigmas in _product(*inner_groups):
-                    sigma_hat = block_permutation(mu, shape, [s for s in sigmas])
-                    new_shape = tuple(mu.permute_slots(shape))
-                    for c in C.basis_names(r):
-                        lhs = _term_dict(
-                            ring,
-                            C.cocompose(k, new_shape, om.act_name(sigma_hat, c)),
-                        )
-                        rhs = {}
-                        for coeff, a, gs in C.cocompose(k, shape, c):
-                            a2 = outer_om.act_name(mu, a)
-                            acted = [
-                                C.component(shape[i]).act_name(sigmas[i], gs[i])
-                                for i in range(k)
-                            ]
-                            gs2 = mu.permute_slots(acted)
-                            degs = [C.degree(shape[i], gs[i]) for i in range(k)]
-                            sign = mu.koszul_sign(degs)
-                            key = (a2, tuple(gs2))
-                            rhs[key] = ring.add(
-                                rhs.get(key, ring.zero), ring.mul(coeff, sign)
-                            )
-                        rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
-                        if lhs != rhs:
-                            return (r, c, k, shape, mu.images,
-                                    tuple(s.images for s in sigmas))
+    names = C.basis_names(r)
+    terms = {}  # (shape, name) -> Delta_{k; shape}(name) as a sparse dict
+
+    def delta(k, shape, name):
+        if (shape, name) not in terms:
+            terms[shape, name] = _term_dict(ring, C.cocompose(k, shape, name))
+        return terms[shape, name]
+
+    for k, shape in _shapes(r, C.r_max):
+        for mu, outer in act[k].items():
+            # the inner slots in the order mu puts them in
+            order = sorted(range(k), key=lambda i: mu[i])
+            new_shape = tuple(shape[i] for i in order)
+            starts = _block_starts(mu, shape)
+            # Delta(c) with its inner factors in that order and the Koszul
+            # sign of mu on them
+            signed = {c: [(a, tuple(gs[i] for i in order), ring.mul(v, koszul_sign_images(
+                              mu, [deg[s][g] for s, g in zip(shape, gs)])))
+                          for (a, gs), v in delta(k, shape, c).items()]
+                      for c in names}
+            for sigmas in _product(*[list(act[s]) for s in shape]):
+                # the block permutation (mu; sigma_1..sigma_k) of 1..r
+                hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
+                inners = [act[shape[i]][sigmas[i]] for i in order]
+                for c in names:
+                    moved = [((outer[a], tuple([f[g] for f, g in zip(inners, gs)])), v)
+                             for a, gs, v in signed[c]]
+                    rhs = dict(moved)
+                    if len(rhs) < len(moved):  # two terms moved onto one key
+                        rhs = _collect(ring, moved)
+                    if delta(k, new_shape, hat[c]) != rhs:
+                        return (r, c, k, shape, mu, sigmas)
     return None
+
+
+def _products(ring, products):
+    """Nonzero products {(a, b): {c: coeff}} of one arity, and the same
+    entries listed by left factor and by right factor."""
+    table = {}
+    for key, terms in products.items():
+        prod = _collect(ring, ((c, coeff) for coeff, c in terms))
+        if prod:
+            table[key] = prod
+    by_left, by_right = {}, {}
+    for (a, b), prod in table.items():
+        by_left.setdefault(a, []).append((b, prod))
+        by_right.setdefault(b, []).append((a, prod))
+    return table, by_left, by_right
 
 
 def validate_hopf(C, H):
     """Associativity, units, equivariance and cocomposition compatibility."""
     rep = Report()
     ring = C.ring
+    deg = _degrees(C)
+    prods = {r: _products(ring, H.products.get(r, {})) for r in range(C.r_max + 1)}
+    # per arity: basis positions, and the nonzero products of basis names
+    pos, inner = {}, {}
     for r in range(C.r_max + 1):
-        mod = C.component(r).module
-        om = C.component(r)
-        eta = H.unit(r)
-        names = mod.names
+        pos[r] = {n: i for i, n in enumerate(C.basis_names(r))}
+        inner[r] = {key: prod for key, prod in prods[r][0].items()
+                    if key[0] in pos[r] and key[1] in pos[r]}
 
-        ok, witness = True, None
-        for a in names:
-            xa = mod.gen(a)
-            if not H.multiply(r, eta, xa).eq(xa) or not H.multiply(r, xa, eta).eq(xa):
-                ok, witness = False, (r, a)
-                break
-        rep.add(f"hopf-unit arity {r}", ok, witness)
-
-        ok, witness = True, None
-        for a in names:
-            for b in names:
-                for c in names:
-                    left = H.multiply(r, H.multiply(r, mod.gen(a), mod.gen(b)), mod.gen(c))
-                    right = H.multiply(r, mod.gen(a), H.multiply(r, mod.gen(b), mod.gen(c)))
-                    if not left.eq(right):
-                        ok, witness = False, (r, a, b, c)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(f"hopf-associativity arity {r}", ok, witness)
-
-        ok, witness = True, None
-        for sigma in om.group():
-            if not om.act_element(sigma, eta).eq(eta):
-                ok, witness = False, (r, sigma.images)
-                break
-            for a in names:
-                for b in names:
-                    lhs = H.multiply(r, mod.gen(om.act_name(sigma, a)),
-                                     mod.gen(om.act_name(sigma, b)))
-                    rhs = om.act_element(sigma, H.multiply(r, mod.gen(a), mod.gen(b)))
-                    if not lhs.eq(rhs):
-                        ok, witness = False, (r, sigma.images, a, b)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(f"hopf-equivariance arity {r}", ok, witness)
+    for r in range(C.r_max + 1):
+        table, by_left, by_right = prods[r]
+        eta = H.unit(r).terms
+        res = _hopf_unit_check(ring, r, pos[r], eta, by_left, by_right)
+        rep.add(f"hopf-unit arity {r}", res is None, res)
+        res = _hopf_assoc_check(ring, r, pos[r], inner[r], by_left, by_right)
+        rep.add(f"hopf-associativity arity {r}", res is None, res)
+        res = _hopf_equivariance_check(
+            ring, r, C.component(r), pos[r], eta, table, inner[r])
+        rep.add(f"hopf-equivariance arity {r}", res is None, res)
 
     # compatibility: cocomposition tables are algebra morphisms
     for r in range(C.r_max + 1):
-        res = _hopf_compat_check(C, H, r)
+        res = _hopf_compat_check(C, r, pos[r], inner[r], prods, deg)
         rep.add(f"hopf-cocomposition-compat arity {r}", res is None, res)
     return rep
 
 
-def _hopf_compat_check(C, H, r):
-    ring = C.ring
-    mod = C.component(r).module
-    for k in range(1, C.r_max + 1):
-        for shape in compositions(r, k):
-            if any(x > C.r_max for x in shape):
-                continue
-            for a in mod.names:
-                for b in mod.names:
-                    # LHS: Delta(mu(a, b))
-                    lhs = {}
-                    for coeff, c in H.multiply_names(r, a, b):
-                        for coeff2, o, gs in C.cocompose(k, shape, c):
-                            key = (o, tuple(gs))
-                            lhs[key] = ring.add(
-                                lhs.get(key, ring.zero), ring.mul(coeff, coeff2)
-                            )
-                    lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
+def _hopf_unit_check(ring, r, pos, eta, by_left, by_right):
+    """eta a = a = a eta for every basis name a."""
+    def times_eta(index):
+        terms = {}
+        for n, ce in eta.items():
+            for x, prod in index.get(n, ()):
+                terms.setdefault(x, []).extend(
+                    (c, ring.mul(ce, cp)) for c, cp in prod.items())
+        return {x: _collect(ring, t) for x, t in terms.items()}
 
-                    # RHS: (mu_k (x) mu_{r_i}) after interleaving Delta(a), Delta(b)
-                    rhs = {}
-                    for ca, a0, xs in C.cocompose(k, shape, a):
-                        for cb, b0, ys in C.cocompose(k, shape, b):
-                            # order: a0 x_1..x_k b0 y_1..y_k
-                            # -> a0 b0 x_1 y_1 ... x_k y_k
-                            degs = [C.degree(k, a0)]
-                            degs += [C.degree(shape[i], xs[i]) for i in range(k)]
-                            degs += [C.degree(k, b0)]
-                            degs += [C.degree(shape[i], ys[i]) for i in range(k)]
-                            new_order = [0, k + 1]
-                            for i in range(k):
-                                new_order += [1 + i, k + 2 + i]
-                            sign = reorder_sign(degs, new_order)
-                            coeff0 = ring.mul(ring.mul(ca, cb), sign)
-                            outer_terms = H.multiply_names(k, a0, b0)
-                            inner_lists = [
-                                H.multiply_names(shape[i], xs[i], ys[i])
-                                for i in range(k)
-                            ]
-                            for co, o in outer_terms:
-                                for combo in _product(*inner_lists):
-                                    cval = ring.mul(coeff0, co)
-                                    gs = []
-                                    for (ci, g) in combo:
-                                        cval = ring.mul(cval, ci)
-                                        gs.append(g)
-                                    key = (o, tuple(gs))
-                                    rhs[key] = ring.add(rhs.get(key, ring.zero), cval)
-                    rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
-                    if lhs != rhs:
-                        return (r, k, shape, a, b)
+    left, right = times_eta(by_left), times_eta(by_right)
+    for a in pos:
+        want = {a: ring.one}
+        if left.get(a, {}) != want or right.get(a, {}) != want:
+            return (r, a)
+    return None
+
+
+def _hopf_assoc_check(ring, r, pos, inner, by_left, by_right):
+    """(ab)c = a(bc), joined over the nonzero products ab and bc."""
+    lhs, rhs = [], []
+    for (a, b), ab in inner.items():
+        for d, cd in ab.items():
+            for c, dc in by_left.get(d, ()):
+                if c in pos:
+                    lhs.extend(((a, b, c, e), ring.mul(cd, ce)) for e, ce in dc.items())
+    for (b, c), bc in inner.items():
+        for f, cf in bc.items():
+            for a, af in by_right.get(f, ()):
+                if a in pos:
+                    rhs.extend(((a, b, c, e), ring.mul(cf, ce)) for e, ce in af.items())
+    key = _mismatch(_collect(ring, lhs), _collect(ring, rhs),
+                    lambda k: (pos[k[0]], pos[k[1]], pos[k[2]]))
+    return None if key is None else (r,) + key[:3]
+
+
+def _hopf_equivariance_check(ring, r, om, pos, eta, table, inner):
+    """sigma . eta = eta, and mu(sigma a, sigma b) = sigma . mu(a, b) on the
+    nonzero products and their preimages under sigma x sigma."""
+    eta_terms = _collect(ring, eta.items())
+    for sigma in om.group():
+        if _collect(ring, ((om.act_name(sigma, n), c) for n, c in eta.items())) != eta_terms:
+            return (r, sigma.images)
+        move = {a: om.act_name(sigma, a) for a in pos}
+        preimages = {}
+        for a, x in move.items():
+            preimages.setdefault(x, []).append(a)
+        pairs = set(inner)
+        for x, y in table:
+            pairs.update(_product(preimages.get(x, ()), preimages.get(y, ())))
+        for a, b in sorted(pairs, key=lambda k: (pos[k[0]], pos[k[1]])):
+            moved = _collect(ring, ((om.act_name(sigma, c), v)
+                                    for c, v in inner.get((a, b), {}).items()))
+            if table.get((move[a], move[b]), {}) != moved:
+                return (r, sigma.images, a, b)
+    return None
+
+
+def _hopf_compat_check(C, r, pos, inner, prods, deg):
+    """Delta(mu(a, b)) = (mu_k (x) mu_{r_i}) of Delta(a) and Delta(b)
+    interleaved, per shape, joined over nonzero products and terms."""
+    ring = C.ring
+    for k, shape in _shapes(r, C.r_max):
+        table = C.table(k, shape)
+        lhs = [((a, b) + key, val)
+               for (a, b), ab in inner.items() for key, val in _delta(ring, table, ab)]
+
+        by_term = {}  # (b_0, (y_1..y_k)) -> [(b, coeff)] over the terms of Delta(b)
+        for b in pos:
+            for cb, b0, ys in table.get(b, ()):
+                by_term.setdefault((b0, tuple(ys)), []).append((b, cb))
+        outer_partners = prods[k][1]
+        inner_partners = [prods[s][1] for s in shape]
+        rhs = []
+        for a in pos:
+            for ca, a0, xs in table.get(a, ()):
+                partners = outer_partners.get(a0)
+                if not partners:
+                    continue
+                xdeg = [deg[s][x] for s, x in zip(shape, xs)]
+                for combo in _product(*[p.get(x, ()) for p, x in zip(inner_partners, xs)]):
+                    ys = tuple(y for y, _ in combo)
+                    # a0 x_1..x_k b0 y_1..y_k -> a0 b0 x_1 y_1 ... x_k y_k:
+                    # b0 passes every x_i, y_j passes x_i for i > j
+                    ydeg = [deg[s][y] for s, y in zip(shape, ys)]
+                    cross = sum(ydeg[j] * xdeg[i] for i in range(k) for j in range(i))
+                    for b0, outer in partners:
+                        odd = deg[k][b0] * sum(xdeg) + cross
+                        for b, cb in by_term.get((b0, ys), ()):
+                            coeff = ring.mul(ring.mul(ca, cb), -1 if odd % 2 else 1)
+                            rhs.extend(((a, b) + key, val) for key, val in _tensor(
+                                ring, coeff, outer, [p for _, p in combo]))
+        key = _mismatch(_collect(ring, lhs), _collect(ring, rhs),
+                        lambda key: (pos[key[0]], pos[key[1]]))
+        if key is not None:
+            return (r, k, shape, key[0], key[1])
     return None
 
 
@@ -536,92 +587,56 @@ def validate_morphism(phi):
     rep = Report()
     S, T = phi.source, phi.target
     ring = T.ring
-    for r in range(min(S.r_max, T.r_max) + 1):
+    r_max = min(S.r_max, T.r_max)
+    images = {}
+
+    def image(r, name):
+        """phi(name) in arity r as a sparse dict."""
+        if (r, name) not in images:
+            images[r, name] = _collect(ring, phi.maps[r].entries.get(name, {}).items())
+        return images[r, name]
+
+    for r in range(r_max + 1):
         f = phi.maps[r]
         ok = f.degree == 0
         rep.add(f"morphism-degree arity {r}", ok, None if ok else f.degree)
 
         om_s, om_t = S.component(r), T.component(r)
-        ok, witness = True, None
-        for sigma in om_s.group():
-            for name in om_s.module.names:
-                lhs = f.apply_name(om_s.act_name(sigma, name))
-                rhs = om_t.act_element(sigma, f.apply_name(name))
-                if not lhs.eq(rhs):
-                    ok, witness = False, (r, sigma.images, name)
-                    break
-            if not ok:
-                break
-        rep.add(f"morphism-equivariance arity {r}", ok, witness)
+        rep.add_first(f"morphism-equivariance arity {r}", (
+            (r, sigma.images, name)
+            for sigma in om_s.group()
+            for name in om_s.module.names
+            if image(r, om_s.act_name(sigma, name)) != _collect(ring, (
+                (om_t.act_name(sigma, n), c) for n, c in image(r, name).items()))))
 
     ok = phi.maps[1].apply_name(S.counit_name).eq(T.counit_element())
     rep.add("morphism-counit", ok)
     ok = phi.maps[0].apply_name(S.unit_name).eq(T.unit_element())
     rep.add("morphism-unit", ok)
 
-    r_max = min(S.r_max, T.r_max)
     for r in range(r_max + 1):
-        ok_all, witness = True, None
-        for k in range(1, r_max + 1):
-            for shape in compositions(r, k):
-                if any(x > r_max for x in shape):
-                    continue
-                for c in S.basis_names(r):
-                    # (phi (x) phi's) Delta_S(c)
-                    lhs = {}
-                    for coeff, o, gs in S.cocompose(k, shape, c):
-                        outs = phi.maps[k].apply_name(o)
-                        inner_imgs = [
-                            phi.maps[shape[i]].apply_name(gs[i]) for i in range(k)
-                        ]
-                        for oname, cco in outs.terms.items():
-                            for combo in _product(
-                                *[list(e.terms.items()) for e in inner_imgs]
-                            ):
-                                cval = ring.mul(coeff, cco)
-                                names = []
-                                for n, cc in combo:
-                                    cval = ring.mul(cval, cc)
-                                    names.append(n)
-                                key = (oname, tuple(names))
-                                lhs[key] = ring.add(lhs.get(key, ring.zero), cval)
-                    lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
-                    # Delta_T(phi(c))
-                    rhs = {}
-                    for name, cc in phi.maps[r].apply_name(c).terms.items():
-                        for coeff, o, gs in T.cocompose(k, shape, name):
-                            key = (o, tuple(gs))
-                            rhs[key] = ring.add(
-                                rhs.get(key, ring.zero), ring.mul(cc, coeff)
-                            )
-                    rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
-                    if lhs != rhs:
-                        ok_all, witness = False, (r, k, shape, c)
-                        break
-                if not ok_all:
-                    break
-            if not ok_all:
-                break
-        rep.add(f"morphism-cocomposition arity {r}", ok_all, witness)
+        rep.add_first(f"morphism-cocomposition arity {r}", (
+            _morphism_cocomp_check(ring, S, T, image, r, k, shape)
+            for k, shape in _shapes(r, r_max)))
     return rep
+
+
+def _morphism_cocomp_check(ring, S, T, image, r, k, shape):
+    """(phi (x) phi..) Delta_S(c) = Delta_T(phi(c)) for every c of arity r."""
+    source, target = S.table(k, shape), T.table(k, shape)
+    for c in S.basis_names(r):
+        lhs = _collect(ring, (
+            term
+            for coeff, o, gs in source.get(c, ())
+            for term in _tensor(ring, coeff, image(k, o),
+                                [image(s, g) for s, g in zip(shape, gs)])))
+        if lhs != _collect(ring, _delta(ring, target, image(r, c))):
+            return (r, k, shape, c)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # the canonical morphism from the unitary cocommutative cooperad
-
-
-class CocomSource:
-    """Marker for the uCOCOM truncation used only as a morphism source.
-
-    Carried without any freeness requirement: its arity-r generator maps
-    to the Hopf unit eta_r of the target.
-    """
-
-    def __init__(self, r_max):
-        self.r_max = r_max
-
-    def generator_name(self, r):
-        return f"cocom{r}"
 
 
 def cocom_unit_morphism(C, H):
@@ -629,40 +644,21 @@ def cocom_unit_morphism(C, H):
 
     Verifies the morphism property on every truncation shape: the
     cocomposition of eta_r must equal eta_k (x) eta_{r_1} ... eta_{r_k}.
+    Returns the images {r: eta_r}.
     """
     ring = C.ring
-    source = CocomSource(C.r_max)
     images = {r: H.unit(r) for r in range(C.r_max + 1)}
     for r in range(C.r_max + 1):
-        for k in range(1, C.r_max + 1):
-            for shape in compositions(r, k):
-                if any(x > C.r_max for x in shape):
-                    continue
-                lhs = {}
-                for name, cc in images[r].terms.items():
-                    for coeff, o, gs in C.cocompose(k, shape, name):
-                        key = (o, tuple(gs))
-                        lhs[key] = ring.add(lhs.get(key, ring.zero), ring.mul(cc, coeff))
-                lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
-                rhs = {}
-                outer = images[k]
-                inner = [images[shape[i]] for i in range(k)]
-                for oname, cco in outer.terms.items():
-                    for combo in _product(*[list(e.terms.items()) for e in inner]):
-                        cval = cco
-                        names = []
-                        for n, cc in combo:
-                            cval = ring.mul(cval, cc)
-                            names.append(n)
-                        key = (oname, tuple(names))
-                        rhs[key] = ring.add(rhs.get(key, ring.zero), cval)
-                rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
-                if lhs != rhs:
-                    raise ValidationError(
-                        f"Hopf units are not compatible with cocomposition at "
-                        f"arity {r}, shape {shape}"
-                    )
-    return source, images
+        for k, shape in _shapes(r, C.r_max):
+            lhs = _collect(ring, _delta(ring, C.table(k, shape), images[r].terms))
+            rhs = _collect(ring, _tensor(
+                ring, ring.one, images[k].terms, [images[s].terms for s in shape]))
+            if lhs != rhs:
+                raise ValidationError(
+                    f"Hopf units are not compatible with cocomposition at "
+                    f"arity {r}, shape {shape}"
+                )
+    return images
 
 
 # ---------------------------------------------------------------------------

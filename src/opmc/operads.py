@@ -12,6 +12,7 @@ chain basis names, cochain degree is minus the chain degree, and the
 group action table is shared (sigma . delta_x = delta_{sigma . x}).
 """
 
+from functools import cache
 from itertools import combinations
 from itertools import product as _product
 
@@ -104,8 +105,9 @@ def dualize(op, label=""):
 # off the vertex pairs along it; the sign is the parity of the shuffle.
 
 
+@cache
 def _staircases(p, q):
-    """Monotone paths as (vertex-index pairs, sign)."""
+    """Monotone paths as (vertex-index pairs, sign), memoised per (p, q)."""
     out = []
     n = p + q
     # choose which of the n steps advance the first factor
@@ -123,8 +125,8 @@ def _staircases(p, q):
         inv = 0
         for i in steps_x:
             inv += sum(1 for j in range(i) if j not in sx)
-        out.append((pairs, -1 if inv % 2 else 1))
-    return out
+        out.append((tuple(pairs), -1 if inv % 2 else 1))
+    return tuple(out)
 
 
 def binary_ez(x, y):

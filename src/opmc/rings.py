@@ -17,16 +17,12 @@ class Ring:
     contains_rationals = False
     finite = False
 
+    def __init__(self):
+        self.zero = self.normalize(0)
+        self.one = self.normalize(1)
+
     def normalize(self, x):
         raise NotImplementedError
-
-    @property
-    def zero(self):
-        return self.normalize(0)
-
-    @property
-    def one(self):
-        return self.normalize(1)
 
     def add(self, a, b):
         return self.normalize(a + b)
@@ -62,6 +58,8 @@ class Ring:
 
 class IntegerRing(Ring):
     def normalize(self, x):
+        if type(x) is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise NonUnitError(f"{x} is not an integer")
@@ -90,6 +88,7 @@ class ModularRing(Ring):
         if not isinstance(modulus, int) or modulus < 2:
             raise InvalidRingError(f"modulus must be an integer >= 2, got {modulus!r}")
         self.modulus = modulus
+        super().__init__()
 
     def normalize(self, x):
         return int(x) % self.modulus

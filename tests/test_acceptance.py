@@ -265,7 +265,7 @@ def test_criterion_07_a_infinity_oracle():
         want = Qt.curvature()
         for r in range(1, cf.cooperad.r_max + 1):
             for sname in cf.cooperad.basis_names(r):
-                sigma = perm_from_name(sname, r)
+                sigma = perm_from_name(sname)
                 for letters in product(list(v.terms), repeat=r):
                     coeff = 1
                     for vn in letters:

@@ -21,6 +21,7 @@ from opmc.cooperad import (
     infinitesimal_cocomposition,
     validate_cooperad,
     validate_hopf,
+    validate_morphism,
 )
 from opmc.errors import RingRequirementError, ValidationError
 from opmc.rings import ring_make
@@ -144,7 +145,8 @@ def test_counit_infinitesimal_trivial(ass3):
 
 def test_cocom_unit_morphism(ass3):
     C, H = ass3
-    source, images = cocom_unit_morphism(C, H)
+    images = cocom_unit_morphism(C, H)
+    assert sorted(images) == [0, 1, 2, 3]
     assert images[2].terms == {"12": 1, "21": 1}
     assert images[0].terms == {C.unit_name: 1}
 
@@ -254,7 +256,11 @@ def test_be1_matches_ass():
         assert len(be1.component(r).module) == len(ass.component(r).module)
         assert all(be1.degree(r, nm) == 0 for nm in be1.basis_names(r))
     phi = be1_to_ass_iso(be1, ass)
-    assert phi.maps[2].apply_name("12|").terms or True  # smoke
+    for r in range(4):
+        for nm in be1.basis_names(r):
+            (vertex,) = be_from_name(nm)
+            assert phi.maps[r].apply_name(nm).terms == {perm_name(vertex): 1}
+    assert validate_morphism(phi).ok
 
 
 def test_einfty_to_en_restriction():

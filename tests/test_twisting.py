@@ -306,7 +306,7 @@ def test_residual_matches_homotopy_relations_oracle():
         want = Qt.curvature()
         for r in range(1, cf.cooperad.r_max + 1):
             for sname in cf.cooperad.basis_names(r):
-                sigma = perm_from_name(sname, r)
+                sigma = perm_from_name(sname)
                 def rec(i, letters):
                     nonlocal want
                     if i == r:
