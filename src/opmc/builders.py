@@ -7,14 +7,15 @@ from .cooperad import (
     CooperadMorphism,
     CooperadTruncation,
     HopfStructure,
+    compositions,
     validate_cooperad,
     validate_hopf,
     validate_morphism,
 )
-from .errors import RingRequirementError, ShapeError
+from .errors import ShapeError
 from .graded import BasisElement, LinearMap
 from .operads import ChainOperad, dualize, nary_ez
-from .symmetric import OrbitModule, Permutation, all_permutations
+from .symmetric import OrbitModule, Permutation, TrivialModule, all_permutations
 
 __all__ = [
     "ass_cochains",
@@ -113,33 +114,13 @@ def com_cochains(ring, r_max, validate=True):
     """Rank-one cochains with trivial symmetric group action (Q only).
 
     The action is not free, so coinvariants are handled through the
-    r!-divided norm; this requires the rationals in the ring.
+    norm over r! of ``TrivialModule``, which refuses a ring without
+    the rationals (before the truncation is checked).
     """
-    if not ring.contains_rationals:
-        raise RingRequirementError(
-            "trivial symmetric group actions need the divided norm, "
-            "which requires Q in the ring"
-        )
+    components = {r: TrivialModule(ring, r, f"c{r}") for r in range(r_max + 1)}
     if r_max < 2:
         raise ShapeError("need r_max >= 2")
-    components = {}
-    for r in range(r_max + 1):
-        name = f"c{r}"
-        basis = [BasisElement(name, 0)]
-        action = {(s.images, name): name for s in all_permutations(r)}
-        om = OrbitModule.__new__(OrbitModule)
-        om.arity = r
-        from .graded import GradedModule
-
-        om.module = GradedModule(ring, basis)
-        om.orbit_reps = [name]
-        om._action = action
-        om._group = all_permutations(r)
-        om._locate = {name: (name, Permutation.identity(r))}
-        components[r] = om
     tables = {}
-    from .cooperad import compositions
-
     for r in range(r_max + 1):
         for k in range(1, r_max + 1):
             for shape in compositions(r, k):
@@ -152,7 +133,6 @@ def com_cochains(ring, r_max, validate=True):
         ring, r_max, components, tables,
         unit_name="c0", counit_name="c1", label="com-cochains",
     )
-    C.divided = True
     products = {}
     units = {}
     for r in range(r_max + 1):

@@ -1,28 +1,27 @@
-"""Weight-truncated cofree conilpotent coalgebras with divided symmetries,
-and the extension of cogenerator-level data to coderivations and
-coalgebra morphisms.
+"""Weight-truncated cofree conilpotent coalgebras, and the extension of
+cogenerator-level data to coderivations and coalgebra morphisms.
 
-Representation.  Working with free symmetric group actions, the norm map
-identifies coinvariants with invariants, and an invariant element is
-pinned down by its components on orbit-representative cooperad factors:
-the expansion of the orbit sum
+Representation.  A basis key (r, rep, v-tuple) stands for the orbit sum
+of the plain tensor rep (x) v_1..v_r.  Every operation expands keys into
+plain tensors, applies plain dual tables in order, and collects outputs
+back into key form.  The arity-r cooperad component supplies all that
+depends on its symmetric group action, so there is one code path:
 
-    O(rep, v_1..v_r) = sum_sigma  sigma . (rep (x) v_1..v_r)
+- ``class_tuples``: the v-tuples that key a class;
+- ``orbit_sum``: the plain expansion of a key;
+- ``collection_coefficient``: the coefficient with which a plain term
+  is read back as a key, or None when it is not read;
+- ``coinv_normalize``: the normal form on which a coderivation is read.
 
-contains exactly one term whose cooperad factor is a representative
-(sigma = id, by freeness), so the keys (r, rep, v-tuple) form an honest
-basis.  Every operation expands keys into plain tensors, applies plain
-dual tables in order, and collects outputs by reading the terms whose
-cooperad factor is a representative.
-
-For the divided variant (trivial actions over Q) the expansion divides
-by r!, keys carry sorted v-tuples, and collection rescales by the signed
-stabilizer sum; keys whose orbit sum vanishes (odd-degree repetitions)
-are excluded from the basis.
+A free action (``OrbitModule``) keys every tuple, expands by the norm and
+reads the terms whose cooperad factor is a representative, with
+coefficient one.  The trivial action over Q (``TrivialModule``) keys
+sorted tuples without a repeated odd-degree name, expands by the norm
+over r!, and reads a sorted term with coefficient r!/h, h the
+signed stabilizer sum.
 """
 
 from itertools import product as _product
-from math import factorial
 
 from .cooperad import compositions, infinitesimal_cocomposition
 from .errors import (
@@ -33,7 +32,6 @@ from .errors import (
     ShapeError,
 )
 from .graded import BasisElement, Element, GradedModule
-from .symmetric import all_permutations, norm_plain
 
 __all__ = [
     "CofreeCoalgebra",
@@ -49,55 +47,29 @@ DEFAULT_BASIS_CAP = 20000
 
 
 class CofreeCoalgebra:
-    """uC(V) (or its reduced part) truncated at a total weight bound."""
+    """uC(V) truncated at a total weight bound."""
 
-    def __init__(self, C, V, w_max, unitary=True, basis_cap=DEFAULT_BASIS_CAP):
+    def __init__(self, C, V, w_max):
         self.cooperad = C
         self.V = V
         self.ring = C.ring
         self.w_max = w_max
-        self.unitary = unitary
-        self.divided = getattr(C, "divided", False)
-        basis = []
-        if unitary:
-            basis.append(BasisElement((0, C.unit_name, ()), 0, 0))
+        basis = [BasisElement((0, C.unit_name, ()), 0, 0)]
         for r in range(1, C.r_max + 1):
             om = C.component(r)
             for rep in om.orbit_reps:
                 cdeg = om.module.degree(rep)
-                for vt in self._tuples(r):
+                for vt in om.class_tuples(V.names, self.vdeg):
                     wt = sum(V.weight(v) for v in vt)
                     if wt > w_max:
                         continue
-                    if self.divided and not self._divided_key_ok(vt):
-                        continue
                     deg = cdeg + sum(V.degree(v) for v in vt)
                     basis.append(BasisElement((r, rep, vt), deg, wt))
-                    if len(basis) > basis_cap:
+                    if len(basis) > DEFAULT_BASIS_CAP:
                         raise ResourceLimitError(
-                            f"cofree basis exceeds cap {basis_cap}"
+                            f"cofree basis exceeds cap {DEFAULT_BASIS_CAP}"
                         )
         self.module = GradedModule(self.ring, basis)
-
-    def _tuples(self, r):
-        names = self.V.names
-        if self.divided:
-            # canonical keys carry sorted tuples
-            out = set()
-            for vt in _product(names, repeat=r):
-                out.add(tuple(sorted(vt)))
-            return sorted(out)
-        return list(_product(names, repeat=r))
-
-    def _divided_key_ok(self, vt):
-        # an odd-degree entry appearing twice kills the (divided) orbit sum
-        seen = {}
-        for v in vt:
-            if self.V.degree(v) % 2:
-                if v in seen:
-                    return False
-                seen[v] = True
-        return True
 
     # -- basic structure ---------------------------------------------------
 
@@ -108,14 +80,10 @@ class CofreeCoalgebra:
         return self.module.zero()
 
     def unit(self):
-        if not self.unitary:
-            raise ShapeError("reduced coalgebra has no unitary class")
         return self.module.gen((0, self.cooperad.unit_name, ()))
 
     def counit_coefficient(self, x):
         """epsilon: the coefficient of the unitary class."""
-        if not self.unitary:
-            return self.ring.zero
         return x.coeff((0, self.cooperad.unit_name, ()))
 
     def from_v(self, v):
@@ -144,10 +112,7 @@ class CofreeCoalgebra:
     def expand_key(self, key):
         """Plain-tensor expansion of a basis key, as {(cname, vt): coeff}."""
         r, rep, vt = key
-        om = self.cooperad.component(r)
-        base = {(rep, vt): self.ring.one}
-        out = norm_plain(om, base, self.vdeg, rational_variant=self.divided)
-        return out
+        return self.cooperad.component(r).orbit_sum(rep, vt, self.vdeg)
 
     def expand(self, x):
         """Expansion by arity: {r: {(cname, vtuple): coeff}}."""
@@ -170,23 +135,12 @@ class CofreeCoalgebra:
         ring = self.ring
         om = self.cooperad.component(r)
         out = {}
-        if self.divided:
-            for (cname, vt), coeff in plain.items():
-                svt = tuple(sorted(vt))
-                if svt != vt:
-                    continue
-                h = self._stabilizer_sum(r, vt)
-                if ring.is_zero(h):
-                    continue
-                lam = ring.mul(coeff, ring.mul(
-                    ring.normalize(factorial(r)), ring.inv(h)))
-                key = (r, cname, vt)
-                out[key] = ring.add(out.get(key, ring.zero), lam)
-        else:
-            for (cname, vt), coeff in plain.items():
-                if om.is_rep(cname):
-                    key = (r, cname, vt)
-                    out[key] = ring.add(out.get(key, ring.zero), coeff)
+        for (cname, vt), coeff in plain.items():
+            lam = om.collection_coefficient(cname, vt, self.vdeg)
+            if lam is None:
+                continue
+            key = (r, cname, vt)
+            out[key] = ring.add(out.get(key, ring.zero), ring.mul(coeff, lam))
         out = {k: c for k, c in out.items() if not ring.is_zero(c)}
         if check:
             redone = {}
@@ -202,16 +156,6 @@ class CofreeCoalgebra:
                     f"arity-{r} output is not a sum of orbit classes"
                 )
         return out
-
-    def _stabilizer_sum(self, r, vt):
-        ring = self.ring
-        om = self.cooperad.component(r)
-        total = ring.zero
-        degs = tuple(self.vdeg(v) for v in vt)
-        for sigma in all_permutations(r):
-            if sigma.permute_slots(vt) == vt:
-                total = ring.add(total, ring.normalize(sigma.koszul_sign(degs)))
-        return total
 
     def collect(self, plain_by_arity, check=False):
         ring = self.ring
@@ -291,36 +235,15 @@ class CofreeCoalgebra:
         return out
 
     def _block_to_key(self, r, g, vb):
-        """Identify a plain block (g (x) vb) as (key, coefficient) or drop.
-
-        In the free case only representative cooperad factors are read
-        (the all-representative term of a product of orbit sums has
-        coefficient one).  In the divided case the key is the sorted
-        tuple and the coefficient rescales by the signed stabilizer sum.
-        """
-        ring = self.ring
+        """Identify a plain block (g (x) vb) as (key, coefficient) or drop."""
         if r == 0:
-            if not self.unitary:
-                return None, None
-            return (0, self.cooperad.unit_name, ()), ring.one
-        om = self.cooperad.component(r)
-        if self.divided:
-            svt = tuple(sorted(vb))
-            if svt != vb:
-                return None, None
-            h = self._stabilizer_sum(r, vb)
-            if ring.is_zero(h):
-                return None, None
-            key = (r, g, vb)
-            if key not in self.module.basis:
-                return None, None
-            return key, ring.mul(ring.normalize(factorial(r)), ring.inv(h))
-        if not om.is_rep(g):
-            return None, None
+            return (0, self.cooperad.unit_name, ()), self.ring.one
+        lam = self.cooperad.component(r).collection_coefficient(
+            g, vb, self.vdeg)
         key = (r, g, vb)
-        if key not in self.module.basis:
+        if lam is None or key not in self.module.basis:
             return None, None
-        return key, ring.one
+        return key, lam
 
     def _check_decompose(self, x, k, result):
         """Counit consistency: reading the all-counit shape returns x."""
@@ -336,8 +259,8 @@ class CofreeCoalgebra:
             raise InvarianceError("counit component of decompose is not x")
 
 
-def cofree_build(C, V, w_max, unitary=True, basis_cap=DEFAULT_BASIS_CAP):
-    return CofreeCoalgebra(C, V, w_max, unitary=unitary, basis_cap=basis_cap)
+def cofree_build(C, V, w_max):
+    return CofreeCoalgebra(C, V, w_max)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +283,11 @@ class Coderivation:
             val = val.prune() if hasattr(val, "prune") else val
             if val.is_zero():
                 continue
-            if key not in cofree.module.basis and key[0] != 0:
+            if key not in cofree.module.basis:
                 raise ShapeError(f"component key {key!r} outside the truncation")
             if not val.is_homogeneous():
                 raise ShapeError(f"component at {key!r} is not homogeneous")
-            want = cofree.module.degree(key) - 1 if key in cofree.module.basis \
-                else -1
+            want = cofree.module.degree(key) - 1
             if val.the_degree() != want:
                 raise ShapeError(
                     f"component at {key!r} has degree {val.the_degree()}, "
@@ -387,27 +309,10 @@ class Coderivation:
     def eval_plain(self, r, cname, vt):
         """Value on a plain tensor via equivariance."""
         cf = self.cofree
-        ring = self.ring
         if r == 0:
             return self.curvature()
-        om = cf.cooperad.component(r)
-        if cf.divided:
-            # trivial action: average over reorderings of the stored key
-            svt = tuple(sorted(vt))
-            degs = tuple(cf.vdeg(v) for v in vt)
-            base = self.comps.get((r, cname, svt))
-            if base is None:
-                return cf.V.zero()
-            # find one sigma carrying vt to svt and its sign
-            for sigma in all_permutations(r):
-                if sigma.permute_slots(vt) == svt:
-                    return base.scale(sigma.koszul_sign(degs))
-            return cf.V.zero()
-        rep, sigma = om.locate(cname)
-        inv = sigma.inverse()
         degs = tuple(cf.vdeg(v) for v in vt)
-        wt = inv.permute_slots(vt)
-        sign = inv.koszul_sign(degs)
+        rep, wt, sign = cf.cooperad.component(r).coinv_normalize(cname, vt, degs)
         base = self.comps.get((r, rep, wt))
         if base is None:
             return cf.V.zero()

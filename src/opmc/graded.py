@@ -63,9 +63,6 @@ class GradedModule:
     def gen(self, name, coeff=1):
         return Element(self, {name: self.ring.normalize(coeff)}).prune()
 
-    def names_of_degree(self, d):
-        return [n for n in self.names if self.degree(n) == d]
-
     def __len__(self):
         return len(self.names)
 

@@ -15,7 +15,7 @@ finite weight truncation).
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (
     ConventionError,
@@ -148,20 +148,26 @@ class ConvolutionElement:
 def horn_basis(n, k):
     """Basis classes of the chains on the k-th horn of the n-simplex:
     everything except the top class and the face opposite vertex k."""
+    _check_horn(n, k)
+    return [I for I in _all_subsets(n) if _is_horn_class(I, n, k)]
+
+
+def _check_horn(n, k):
     if n < 1 or not 0 <= k <= n:
         raise ShapeError(f"no horn (n={n}, k={k})")
-    top = tuple(range(n + 1))
-    miss = tuple(v for v in top if v != k)
-    out = []
-    for cx_I in _all_subsets(n):
-        if cx_I != top and cx_I != miss:
-            out.append(cx_I)
-    return out
+
+
+def _is_horn_class(I, n, k):
+    """Whether I is one of the classes ``horn_basis(n, k)`` lists."""
+    if not I or not all(isinstance(v, int) and 0 <= v <= n for v in I):
+        return False
+    if any(a >= b for a, b in zip(I, I[1:])):
+        return False
+    # n + 1 vertices is the top class; n vertices without k the open face
+    return len(I) < n or (len(I) == n and k in I)
 
 
 def _all_subsets(n):
-    from itertools import combinations
-
     for size in range(1, n + 2):
         yield from combinations(range(n + 1), size)
 
@@ -173,11 +179,11 @@ class HornData:
         self.n = n
         self.k = k
         self.V = V
-        allowed = set(horn_basis(n, k))
+        _check_horn(n, k)
         self.values = {}
         for I, val in values.items():
             I = tuple(I)
-            if I not in allowed:
+            if not _is_horn_class(I, n, k):
                 raise ShapeError(f"{I} is not a class of the ({n},{k}) horn")
             val = val.prune()
             if val.is_zero():
@@ -230,6 +236,12 @@ class MCProblem:
 
     def chains(self, n):
         if n not in self._chains:
+            # 2^(n+1) - 1 classes; the bit-length test spares a huge power
+            if n + 1 > self.cap.bit_length() or 2 ** (n + 1) - 1 > self.cap:
+                raise ResourceLimitError(
+                    f"the {n}-simplex has 2^{n + 1} - 1 chain classes, "
+                    f"more than the cap {self.cap}"
+                )
             self._chains[n] = SimplexChains(self.ring, n)
         return self._chains[n]
 
@@ -444,8 +456,9 @@ class MCProblem:
         weight filtration forces the correction to vanish within w_max
         steps.
         """
-        self._require_flat()
         n, k = horn.n, horn.k
+        cx = self.chains(n)
+        self._require_flat()
         for i, face in enumerate(self.horn_faces(horn)):
             if face is None:
                 continue
@@ -453,7 +466,6 @@ class MCProblem:
                 raise PreconditionError(
                     f"horn face {i} does not satisfy the solution condition"
                 )
-        cx = self.chains(n)
         top = cx.top()
         miss = tuple(v for v in top if v != k)
         psi = self.zero(n)

@@ -146,17 +146,3 @@ def ring_make(spec):
         return RationalRing()
     raise InvalidRingError(f"unknown ring kind {kind!r}")
 
-
-def scalar_from_json(ring, value):
-    """Parse an exact scalar from JSON (int, or "p/q" string over Q)."""
-    if isinstance(value, str):
-        return ring.normalize(Fraction(value))
-    return ring.normalize(value)
-
-
-def scalar_to_json(value):
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    return int(value)

@@ -1,18 +1,27 @@
-"""Permutations, free symmetric group modules given by orbit representatives,
+"""Permutations, symmetric group modules given by orbit representatives,
 the norm map and normal forms for coinvariant classes.
 
 A free S_r-module is presented by a set of orbit representatives: the
 basis is {sigma . rep} and the action permutes basis names (no signs on
 the module factor; Koszul signs only enter through the tensor slots that
-an action permutes alongside).
+an action permutes alongside).  ``TrivialModule`` is the one non-free
+module: rank one, trivial action, over a ring containing Q.
 """
 
+from itertools import combinations_with_replacement
 from itertools import permutations as _itperms
+from itertools import product
+from math import factorial
 
-from .errors import FreenessError, InvarianceError, ShapeError
+from .errors import (
+    FreenessError,
+    InvarianceError,
+    RingRequirementError,
+    ShapeError,
+)
 from .graded import BasisElement, Element, GradedModule, koszul_sign_images
 
-__all__ = ["Permutation", "OrbitModule", "all_permutations"]
+__all__ = ["Permutation", "OrbitModule", "TrivialModule", "all_permutations"]
 
 
 class Permutation:
@@ -97,6 +106,7 @@ class OrbitModule:
         self._action = dict(action)
         self._group = all_permutations(arity)
         self._locate = {}
+        self._normal = {}
         self._check_and_index()
 
     @classmethod
@@ -141,7 +151,11 @@ class OrbitModule:
                     raise FreenessError(
                         f"action is not free: {name!r} reached twice from orbit reps"
                     )
+                inv = sigma.inverse()
+                if self.act_name(inv, name) != rep:
+                    raise ShapeError("action table is not a group action")
                 self._locate[name] = (rep, sigma)
+                self._normal[name] = (rep, inv.images)
                 covered.add(name)
         if covered != names:
             raise FreenessError("orbit representatives do not generate the basis")
@@ -163,7 +177,7 @@ class OrbitModule:
         return self._locate[name]
 
     def is_rep(self, name):
-        return self._locate[name][1].is_identity()
+        return self._locate[name][0] == name
 
     def act_class(self, sigma, name, slots, slot_degrees):
         """Diagonal action on c (x) v_1...v_r: returns (name', slots', sign)."""
@@ -179,11 +193,33 @@ class OrbitModule:
         The output is the canonical representative of the coinvariant
         class [c (x) slots]; independent of the input representative.
         """
-        rep, sigma = self.locate(name)
-        inv = sigma.inverse()
-        out_name, out_slots, sign = self.act_class(inv, name, slots, slot_degrees)
-        assert out_name == rep
-        return rep, out_slots, sign
+        if len(slots) != self.arity:
+            raise ShapeError("slot count does not match arity")
+        rep, inv = self._normal[name]
+        sign = koszul_sign_images(inv, slot_degrees)
+        out = [None] * self.arity
+        for x, im in zip(slots, inv):
+            out[im - 1] = x
+        return rep, tuple(out), sign
+
+    # -- what the cofree coalgebra reads of a component -------------------
+
+    def class_tuples(self, names, vdegree):
+        """The v-tuples that key a class rep (x) vt: all of them."""
+        return product(names, repeat=self.arity)
+
+    def orbit_sum(self, rep, slots, vdegree):
+        """Plain expansion of the class of rep (x) slots: the norm."""
+        return norm_plain(self, {(rep, slots): self.ring.one}, vdegree)
+
+    def collection_coefficient(self, name, slots, vdegree):
+        """Coefficient of the class of name (x) slots in an orbit sum.
+
+        By freeness the orbit sum of a key has exactly one term whose
+        cooperad factor is a representative, with coefficient one; other
+        terms are not read (None).
+        """
+        return self.ring.one if self.is_rep(name) else None
 
     def act_element(self, sigma, x):
         """Action on a plain Element of the underlying module."""
@@ -226,6 +262,79 @@ class OrbitModule:
         return x
 
 
+class TrivialModule(OrbitModule):
+    """Rank-one S_r-module with the trivial action, over a ring with Q.
+
+    The action is not free, so a class c (x) v_1..v_r is keyed by its
+    sorted v-tuple and expanded through the norm over r!.  The
+    stabilizer of a sorted tuple permutes runs of equal names; its signed
+    sum h is the product of m! over runs of m equal names, or 0 when an
+    odd-degree name repeats (the class vanishes).
+    """
+
+    def __init__(self, ring, arity, name):
+        if not ring.contains_rationals:
+            raise RingRequirementError(
+                "trivial symmetric group actions need the divided norm, "
+                "which requires Q in the ring"
+            )
+        self.arity = arity
+        self.module = GradedModule(ring, [BasisElement(name, 0)])
+        self.orbit_reps = [name]
+        self._group = all_permutations(arity)
+        self._action = {(s.images, name): name for s in self._group}
+        self._locate = {name: (name, Permutation.identity(arity))}
+
+    def coinv_normalize(self, name, slots, slot_degrees):
+        """Sort the slots; the sign is the Koszul sign of the (stable) sort."""
+        if len(slots) != self.arity:
+            raise ShapeError("slot count does not match arity")
+        sign = 1
+        for j, dj in enumerate(slot_degrees):
+            if dj % 2:
+                for i in range(j):
+                    if slot_degrees[i] % 2 and slots[i] > slots[j]:
+                        sign = -sign
+        return name, tuple(sorted(slots)), sign
+
+    def class_tuples(self, names, vdegree):
+        """Sorted v-tuples in which no odd-degree name repeats."""
+        tuples = combinations_with_replacement(sorted(names), self.arity)
+        return [vt for vt in tuples if _stabilizer_sum(vt, vdegree)]
+
+    def orbit_sum(self, rep, slots, vdegree):
+        """The norm over r!."""
+        ring = self.ring
+        inv = ring.inv(ring.normalize(factorial(self.arity)))
+        return {k: ring.mul(c, inv)
+                for k, c in super().orbit_sum(rep, slots, vdegree).items()}
+
+    def collection_coefficient(self, name, slots, vdegree):
+        """r!/h on a sorted tuple; None off sorted tuples and where h = 0."""
+        if tuple(sorted(slots)) != slots:
+            return None
+        h = _stabilizer_sum(slots, vdegree)
+        if not h:
+            return None
+        ring = self.ring
+        return ring.mul(ring.normalize(factorial(self.arity)),
+                        ring.inv(ring.normalize(h)))
+
+
+def _stabilizer_sum(slots, vdegree):
+    """Signed size of the stabilizer of a sorted tuple (see TrivialModule)."""
+    h = run = 1
+    for prev, cur in zip(slots, slots[1:]):
+        if cur != prev:
+            run = 1
+            continue
+        if vdegree(cur) % 2:
+            return 0
+        run += 1
+        h *= run
+    return h
+
+
 # -- diagonal action on C(r) (x) V^{(x)r}, on plain term dicts ---------------
 #
 # A "plain tensor" is a dict (cname, vtuple) -> coeff, where vtuple is a
@@ -250,25 +359,14 @@ def act_plain(om, sigma, terms, vdegree):
     return _prune_plain(ring, out)
 
 
-def norm_plain(om, terms, vdegree, rational_variant=False):
-    """Tr(x) = sum over sigma of sigma.x (diagonal action with Koszul signs).
-
-    With ``rational_variant`` (Q only) the alternate norm dividing by r!
-    is used instead.
-    """
+def norm_plain(om, terms, vdegree):
+    """Tr(x) = sum over sigma of sigma.x (diagonal action with Koszul signs)."""
     ring = om.ring
     out = {}
     for sigma in om.group():
         acted = act_plain(om, sigma, terms, vdegree)
         for k, c in acted.items():
             out[k] = ring.add(out.get(k, ring.zero), c)
-    if rational_variant:
-        if not ring.contains_rationals:
-            raise InvarianceError("the r!-divided norm requires Q in the ring")
-        from math import factorial
-
-        inv = ring.inv(ring.normalize(factorial(om.arity)))
-        out = {k: ring.mul(c, inv) for k, c in out.items()}
     return _prune_plain(ring, out)
 
 

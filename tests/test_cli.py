@@ -176,6 +176,16 @@ def test_value_row_without_class(inst_file, tmp_path, capsys, args, doc):
     assert "error[instance-format]" in capsys.readouterr().err
 
 
+def test_horn_past_the_cap_is_refused(inst_file, tmp_path, capsys):
+    # 2^41 - 1 chain classes: refused before any class is listed
+    horn = tmp_path / "horn.json"
+    horn.write_text(json.dumps({"format": "opmc-horn/1", "n": 40, "k": 0,
+                                "values": []}))
+    assert main(["horn-fill", "--instance", inst_file,
+                 "--horn", str(horn)]) == 1
+    assert "error[resource-limit]" in capsys.readouterr().err
+
+
 def test_mc_simplicial_enumerate(inst_file, capsys):
     assert main(["mc-simplicial", "--instance", inst_file,
                  "--n", "1", "--enumerate"]) == 0

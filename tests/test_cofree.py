@@ -52,8 +52,7 @@ def test_basis_counts(assZ):
     assert len(cf.module) == 4
     cf2 = cofree_build(C, V, 2)
     assert len(cf2.module) == 3
-    red = cofree_build(C, V, 3, unitary=False)
-    assert len(red.module) == 3
+    assert (0, C.unit_name, ()) in cf.module.basis
 
 
 def test_unit_counit_tangent(cfZ):

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -273,6 +273,27 @@ def test_horn_basis_shapes():
         horn_basis(0, 0)
     with pytest.raises(ShapeError):
         HornData(2, 0, None, {(1, 2): None})
+
+
+def test_horn_data_accepts_exactly_the_basis():
+    # every strictly increasing tuple and a few malformed ones, per horn
+    V = GradedModule(Z, [BasisElement("x", 0, 1)])
+    for n in range(1, 5):
+        for k in range(n + 1):
+            top = tuple(range(n + 1))
+            faces = {I for r in range(1, n + 2) for I in combinations(top, r)}
+            basis = faces - {top, tuple(v for v in top if v != k)}
+            assert set(horn_basis(n, k)) == basis
+            candidates = faces | {(), (0, 0), (1, 0), (n + 1,), (-1,), ("0",)}
+            for I in candidates:
+                if I in basis:
+                    HornData(n, k, V, {I: V.zero()})
+                else:
+                    with pytest.raises(ShapeError, match="not a class"):
+                        HornData(n, k, V, {I: V.zero()})
+    for n, k in ((-3, 0), (0, 0), (2, 3), (2, -1)):
+        with pytest.raises(ShapeError, match="no horn"):
+            HornData(n, k, None, {})
 
 
 def test_horn_fill_interval():

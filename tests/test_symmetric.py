@@ -1,13 +1,21 @@
 import random
+from itertools import product
+from math import factorial
 
 import pytest
 
-from opmc.errors import FreenessError, InvarianceError
+from opmc.errors import (
+    FreenessError,
+    InvarianceError,
+    RingRequirementError,
+    ShapeError,
+)
 from opmc.graded import BasisElement
 from opmc.rings import ring_make
 from opmc.symmetric import (
     OrbitModule,
     Permutation,
+    TrivialModule,
     act_plain,
     all_permutations,
     coinv_normalize_plain,
@@ -120,6 +128,9 @@ def test_coinv_normalize():
     # already a representative
     x_rep = {("12", ("v", "w")): 2}
     assert coinv_normalize_plain(om, x_rep, vdeg_const(0)) == x_rep
+    for module, name in ((om, "21"), (TrivialModule(Q, 2, "c2"), "c2")):
+        with pytest.raises(ShapeError, match="slot count"):
+            module.coinv_normalize(name, ("v",), (0,))
 
 
 def test_normalize_constant_on_orbits():
@@ -151,9 +162,49 @@ def test_action_is_group_action_with_signs():
 
 
 def test_rational_norm_variant():
-    om = regular_module(Q, 2)
-    x = {("12", ("v", "w")): 1}
-    y = norm_plain(om, x, vdeg_const(0), rational_variant=True)
-    assert y == {("12", ("v", "w")): Q.normalize("1/2"), ("21", ("w", "v")): Q.normalize("1/2")}
-    with pytest.raises(InvarianceError):
-        norm_plain(regular_module(Z, 2), x, vdeg_const(0), rational_variant=True)
+    # the trivial module's orbit sum is the norm divided by r!
+    om = TrivialModule(Q, 2, "c2")
+    half = Q.normalize("1/2")
+    assert om.orbit_sum("c2", ("v", "w"), vdeg_const(0)) == {
+        ("c2", ("v", "w")): half, ("c2", ("w", "v")): half}
+    assert om.orbit_sum("c2", ("v", "w"), vdeg_const(1)) == {
+        ("c2", ("v", "w")): half, ("c2", ("w", "v")): -half}
+    # an odd-degree name twice: the class vanishes
+    assert om.orbit_sum("c2", ("v", "v"), vdeg_const(1)) == {}
+
+
+def test_trivial_module_refuses_integers():
+    for ring in (Z, Z2, Z8):
+        with pytest.raises(RingRequirementError,
+                           match="divided norm, which requires Q"):
+            TrivialModule(ring, 2, "c2")
+
+
+def test_trivial_module_closed_forms():
+    """Stabilizer sum h and sort sign against the S_r loops they replace."""
+    degree = {"a": 0, "b": 1, "c": 0, "d": 1}
+    checked = 0
+    for r in range(1, 5):
+        om = TrivialModule(Q, r, "c")
+        group = all_permutations(r)
+        keys = set()
+        for vt in product(sorted(degree), repeat=r):
+            degs = tuple(degree[v] for v in vt)
+            svt = tuple(sorted(vt))
+            # oracle: the first sigma carrying vt to its sorted tuple
+            sign = next(s.koszul_sign(degs) for s in group
+                        if s.permute_slots(vt) == svt)
+            assert om.coinv_normalize("c", vt, degs) == ("c", svt, sign)
+            lam = om.collection_coefficient("c", vt, degree.get)
+            if vt != svt:
+                assert lam is None
+            else:
+                # oracle: signed sum over the stabilizer of vt
+                h = sum(s.koszul_sign(degs) for s in group
+                        if s.permute_slots(vt) == vt)
+                assert lam == (None if h == 0 else Q.normalize(factorial(r)) / h)
+                if h:
+                    keys.add(vt)
+            checked += 1
+        assert om.class_tuples(degree, degree.get) == sorted(keys)
+    assert checked == 340
