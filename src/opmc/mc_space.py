@@ -12,6 +12,15 @@ whose degree-0 solutions on the n-simplex form a simplicial set.  The
 simplex contractions lift to operators on convolution elements, giving a
 constructive filler for every horn (the simplicial set is Kan at any
 finite weight truncation).
+
+The chain coproduct is stored once per class size and arity, as the
+coproduct of the top class of the simplex of that size, in vertex
+positions 0..m.  Relabelling it through a class I gives the coproduct of
+I exactly: the interval-cut action reads only positions within I (the
+cuts, the parity of a cut, and which vertices are equal), never the
+vertex values.  mu_r joins that positional coproduct with the support of
+its arguments, skipping every term with a block on which some argument
+vanishes, and the problem memoises the coderivation's plain evaluations.
 """
 
 import random
@@ -25,6 +34,7 @@ from .errors import (
     ShapeError,
     UnsupportedError,
 )
+from .graded import Element
 from .simplex_chains import (
     SimplexChains,
     c_coalgebra_decompose,
@@ -126,10 +136,8 @@ class ConvolutionElement:
         """
         out = ConvolutionElement(src_cx, self.V, self.degree)
         for J in src_cx.module.names:
-            acc = self.V.zero()
-            for I, c in f.apply_name(J).terms.items():
-                acc = acc.add(self.value(I).scale(c))
-            out.set(J, acc)
+            acc = _linear_sum(self.values, f.apply_name(J).terms)
+            out.set(J, Element(self.V, acc))
         return out
 
     def _check(self, other):
@@ -143,6 +151,32 @@ class ConvolutionElement:
         if not self.values:
             return "0"
         return "; ".join(f"e_{I} -> {v!r}" for I, v in self.items_sorted())
+
+
+def _accumulate(acc, terms, coeff):
+    """acc += coeff * terms, in plain dicts; ``set`` normalises once."""
+    for vn, c in terms.items():
+        acc[vn] = acc.get(vn, 0) + coeff * c
+
+
+def _linear_sum(values, combination, scale=1):
+    """sum of scale * c * values[J] over the (J, c) of ``combination``,
+    as a plain dict; classes without a value are skipped."""
+    acc = {}
+    for J, c in combination.items():
+        val = values.get(J)
+        if val is not None:
+            _accumulate(acc, val.terms, scale * c)
+    return acc
+
+
+def _restrict(support, I):
+    """The classes of ``support`` inside I, renamed to their positions
+    in I (I is strictly increasing, so positions keep the order)."""
+    pos = {v: j for j, v in enumerate(I)}
+    inside = pos.keys()
+    return {tuple(map(pos.__getitem__, K)): t for K, t in support.items()
+            if inside >= set(K)}
 
 
 def horn_basis(n, k):
@@ -231,6 +265,8 @@ class MCProblem:
         self.cap = cap
         self._chains = {}
         self._dec = {}
+        self._joins = {}
+        self._evals = {}
 
     # -- plumbing ------------------------------------------------------
 
@@ -252,12 +288,29 @@ class MCProblem:
         return ConvolutionElement(self.chains(n), self.V, degree, values)
 
     def _decompose(self, n, I, r):
-        key = (n, I, r)
+        """The arity-r chain coproduct of the class I of the n-simplex.
+
+        Only the coproduct of the top class of each Delta^m is computed
+        and stored (keyed as that top class); a class with m + 1
+        vertices reads it with position j relabelled to I[j].
+        """
+        cx = self.chains(n)
+        I = tuple(I)
+        if I not in cx.module.basis:
+            raise ShapeError(f"{I} is not a basis class of the {n}-simplex")
+        m = len(I) - 1
+        top = tuple(range(m + 1))
+        key = (m, top, r)
         if key not in self._dec:
             self._dec[key] = c_coalgebra_decompose(
-                self.phi, self.E, self.chains(n), I, r, cap=self.cap
+                self.phi, self.E, self.chains(m), top, r, cap=self.cap
             )
-        return self._dec[key]
+        if I == top:
+            return self._dec[key]
+        return {
+            (cname, tuple(tuple(I[j] for j in J) for J in Js)): c
+            for (cname, Js), c in self._dec[key].items()
+        }
 
     def _require_flat(self):
         if not self.Qt.flat:
@@ -268,7 +321,17 @@ class MCProblem:
     # -- operations ----------------------------------------------------
 
     def mu(self, psis):
-        """mu_r(psi_1, ..., psi_r): structure map after the chain coproduct."""
+        """mu_r(psi_1, ..., psi_r): structure map after the chain coproduct.
+
+        A sparse join.  The coproduct of each class size is looked up
+        once per call, in positions, grouped by its first block.  For
+        each class I every argument is restricted to the classes inside
+        I, renamed to positions, and a term is evaluated only when each
+        of its blocks carries a value of its argument; the others are
+        skipped.  Evaluations go through the problem's memo of
+        ``Qt.eval_plain``, and each class sums in one plain dict that is
+        set once.
+        """
         r = len(psis)
         if r < 1:
             raise ShapeError("mu needs at least one argument")
@@ -280,29 +343,67 @@ class MCProblem:
         out = ConvolutionElement(cx, self.V, dtot - 1)
         if r > self.C.r_max:
             return out
-        degs = [p.degree for p in psis]
-        for I in cx.module.names:
-            acc = self.V.zero()
-            for (cname, Js), c in self._decompose(cx.n, I, r).items():
-                # Koszul sign: psi_i crosses the cooperad factor and the
-                # chain factors to its left
-                sgn = 1
-                crossed = self.C.degree(r, cname)
-                for i in range(r):
-                    if degs[i] % 2 and crossed % 2:
-                        sgn = -sgn
-                    crossed += len(Js[i]) - 1
-                vals = [psis[i].value(Js[i]) for i in range(r)]
-                if any(v.is_zero() for v in vals):
-                    continue
-                for combo in product(*(v.terms.items() for v in vals)):
-                    coeff = self.ring.normalize(c * sgn)
-                    for _, ci in combo:
-                        coeff = self.ring.mul(coeff, ci)
-                    vt = tuple(vn for vn, _ in combo)
-                    acc = acc.add(self.Qt.eval_plain(r, cname, vt).scale(coeff))
-            out.set(I, acc)
+        # bit i set when psi_i has odd degree; a term's Koszul sign is the
+        # parity of the odd arguments that cross an odd-degree prefix
+        odd = sum(1 << i for i, p in enumerate(psis) if p.degree % 2)
+        n = cx.n
+        for size in range(1, n + 2):
+            index = self._join_index(size, r)
+            for I in combinations(range(n + 1), size):
+                first, *rest = [_restrict(p.values, I) for p in psis]
+                acc = {}
+                for J0, v0 in first.items():
+                    for cname, Js, c, crossing in index.get(J0, ()):
+                        vals = [v0]
+                        for loc, J in zip(rest, Js):
+                            v = loc.get(J)
+                            if v is None:
+                                break
+                            vals.append(v)
+                        else:
+                            if (crossing & odd).bit_count() % 2:
+                                c = -c
+                            terms = [v.terms.items() for v in vals]
+                            for combo in product(*terms):
+                                vt, coeffs = zip(*combo)
+                                coeff = c
+                                for ci in coeffs:
+                                    coeff *= ci
+                                ev = self._eval_plain(r, cname, vt)
+                                _accumulate(acc, ev, coeff)
+                if acc:
+                    out.set(I, Element(self.V, acc))
         return out
+
+    def _eval_plain(self, r, cname, vt):
+        """The terms of ``Qt.eval_plain``, memoised: Qt is fixed."""
+        key = (r, cname, vt)
+        if key not in self._evals:
+            self._evals[key] = self.Qt.eval_plain(r, cname, vt).terms
+        return self._evals[key]
+
+    def _join_index(self, size, r):
+        """The arity-r coproduct of a class of ``size`` vertices, in
+        positions, as {J_1: [(cname, (J_2..J_r), coeff, crossing)]}.
+
+        Bit i of ``crossing`` is set when psi_i crosses an odd degree:
+        the cooperad factor and the chain factors to its left.
+        """
+        top = tuple(range(size))
+        dec = self._decompose(size - 1, top, r)
+        key = (size, r)
+        if key not in self._joins:
+            index = self._joins[key] = {}
+            for (cname, Js), c in dec.items():
+                crossing = 0
+                crossed = self.C.degree(r, cname)
+                for i, J in enumerate(Js):
+                    if crossed % 2:
+                        crossing |= 1 << i
+                    crossed += len(J) - 1
+                entry = (cname, Js[1:], c, crossing)
+                index.setdefault(Js[0], []).append(entry)
+        return self._joins[key]
 
     def differential(self, psi):
         """d(psi) = Q_1 o psi - (-1)^{|psi|} psi o d."""
@@ -310,10 +411,10 @@ class MCProblem:
         sgn = -1 if psi.degree % 2 == 0 else 1
         cx = psi.cx
         for I in cx.module.names:
-            acc = out.value(I)
-            for J, c in cx.d.apply_name(I).terms.items():
-                acc = acc.add(psi.value(J).scale(sgn * c))
-            out.set(I, acc)
+            acc = _linear_sum(psi.values, cx.d.apply_name(I).terms, sgn)
+            if I in out.values:
+                _accumulate(acc, out.values[I].terms, 1)
+            out.set(I, Element(self.V, acc))
         return out
 
     def star(self, psi):
@@ -419,10 +520,8 @@ class MCProblem:
             sgn = 1 if psi.degree % 2 == 0 else -1
             out = ConvolutionElement(cxn, self.V, psi.degree + 1)
             for I in cxn.module.names:
-                acc = self.V.zero()
-                for J, c in h.apply_name(I).terms.items():
-                    acc = acc.add(psi.value(J).scale(sgn * c))
-                out.set(I, acc)
+                acc = _linear_sum(psi.values, h.apply_name(I).terms, sgn)
+                out.set(I, Element(self.V, acc))
             return out
 
         def R_op(psi):

@@ -230,6 +230,31 @@ def test_decompose_simplex_output(inst_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cls", ["0,7", "2,1", "1,1", "0,1,2,3"])
+def test_decompose_simplex_refuses_non_classes(inst_file, capsys, cls):
+    # a vertex outside 0..n, an unsorted class, a repeated vertex, too many
+    assert main(["decompose-simplex", "--instance", inst_file,
+                 "--n", "2", "--class", cls, "--arity", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error[shape]" in captured.err
+
+
+@pytest.mark.parametrize("cls", ["0,1,2", "1,2,3"])
+def test_decompose_simplex_term_cap(inst_file, capsys, monkeypatch, cls):
+    # a 3-vertex class has 36 arity-3 terms; at cap 35 the top class of
+    # that size and every other class of that size are refused alike
+    args = ["decompose-simplex", "--instance", inst_file,
+            "--n", "3", "--class", cls, "--arity", "3"]
+    monkeypatch.setenv("OPMC_RESOURCE_CAP", "35")
+    assert main(args) == 1
+    assert "error[resource-limit]: decomposition exceeded the term cap 35" in (
+        capsys.readouterr().err)
+    monkeypatch.setenv("OPMC_RESOURCE_CAP", "36")
+    assert main(args) == 0
+    assert capsys.readouterr().out.endswith("total: 36 terms\n")
+
+
 def test_build_cooperad_listing(inst_file, capsys):
     assert main(["build-cooperad", "--instance", inst_file]) == 0
     out = capsys.readouterr().out

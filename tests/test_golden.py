@@ -1,8 +1,11 @@
 """Golden CLI outputs, byte for byte.
 
 The expected files under ``tests/data/golden`` pin the output of the
-trivial-action path (``linf_q.json``: ``com`` cochains over Q) and of the
-free-action path (the shipped ``ass`` demo instance over Z/2).
+trivial-action path (``linf_q.json``: ``com`` cochains over Q), of the
+free-action path (the shipped ``ass`` demo instance over Z/2), and of
+the convolution operations behind ``horn-fill``, ``mc-simplicial`` and
+``decompose-simplex`` (the ``ass`` demo and ``e2_z2.json``, E2 cochains
+over Z/2).
 """
 
 from pathlib import Path
@@ -13,7 +16,9 @@ from opmc.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
-ASS = str(Path(__file__).parent.parent / "demos" / "instances" / "ass_z2.json")
+DEMOS = Path(__file__).parent.parent / "demos" / "instances"
+ASS = str(DEMOS / "ass_z2.json")
+HORN_1_0 = str(DEMOS / "horn_1_0.json")
 
 CASES = {
     "linf_validate": ["validate", "linf_q.json"],
@@ -23,6 +28,25 @@ CASES = {
     "linf_export": ["export", "--instance", "linf_q.json"],
     "ass_twist_x": ["twist", "--instance", ASS, "--element", "x"],
     "ass_mc_enumerate": ["mc", "--instance", ASS, "--enumerate"],
+    "ass_horn_fill_1_0": ["horn-fill", "--instance", ASS, "--horn", HORN_1_0],
+    "ass_horn_fill_3_1": ["horn-fill", "--instance", ASS,
+                          "--horn", "ass_horn_3_1.json"],
+    "ass_mc_simplicial_n1": ["mc-simplicial", "--instance", ASS, "--n", "1",
+                             "--enumerate"],
+    "ass_mc_simplicial_n2": ["mc-simplicial", "--instance", ASS, "--n", "2",
+                             "--enumerate"],
+    "ass_verify_filled_3_1": ["mc-simplicial", "--instance", ASS,
+                              "--verify-simplex",
+                              "golden/ass_horn_fill_3_1.txt"],
+    "ass_decompose_top": ["decompose-simplex", "--instance", ASS, "--n", "2",
+                          "--class", "0,1,2", "--arity", "2"],
+    "ass_decompose_edge": ["decompose-simplex", "--instance", ASS, "--n", "3",
+                           "--class", "1,3", "--arity", "2"],
+    "ass_decompose_face_arity3": ["decompose-simplex", "--instance", ASS,
+                                  "--n", "3", "--class", "0,2,3",
+                                  "--arity", "3"],
+    "e2_horn_fill_3_0": ["horn-fill", "--instance", "e2_z2.json",
+                         "--horn", "e2_horn_3_0.json"],
 }
 
 

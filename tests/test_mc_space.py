@@ -1,7 +1,9 @@
 import random
+from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opmc.builders import (
     ass_cochains,
@@ -20,7 +22,10 @@ from opmc.errors import (
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
+from opmc.simplex_chains import c_coalgebra_decompose
 from opmc.twisting import mc_enumerate
+
+from dense_convolution import dense_mu
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -262,6 +267,95 @@ def test_mu2_cocycle_operator_identity():
                 P2.mu([a, P2.differential(b)]).scale((-1) ** d1)
             )
             assert lhs.add(rhs).is_zero(), (n, d1, d2)
+
+
+# the cooperads, coderivations and morphisms are built once per module;
+# each test makes its own MCProblem, so no test sees another's caches
+
+
+@lru_cache(maxsize=None)
+def odd_parts():
+    """make_problem(Z) with components on the odd cogenerators u (degree
+    1) and y (degree -1), in arities 1 to 3, so Koszul signs show."""
+    P, _ = make_problem(Z, comps={})
+    V = P.V
+    Qt = Coderivation(P.cofree, {
+        (1, "1", ("u",)): V.gen("x", 2),
+        (1, "1", ("x",)): V.gen("y", 3),
+        (2, "12", ("x", "x")): V.gen("y"),
+        (2, "12", ("x", "u")): V.gen("x", 2),
+        (2, "12", ("u", "y")): V.gen("y", -1),
+        (2, "12", ("u", "u")): V.gen("u", 3),
+        (3, "123", ("x", "u", "x")): V.gen("x"),
+        (3, "123", ("u", "u", "y")): V.gen("x", -2),
+    })
+    return Qt, P.phi, P.E
+
+
+@lru_cache(maxsize=None)
+def e2_parts(ring):
+    """E2 cochains (r_max 3, d_max 2) acting through the identity
+    restriction, with components on cooperad classes of degree 0 and -1."""
+    C, _ = barratt_eccles(ring, 3, 2, n=2, validate=False)
+    V = GradedModule(ring, [
+        BasisElement("x", 0, 1), BasisElement("u", 1, 1),
+        BasisElement("y", -1, 1),
+    ])
+    cf = cofree_build(C, V, 3)
+    Qt = Coderivation(cf, {
+        (2, "12", ("x", "x")): V.gen("y"),
+        (2, "12", ("x", "u")): V.gen("x"),
+        (2, "12|21", ("x", "u")): V.gen("y"),
+        (2, "12|21", ("u", "u")): V.gen("x", -1),
+        (3, "123", ("x", "u", "x")): V.gen("x"),
+        (3, "123|132", ("u", "u", "x")): V.gen("x", 3),
+    })
+    return Qt, en_restriction_morphism(C, C, validate=False), C
+
+
+def _mu_matches_dense(parts, seed, n, r, degrees, same):
+    # two calls on one fresh problem: the second runs on the stored
+    # coproducts and evaluations the first left, with other degrees
+    P = MCProblem(*parts)
+    rng = random.Random(seed)
+    for degs in (degrees, degrees[::-1]):
+        if same:
+            psis = [rand_psi(P, rng, n, degs[0])] * r
+        else:
+            psis = [rand_psi(P, rng, n, d) for d in degs[:r]]
+        got, want = P.mu(psis), dense_mu(P, psis)
+        assert got.degree == want.degree
+        assert got.eq(want)
+
+
+_DEGREES = st.lists(st.sampled_from((-1, 0, 1)), min_size=4, max_size=4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 3),
+       r=st.integers(1, 4), degrees=_DEGREES, same=st.booleans())
+def test_mu_matches_dense_oracle_over_z(seed, n, r, degrees, same):
+    # r runs to r_max + 1, where mu is zero
+    _mu_matches_dense(odd_parts(), seed, n, r, degrees, same)
+
+
+@pytest.mark.parametrize("ring", [Z2, Z], ids=["Z2", "Z"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(0, 2),
+       r=st.integers(1, 4), degrees=_DEGREES, same=st.booleans())
+def test_mu_matches_dense_oracle_e2(ring, seed, n, r, degrees, same):
+    _mu_matches_dense(e2_parts(ring), seed, n, r, degrees, same)
+
+
+@pytest.mark.parametrize("case", ["ass-Z", "E2-Z2"])
+def test_relabelled_decomposition_matches_per_class(case):
+    P = MCProblem(*(odd_parts() if case == "ass-Z" else e2_parts(Z2)))
+    for n in range(5):
+        cx = P.chains(n)
+        for I in cx.module.names:
+            for r in range(1, P.C.r_max + 1):
+                want = c_coalgebra_decompose(P.phi, P.E, cx, I, r, cap=P.cap)
+                assert P._decompose(n, I, r) == want, (n, I, r)
 
 
 def test_horn_basis_shapes():
