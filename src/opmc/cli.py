@@ -16,6 +16,8 @@ from .instances import (
     Instance,
     element_from_list,
     element_to_list,
+    expect,
+    field,
     format_element,
     instance_to_dict,
     load_instance,
@@ -98,31 +100,28 @@ def simplex_to_doc(psi):
 
 
 def simplex_from_doc(problem, doc):
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    n = field(doc, "n", int, "simplex file")
+    if n < 0:
         raise InstanceFormatError(f"bad simplex dimension {n!r}")
     psi = problem.zero(n)
-    for row in doc.get("values", []):
-        psi.set(_row_class(row),
-                element_from_list(problem.V, row.get("value", [])))
+    for I, value in _value_rows(problem.V, doc):
+        psi.set(I, value)
     return psi
 
 
 def horn_from_doc(V, doc):
-    n, k = doc.get("n"), doc.get("k")
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise InstanceFormatError("horn file needs integer n and k")
-    values = {}
-    for row in doc.get("values", []):
-        values[_row_class(row)] = element_from_list(V, row.get("value", []))
-    return HornData(n, k, V, values)
+    n, k = field(doc, "n", int, "horn file"), field(doc, "k", int, "horn file")
+    return HornData(n, k, V, dict(_value_rows(V, doc)))
 
 
-def _row_class(row):
-    """The simplex class of a value row, as a tuple of vertices."""
-    if not isinstance(row, dict) or not isinstance(row.get("class"), list):
-        raise InstanceFormatError(f"value row {row!r} needs a \"class\" list")
-    return tuple(row["class"])
+def _value_rows(V, doc):
+    """(class, value) of each row of a horn or simplex file; a class is
+    a tuple of vertices."""
+    for row in field(doc, "values", list, "the file", []):
+        what = f"value row {row!r}"
+        I = tuple(expect(v, int, f"a vertex in {what}")
+                  for v in field(row, "class", list, what))
+        yield I, element_from_list(V, field(row, "value", list, what, []))
 
 
 # -- commands ----------------------------------------------------------

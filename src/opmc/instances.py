@@ -24,9 +24,9 @@ __all__ = [
     "parse_instance",
     "load_instance",
     "instance_to_dict",
-    "write_instance",
+    "expect",
+    "field",
     "parse_scalar",
-    "scalar_str",
     "element_to_list",
     "element_from_list",
     "format_element",
@@ -45,19 +45,37 @@ def parse_scalar(s, ring):
     return ring.normalize(f if ring.contains_rationals else f.numerator)
 
 
-def scalar_str(c):
-    return str(c)
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer"}
+
+
+def expect(value, kind, what):
+    """``value`` when its JSON type is ``kind`` (a bool is no integer)."""
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise InstanceFormatError(
+            f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def field(block, key, kind, what, default=None):
+    """``block[key]``, of JSON type ``kind``, from the object ``block``;
+    a missing key reads ``default`` and is refused when that is None."""
+    expect(block, dict, what)
+    if key not in block and default is None:
+        raise InstanceFormatError(f"{what} has no {key!r}")
+    return expect(block.get(key, default), kind, f"{key!r} in {what}")
 
 
 def element_to_list(el):
-    return [[str(n), scalar_str(c)] for n, c in sorted(el.terms.items())]
+    return [[str(n), str(c)] for n, c in sorted(el.terms.items())]
 
 
 def element_from_list(V, data):
     el = V.zero()
     for item in data:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise InstanceFormatError(f"bad element term {item!r}")
+        if (not isinstance(item, (list, tuple)) or len(item) != 2
+                or not all(isinstance(x, str) for x in item)):
+            raise InstanceFormatError(f"bad element term {item!r}: need two strings")
         name, coeff = item
         if name not in V.basis:
             raise InstanceFormatError(f"unknown module generator {name!r}")
@@ -91,17 +109,17 @@ class Instance:
 
 def _build_cooperad(ring, block, validate):
     kind = block.get("builder")
-    r_max = block.get("r_max")
-    if not isinstance(r_max, int) or r_max < 1:
+    r_max = field(block, "r_max", int, "cooperad")
+    if r_max < 1:
         raise InstanceFormatError(f"cooperad r_max must be a positive int, got {r_max!r}")
     if kind == "ass":
         return ass_cochains(ring, r_max, validate=validate)
     if kind == "com":
         return com_cochains(ring, r_max, validate=validate)
     if kind == "be":
-        d_max = block.get("d_max")
+        d_max = field(block, "d_max", int, "cooperad")
         n = block.get("n")
-        if not isinstance(d_max, int) or d_max < 0:
+        if d_max < 0:
             raise InstanceFormatError(f"bad d_max {d_max!r}")
         if n is not None and (isinstance(n, bool) or not isinstance(n, int)
                               or n < 1):
@@ -119,35 +137,30 @@ def parse_instance(doc, validate=True):
         raise InstanceFormatError(
             f"unsupported format tag {doc.get('format')!r} (expected {FORMAT!r})"
         )
-    for key in ("ring", "cooperad", "module"):
-        if key not in doc:
-            raise InstanceFormatError(f"missing {key!r} block")
-    ring = ring_make(doc["ring"])
-    C, H = _build_cooperad(ring, doc["cooperad"], validate)
+    ring = ring_make(field(doc, "ring", dict, "instance"))
+    C, H = _build_cooperad(ring, field(doc, "cooperad", dict, "instance"),
+                           validate)
     basis = []
-    for row in doc["module"]:
-        try:
-            basis.append(BasisElement(
-                str(row["name"]), int(row["degree"]), int(row.get("weight", 1))
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"bad module row {row!r}: {exc}") from exc
+    for row in field(doc, "module", list, "instance"):
+        what = f"module row {row!r}"
+        basis.append(BasisElement(
+            field(row, "name", str, what), field(row, "degree", int, what),
+            field(row, "weight", int, what, 1)))
     V = GradedModule(ring, basis)
-    options = dict(doc.get("options", {}))
-    w_max = options.get("w_max", 3)
-    if not isinstance(w_max, int) or w_max < 1:
+    options = dict(field(doc, "options", dict, "instance", {}))
+    w_max = field(options, "w_max", int, "options", 3)
+    if w_max < 1:
         raise InstanceFormatError(f"bad w_max {w_max!r}")
     cf = cofree_build(C, V, w_max)
     comps = {}
-    for row in doc.get("coderivation", []):
-        try:
-            r = int(row["arity"])
-            inputs = tuple(str(x) for x in row.get("inputs", ()))
-            cname = str(row["class"]) if r > 0 else C.unit_name
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceFormatError(f"bad coderivation row {row!r}: {exc}") from exc
+    for row in field(doc, "coderivation", list, "instance", []):
+        what = f"coderivation row {row!r}"
+        r = field(row, "arity", int, what)
+        inputs = tuple(expect(x, str, f"an input in {what}")
+                       for x in field(row, "inputs", list, what, []))
+        cname = field(row, "class", str, what) if r > 0 else C.unit_name
         key = (r, cname, inputs)
-        val = element_from_list(V, row.get("value", []))
+        val = element_from_list(V, field(row, "value", list, what, []))
         if key in comps:
             raise InstanceFormatError(f"duplicate coderivation entry {key!r}")
         comps[key] = val
@@ -197,13 +210,6 @@ def instance_to_dict(inst):
         "coderivation": rows,
         "options": dict(inst.options),
     }
-
-
-def write_instance(inst, path):
-    doc = instance_to_dict(inst)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def make_problem(inst, cap=None):

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .graded import Element
 from .simplex_chains import (
-    SimplexChains,
     c_coalgebra_decompose,
+    chains,
     contraction,
     degeneracy_map,
     face_map,
@@ -263,7 +263,6 @@ class MCProblem:
         self.phi = phi
         self.E = E
         self.cap = cap
-        self._chains = {}
         self._dec = {}
         self._joins = {}
         self._evals = {}
@@ -271,15 +270,14 @@ class MCProblem:
     # -- plumbing ------------------------------------------------------
 
     def chains(self, n):
-        if n not in self._chains:
-            # 2^(n+1) - 1 classes; the bit-length test spares a huge power
-            if n + 1 > self.cap.bit_length() or 2 ** (n + 1) - 1 > self.cap:
-                raise ResourceLimitError(
-                    f"the {n}-simplex has 2^{n + 1} - 1 chain classes, "
-                    f"more than the cap {self.cap}"
-                )
-            self._chains[n] = SimplexChains(self.ring, n)
-        return self._chains[n]
+        """The chains on the n-simplex, refused past the problem's cap."""
+        # 2^(n+1) - 1 classes; the bit-length test spares a huge power
+        if n + 1 > self.cap.bit_length() or 2 ** (n + 1) - 1 > self.cap:
+            raise ResourceLimitError(
+                f"the {n}-simplex has 2^{n + 1} - 1 chain classes, "
+                f"more than the cap {self.cap}"
+            )
+        return chains(self.ring, n)
 
     def zero(self, n, degree=0):
         return ConvolutionElement(self.chains(n), self.V, degree)
@@ -441,22 +439,23 @@ class MCProblem:
         n = psi.cx.n
         if n < 1 or not 0 <= i <= n:
             raise ShapeError(f"no face (i={i}, n={n})")
-        f = face_map(self.ring, i, n)
-        out = psi.precompose(f, self.chains(n - 1))
-        if verify and psi.degree == 0 and self.mc_check(psi)[0]:
-            if not self.mc_check(out)[0]:
-                raise InternalCheckError("face of a solution failed the check")
-        return out
+        return self._pull_back(psi, face_map, i, n - 1, verify, "face")
 
     def degeneracy(self, j, psi, verify=True):
         n = psi.cx.n
         if not 0 <= j <= n:
             raise ShapeError(f"no degeneracy (j={j}, n={n})")
-        s = degeneracy_map(self.ring, j, n)
-        out = psi.precompose(s, self.chains(n + 1))
+        return self._pull_back(psi, degeneracy_map, j, n + 1, verify,
+                               "degeneracy")
+
+    def _pull_back(self, psi, vertex_map, index, m, verify, what):
+        """psi after ``vertex_map(ring, index, n)``, a chain map from the
+        m-simplex; with ``verify``, a solution must map to a solution."""
+        src = self.chains(m)
+        out = psi.precompose(vertex_map(self.ring, index, psi.cx.n), src)
         if verify and psi.degree == 0 and self.mc_check(psi)[0]:
             if not self.mc_check(out)[0]:
-                raise InternalCheckError("degeneracy of a solution failed the check")
+                raise InternalCheckError(f"{what} of a solution failed the check")
         return out
 
     def mc_simplices(self, n, cap=None):
@@ -504,9 +503,9 @@ class MCProblem:
         homotopy; R = differential o H.  They satisfy
         dH + Hd = id - P exactly.
         """
-        cx, eps, p, h = contraction(self.ring, k, n)
         cxn = self.chains(n)
         cx0 = self.chains(0)
+        _, eps, p, h = contraction(self.ring, k, n)
 
         def E_op(phi0):
             return phi0.precompose(eps, cxn)
@@ -531,21 +530,6 @@ class MCProblem:
 
     # -- horn filling --------------------------------------------------
 
-    def horn_faces(self, horn):
-        """The n+1 face restrictions of a horn (None at the open face)."""
-        out = []
-        cxm = self.chains(horn.n - 1)
-        for i in range(horn.n + 1):
-            if i == horn.k:
-                out.append(None)
-                continue
-            verts = [v for v in range(horn.n + 1) if v != i]
-            face = self.zero(horn.n - 1)
-            for J in cxm.module.names:
-                face.set(J, horn.value(tuple(verts[j] for j in J)))
-            out.append(face)
-        return out
-
     def horn_fill(self, horn, verify=True, trace=None):
         """A degree-0 solution on the simplex restricting to the horn.
 
@@ -556,20 +540,18 @@ class MCProblem:
         steps.
         """
         n, k = horn.n, horn.k
-        cx = self.chains(n)
+        psi = self.zero(n)
         self._require_flat()
-        for i, face in enumerate(self.horn_faces(horn)):
-            if face is None:
-                continue
-            if not self.mc_check(face)[0]:
+        for I in horn_basis(n, k):
+            psi.set(I, horn.value(I))
+        # a face other than the k-th reads only horn classes
+        for i in range(n + 1):
+            if i != k and not self.mc_check(self.face(i, psi, verify=False))[0]:
                 raise PreconditionError(
                     f"horn face {i} does not satisfy the solution condition"
                 )
-        top = cx.top()
+        top = psi.cx.top()
         miss = tuple(v for v in top if v != k)
-        psi = self.zero(n)
-        for I in horn_basis(n, k):
-            psi.set(I, horn.value(I))
         # solve the single unknown from the top boundary:
         # sum_i (-1)^i psi(top minus i) = 0
         acc = self.V.zero()
@@ -628,9 +610,7 @@ class MCProblem:
                     continue
                 lower = rng.choice(pool[n - 1])
                 j = rng.randrange(n)
-                full = lower.precompose(
-                    degeneracy_map(self.ring, j, n - 1), self.chains(n)
-                )
+                full = self.degeneracy(j, lower, verify=False)
                 horn = HornData.from_simplex(full, k)
             report["attempted"] += 1
             psi = self.horn_fill(horn)

@@ -9,6 +9,7 @@ a tuple of permutations reduces to a sum of surjections by the table
 procedure, and surjections act on chains through interval cuts.
 """
 
+from functools import cache
 from itertools import combinations
 
 from .errors import ResourceLimitError, ShapeError
@@ -57,7 +58,10 @@ class SimplexChains:
         return tuple(range(self.n + 1))
 
 
+@cache
 def chains(ring, n):
+    """N_*(Delta^n), built once per (ring object, n): the one store of
+    simplex complexes, shared by every caller, so never mutated."""
     return SimplexChains(ring, n)
 
 

@@ -74,6 +74,86 @@ def test_parse_rejects_bad_documents(tmp_path):
             parse_instance(be)
 
 
+# one value of each JSON type; a bool and a float are kinds of their own,
+# since the parser must neither read true as 1 nor truncate 1.5
+JSON_VALUES = {"null": None, "bool": True, "float": 1.5, "int": 2,
+               "string": "2", "list": [1], "object": {"a": 1}}
+SMALL = {**BASE, "cooperad": {"builder": "ass", "r_max": 2}}
+TYPED_DOCS = {
+    "instance": SMALL,
+    "be": {**BASE, "cooperad": {"builder": "be", "r_max": 2, "d_max": 1,
+                                "n": 2},
+           "coderivation": []},
+    "horn": {"format": "opmc-horn/1", "n": 1, "k": 0,
+             "values": [{"class": [0], "value": [["x", "1"]]}]},
+    "simplex": {"format": "opmc-simplex/1", "n": 0,
+                "values": [{"class": [0], "value": [["x", "1"]]}]},
+}
+# replacements that are themselves valid documents
+ALLOWED = {("be", ("cooperad", "n"), "null")}
+
+
+def _fields(doc, path=()):
+    """Every path into ``doc``, following the first entry of each list."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _fields(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from _fields(doc[0], path + (0,))
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _json_type(value):
+    return next(name for name, v in JSON_VALUES.items()
+                if type(v) is type(value))
+
+
+@pytest.mark.parametrize("kind", sorted(TYPED_DOCS))
+def test_wrong_json_types_are_refused(tmp_path, capsys, kind):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(SMALL))
+    command = {
+        "horn": ["horn-fill", "--instance", str(inst), "--horn"],
+        "simplex": ["mc-simplicial", "--instance", str(inst),
+                    "--verify-simplex"],
+    }.get(kind, ["validate"])
+    base = TYPED_DOCS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(base))
+    assert main(command + [str(path)]) == 0
+    capsys.readouterr()
+    accepted = []
+    for field in _fields(base):
+        was = _json_type(_value_at(base, field))
+        for name, value in JSON_VALUES.items():
+            if name == was or (kind, field, name) in ALLOWED:
+                continue
+            path.write_text(json.dumps(_replaced(base, field, value)))
+            code = main(command + [str(path)])
+            err = capsys.readouterr().err
+            if (code != 1 or not err.startswith("error[")
+                    or "Traceback" in err):
+                accepted.append((field, name, code, err))
+    assert not accepted
+
+
 def test_parse_flags_weight_violations():
     bad = json.loads(json.dumps(BASE))
     bad["module"][2]["weight"] = 1  # y now too light for an arity-2 value

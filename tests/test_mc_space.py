@@ -19,6 +19,7 @@ from opmc.errors import (
     ShapeError,
     UnsupportedError,
 )
+from opmc import mc_space
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
@@ -246,6 +247,20 @@ def test_projection_is_vertex_constant():
             assert proj.value(I).is_zero()
 
 
+def test_lifted_ops_refuses_past_the_cap(monkeypatch):
+    P, _ = make_problem(Z)
+    capped = MCProblem(P.Qt, P.phi, P.E, cap=100)
+
+    def contraction(*args):
+        raise AssertionError("the contraction was built before the refusal")
+
+    # the 7-simplex has 2^8 - 1 = 255 chain classes: refused before any
+    # complex is built
+    monkeypatch.setattr(mc_space, "contraction", contraction)
+    with pytest.raises(ResourceLimitError):
+        capped.lifted_ops(0, 7)
+
+
 def test_mu2_cocycle_operator_identity():
     # the arity-2 operation commutes with the convolution differential
     # as an odd (degree -1) operation, provided the coderivation
@@ -433,6 +448,17 @@ def test_horn_fill_rejects_non_solution_horn():
     })
     with pytest.raises(PreconditionError):
         P.horn_fill(bad)
+
+
+@pytest.mark.parametrize("k, bad_face", [(0, 2), (2, 0)])
+def test_horn_fill_names_the_failing_face(k, bad_face):
+    # only vertex 1 carries x, and no edge carries a value: of the two
+    # faces the horn holds, the one through vertex 1 joins x to 0 and
+    # fails, the other is the zero solution
+    P, _ = make_problem(Z2)
+    horn = HornData(2, k, P.V, {(1,): P.V.gen("x")})
+    with pytest.raises(PreconditionError, match=f"horn face {bad_face} "):
+        P.horn_fill(horn)
 
 
 def test_horn_fill_defect_weight_grows():

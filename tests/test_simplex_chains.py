@@ -79,6 +79,25 @@ def test_face_and_degeneracy():
     assert s0.apply_name((0, 1, 2)).is_zero()
 
 
+def test_chains_is_one_store():
+    # every map reads its complexes from the one memoised store
+    assert chains(Z, 2) is chains(Z, 2)
+    assert chains(Z, 2) is not chains(Z2, 2)
+    for n in (1, 2, 3):
+        for i in range(n + 1):
+            f = face_map(Z, i, n)
+            assert f.source is chains(Z, n - 1).module
+            assert f.target is chains(Z, n).module
+            s = degeneracy_map(Z, i, n)
+            assert s.source is chains(Z, n + 1).module
+            assert s.target is chains(Z, n).module
+        cx, eps, p, h = contraction(Z, 0, n)
+        assert cx is chains(Z, n)
+        assert eps.target is p.source is chains(Z, 0).module
+        # maps are built per call, so a caller may change its own copy
+        assert face_map(Z, 0, n) is not face_map(Z, 0, n)
+
+
 def test_induced_map_rejects_bad_vertex_maps():
     src, tgt = chains(Z, 1), chains(Z, 2)
     with pytest.raises(ShapeError):
