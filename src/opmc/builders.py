@@ -3,6 +3,8 @@ operads, with the associative family as the degenerate (discrete) case
 and the Barratt-Eccles family with its complexity filtration.
 """
 
+from itertools import combinations
+
 from .cooperad import (
     CooperadMorphism,
     CooperadTruncation,
@@ -95,11 +97,7 @@ def ass_cochains(ring, r_max, validate=True):
     units = {}
     for r in range(r_max + 1):
         mod = C.component(r).module
-        products[r] = {
-            (a, b): ([(ring.one, a)] if a == b else [])
-            for a in mod.names
-            for b in mod.names
-        }
+        products[r] = {(a, a): [(ring.one, a)] for a in mod.names}
         eta = mod.zero()
         eta.terms = {n: ring.one for n in mod.names}
         units[r] = eta
@@ -163,44 +161,43 @@ def be_nondegenerate(simplex):
     return all(simplex[i] != simplex[i + 1] for i in range(len(simplex) - 1))
 
 
-def be_complexity(simplex, r):
-    """Largest variation count among restrictions to pairs of values."""
-    if r < 2:
-        return 0
-    worst = 0
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            word = []
-            for p in simplex:
-                # restriction of p to the values {i, j}, in position order
-                inv = p.inverse()
-                first = i if inv(i) < inv(j) else j
-                if not word or word[-1] != first:
-                    word.append(first)
-            worst = max(worst, len(word))
-    return worst
-
-
 def be_simplices(r, d_max, n):
-    """Non-degenerate simplices of dimension <= d_max, complexity <= n."""
+    """Non-degenerate simplices of dimension <= d_max, complexity <= n.
+
+    The complexity is the largest number of runs in the restriction of a
+    simplex to a pair of values {i, j} (which of i, j comes first, vertex
+    by vertex).  Appending a vertex adds a run to exactly the pairs it
+    reverses, so a simplex over the bound never extends to one under it:
+    the frontier keeps only simplices within the bound, each with its
+    per-pair run counts.  Simplices are listed by dimension, each
+    dimension in the order of the vertex tuples.
+    """
     perms = all_permutations(r)
-    out = []
-    frontier = [(p,) for p in perms]
-    for p in frontier:
-        if n is None or be_complexity(p, r) <= n:
-            out.append(p)
+    pairs = list(combinations(range(1, r + 1), 2))
+    # order[p][t]: p puts the smaller value of pair t first
+    order = {}
+    for p in perms:
+        inv = p.inverse()
+        order[p] = tuple(inv(i) < inv(j) for i, j in pairs)
+
+    def within(runs):
+        return n is None or max(runs, default=0) <= n
+
+    start = (1,) * len(pairs)
+    frontier = [((p,), start) for p in perms if within(start)]
+    out = [s for s, _ in frontier]
     for _ in range(d_max):
         nxt = []
-        for s in frontier:
+        for s, runs in frontier:
+            last = order[s[-1]]
             for p in perms:
                 if p == s[-1]:
                     continue
-                t = s + (p,)
-                nxt.append(t)
+                grown = tuple(c + (a != b) for c, a, b in zip(runs, last, order[p]))
+                if within(grown):
+                    nxt.append((s + (p,), grown))
         frontier = nxt
-        for t in frontier:
-            if n is None or be_complexity(t, r) <= n:
-                out.append(t)
+        out.extend(s for s, _ in frontier)
     return out
 
 
@@ -215,7 +212,7 @@ def barratt_eccles(ring, r_max, d_max, n=None, validate=True):
     """
     op = be_chain_operad(ring, r_max, d_max, n)
     C = dualize(op, label=f"be{n if n is not None else 'inf'}-cochains")
-    H = be_cup_structure(ring, C, d_max)
+    H = be_cup_structure(ring, C)
     if validate:
         validate_cooperad(C).require("barratt-eccles cooperad")
         validate_hopf(C, H).require("barratt-eccles hopf structure")
@@ -223,15 +220,21 @@ def barratt_eccles(ring, r_max, d_max, n=None, validate=True):
 
 
 def be_chain_operad(ring, r_max, d_max, n=None):
+    """Barratt-Eccles chains, with names as "|"-joined vertex names.
+
+    Each basis name is split once into its tuple of vertex names, and
+    each vertex composition (shape, vertex tuple) runs
+    ``compose_permutations`` once per operad; compositions and faces
+    then work on vertex names only.
+    """
     components = {}
-    simplices = {}
     for r in range(r_max + 1):
-        simplices[r] = be_simplices(r, d_max, n)
+        simplices = be_simplices(r, d_max, n)
         # degree of a k-simplex is k; orbit reps start at the identity
-        basis = [BasisElement(be_name(s), len(s) - 1) for s in simplices[r]]
-        reps = [be_name(s) for s in simplices[r] if s[0].is_identity()]
+        basis = [BasisElement(be_name(s), len(s) - 1) for s in simplices]
+        reps = [be_name(s) for s in simplices if s[0].is_identity()]
         action = {}
-        for s in simplices[r]:
+        for s in simplices:
             nm = be_name(s)
             for sigma in all_permutations(r):
                 moved = tuple(sigma.compose(p) for p in s)
@@ -239,19 +242,29 @@ def be_chain_operad(ring, r_max, d_max, n=None):
         components[r] = OrbitModule(ring, r, basis, reps, action)
 
     name_sets = {r: set(components[r].module.names) for r in range(r_max + 1)}
+    vertices = {nm: tuple(nm.split("|")) for names in name_sets.values()
+                for nm in names}
+    perm_of = {perm_name(p): p for r in range(r_max + 1)
+               for p in all_permutations(r)}
+    composed = {}
+
+    def compose_vertex(shape, vtx):
+        """Name of gamma(vtx[0]; vtx[1:]), computed once per (shape, vtx)."""
+        key = (shape, vtx)
+        if key not in composed:
+            composed[key] = perm_name(compose_permutations(
+                perm_of[vtx[0]], shape, [perm_of[v] for v in vtx[1:]]))
+        return composed[key]
 
     def compose_name(outer, shape, inners):
-        w = be_from_name(outer)
-        vs = [be_from_name(nm) for nm in inners]
         out = {}
-        for term, sign in nary_ez([w] + vs):
+        factors = [vertices[outer]] + [vertices[nm] for nm in inners]
+        for term, sign in nary_ez(factors):
             # term[j] = (w-vertex, v1-vertex, ..., vk-vertex) at position j
-            composed = tuple(
-                compose_permutations(vtx[0], shape, list(vtx[1:])) for vtx in term
-            )
-            if not be_nondegenerate(composed):
+            names = [compose_vertex(shape, vtx) for vtx in term]
+            if not be_nondegenerate(names):
                 continue
-            nm = be_name(composed)
+            nm = "|".join(names)
             if nm not in name_sets[sum(shape)]:
                 # outside the complexity/dimension truncation
                 continue
@@ -259,13 +272,13 @@ def be_chain_operad(ring, r_max, d_max, n=None):
         return [(c, nm) for nm, c in out.items() if c]
 
     def faces(r, name):
-        s = be_from_name(name)
+        s = vertices[name]
         out = {}
         for i in range(len(s)):
             t = s[:i] + s[i + 1:]
             if not t or not be_nondegenerate(t):
                 continue
-            nm = be_name(t)
+            nm = "|".join(t)
             if nm not in name_sets[r]:
                 continue
             out[nm] = out.get(nm, 0) + (1 if i % 2 == 0 else -1)
@@ -279,25 +292,25 @@ def be_chain_operad(ring, r_max, d_max, n=None):
     )
 
 
-def be_cup_structure(ring, C, d_max):
+def be_cup_structure(ring, C):
+    """Cup products a.b = a|b[1:] for a ending at the vertex b starts at,
+    when that concatenation is a basis simplex; only these nonzero
+    products are stored (``multiply_names`` reads a missing pair as 0)."""
     products = {}
     units = {}
     for r in range(C.r_max + 1):
         mod = C.component(r).module
+        names = set(mod.names)
+        vertices = {nm: nm.split("|") for nm in mod.names}
+        by_first = {}
+        for b in mod.names:
+            by_first.setdefault(vertices[b][0], []).append(b)
         table = {}
         for a in mod.names:
-            sa = be_from_name(a)
-            for b in mod.names:
-                sb = be_from_name(b)
-                if sa[-1] != sb[0]:
-                    table[(a, b)] = []
-                    continue
-                z = sa + sb[1:]
-                if len(z) - 1 > d_max or not be_nondegenerate(z):
-                    table[(a, b)] = []
-                    continue
-                nm = be_name(z)
-                table[(a, b)] = [(ring.one, nm)] if nm in mod.names else []
+            for b in by_first.get(vertices[a][-1], ()):
+                nm = "|".join(vertices[a] + vertices[b][1:])
+                if nm in names:
+                    table[(a, b)] = [(ring.one, nm)]
         products[r] = table
         eta = mod.zero()
         eta.terms = {

@@ -143,9 +143,13 @@ def parse_instance(doc, validate=True):
     basis = []
     for row in field(doc, "module", list, "instance"):
         what = f"module row {row!r}"
+        weight = field(row, "weight", int, what, 1)
+        if weight < 1:
+            # weight 0 is the unit class's; horn filling needs weights >= 1
+            raise InstanceFormatError(f"{what} has weight {weight}, need >= 1")
         basis.append(BasisElement(
             field(row, "name", str, what), field(row, "degree", int, what),
-            field(row, "weight", int, what, 1)))
+            weight))
     V = GradedModule(ring, basis)
     options = dict(field(doc, "options", dict, "instance", {}))
     w_max = field(options, "w_max", int, "options", 3)

@@ -323,10 +323,10 @@ class MCProblem:
 
         A sparse join.  The coproduct of each class size is looked up
         once per call, in positions, grouped by its first block.  For
-        each class I every argument is restricted to the classes inside
-        I, renamed to positions, and a term is evaluated only when each
-        of its blocks carries a value of its argument; the others are
-        skipped.  Evaluations go through the problem's memo of
+        each class I each distinct argument object is restricted once to
+        the classes inside I, renamed to positions (``star`` passes one
+        object r times), and a term is evaluated only when each of its
+        blocks carries a value of its argument; the others are skipped.  Evaluations go through the problem's memo of
         ``Qt.eval_plain``, and each class sums in one plain dict that is
         set once.
         """
@@ -345,10 +345,12 @@ class MCProblem:
         # parity of the odd arguments that cross an odd-degree prefix
         odd = sum(1 << i for i, p in enumerate(psis) if p.degree % 2)
         n = cx.n
+        distinct = {id(p): p for p in psis}
         for size in range(1, n + 2):
             index = self._join_index(size, r)
             for I in combinations(range(n + 1), size):
-                first, *rest = [_restrict(p.values, I) for p in psis]
+                local = {k: _restrict(p.values, I) for k, p in distinct.items()}
+                first, *rest = [local[id(p)] for p in psis]
                 acc = {}
                 for J0, v0 in first.items():
                     for cname, Js, c, crossing in index.get(J0, ()):

@@ -14,7 +14,6 @@ group action table is shared (sigma . delta_x = delta_{sigma . x}).
 
 from functools import cache
 from itertools import combinations
-from itertools import product as _product
 
 from .cooperad import CooperadTruncation, compositions
 from .errors import ShapeError
@@ -56,7 +55,15 @@ class ChainOperad:
 
 
 def dualize(op, label=""):
-    """Transpose a chain operad's composition into cocomposition tables."""
+    """Transpose a chain operad's composition into cocomposition tables.
+
+    Compositions have degree 0 and chain degrees are non-negative, so an
+    (outer, inners) product whose degree sum exceeds the top degree of
+    the output arity meets no basis element.  Such products are never
+    formed: each factor is drawn from the names its share of the degree
+    budget allows, in basis order, so every table lists its terms in the
+    order of the full product.
+    """
     ring = op.ring
     components = {}
     for r, om in op.components.items():
@@ -66,22 +73,23 @@ def dualize(op, label=""):
         ]
         components[r] = OrbitModule(ring, r, basis, om.orbit_reps, om._action)
 
+    buckets = {r: _degree_buckets(om.module) for r, om in op.components.items()}
     tables = {}
     for r in range(op.r_max + 1):
+        top = len(buckets[r]) - 1
         for k in range(1, op.r_max + 1):
             for shape in compositions(r, k):
                 if any(ri > op.r_max for ri in shape):
                     continue
                 table = {}
-                outer_names = op.components[k].module.names
-                inner_choices = [op.components[ri].module.names for ri in shape]
-                for b in outer_names:
-                    for inners in _product(*inner_choices):
-                        for coeff, out in op.compose(b, shape, inners):
-                            coeff = ring.normalize(coeff)
-                            if ring.is_zero(coeff):
-                                continue
-                            table.setdefault(out, []).append((coeff, b, inners))
+                pools = [buckets[k]] + [buckets[ri] for ri in shape]
+                for names in _bounded_products(pools, top):
+                    b, inners = names[0], names[1:]
+                    for coeff, out in op.compose(b, shape, inners):
+                        coeff = ring.normalize(coeff)
+                        if ring.is_zero(coeff):
+                            continue
+                        table.setdefault(out, []).append((coeff, b, inners))
                 tables[(k, shape)] = table
     return CooperadTruncation(
         ring,
@@ -92,6 +100,27 @@ def dualize(op, label=""):
         counit_name=op.id_name,
         label=label or (op.label + "-dual"),
     )
+
+
+def _degree_buckets(module):
+    """buckets[d]: the (name, degree) pairs of degree <= d, in basis order,
+    for d up to the top degree."""
+    degrees = [(n, module.degree(n)) for n in module.names]
+    top = max((d for _, d in degrees), default=-1)
+    return [[(n, d) for n, d in degrees if d <= b] for b in range(top + 1)]
+
+
+def _bounded_products(pools, budget):
+    """The name tuples of the product of the pools whose degree sum is at
+    most ``budget``, in product order; pools[i] are degree buckets."""
+    if not pools:
+        yield ()
+        return
+    if budget < 0 or not pools[0]:
+        return
+    for name, d in pools[0][min(budget, len(pools[0]) - 1)]:
+        for rest in _bounded_products(pools[1:], budget - d):
+            yield (name,) + rest
 
 
 # ---------------------------------------------------------------------------

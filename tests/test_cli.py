@@ -162,6 +162,20 @@ def test_parse_flags_weight_violations():
     assert "('x', 'x')" in str(err.value)
 
 
+@pytest.mark.parametrize("weight", [0, -1])
+def test_module_weight_below_one_is_refused(tmp_path, capsys, weight):
+    doc = json.loads(json.dumps(BASE))
+    doc["module"][0]["weight"] = weight
+    path = write_variant(tmp_path, "light.json", module=doc["module"])
+    for command in (["validate", path],
+                    ["kan-check", "--instance", path, "--trials", "1"]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[instance-format]:")
+        assert f"'name': 'x', 'degree': 0, 'weight': {weight}" in err
+        assert "Traceback" not in err
+
+
 def test_element_spec_parsing(inst_file):
     inst = load_instance(inst_file)
     assert parse_element_spec(inst.V, "0").is_zero()
