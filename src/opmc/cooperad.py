@@ -34,11 +34,23 @@ nonzero table entries, not loops over all pairs or triples of names:
 * Coassociativity, table equivariance and the morphism laws compare two
   routes per basis name over its cocomposition terms, with degrees and
   group actions read from dicts built once.
+* Table equivariance, per arity: if the law holds for two block
+  permutations (mu; sigma_1..sigma_k), one leaving a shape and one
+  leaving the shape the first leads to, it holds for their product,
+  provided each arity acts on its names by a group action that keeps
+  degrees.  The block permutations of all shapes are generated by the
+  adjacent swaps of mu with every sigma_i the identity and the adjacent
+  swaps inside one sigma_i with mu the identity: 450 of the 8,142 at
+  r_max 4.  So the law is checked on these generators when the action
+  tables pass ``_acts_by_homomorphisms``, and all block permutations are
+  walked, in the order of the dense loops, only when the tables fail it
+  or a generator fails.
 
 A failing law reports the witness that loops over the basis in order
 would meet first: the differing keys are ordered by basis position.
 """
 
+from functools import lru_cache
 from itertools import product as _product
 
 from .errors import ShapeError, ValidationError
@@ -319,17 +331,24 @@ def validate_cooperad(C):
             for trees in compositions_children(r, m, C.r_max)))
 
     act = _actions(C)
+    generators_suffice = _acts_by_homomorphisms(deg, act)
     for r in range(C.r_max + 1):
-        res = _equivariance_check(C, r, deg, act)
+        res = None
+        if not generators_suffice or _equivariance_check(
+                C, r, deg, act, _block_generators(r, C.r_max)) is not None:
+            res = _equivariance_check(
+                C, r, deg, act, _block_permutations(r, C.r_max, act))
         rep.add(f"equivariance arity {r}", res is None, res)
     return rep
 
 
+@lru_cache(maxsize=None)
 def compositions_children(r, m, r_max):
     """2-level trees: per outer slot i (of m), a grandchild shape; total r.
 
     Only trees with at most r_max grandchildren in all are built, in the
-    order of the full product of the per-slot shape lists.
+    order of the full product of the per-slot shape lists.  The tuple is
+    built once per (r, m, r_max).
     """
     shapes_of = {}
     for R in range(r_max + 1):
@@ -352,7 +371,7 @@ def compositions_children(r, m, r_max):
     for mid in compositions(r, m):
         if all(x <= r_max for x in mid):
             grow([shapes_of[R] for R in mid], r_max, [])
-    return out
+    return tuple(out)
 
 
 def _coassoc_check(C, r, grand_shapes, deg):
@@ -399,8 +418,58 @@ def _coassoc_check(C, r, grand_shapes, deg):
     return None
 
 
-def _equivariance_check(C, r, deg, act):
-    """Tables commute with every block permutation (mu; sigma_1..sigma_k)."""
+def _adjacent_swaps(n):
+    """Images of the adjacent transpositions (i, i+1) of S_n, in order."""
+    ident = tuple(range(1, n + 1))
+    return [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(n - 1)]
+
+
+def _block_permutations(r, r_max, act):
+    """Every block permutation (k, shape, mu, sigmas) of arity r, in the
+    order of the dense loops: by shape, then mu, then sigma_1..sigma_k."""
+    for k, shape in _shapes(r, r_max):
+        for mu in act[k]:
+            for sigmas in _product(*[list(act[s]) for s in shape]):
+                yield k, shape, mu, sigmas
+
+
+def _block_generators(r, r_max):
+    """Generators of the block permutations of arity r, per shape: the
+    adjacent swaps of mu with every sigma_i the identity, then the
+    adjacent swaps inside one sigma_i with mu the identity."""
+    for k, shape in _shapes(r, r_max):
+        ids = tuple(tuple(range(1, s + 1)) for s in shape)
+        for mu in _adjacent_swaps(k):
+            yield k, shape, mu, ids
+        for i, s in enumerate(shape):
+            for tau in _adjacent_swaps(s):
+                yield k, shape, tuple(range(1, k + 1)), ids[:i] + (tau,) + ids[i + 1:]
+
+
+def _acts_by_homomorphisms(deg, act):
+    """Whether every arity acts on its names by a group action that keeps
+    degrees: the identity fixes every name, each adjacent swap t sends
+    names to names of the same degree, and act[s t] = act[s] o act[t] for
+    every s.  Then every sigma acts as the product of the swaps that
+    write it."""
+    for r, table in act.items():
+        d = deg[r]
+        if any(x != n for n, x in table[tuple(range(1, r + 1))].items()):
+            return False
+        for i, t in enumerate(_adjacent_swaps(r)):
+            ft = table[t]
+            if any(x not in d or d[x] != d[n] for n, x in ft.items()):
+                return False
+            for s, fs in table.items():
+                fst = table[s[:i] + (s[i + 1], s[i]) + s[i + 2:]]
+                if any(fst[n] != fs[x] for n, x in ft.items()):
+                    return False
+    return True
+
+
+def _equivariance_check(C, r, deg, act, elements):
+    """The first block permutation (k, shape, mu, sigmas) of ``elements``
+    that the tables do not commute with, as a witness; None if none."""
     ring = C.ring
     names = C.basis_names(r)
     terms = {}  # (shape, name) -> Delta_{k; shape}(name) as a sparse dict
@@ -410,8 +479,11 @@ def _equivariance_check(C, r, deg, act):
             terms[shape, name] = _term_dict(ring, C.cocompose(k, shape, name))
         return terms[shape, name]
 
-    for k, shape in _shapes(r, C.r_max):
-        for mu, outer in act[k].items():
+    signed_for = None  # the (shape, mu) that ``signed`` was built for
+    for k, shape, mu, sigmas in elements:
+        if signed_for != (shape, mu):
+            signed_for = shape, mu
+            outer = act[k][mu]
             # the inner slots in the order mu puts them in
             order = sorted(range(k), key=lambda i: mu[i])
             new_shape = tuple(shape[i] for i in order)
@@ -422,18 +494,17 @@ def _equivariance_check(C, r, deg, act):
                               mu, [deg[s][g] for s, g in zip(shape, gs)])))
                           for (a, gs), v in delta(k, shape, c).items()]
                       for c in names}
-            for sigmas in _product(*[list(act[s]) for s in shape]):
-                # the block permutation (mu; sigma_1..sigma_k) of 1..r
-                hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
-                inners = [act[shape[i]][sigmas[i]] for i in order]
-                for c in names:
-                    moved = [((outer[a], tuple([f[g] for f, g in zip(inners, gs)])), v)
-                             for a, gs, v in signed[c]]
-                    rhs = dict(moved)
-                    if len(rhs) < len(moved):  # two terms moved onto one key
-                        rhs = _collect(ring, moved)
-                    if delta(k, new_shape, hat[c]) != rhs:
-                        return (r, c, k, shape, mu, sigmas)
+        # the block permutation (mu; sigma_1..sigma_k) of 1..r
+        hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
+        inners = [act[shape[i]][sigmas[i]] for i in order]
+        for c in names:
+            moved = [((outer[a], tuple([f[g] for f, g in zip(inners, gs)])), v)
+                     for a, gs, v in signed[c]]
+            rhs = dict(moved)
+            if len(rhs) < len(moved):  # two terms moved onto one key
+                rhs = _collect(ring, moved)
+            if delta(k, new_shape, hat[c]) != rhs:
+                return (r, c, k, shape, mu, sigmas)
     return None
 
 

@@ -10,6 +10,8 @@ from math import gcd
 
 from .errors import InvalidRingError, NonUnitError
 
+_EXACT = (int, Fraction)  # scalar types that RationalRing combines directly
+
 
 class Ring:
     """Handle exposing 0, 1 and exact arithmetic for one coefficient ring."""
@@ -113,10 +115,33 @@ class ModularRing(Ring):
 
 
 class RationalRing(Ring):
+    """Q, with ``Fraction`` scalars.
+
+    ``Fraction`` arithmetic already returns reduced fractions, so on int
+    and ``Fraction`` operands each operation runs once and its result is
+    wrapped only when it is an int; other operands (a str, say) are
+    converted one by one first.
+    """
+
     contains_rationals = True
 
     def normalize(self, x):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
+
+    def add(self, a, b):
+        if type(a) in _EXACT and type(b) in _EXACT:
+            s = a + b
+            return s if type(s) is Fraction else Fraction(s)
+        return Fraction(a) + Fraction(b)
+
+    def mul(self, a, b):
+        if type(a) in _EXACT and type(b) in _EXACT:
+            p = a * b
+            return p if type(p) is Fraction else Fraction(p)
+        return Fraction(a) * Fraction(b)
+
+    def is_zero(self, a):
+        return a == 0 if type(a) in _EXACT else Fraction(a) == 0
 
     def is_unit(self, a):
         return Fraction(a) != 0

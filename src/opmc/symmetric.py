@@ -303,11 +303,25 @@ class TrivialModule(OrbitModule):
         return [vt for vt in tuples if _stabilizer_sum(vt, vdegree)]
 
     def orbit_sum(self, rep, slots, vdegree):
-        """The norm over r!."""
+        """The norm over r!, in closed form.
+
+        sigma carries the sorted slots to one of their distinct
+        reorderings w, and the sigmas that reach the same w differ by the
+        stabilizer; so w comes with coefficient eps(w) h / r!, eps(w) the
+        Koszul sign of sorting w, and nothing survives when h = 0.
+        """
         ring = self.ring
-        inv = ring.inv(ring.normalize(factorial(self.arity)))
-        return {k: ring.mul(c, inv)
-                for k, c in super().orbit_sum(rep, slots, vdegree).items()}
+        _, srt, sign = self.coinv_normalize(rep, slots, [vdegree(v) for v in slots])
+        h = _stabilizer_sum(srt, vdegree)
+        if not h:
+            return {}
+        base = ring.mul(ring.normalize(sign * h),
+                        ring.inv(ring.normalize(factorial(self.arity))))
+        out = {}
+        for w in sorted(set(_itperms(srt))):
+            eps = self.coinv_normalize(rep, w, [vdegree(v) for v in w])[2]
+            out[rep, w] = ring.mul(base, eps)
+        return out
 
     def collection_coefficient(self, name, slots, vdegree):
         """r!/h on a sorted tuple; None off sorted tuples and where h = 0."""

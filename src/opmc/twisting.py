@@ -193,10 +193,12 @@ def twist(H, Qt, v, verify=True):
     if verify:
         Q = coderivation_extend(Qt)
         Q2 = coderivation_extend(twisted)
-        ev = exp_element(H, cf, v)
-        em = exp_element(H, cf, v.scale(-1))
+        # exp(v) and exp(-v) are expanded once for all keys
+        ev = cf.expand(exp_element(H, cf, v))
+        em = cf.expand(exp_element(H, cf, v.scale(-1)))
         for key in cf.module.names:
-            img = shuffle(H, cf, em, Q(shuffle(H, cf, ev, cf.module.gen(key))))
+            w = cf.collect(_shuffle_plain(H, cf, ev, cf.expand(cf.module.gen(key))))
+            img = cf.collect(_shuffle_plain(H, cf, em, cf.expand(Q(w))))
             if not Q2.on_key(key).eq(img):
                 raise InternalCheckError(
                     f"twisted operator is not the extension of its "

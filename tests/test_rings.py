@@ -3,9 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opmc.errors import InvalidRingError, NonUnitError
-from opmc.rings import ring_make
+from opmc.rings import Ring, ring_make
 
 
 Z = ring_make({"kind": "integers"})
@@ -82,3 +83,25 @@ def test_mod_closed():
         a, b = rng.randint(-100, 100), rng.randint(-100, 100)
         assert 0 <= Z8.add(a, b) < 8
         assert 0 <= Z8.mul(a, b) < 8
+
+
+FRACTIONS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
+SCALARS = st.one_of(st.integers(-10 ** 9, 10 ** 9), FRACTIONS, FRACTIONS.map(str))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=SCALARS, b=SCALARS)
+def test_rational_fast_paths(a, b):
+    """Q's own add, mul, normalize and is_zero agree with Fraction
+    arithmetic on int, Fraction and str operands, and return Fractions."""
+    fa, fb = Fraction(a), Fraction(b)
+    for got, want in ((Q.add(a, b), fa + fb), (Q.mul(a, b), fa * fb),
+                      (Q.normalize(a), fa)):
+        assert type(got) is Fraction and got == want
+    assert Q.is_zero(a) is (fa == 0)
+
+
+def test_only_q_specialises():
+    for ring in (Z, Z2, Z8):
+        for op in ("add", "mul", "is_zero"):
+            assert getattr(type(ring), op) is getattr(Ring, op)

@@ -181,7 +181,8 @@ def test_trivial_module_refuses_integers():
 
 
 def test_trivial_module_closed_forms():
-    """Stabilizer sum h and sort sign against the S_r loops they replace."""
+    """Stabilizer sum h, sort sign and orbit sum against the S_r loops
+    they replace."""
     degree = {"a": 0, "b": 1, "c": 0, "d": 1}
     checked = 0
     for r in range(1, 5):
@@ -190,6 +191,11 @@ def test_trivial_module_closed_forms():
         keys = set()
         for vt in product(sorted(degree), repeat=r):
             degs = tuple(degree[v] for v in vt)
+            # oracle: the whole norm over S_r, divided by r!
+            norm = norm_plain(om, {("c", vt): Q.one}, degree.get)
+            want = {k: Q.mul(c, Q.inv(Q.normalize(factorial(r))))
+                    for k, c in norm.items()}
+            assert om.orbit_sum("c", vt, degree.get) == want
             svt = tuple(sorted(vt))
             # oracle: the first sigma carrying vt to its sorted tuple
             sign = next(s.koszul_sign(degs) for s in group

@@ -12,7 +12,8 @@ from opmc.builders import (
     perm_from_name,
 )
 from opmc.cofree import Coderivation, cofree_build, square_check
-from opmc.errors import ResourceLimitError, UnsupportedError
+from opmc import twisting
+from opmc.errors import InternalCheckError, ResourceLimitError, UnsupportedError
 from opmc.graded import BasisElement, GradedModule
 from opmc.rings import ring_make
 from opmc.twisting import (
@@ -242,6 +243,29 @@ def test_twist_e2():
         Tw = twist(H, Qt, V.gen("x"))
         ok, witness = square_check(Tw)
         assert ok, witness
+
+
+@pytest.mark.parametrize("ring, build", [(Z, ass_cochains), (QQ, com_cochains)],
+                         ids=["Z", "Q-com"])
+def test_twist_verify_catches_a_spoiled_component(monkeypatch, ring, build):
+    """The verify path is a real check: doubling one component of the
+    twisted coderivation makes it raise."""
+    rng = random.Random(9)
+    H, cf = make_cf(ring, build=build)
+    Qt = random_coderivation(cf, rng, curved=True)
+    v = cf.V.gen("x", rand_scalar(ring, rng))
+    twist(H, Qt, v)
+
+    def spoiled(cofree, comps):
+        comps = dict(comps)
+        key = next(iter(comps))
+        comps[key] = comps[key].scale(2)
+        return Coderivation(cofree, comps)
+
+    monkeypatch.setattr(twisting, "Coderivation", spoiled)
+    with pytest.raises(InternalCheckError, match="twisted operator"):
+        twist(H, Qt, v)
+    twist(H, Qt, v, verify=False)
 
 
 def test_curvature_of_twist_is_residual():

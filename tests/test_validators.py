@@ -7,6 +7,7 @@ validators must reject them at the same law with the same witness.
 """
 
 import copy
+from functools import lru_cache
 
 import pytest
 
@@ -30,15 +31,27 @@ Q = ring_make({"kind": "rationals"})
 INSTANCES = {
     "ass-Z-3": lambda: ass_cochains(Z, 3, validate=False),
     "com-Q-3": lambda: com_cochains(Q, 3, validate=False),
+    # the cooperad of the linf-cli benchmark instance
+    "com-Q-4": lambda: com_cochains(Q, 4, validate=False),
     "E2-Z-d1": lambda: barratt_eccles(Z, 3, 1, n=2, validate=False),
     "E2-Z2-d1": lambda: barratt_eccles(Z2, 3, 1, n=2, validate=False),
+    # the cooperad of the shipped E2 instance
+    "E2-Z2-d2": lambda: barratt_eccles(Z2, 3, 2, n=2, validate=False),
     "Einf-Z2-d1": lambda: barratt_eccles(Z2, 3, 1, n=None, validate=False),
 }
+# the dense Hopf loops run over every triple of names: about 19 s on
+# E2-Z2-d2, whose 72 arity-3 names make 373,248 triples
+HOPF_INSTANCES = sorted(set(INSTANCES) - {"E2-Z2-d2"})
+
+
+@lru_cache(maxsize=None)
+def build(label):
+    return INSTANCES[label]()
 
 
 @pytest.fixture(scope="module", params=sorted(INSTANCES))
 def instance(request):
-    return request.param, INSTANCES[request.param]()
+    return request.param, build(request.param)
 
 
 def failing_laws(rep):
@@ -56,8 +69,9 @@ def test_cooperad_reports_match(instance):
     assert rep.ok
 
 
-def test_hopf_reports_match(instance):
-    label, (C, H) = instance
+@pytest.mark.parametrize("label", HOPF_INSTANCES)
+def test_hopf_reports_match(label):
+    C, H = build(label)
     rep = same_reports(cooperad.validate_hopf(C, H), dense.validate_hopf(C, H))
     if label.startswith("E"):
         # at d_max=1 the cup product drops the products of two edges, and
@@ -108,7 +122,7 @@ def test_compositions_children_within_budget():
         for r in range(r_max + 1):
             for m in range(1, r_max + 1):
                 assert (cooperad.compositions_children(r, m, r_max)
-                        == dense.compositions_children(r, m, r_max))
+                        == tuple(dense.compositions_children(r, m, r_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +180,23 @@ def test_spoiled_cocomposition_coefficient(einf2):
     assert failing_laws(rep)[0] == "hopf-cocomposition-compat arity 2"
 
 
+@pytest.mark.parametrize("table, row, arity", [
+    # only the swap inside sigma_1 moves Delta_{1;(2)}
+    ((1, (2,)), ("12", [(1, "1", ("21",))]), 2),
+    # only the swap of mu moves Delta_{2;(0,0)}
+    ((2, (0, 0)), ("()", [(1, "12", ("()", "()")), (2, "21", ("()", "()"))]), 0),
+], ids=["sigma", "mu"])
+def test_spoiled_table_seen_by_one_kind_of_generator(einf2, table, row, arity):
+    C, _ = einf2
+    tables = copy.deepcopy(C.cocomp)
+    name, terms = row
+    tables[table][name] = terms
+    bad = CooperadTruncation(Z, C.r_max, C.components, tables,
+                             C.unit_name, C.counit_name)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    assert f"equivariance arity {arity}" in failing_laws(rep)
+
+
 def test_spoiled_hopf_unit(einf2):
     C, H = einf2
     units = dict(H.units)
@@ -190,3 +221,82 @@ def test_spoiled_action_not_a_bijection(einf2):
     same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
     rep = both_hopf(bad, HopfStructure(bad, H.products, H.units))
     assert failing_laws(rep)[0] == "hopf-equivariance arity 2"
+
+
+# ---------------------------------------------------------------------------
+# table equivariance: the generators and the full walk
+
+
+def equivariance_parts(C, r):
+    """What validate_cooperad reads for the equivariance law of arity r:
+    whether the generators speak for the group, and the first witness
+    among the generators alone."""
+    deg, act = cooperad._degrees(C), cooperad._actions(C)
+    return (cooperad._acts_by_homomorphisms(deg, act),
+            cooperad._equivariance_check(
+                C, r, deg, act, cooperad._block_generators(r, C.r_max)))
+
+
+def is_generator(mu, sigmas):
+    """One of mu, sigma_1..sigma_k is an adjacent swap, the rest identities."""
+    moved = [[i for i, x in enumerate(p, 1) if x != i] for p in (mu,) + sigmas]
+    moved = [m for m in moved if m]
+    return len(moved) == 1 and len(moved[0]) == 2 and moved[0][1] == moved[0][0] + 1
+
+
+@pytest.fixture(scope="module")
+def ass3():
+    C, _ = ass_cochains(Z, 3, validate=False)
+    return C
+
+
+def test_block_generator_counts():
+    """450 generators stand in for 8,142 block permutations at r_max 4,
+    and 76 for 322 at r_max 3."""
+    for r_max, n_gen, n_all in ((3, 76, 322), (4, 450, 8142)):
+        C, _ = com_cochains(Q, r_max, validate=False)
+        act = cooperad._actions(C)
+        gens = [g for r in range(r_max + 1)
+                for g in cooperad._block_generators(r, r_max)]
+        full = [g for r in range(r_max + 1)
+                for g in cooperad._block_permutations(r, r_max, act)]
+        assert (len(gens), len(set(gens)), len(full)) == (n_gen, n_gen, n_all)
+        assert set(gens) == {g for g in full if is_generator(g[2], g[3])}
+
+
+def test_spoiled_table_first_witness_not_a_generator(ass3):
+    C = ass3
+    tables = copy.deepcopy(C.cocomp)
+    row = tables[(3, (2, 1, 0))]
+    name = next(n for n in C.basis_names(3) if row.get(n))
+    coeff, o, gs = row[name][0]
+    row[name][0] = (Z.add(coeff, 1), o, gs)
+    bad = CooperadTruncation(Z, C.r_max, C.components, tables,
+                             C.unit_name, C.counit_name)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    witness = dict(rep.failures())["equivariance arity 3"]
+    # the dense loops first meet the reversal of the blocks (0, 1, 2),
+    # which is no generator; a generator fails too and starts the walk
+    assert witness == (3, "231", 3, (0, 1, 2), (3, 2, 1), ((), (1,), (1, 2)))
+    assert not is_generator(*witness[4:])
+    generators_suffice, first = equivariance_parts(bad, 3)
+    assert generators_suffice and first is not None and first != witness
+
+
+def test_action_not_a_homomorphism_forces_the_full_walk(ass3):
+    C = ass3
+    # a hand-built arity-3 module whose reversal (3 2 1) swaps its images
+    # of two names: no generator of the block permutations reads that
+    # entry, so each of them passes, and only the full walk can fail
+    om = copy.copy(C.component(3))
+    om._action = dict(om._action)
+    a, b = ((3, 2, 1), "123"), ((3, 2, 1), "132")
+    om._action[a], om._action[b] = om._action[b], om._action[a]
+    components = dict(C.components)
+    components[3] = om
+    bad = CooperadTruncation(Z, C.r_max, components, C.cocomp,
+                             C.unit_name, C.counit_name)
+    for r in range(C.r_max + 1):
+        assert equivariance_parts(bad, r) == (False, None)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    assert failing_laws(rep) == ["equivariance arity 2", "equivariance arity 3"]
