@@ -181,9 +181,9 @@ class CofreeCoalgebra:
         triples (r_i, inner-name, v-block).  The coefficient carries the
         Koszul sign of interleaving the inner cooperad factors into the
         v-blocks: a, g_1..g_k, v's -> a, (g_1 vb_1), ..., (g_k vb_k).
+        The sign is a plain negation; callers normalise with ``ring.mul``.
         """
         C = self.cooperad
-        ring = self.ring
         blocks = []
         pre_odd = []
         pos = pre = 0
@@ -194,11 +194,10 @@ class CofreeCoalgebra:
             pre += sum(self.vdeg(v) for v in vb)
             pos += ri
         for lam, a, gs in C.cocompose(k, shape, cname):
-            sign = 1
             for i in range(k):
                 if pre_odd[i] and C.degree(shape[i], gs[i]) % 2:
-                    sign = -sign
-            yield ring.mul(lam, sign), a, tuple(zip(shape, gs, blocks))
+                    lam = -lam
+            yield lam, a, tuple(zip(shape, gs, blocks))
 
     def decompose(self, x, k, check=False):
         """Components of x in uC(k) (x) uC(V)^{(x) k}.
@@ -380,7 +379,7 @@ def coderivation_extend(Qt, check=False):
                 out_deg = C.degree(k, out)
                 if (out_deg + pre_deg) % 2:
                     sign = -sign
-                base = ring.mul(coeff, ring.mul(tcoeff, sign))
+                base = ring.mul(coeff, tcoeff if sign == 1 else -tcoeff)
                 for vn, vc in val.terms.items():
                     nvt = prefix + (vn,) + suffix
                     wt = sum(cf.V.weight(v) for v in nvt)

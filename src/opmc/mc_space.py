@@ -21,6 +21,15 @@ cuts, the parity of a cut, and which vertices are equal), never the
 vertex values.  mu_r joins that positional coproduct with the support of
 its arguments, skipping every term with a block on which some argument
 vanishes, and the problem memoises the coderivation's plain evaluations.
+
+The same relabelling makes the value of mu_r on a class I a function of
+r, |I|, the argument degrees and the arguments restricted to the
+classes inside I in positions.  Each problem memoises mu per such
+content for its own lifetime, as it does the evaluations; nothing is
+shared between problems.  A horn fill reads most of it back: the
+filler's classes other than the top and the open face lie in the faces
+already checked, and every later check of the filler or of its faces
+finds every class stored.
 """
 
 import random
@@ -266,6 +275,7 @@ class MCProblem:
         self._dec = {}
         self._joins = {}
         self._evals = {}
+        self._mus = {}
 
     # -- plumbing ------------------------------------------------------
 
@@ -321,14 +331,23 @@ class MCProblem:
     def mu(self, psis):
         """mu_r(psi_1, ..., psi_r): structure map after the chain coproduct.
 
-        A sparse join.  The coproduct of each class size is looked up
-        once per call, in positions, grouped by its first block.  For
-        each class I each distinct argument object is restricted once to
-        the classes inside I, renamed to positions (``star`` passes one
-        object r times), and a term is evaluated only when each of its
-        blocks carries a value of its argument; the others are skipped.  Evaluations go through the problem's memo of
-        ``Qt.eval_plain``, and each class sums in one plain dict that is
-        set once.
+        A sparse join, memoised per class.  The value on a class I
+        depends only on r, |I|, the argument degrees and each argument
+        restricted to the classes inside I, renamed to positions: the
+        coproduct of I is the positional one relabelled through I, and
+        nothing reads vertex values.  That content is the key of the
+        problem's memo ``_mus``, which lives as long as the problem, like
+        ``_evals``; a hit sets the stored sum, and an empty sum is stored
+        too.  The values of each distinct argument object (``star`` passes
+        one object r times) are frozen once per call, and the frozen
+        values are restricted to each class for its key.
+
+        On a miss the coproduct of the class size, in positions and
+        grouped by its first block, is joined with the restricted
+        arguments: a term is evaluated only when each of its blocks
+        carries a value of its argument.  Evaluations go through the
+        problem's memo of ``Qt.eval_plain``, and the class sums in one
+        plain dict.
         """
         r = len(psis)
         if r < 1:
@@ -341,39 +360,55 @@ class MCProblem:
         out = ConvolutionElement(cx, self.V, dtot - 1)
         if r > self.C.r_max:
             return out
-        # bit i set when psi_i has odd degree; a term's Koszul sign is the
-        # parity of the odd arguments that cross an odd-degree prefix
-        odd = sum(1 << i for i, p in enumerate(psis) if p.degree % 2)
+        degrees = tuple(p.degree for p in psis)
         n = cx.n
         distinct = {id(p): p for p in psis}
+        frozen = {k: {K: frozenset(v.terms.items()) for K, v in p.values.items()}
+                  for k, p in distinct.items()}
         for size in range(1, n + 2):
-            index = self._join_index(size, r)
             for I in combinations(range(n + 1), size):
-                local = {k: _restrict(p.values, I) for k, p in distinct.items()}
-                first, *rest = [local[id(p)] for p in psis]
-                acc = {}
-                for J0, v0 in first.items():
-                    for cname, Js, c, crossing in index.get(J0, ()):
-                        vals = [v0]
-                        for loc, J in zip(rest, Js):
-                            v = loc.get(J)
-                            if v is None:
-                                break
-                            vals.append(v)
-                        else:
-                            if (crossing & odd).bit_count() % 2:
-                                c = -c
-                            terms = [v.terms.items() for v in vals]
-                            for combo in product(*terms):
-                                vt, coeffs = zip(*combo)
-                                coeff = c
-                                for ci in coeffs:
-                                    coeff *= ci
-                                ev = self._eval_plain(r, cname, vt)
-                                _accumulate(acc, ev, coeff)
-                if acc:
-                    out.set(I, Element(self.V, acc))
+                content = {k: frozenset(_restrict(f, I).items())
+                           for k, f in frozen.items()}
+                key = (size, r, degrees,
+                       tuple(content[id(p)] for p in psis))
+                if key not in self._mus:
+                    local = {k: _restrict(p.values, I)
+                             for k, p in distinct.items()}
+                    self._mus[key] = self._mu_class(
+                        size, degrees, [local[id(p)] for p in psis])
+                out.set(I, self._mus[key])
         return out
+
+    def _mu_class(self, size, degrees, local):
+        """The value of mu on a class of ``size`` vertices, from the
+        arguments restricted to it in positions."""
+        r = len(local)
+        index = self._join_index(size, r)
+        # bit i set when psi_i has odd degree; a term's Koszul sign is the
+        # parity of the odd arguments that cross an odd-degree prefix
+        odd = sum(1 << i for i, d in enumerate(degrees) if d % 2)
+        first, *rest = local
+        acc = {}
+        for J0, v0 in first.items():
+            for cname, Js, c, crossing in index.get(J0, ()):
+                vals = [v0]
+                for loc, J in zip(rest, Js):
+                    v = loc.get(J)
+                    if v is None:
+                        break
+                    vals.append(v)
+                else:
+                    if (crossing & odd).bit_count() % 2:
+                        c = -c
+                    terms = [v.terms.items() for v in vals]
+                    for combo in product(*terms):
+                        vt, coeffs = zip(*combo)
+                        coeff = c
+                        for ci in coeffs:
+                            coeff *= ci
+                        ev = self._eval_plain(r, cname, vt)
+                        _accumulate(acc, ev, coeff)
+        return Element(self.V, acc).prune()
 
     def _eval_plain(self, r, cname, vt):
         """The terms of ``Qt.eval_plain``, memoised: Qt is fixed."""

@@ -26,16 +26,28 @@ class Ring:
     def normalize(self, x):
         raise NotImplementedError
 
+    # An int pair takes one operation and one normalize.  Any other
+    # operand is normalized first, so a str never meets Python's own
+    # + or * (which would concatenate or repeat it).
+
     def add(self, a, b):
+        if type(a) is not int or type(b) is not int:
+            a, b = self.normalize(a), self.normalize(b)
         return self.normalize(a + b)
 
     def sub(self, a, b):
+        if type(a) is not int or type(b) is not int:
+            a, b = self.normalize(a), self.normalize(b)
         return self.normalize(a - b)
 
     def neg(self, a):
+        if type(a) is not int:
+            a = self.normalize(a)
         return self.normalize(-a)
 
     def mul(self, a, b):
+        if type(a) is not int or type(b) is not int:
+            a, b = self.normalize(a), self.normalize(b)
         return self.normalize(a * b)
 
     def is_zero(self, a):

@@ -288,6 +288,10 @@ def einfty_decompose(E, cx, I, r, cap=200000):
     class.  Returns {(dual-basis name, (J_1..J_r)): coeff}: the dual
     basis element against the image of e_I under the table reduction of
     the named tuple.
+
+    I and r are fixed within a call, so the action of a surjection is the
+    same wherever it appears: each distinct surjection acts once, and the
+    others read its terms.  Every term read still counts against ``cap``.
     """
     from .builders import be_from_name
 
@@ -297,10 +301,14 @@ def einfty_decompose(E, cx, I, r, cap=200000):
         return {}
     out = {}
     count = 0
+    actions = {}
     for name in E.basis_names(r):
         simplex = be_from_name(name)
         for surj in table_reduction(simplex):
-            for key, c in surjection_action(surj, cx, I).items():
+            action = actions.get(surj.seq)
+            if action is None:
+                action = actions[surj.seq] = surjection_action(surj, cx, I)
+            for key, c in action.items():
                 count += 1
                 if count > cap:
                     raise ResourceLimitError(

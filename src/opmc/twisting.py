@@ -101,8 +101,9 @@ def _shuffle_plain(H, cf, u, x):
                                 odd = C.degree(k, b) * sum(degsA)
                                 for i in range(k):
                                     odd += degsB[i] * sum(degsA[i + 1:])
-                                coeff = ring.mul(ring.mul(ca, cb),
-                                                 -1 if odd % 2 else 1)
+                                coeff = ring.mul(ca, cb)
+                                if odd % 2:
+                                    coeff = ring.neg(coeff)
                                 for pc, c in H.multiply_names(k, a, b):
                                     put(k, (c, names), ring.mul(coeff, pc))
     for r in list(out):

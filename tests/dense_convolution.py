@@ -1,4 +1,5 @@
-"""Dense reference convolution operation: the oracle for ``MCProblem.mu``.
+"""Dense reference convolution: the oracles for ``MCProblem.mu`` and for
+``einfty_decompose``.
 
 This is the straightforward per-class loop that the sparse join in
 ``opmc.mc_space`` replaces.  For every basis class of the simplex it
@@ -6,14 +7,35 @@ computes the chain coproduct of that class with ``c_coalgebra_decompose``,
 reads every block value through ``ConvolutionElement.value`` and adds
 each evaluated term to the class value as an ``Element``.  Nothing is
 shared between classes or calls, so it is slow; tests keep their
-simplices small.
+simplices small.  ``dense_einfty_decompose`` is the chain coproduct with
+every (name, surjection) pair acting on the class anew.
 """
 
 from itertools import product
 
+from opmc.builders import be_from_name
 from opmc.errors import ShapeError
 from opmc.mc_space import ConvolutionElement
-from opmc.simplex_chains import c_coalgebra_decompose
+from opmc.simplex_chains import (
+    c_coalgebra_decompose,
+    surjection_action,
+    table_reduction,
+)
+
+
+def dense_einfty_decompose(E, cx, I, r):
+    """The arity-r chain coproduct of e_I (r >= 1), one action per
+    (name, surjection) pair; returns it with the number of terms read."""
+    out = {}
+    count = 0
+    for name in E.basis_names(r):
+        for surj in table_reduction(be_from_name(name)):
+            for key, c in surjection_action(surj, cx, I).items():
+                count += 1
+                out[name, key] = out.get((name, key), 0) + c
+    ring = cx.ring
+    norm = {k: ring.normalize(c) for k, c in out.items()}
+    return {k: c for k, c in norm.items() if not ring.is_zero(c)}, count
 
 
 def dense_mu(problem, psis):

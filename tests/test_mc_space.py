@@ -1,6 +1,8 @@
+import json
 import random
 from functools import lru_cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from opmc.builders import (
     be1_to_ass_iso,
     en_restriction_morphism,
 )
+from opmc.cli import horn_from_doc
 from opmc.cofree import Coderivation, cofree_build, square_check
 from opmc.errors import (
     ConventionError,
@@ -19,7 +22,7 @@ from opmc.errors import (
     ShapeError,
     UnsupportedError,
 )
-from opmc import mc_space
+from opmc import instances, mc_space
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
@@ -330,7 +333,9 @@ def e2_parts(ring):
 
 def _mu_matches_dense(parts, seed, n, r, degrees, same):
     # two calls on one fresh problem: the second runs on the stored
-    # coproducts and evaluations the first left, with other degrees
+    # coproducts and evaluations the first left, with other degrees.
+    # Each is repeated, reading every class from the memo, and run on
+    # the arguments' last faces, whose classes the memo holds as well.
     P = MCProblem(*parts)
     rng = random.Random(seed)
     for degs in (degrees, degrees[::-1]):
@@ -338,9 +343,17 @@ def _mu_matches_dense(parts, seed, n, r, degrees, same):
             psis = [rand_psi(P, rng, n, degs[0])] * r
         else:
             psis = [rand_psi(P, rng, n, d) for d in degs[:r]]
-        got, want = P.mu(psis), dense_mu(P, psis)
-        assert got.degree == want.degree
-        assert got.eq(want)
+        runs = [psis, psis]
+        if n >= 1:
+            faces = {id(p): P.face(n, p, verify=False) for p in psis}
+            runs.append([faces[id(p)] for p in psis])
+        for i, args in enumerate(runs):
+            stored = len(P._mus)
+            got, want = P.mu(args), dense_mu(P, args)
+            assert got.degree == want.degree
+            assert got.eq(want)
+            if i and r <= P.C.r_max:
+                assert len(P._mus) == stored
 
 
 _DEGREES = st.lists(st.sampled_from((-1, 0, 1)), min_size=4, max_size=4)
@@ -494,3 +507,38 @@ def test_kan_spot_check_e2():
     P = MCProblem(Qt, phi, C)
     rep = P.kan_spot_check(trials=6, seed=13)
     assert rep["attempted"] == rep["filled"] == 6
+
+
+def _assert_rechecks_store_nothing(P, psi):
+    stored = len(P._mus)
+    assert stored
+    assert P.mc_check(psi)[0]
+    for i in range(psi.cx.n + 1):
+        assert P.mc_check(P.face(i, psi, verify=False))[0]
+    assert len(P._mus) == stored
+
+
+def test_mu_memo_holds_a_horn_fill():
+    # after a fill, checking the filler again and checking each of its
+    # faces stores no new class: every content was met during the fill
+    P = MCProblem(*e2_parts(Z2))
+    edges = [e for e in P.mc_simplices(1) if not e.value((0, 1)).is_zero()]
+    assert edges
+    for n, lower in ((2, edges[-1]), (3, P.degeneracy(0, edges[-1], verify=False))):
+        for k in range(n + 1):
+            full = P.degeneracy(k % n, lower, verify=False)
+            psi = P.horn_fill(HornData.from_simplex(full, k))
+            assert any(len(I) > 1 for I in psi.values)
+            _assert_rechecks_store_nothing(P, psi)
+
+
+def test_mu_memo_holds_a_horn_fill_of_the_shipped_e2():
+    # the memo belongs to its problem: a second problem of the same
+    # instance starts empty and stays empty
+    data = Path(__file__).parent / "data"
+    inst = instances.load_instance(str(data / "e2_z2.json"))
+    P, other = instances.make_problem(inst), instances.make_problem(inst)
+    doc = json.loads((data / "e2_horn_3_0.json").read_text(encoding="utf-8"))
+    psi = P.horn_fill(horn_from_doc(inst.V, doc))
+    _assert_rechecks_store_nothing(P, psi)
+    assert other is not P and not other._mus

@@ -105,3 +105,70 @@ def test_only_q_specialises():
     for ring in (Z, Z2, Z8):
         for op in ("add", "mul", "is_zero"):
             assert getattr(type(ring), op) is getattr(Ring, op)
+
+
+def test_str_operands_are_normalized_first():
+    # Python's own + and * on str operands would concatenate or repeat
+    Z5 = ring_make({"kind": "integers-mod-m", "modulus": 5})
+    assert Z.add("1", "2") == 3
+    assert Z.mul(2, "3") == 6
+    assert Z5.add("1", "2") == 3
+    assert Z.sub("5", "7") == -2 and Z.neg("4") == -4
+    assert Z5.mul("3", "4") == 2 and Z5.neg("1") == 4
+    assert Q.sub("1/2", "1/3") == Fraction(1, 6) and Q.neg("1/2") == Fraction(-1, 2)
+    for ring in (Z, Z5):
+        for got in (ring.add("1", "2"), ring.mul(2, "3"), ring.sub(Fraction(4), "1")):
+            assert type(got) is int
+
+
+AXIOM_RINGS = [Z] + [ring_make({"kind": "integers-mod-m", "modulus": m})
+                     for m in (2, 3, 4, 6)] + [Q]
+
+
+def _operand(value, form):
+    """``value`` as an int, a Fraction or a str."""
+    return {"int": int, "fraction": Fraction, "str": str}[form](value)
+
+
+def _oracle(ring, value):
+    """The normalized ring element of an exact rational, computed apart
+    from the ring's own arithmetic."""
+    if ring.contains_rationals:
+        return Fraction(value)
+    if isinstance(ring, type(Z)):
+        return int(value)
+    return int(value) % ring.modulus
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ring_axioms_on_mixed_operands(ring, data):
+    """Associativity, commutativity, distributivity, units and neg on
+    int, Fraction and str operands, each result checked against plain
+    rational arithmetic; ints and their Fractions only outside Q."""
+    values = FRACTIONS if ring.contains_rationals else st.integers(-10 ** 6, 10 ** 6)
+    forms = ("fraction", "str") if ring.contains_rationals else ("int", "fraction", "str")
+    raw = [data.draw(values) for _ in range(3)]
+    a, b, c = (_operand(v, data.draw(st.sampled_from(forms))) for v in raw)
+    fa, fb, fc = (Fraction(v) for v in raw)
+    scalar = type(ring.zero)
+
+    def check(got, want):
+        assert type(got) is scalar and got == _oracle(ring, want)
+
+    check(ring.add(a, b), fa + fb)
+    check(ring.sub(a, b), fa - fb)
+    check(ring.mul(a, b), fa * fb)
+    check(ring.neg(a), -fa)
+    check(ring.add(ring.add(a, b), c), fa + fb + fc)
+    assert ring.add(ring.add(a, b), c) == ring.add(a, ring.add(b, c))
+    assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
+    assert ring.add(a, b) == ring.add(b, a)
+    assert ring.mul(a, b) == ring.mul(b, a)
+    assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
+    assert ring.mul(ring.add(a, b), c) == ring.add(ring.mul(a, c), ring.mul(b, c))
+    assert ring.add(a, ring.zero) == ring.normalize(a) == ring.mul(ring.one, a)
+    assert ring.add(a, ring.neg(a)) == ring.zero
+    assert ring.sub(a, b) == ring.add(a, ring.neg(b))
+    assert ring.neg(ring.neg(a)) == ring.normalize(a)

@@ -6,6 +6,7 @@ from opmc.builders import (
     ass_cochains,
     barratt_eccles,
     be1_to_ass_iso,
+    be_from_name,
     en_restriction_morphism,
 )
 from opmc.errors import ResourceLimitError, ShapeError
@@ -23,6 +24,8 @@ from opmc.simplex_chains import (
     surjection_boundary,
     table_reduction,
 )
+
+from dense_convolution import dense_einfty_decompose
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -295,6 +298,35 @@ def test_einfty_decompose_cap():
     cx = chains(Z, 2)
     with pytest.raises(ResourceLimitError):
         einfty_decompose(E, cx, cx.top(), 2, cap=3)
+
+
+@pytest.mark.parametrize("ring", [Z, Z2], ids=["Z", "Z2"])
+def test_einfty_decompose_matches_plain_loop(ring):
+    # one action per distinct surjection gives the plain loop's dict,
+    # insertion order included, on top and non-top classes
+    E, _ = barratt_eccles(ring, 3, 2, n=2, validate=False)
+    pairs = [surj.seq for name in E.basis_names(3)
+             for surj in table_reduction(be_from_name(name))]
+    assert len(set(pairs)) < len(pairs)
+    for n in (0, 1, 2, 3):
+        cx = chains(ring, n)
+        for I in cx.module.names:
+            for r in (1, 2, 3):
+                got = einfty_decompose(E, cx, I, r)
+                want, _ = dense_einfty_decompose(E, cx, I, r)
+                assert list(got.items()) == list(want.items()), (n, I, r)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_einfty_decompose_cap_counts_every_term_read(r):
+    # a shared action still counts each of its terms where it is read
+    E, _ = barratt_eccles(Z, 3, 2, n=2, validate=False)
+    cx = chains(Z, 3)
+    for I in ((0, 1, 3), cx.top()):
+        want, count = dense_einfty_decompose(E, cx, I, r)
+        assert einfty_decompose(E, cx, I, r, cap=count) == want
+        with pytest.raises(ResourceLimitError):
+            einfty_decompose(E, cx, I, r, cap=count - 1)
 
 
 def test_einfty_decompose_interval():
