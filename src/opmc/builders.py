@@ -9,7 +9,7 @@ from .cooperad import (
     CooperadMorphism,
     CooperadTruncation,
     HopfStructure,
-    compositions,
+    shapes,
     validate_cooperad,
     validate_hopf,
     validate_morphism,
@@ -120,13 +120,10 @@ def com_cochains(ring, r_max, validate=True):
         raise ShapeError("need r_max >= 2")
     tables = {}
     for r in range(r_max + 1):
-        for k in range(1, r_max + 1):
-            for shape in compositions(r, k):
-                if any(ri > r_max for ri in shape):
-                    continue
-                tables[(k, shape)] = {
-                    f"c{r}": [(ring.one, f"c{k}", tuple(f"c{ri}" for ri in shape))]
-                }
+        for k, shape in shapes(r, r_max):
+            tables[(k, shape)] = {
+                f"c{r}": [(ring.one, f"c{k}", tuple(f"c{ri}" for ri in shape))]
+            }
     C = CooperadTruncation(
         ring, r_max, components, tables,
         unit_name="c0", counit_name="c1", label="com-cochains",
@@ -257,7 +254,7 @@ def be_chain_operad(ring, r_max, d_max, n=None):
         return composed[key]
 
     def compose_name(outer, shape, inners):
-        out = {}
+        terms = []
         factors = [vertices[outer]] + [vertices[nm] for nm in inners]
         for term, sign in nary_ez(factors):
             # term[j] = (w-vertex, v1-vertex, ..., vk-vertex) at position j
@@ -268,12 +265,12 @@ def be_chain_operad(ring, r_max, d_max, n=None):
             if nm not in name_sets[sum(shape)]:
                 # outside the complexity/dimension truncation
                 continue
-            out[nm] = out.get(nm, 0) + sign
-        return [(c, nm) for nm, c in out.items() if c]
+            terms.append((nm, sign))
+        return [(c, nm) for nm, c in ring.collect(terms).items()]
 
     def faces(r, name):
         s = vertices[name]
-        out = {}
+        terms = []
         for i in range(len(s)):
             t = s[:i] + s[i + 1:]
             if not t or not be_nondegenerate(t):
@@ -281,8 +278,8 @@ def be_chain_operad(ring, r_max, d_max, n=None):
             nm = "|".join(t)
             if nm not in name_sets[r]:
                 continue
-            out[nm] = out.get(nm, 0) + (1 if i % 2 == 0 else -1)
-        return [(c, nm) for nm, c in out.items() if c]
+            terms.append((nm, 1 if i % 2 == 0 else -1))
+        return [(c, nm) for nm, c in ring.collect(terms).items()]
 
     return ChainOperad(
         ring, r_max, components, compose_name,

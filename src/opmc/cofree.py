@@ -25,7 +25,6 @@ from itertools import product as _product
 
 from .cooperad import compositions, infinitesimal_cocomposition
 from .errors import (
-    CompletenessError,
     InvarianceError,
     PreconditionError,
     ResourceLimitError,
@@ -98,14 +97,8 @@ class CofreeCoalgebra:
 
     def tangent(self, x):
         """T: uC(V) -> V, the coefficient of the arity-1 classes."""
-        out = self.V.zero()
-        ring = self.ring
-        acc = {}
-        for (r, rep, vt), c in x.terms.items():
-            if r == 1:
-                acc[vt[0]] = ring.add(acc.get(vt[0], ring.zero), c)
-        out.terms = acc
-        return out.prune()
+        return Element(self.V, self.ring.collect(
+            (vt[0], c) for (r, rep, vt), c in x.terms.items() if r == 1))
 
     # -- expansion / collection --------------------------------------------
 
@@ -117,60 +110,51 @@ class CofreeCoalgebra:
     def expand(self, x):
         """Expansion by arity: {r: {(cname, vtuple): coeff}}."""
         ring = self.ring
+        return self.sum_by_arity(
+            ((key[0], pk), ring.mul(coeff, c))
+            for key, coeff in x.terms.items()
+            for pk, c in self.expand_key(key).items())
+
+    def sum_by_arity(self, items):
+        """The plain terms ((r, (cname, vtuple)), coeff) summed into the
+        by-arity form {r: {(cname, vtuple): coeff}} without zeros."""
         out = {}
-        for key, coeff in x.terms.items():
-            r = key[0]
-            tgt = out.setdefault(r, {})
-            for pk, c in self.expand_key(key).items():
-                v = ring.mul(coeff, c)
-                tgt[pk] = ring.add(tgt.get(pk, ring.zero), v)
-        for r in list(out):
-            out[r] = {k: c for k, c in out[r].items() if not ring.is_zero(c)}
-            if not out[r]:
-                del out[r]
+        for (r, pk), c in self.ring.collect(items).items():
+            out.setdefault(r, {})[pk] = c
         return out
 
     def collect_plain(self, r, plain, check=False):
         """Read an invariant arity-r plain tensor back into key form."""
         ring = self.ring
         om = self.cooperad.component(r)
-        out = {}
+        terms = []
         for (cname, vt), coeff in plain.items():
             lam = om.collection_coefficient(cname, vt, self.vdeg)
-            if lam is None:
-                continue
-            key = (r, cname, vt)
-            out[key] = ring.add(out.get(key, ring.zero), ring.mul(coeff, lam))
-        out = {k: c for k, c in out.items() if not ring.is_zero(c)}
+            if lam is not None:
+                terms.append(((r, cname, vt), ring.mul(coeff, lam)))
+        out = ring.collect(terms)
         if check:
-            redone = {}
-            for key, coeff in out.items():
-                for pk, c in self.expand_key(key).items():
-                    redone[pk] = ring.add(
-                        redone.get(pk, ring.zero), ring.mul(coeff, c))
-            redone = {k: c for k, c in redone.items() if not ring.is_zero(c)}
-            given = {k: ring.normalize(c) for k, c in plain.items()
-                     if not ring.is_zero(ring.normalize(c))}
-            if redone != given:
+            redone = ring.collect(
+                (pk, ring.mul(coeff, c))
+                for key, coeff in out.items()
+                for pk, c in self.expand_key(key).items())
+            if redone != ring.collect(plain.items()):
                 raise InvarianceError(
                     f"arity-{r} output is not a sum of orbit classes"
                 )
         return out
 
     def collect(self, plain_by_arity, check=False):
-        ring = self.ring
-        out = self.zero()
-        acc = {}
+        terms = []
         for r, plain in plain_by_arity.items():
             if r == 0:
-                for (cname, vt), coeff in plain.items():
-                    key = (0, cname, ())
-                    acc[key] = ring.add(acc.get(key, ring.zero), coeff)
-                continue
-            for key, coeff in self.collect_plain(r, plain, check=check).items():
-                acc[key] = ring.add(acc.get(key, ring.zero), coeff)
-        out.terms = {k: c for k, c in acc.items() if k in self.module.basis}
-        return out.prune()
+                terms.extend(((0, cname, ()), coeff)
+                             for (cname, vt), coeff in plain.items())
+            else:
+                terms.extend(self.collect_plain(r, plain, check=check).items())
+        basis = self.module.basis
+        return Element(self.module, {k: c for k, c in self.ring.collect(terms).items()
+                                     if k in basis})
 
     # -- cocomposition -----------------------------------------------------
 
@@ -208,7 +192,7 @@ class CofreeCoalgebra:
         """
         C = self.cooperad
         ring = self.ring
-        out = {}
+        terms = []
         for r, plain in self.expand(x).items():
             for shape in compositions(r, k):
                 if any(ri > C.r_max for ri in shape):
@@ -226,9 +210,8 @@ class CofreeCoalgebra:
                             cval = ring.mul(cval, kcoeff)
                         if len(keys) < k or ring.is_zero(cval):
                             continue
-                        kk = (a, tuple(keys))
-                        out[kk] = ring.add(out.get(kk, ring.zero), cval)
-        out = {k2: c for k2, c in out.items() if not ring.is_zero(c)}
+                        terms.append(((a, tuple(keys)), cval))
+        out = ring.collect(terms)
         if check:
             self._check_decompose(x, k, out)
         return out
@@ -248,12 +231,9 @@ class CofreeCoalgebra:
         """Counit consistency: reading the all-counit shape returns x."""
         if k != 1:
             return
-        ring = self.ring
-        acc = {}
-        for (a, keys), c in result.items():
-            if a == self.cooperad.counit_name:
-                acc[keys[0]] = ring.add(acc.get(keys[0], ring.zero), c)
-        acc = {k2: c for k2, c in acc.items() if not ring.is_zero(c)}
+        counit = self.cooperad.counit_name
+        acc = self.ring.collect(
+            (keys[0], c) for (a, keys), c in result.items() if a == counit)
         if acc != x.prune().terms:
             raise InvarianceError("counit component of decompose is not x")
 
@@ -325,11 +305,17 @@ class Coderivation:
         the corestriction of the extended coderivation reproduces the
         cogenerator data (and the eta-sum residual its special case).
         """
-        out = self.cofree.V.zero()
-        for r, plain in self.cofree.expand(x).items():
-            for (cname, vt), c in plain.items():
-                out = out.add(self.eval_plain(r, cname, vt).scale(c))
-        return out
+        return self.value_on_plain(self.cofree.expand(x))
+
+    def value_on_plain(self, plain_by_arity):
+        """The components applied term by term to a plain presentation
+        {r: {(cname, vtuple): coeff}}, summed in V."""
+        ring = self.ring
+        return Element(self.cofree.V, ring.collect(
+            (vn, ring.mul(vc, c))
+            for r, plain in plain_by_arity.items()
+            for (cname, vt), c in plain.items()
+            for vn, vc in self.eval_plain(r, cname, vt).terms.items()))
 
 
 def coderivation_extend(Qt, check=False):
@@ -353,12 +339,7 @@ def coderivation_extend(Qt, check=False):
     def on_key(key):
         if key in cache:
             return cache[key]
-        acc_by_arity = {}
-
-        def put(r_out, pk, c):
-            tgt = acc_by_arity.setdefault(r_out, {})
-            tgt[pk] = ring.add(tgt.get(pk, ring.zero), c)
-
+        terms = []
         r = key[0]
         for (cname, vt), coeff in cf.expand_key(key).items():
             for (tcoeff, k, out, i, m, inner) in infinitesimal_cocomposition(
@@ -385,16 +366,16 @@ def coderivation_extend(Qt, check=False):
                     wt = sum(cf.V.weight(v) for v in nvt)
                     if wt > cf.w_max:
                         continue
-                    put(k, (out, nvt), ring.mul(base, vc))
-        res = cf.collect(acc_by_arity, check=check)
+                    terms.append(((k, (out, nvt)), ring.mul(base, vc)))
+        res = cf.collect(cf.sum_by_arity(terms), check=check)
         cache[key] = res
         return res
 
     def Q(x):
-        out = cf.zero()
-        for key, coeff in x.terms.items():
-            out = out.add(on_key(key).scale(coeff))
-        return out
+        return Element(cf.module, ring.collect(
+            (k, ring.mul(c, coeff))
+            for key, coeff in x.terms.items()
+            for k, c in on_key(key).terms.items()))
 
     Q.corestriction = Qt
     Q.on_key = on_key
@@ -453,10 +434,7 @@ def morphism_extend(g_comps, source, target):
         raise PreconditionError("source and target must share the cooperad")
 
     def Phi(x):
-        acc = {0: {}}
-        eps = source.counit_coefficient(x)
-        if not ring.is_zero(eps):
-            acc[0][(C.unit_name, ())] = eps
+        terms = [((0, (C.unit_name, ())), source.counit_coefficient(x))]
         for k in range(1, C.r_max + 1):
             for (a, keys), coeff in source.decompose(x, k).items():
                 vals = [g_comps.get(kk) for kk in keys]
@@ -471,9 +449,7 @@ def morphism_extend(g_comps, source, target):
                     wt = sum(target.V.weight(v) for v in names)
                     if wt > target.w_max:
                         continue
-                    tgt = acc.setdefault(k, {})
-                    pk = (a, tuple(names))
-                    tgt[pk] = ring.add(tgt.get(pk, ring.zero), c)
-        return target.collect(acc)
+                    terms.append(((k, (a, tuple(names))), c))
+        return target.collect(target.sum_by_arity(terms))
 
     return Phi

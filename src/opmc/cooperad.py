@@ -63,6 +63,7 @@ __all__ = [
     "CooperadMorphism",
     "Report",
     "compositions",
+    "shapes",
     "validate_cooperad",
     "validate_hopf",
     "validate_morphism",
@@ -82,20 +83,12 @@ def compositions(total, parts):
     return out
 
 
-def _shapes(r, r_max):
+def shapes(r, r_max):
     """(k, shape) of every cocomposition of arity r inside the truncation."""
     for k in range(1, r_max + 1):
         for shape in compositions(r, k):
             if all(x <= r_max for x in shape):
                 yield k, shape
-
-
-def _collect(ring, items):
-    """Sum (key, coeff) pairs by key and drop the keys that sum to zero."""
-    out = {}
-    for key, c in items:
-        out[key] = ring.add(out.get(key, ring.zero), c)
-    return {k: c for k, c in out.items() if not ring.is_zero(c)}
 
 
 class Report:
@@ -196,11 +189,11 @@ class HopfStructure:
         """Bilinear extension of mu_r to Elements."""
         ring = self.cooperad.ring
         out = self.cooperad.component(r).module.zero()
-        out.terms = _collect(ring, (
+        out.terms = ring.collect(
             (c, ring.mul(ring.mul(ca, cb), coeff))
             for a, ca in x.terms.items()
             for b, cb in y.terms.items()
-            for coeff, c in self.multiply_names(r, a, b)))
+            for coeff, c in self.multiply_names(r, a, b))
         return out
 
     def unit(self, r):
@@ -247,7 +240,7 @@ def _mismatch(lhs, rhs, order):
 
 def _term_dict(ring, terms):
     """Cocomposition terms (coeff, outer, inners) as a sparse dict."""
-    return _collect(ring, (((o, tuple(gs)), c) for c, o, gs in terms))
+    return ring.collect(((o, tuple(gs)), c) for c, o, gs in terms)
 
 
 def _delta(ring, table, x):
@@ -350,11 +343,7 @@ def compositions_children(r, m, r_max):
     order of the full product of the per-slot shape lists.  The tuple is
     built once per (r, m, r_max).
     """
-    shapes_of = {}
-    for R in range(r_max + 1):
-        shapes_of[R] = [s for k_i in range(1, r_max + 1)
-                        for s in compositions(R, k_i)
-                        if all(x <= r_max for x in s)]
+    shapes_of = {R: [s for _, s in shapes(R, r_max)] for R in range(r_max + 1)}
     out = []
 
     def grow(per_child, budget, acc):
@@ -392,10 +381,10 @@ def _coassoc_check(C, r, grand_shapes, deg):
 
     for c in C.basis_names(r):
         # Path A: Delta_{k; flat}(c), then Delta_{m;(k_1..k_m)} on the outer
-        side_a = _collect(ring, (
+        side_a = ring.collect(
             ((o, tuple(cs), tuple(gs)), ring.mul(coeff, coeff2))
             for coeff, a, gs in flat.get(c, ())
-            for coeff2, o, cs in outer.get(a, ())))
+            for coeff2, o, cs in outer.get(a, ()))
 
         # Path B: Delta_{m; mid}(c), then inner cocompositions per slot,
         # read in the order o, c_1, g-block_1, c_2, g-block_2, ...  Moving
@@ -413,7 +402,7 @@ def _coassoc_check(C, r, grand_shapes, deg):
                        tuple(g for _, _, gi in combo for g in gi))
                 side_b.append((key, ring.mul(val, -1 if odd % 2 else 1)))
 
-        if side_a != _collect(ring, side_b):
+        if side_a != ring.collect(side_b):
             return (r, c, grand_shapes, "coassociativity mismatch")
     return None
 
@@ -427,7 +416,7 @@ def _adjacent_swaps(n):
 def _block_permutations(r, r_max, act):
     """Every block permutation (k, shape, mu, sigmas) of arity r, in the
     order of the dense loops: by shape, then mu, then sigma_1..sigma_k."""
-    for k, shape in _shapes(r, r_max):
+    for k, shape in shapes(r, r_max):
         for mu in act[k]:
             for sigmas in _product(*[list(act[s]) for s in shape]):
                 yield k, shape, mu, sigmas
@@ -437,7 +426,7 @@ def _block_generators(r, r_max):
     """Generators of the block permutations of arity r, per shape: the
     adjacent swaps of mu with every sigma_i the identity, then the
     adjacent swaps inside one sigma_i with mu the identity."""
-    for k, shape in _shapes(r, r_max):
+    for k, shape in shapes(r, r_max):
         ids = tuple(tuple(range(1, s + 1)) for s in shape)
         for mu in _adjacent_swaps(k):
             yield k, shape, mu, ids
@@ -502,7 +491,7 @@ def _equivariance_check(C, r, deg, act, elements):
                      for a, gs, v in signed[c]]
             rhs = dict(moved)
             if len(rhs) < len(moved):  # two terms moved onto one key
-                rhs = _collect(ring, moved)
+                rhs = ring.collect(moved)
             if delta(k, new_shape, hat[c]) != rhs:
                 return (r, c, k, shape, mu, sigmas)
     return None
@@ -513,7 +502,7 @@ def _products(ring, products):
     entries listed by left factor and by right factor."""
     table = {}
     for key, terms in products.items():
-        prod = _collect(ring, ((c, coeff) for coeff, c in terms))
+        prod = ring.collect((c, coeff) for coeff, c in terms)
         if prod:
             table[key] = prod
     by_left, by_right = {}, {}
@@ -562,7 +551,7 @@ def _hopf_unit_check(ring, r, pos, eta, by_left, by_right):
             for x, prod in index.get(n, ()):
                 terms.setdefault(x, []).extend(
                     (c, ring.mul(ce, cp)) for c, cp in prod.items())
-        return {x: _collect(ring, t) for x, t in terms.items()}
+        return {x: ring.collect(t) for x, t in terms.items()}
 
     left, right = times_eta(by_left), times_eta(by_right)
     for a in pos:
@@ -585,7 +574,7 @@ def _hopf_assoc_check(ring, r, pos, inner, by_left, by_right):
             for a, af in by_right.get(f, ()):
                 if a in pos:
                     rhs.extend(((a, b, c, e), ring.mul(cf, ce)) for e, ce in af.items())
-    key = _mismatch(_collect(ring, lhs), _collect(ring, rhs),
+    key = _mismatch(ring.collect(lhs), ring.collect(rhs),
                     lambda k: (pos[k[0]], pos[k[1]], pos[k[2]]))
     return None if key is None else (r,) + key[:3]
 
@@ -593,9 +582,9 @@ def _hopf_assoc_check(ring, r, pos, inner, by_left, by_right):
 def _hopf_equivariance_check(ring, r, om, pos, eta, table, inner):
     """sigma . eta = eta, and mu(sigma a, sigma b) = sigma . mu(a, b) on the
     nonzero products and their preimages under sigma x sigma."""
-    eta_terms = _collect(ring, eta.items())
+    eta_terms = ring.collect(eta.items())
     for sigma in om.group():
-        if _collect(ring, ((om.act_name(sigma, n), c) for n, c in eta.items())) != eta_terms:
+        if ring.collect((om.act_name(sigma, n), c) for n, c in eta.items()) != eta_terms:
             return (r, sigma.images)
         move = {a: om.act_name(sigma, a) for a in pos}
         preimages = {}
@@ -605,8 +594,8 @@ def _hopf_equivariance_check(ring, r, om, pos, eta, table, inner):
         for x, y in table:
             pairs.update(_product(preimages.get(x, ()), preimages.get(y, ())))
         for a, b in sorted(pairs, key=lambda k: (pos[k[0]], pos[k[1]])):
-            moved = _collect(ring, ((om.act_name(sigma, c), v)
-                                    for c, v in inner.get((a, b), {}).items()))
+            moved = ring.collect((om.act_name(sigma, c), v)
+                                 for c, v in inner.get((a, b), {}).items())
             if table.get((move[a], move[b]), {}) != moved:
                 return (r, sigma.images, a, b)
     return None
@@ -616,7 +605,7 @@ def _hopf_compat_check(C, r, pos, inner, prods, deg):
     """Delta(mu(a, b)) = (mu_k (x) mu_{r_i}) of Delta(a) and Delta(b)
     interleaved, per shape, joined over nonzero products and terms."""
     ring = C.ring
-    for k, shape in _shapes(r, C.r_max):
+    for k, shape in shapes(r, C.r_max):
         table = C.table(k, shape)
         lhs = [((a, b) + key, val)
                for (a, b), ab in inner.items() for key, val in _delta(ring, table, ab)]
@@ -646,7 +635,7 @@ def _hopf_compat_check(C, r, pos, inner, prods, deg):
                             coeff = ring.mul(ring.mul(ca, cb), -1 if odd % 2 else 1)
                             rhs.extend(((a, b) + key, val) for key, val in _tensor(
                                 ring, coeff, outer, [p for _, p in combo]))
-        key = _mismatch(_collect(ring, lhs), _collect(ring, rhs),
+        key = _mismatch(ring.collect(lhs), ring.collect(rhs),
                         lambda key: (pos[key[0]], pos[key[1]]))
         if key is not None:
             return (r, k, shape, key[0], key[1])
@@ -664,7 +653,7 @@ def validate_morphism(phi):
     def image(r, name):
         """phi(name) in arity r as a sparse dict."""
         if (r, name) not in images:
-            images[r, name] = _collect(ring, phi.maps[r].entries.get(name, {}).items())
+            images[r, name] = ring.collect(phi.maps[r].entries.get(name, {}).items())
         return images[r, name]
 
     for r in range(r_max + 1):
@@ -677,8 +666,8 @@ def validate_morphism(phi):
             (r, sigma.images, name)
             for sigma in om_s.group()
             for name in om_s.module.names
-            if image(r, om_s.act_name(sigma, name)) != _collect(ring, (
-                (om_t.act_name(sigma, n), c) for n, c in image(r, name).items()))))
+            if image(r, om_s.act_name(sigma, name)) != ring.collect(
+                (om_t.act_name(sigma, n), c) for n, c in image(r, name).items())))
 
     ok = phi.maps[1].apply_name(S.counit_name).eq(T.counit_element())
     rep.add("morphism-counit", ok)
@@ -688,7 +677,7 @@ def validate_morphism(phi):
     for r in range(r_max + 1):
         rep.add_first(f"morphism-cocomposition arity {r}", (
             _morphism_cocomp_check(ring, S, T, image, r, k, shape)
-            for k, shape in _shapes(r, r_max)))
+            for k, shape in shapes(r, r_max)))
     return rep
 
 
@@ -696,12 +685,12 @@ def _morphism_cocomp_check(ring, S, T, image, r, k, shape):
     """(phi (x) phi..) Delta_S(c) = Delta_T(phi(c)) for every c of arity r."""
     source, target = S.table(k, shape), T.table(k, shape)
     for c in S.basis_names(r):
-        lhs = _collect(ring, (
+        lhs = ring.collect(
             term
             for coeff, o, gs in source.get(c, ())
             for term in _tensor(ring, coeff, image(k, o),
-                                [image(s, g) for s, g in zip(shape, gs)])))
-        if lhs != _collect(ring, _delta(ring, target, image(r, c))):
+                                [image(s, g) for s, g in zip(shape, gs)]))
+        if lhs != ring.collect(_delta(ring, target, image(r, c))):
             return (r, k, shape, c)
     return None
 
@@ -720,9 +709,9 @@ def cocom_unit_morphism(C, H):
     ring = C.ring
     images = {r: H.unit(r) for r in range(C.r_max + 1)}
     for r in range(C.r_max + 1):
-        for k, shape in _shapes(r, C.r_max):
-            lhs = _collect(ring, _delta(ring, C.table(k, shape), images[r].terms))
-            rhs = _collect(ring, _tensor(
+        for k, shape in shapes(r, C.r_max):
+            lhs = ring.collect(_delta(ring, C.table(k, shape), images[r].terms))
+            rhs = ring.collect(_tensor(
                 ring, ring.one, images[k].terms, [images[s].terms for s in shape]))
             if lhs != rhs:
                 raise ValidationError(

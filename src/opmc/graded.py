@@ -8,6 +8,8 @@ weight bound, so every construction downstream is exact modulo classes of
 weight exceeding that bound.
 """
 
+from itertools import chain
+
 from .errors import ShapeError
 
 __all__ = [
@@ -91,11 +93,8 @@ class Element:
 
     def add(self, other):
         self._check(other)
-        ring = self.module.ring
-        out = dict(self.terms)
-        for n, c in other.terms.items():
-            out[n] = ring.add(out.get(n, ring.zero), c)
-        return Element(self.module, out).prune()
+        return Element(self.module, self.module.ring.collect(
+            chain(self.terms.items(), other.terms.items())))
 
     def sub(self, other):
         return self.add(other.scale(-1))
@@ -180,13 +179,11 @@ class LinearMap:
     def apply(self, x):
         if x.module is not self.source:
             raise ShapeError("element not in the source module")
-        out = self.target.zero()
-        acc = {}
-        for n, c in x.terms.items():
-            for tgt, e in self.entries.get(n, {}).items():
-                acc[tgt] = self.ring.add(acc.get(tgt, self.ring.zero), self.ring.mul(c, e))
-        out.terms = acc
-        return out.prune()
+        ring = self.ring
+        return Element(self.target, ring.collect(
+            (tgt, ring.mul(c, e))
+            for n, c in x.terms.items()
+            for tgt, e in self.entries.get(n, {}).items()))
 
     def apply_name(self, name):
         return Element(

@@ -23,6 +23,7 @@ __all__ = [
     "Instance",
     "parse_instance",
     "load_instance",
+    "read_json",
     "instance_to_dict",
     "expect",
     "field",
@@ -179,15 +180,24 @@ def parse_instance(doc, validate=True):
     return Instance(ring, C, H, V, cf, Qt, options, doc)
 
 
-def load_instance(path, validate=True):
+def read_json(path):
+    """The decoded JSON document in the file at ``path``; a file that is
+    not UTF-8 JSON text is refused as an instance-format error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
-    return parse_instance(doc, validate=validate)
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
+
+
+def load_instance(path, validate=True):
+    return parse_instance(read_json(path), validate=validate)
 
 
 def instance_to_dict(inst):

@@ -33,7 +33,7 @@ finds every class stored.
 """
 
 import random
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import (
     ConventionError,
@@ -85,11 +85,11 @@ class ConvolutionElement:
         if I not in self.cx.module.basis:
             raise ShapeError(f"{I} is not a basis class of the {self.cx.n}-simplex")
         val = val.prune()
-        if val.is_zero():
+        if not val.terms:
             self.values.pop(I, None)
             return
         want = (len(I) - 1) + self.degree
-        if not val.is_homogeneous() or val.the_degree() != want:
+        if val.degrees() != {want}:
             raise ShapeError(
                 f"value on e_{I} must be homogeneous of degree {want}"
             )
@@ -144,9 +144,10 @@ class ConvolutionElement:
         ``f`` is a LinearMap src_cx.module -> self.cx.module of degree 0.
         """
         out = ConvolutionElement(src_cx, self.V, self.degree)
+        ring = self.V.ring
         for J in src_cx.module.names:
-            acc = _linear_sum(self.values, f.apply_name(J).terms)
-            out.set(J, Element(self.V, acc))
+            out.set(J, Element(self.V, ring.collect(
+                _linear_terms(self.values, f.apply_name(J).terms))))
         return out
 
     def _check(self, other):
@@ -162,21 +163,16 @@ class ConvolutionElement:
         return "; ".join(f"e_{I} -> {v!r}" for I, v in self.items_sorted())
 
 
-def _accumulate(acc, terms, coeff):
-    """acc += coeff * terms, in plain dicts; ``set`` normalises once."""
-    for vn, c in terms.items():
-        acc[vn] = acc.get(vn, 0) + coeff * c
-
-
-def _linear_sum(values, combination, scale=1):
-    """sum of scale * c * values[J] over the (J, c) of ``combination``,
-    as a plain dict; classes without a value are skipped."""
-    acc = {}
+def _linear_terms(values, combination, scale=1):
+    """The terms of the sum of scale * c * values[J] over the (J, c) of
+    ``combination``, for ``ring.collect``; classes without a value are
+    skipped."""
     for J, c in combination.items():
         val = values.get(J)
         if val is not None:
-            _accumulate(acc, val.terms, scale * c)
-    return acc
+            c *= scale
+            for vn, vc in val.terms.items():
+                yield vn, c * vc
 
 
 def _restrict(support, I):
@@ -346,8 +342,8 @@ class MCProblem:
         grouped by its first block, is joined with the restricted
         arguments: a term is evaluated only when each of its blocks
         carries a value of its argument.  Evaluations go through the
-        problem's memo of ``Qt.eval_plain``, and the class sums in one
-        plain dict.
+        problem's memo of ``Qt.eval_plain``, and each class is summed
+        once by ``ring.collect``.
         """
         r = len(psis)
         if r < 1:
@@ -388,7 +384,7 @@ class MCProblem:
         # parity of the odd arguments that cross an odd-degree prefix
         odd = sum(1 << i for i, d in enumerate(degrees) if d % 2)
         first, *rest = local
-        acc = {}
+        acc = []
         for J0, v0 in first.items():
             for cname, Js, c, crossing in index.get(J0, ()):
                 vals = [v0]
@@ -406,9 +402,9 @@ class MCProblem:
                         coeff = c
                         for ci in coeffs:
                             coeff *= ci
-                        ev = self._eval_plain(r, cname, vt)
-                        _accumulate(acc, ev, coeff)
-        return Element(self.V, acc).prune()
+                        acc.append((self._eval_plain(r, cname, vt), coeff))
+        return Element(self.V, self.ring.collect(
+            (vn, coeff * c) for ev, coeff in acc for vn, c in ev.items()))
 
     def _eval_plain(self, r, cname, vt):
         """The terms of ``Qt.eval_plain``, memoised: Qt is fixed."""
@@ -446,10 +442,10 @@ class MCProblem:
         sgn = -1 if psi.degree % 2 == 0 else 1
         cx = psi.cx
         for I in cx.module.names:
-            acc = _linear_sum(psi.values, cx.d.apply_name(I).terms, sgn)
+            terms = _linear_terms(psi.values, cx.d.apply_name(I).terms, sgn)
             if I in out.values:
-                _accumulate(acc, out.values[I].terms, 1)
-            out.set(I, Element(self.V, acc))
+                terms = chain(terms, out.values[I].terms.items())
+            out.set(I, Element(self.V, self.ring.collect(terms)))
         return out
 
     def star(self, psi):
@@ -556,8 +552,8 @@ class MCProblem:
             sgn = 1 if psi.degree % 2 == 0 else -1
             out = ConvolutionElement(cxn, self.V, psi.degree + 1)
             for I in cxn.module.names:
-                acc = _linear_sum(psi.values, h.apply_name(I).terms, sgn)
-                out.set(I, Element(self.V, acc))
+                out.set(I, Element(self.V, self.ring.collect(
+                    _linear_terms(psi.values, h.apply_name(I).terms, sgn))))
             return out
 
         def R_op(psi):

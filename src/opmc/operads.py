@@ -15,7 +15,7 @@ group action table is shared (sigma . delta_x = delta_{sigma . x}).
 from functools import cache
 from itertools import combinations
 
-from .cooperad import CooperadTruncation, compositions
+from .cooperad import CooperadTruncation, shapes
 from .errors import ShapeError
 from .graded import BasisElement
 from .symmetric import OrbitModule
@@ -77,20 +77,17 @@ def dualize(op, label=""):
     tables = {}
     for r in range(op.r_max + 1):
         top = len(buckets[r]) - 1
-        for k in range(1, op.r_max + 1):
-            for shape in compositions(r, k):
-                if any(ri > op.r_max for ri in shape):
-                    continue
-                table = {}
-                pools = [buckets[k]] + [buckets[ri] for ri in shape]
-                for names in _bounded_products(pools, top):
-                    b, inners = names[0], names[1:]
-                    for coeff, out in op.compose(b, shape, inners):
-                        coeff = ring.normalize(coeff)
-                        if ring.is_zero(coeff):
-                            continue
-                        table.setdefault(out, []).append((coeff, b, inners))
-                tables[(k, shape)] = table
+        for k, shape in shapes(r, op.r_max):
+            table = {}
+            pools = [buckets[k]] + [buckets[ri] for ri in shape]
+            for names in _bounded_products(pools, top):
+                b, inners = names[0], names[1:]
+                for coeff, out in op.compose(b, shape, inners):
+                    coeff = ring.normalize(coeff)
+                    if ring.is_zero(coeff):
+                        continue
+                    table.setdefault(out, []).append((coeff, b, inners))
+            tables[(k, shape)] = table
     return CooperadTruncation(
         ring,
         op.r_max,

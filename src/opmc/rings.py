@@ -53,6 +53,28 @@ class Ring:
     def is_zero(self, a):
         return self.normalize(a) == self.zero
 
+    def collect(self, items):
+        """Sum (key, coeff) pairs by key, normalize each sum once and drop
+        the zeros; keys keep the order of their first term.
+
+        The one sparse sum of the package.  It equals folding ``add``
+        over each key's terms: an int term is summed as it is, any other
+        term is normalized first, as ``add`` does.
+        """
+        normalize = self.normalize
+        acc = {}
+        get = acc.get
+        for key, c in items:
+            if type(c) is not int:
+                c = normalize(c)
+            acc[key] = get(key, 0) + c
+        out = {}
+        for key, s in acc.items():
+            s = normalize(s)
+            if s:
+                out[key] = s
+        return out
+
     def eq(self, a, b):
         return self.normalize(a) == self.normalize(b)
 

@@ -299,8 +299,7 @@ def einfty_decompose(E, cx, I, r, cap=200000):
         raise ShapeError(f"arity {r} exceeds the truncation {E.r_max}")
     if r == 0:
         return {}
-    out = {}
-    count = 0
+    terms = []
     actions = {}
     for name in E.basis_names(r):
         simplex = be_from_name(name)
@@ -309,16 +308,12 @@ def einfty_decompose(E, cx, I, r, cap=200000):
             if action is None:
                 action = actions[surj.seq] = surjection_action(surj, cx, I)
             for key, c in action.items():
-                count += 1
-                if count > cap:
+                if len(terms) == cap:
                     raise ResourceLimitError(
                         f"decomposition exceeded the term cap {cap}"
                     )
-                kk = (name, key)
-                out[kk] = out.get(kk, 0) + c
-    ring = cx.ring
-    norm = {k: ring.normalize(c) for k, c in out.items()}
-    return {k: c for k, c in norm.items() if not ring.is_zero(c)}
+                terms.append(((name, key), c))
+    return cx.ring.collect(terms)
 
 
 def c_coalgebra_decompose(phi, E, cx, I, r, cap=200000):
@@ -327,10 +322,7 @@ def c_coalgebra_decompose(phi, E, cx, I, r, cap=200000):
     Returns {(target-cooperad name, (J_1..J_r)): coeff}.
     """
     ring = cx.ring
-    out = {}
-    for (name, key), c in einfty_decompose(E, cx, I, r, cap=cap).items():
-        img = phi.apply_name(r, name)
-        for tname, tc in img.terms.items():
-            kk = (tname, key)
-            out[kk] = ring.add(out.get(kk, ring.zero), ring.mul(c, tc))
-    return {k: c for k, c in out.items() if not ring.is_zero(c)}
+    return ring.collect(
+        ((tname, key), ring.mul(c, tc))
+        for (name, key), c in einfty_decompose(E, cx, I, r, cap=cap).items()
+        for tname, tc in phi.apply_name(r, name).terms.items())

@@ -223,14 +223,8 @@ class OrbitModule:
 
     def act_element(self, sigma, x):
         """Action on a plain Element of the underlying module."""
-        out = self.module.zero()
-        acc = {}
-        ring = self.ring
-        for n, c in x.terms.items():
-            m = self.act_name(sigma, n)
-            acc[m] = ring.add(acc.get(m, ring.zero), c)
-        out.terms = acc
-        return out.prune()
+        return Element(self.module, self.ring.collect(
+            (self.act_name(sigma, n), c) for n, c in x.terms.items()))
 
     def norm_element(self, x):
         """Sum of sigma.x over the full group (module factor only)."""
@@ -357,36 +351,26 @@ def _stabilizer_sum(slots, vdegree):
 # canonical orbit-representative normal form.
 
 
-def _prune_plain(ring, terms):
-    return {k: ring.normalize(c) for k, c in terms.items() if not ring.is_zero(ring.normalize(c))}
-
-
 def act_plain(om, sigma, terms, vdegree):
     """Diagonal action of sigma on a plain tensor over OrbitModule om."""
     ring = om.ring
-    out = {}
+    out = []
     for (cname, vtuple), coeff in terms.items():
         degs = tuple(vdegree(v) for v in vtuple)
         nname, nslots, sign = om.act_class(sigma, cname, vtuple, degs)
-        key = (nname, nslots)
-        out[key] = ring.add(out.get(key, ring.zero), ring.mul(coeff, sign))
-    return _prune_plain(ring, out)
+        out.append(((nname, nslots), ring.mul(coeff, sign)))
+    return ring.collect(out)
 
 
 def norm_plain(om, terms, vdegree):
     """Tr(x) = sum over sigma of sigma.x (diagonal action with Koszul signs)."""
-    ring = om.ring
-    out = {}
-    for sigma in om.group():
-        acted = act_plain(om, sigma, terms, vdegree)
-        for k, c in acted.items():
-            out[k] = ring.add(out.get(k, ring.zero), c)
-    return _prune_plain(ring, out)
+    return om.ring.collect(
+        term for sigma in om.group()
+        for term in act_plain(om, sigma, terms, vdegree).items())
 
 
 def is_invariant_plain(om, terms, vdegree):
-    ring = om.ring
-    terms = _prune_plain(ring, terms)
+    terms = om.ring.collect(terms.items())
     return all(act_plain(om, s, terms, vdegree) == terms for s in om.group())
 
 
@@ -396,12 +380,12 @@ def norm_inverse_plain(om, terms, vdegree):
     Raises InvarianceError if the input is not invariant and FreenessError
     if re-applying the norm does not reproduce it.
     """
-    ring = om.ring
     if not is_invariant_plain(om, terms, vdegree):
         raise InvarianceError("element is not invariant under the diagonal action")
     reps = set(om.orbit_reps)
-    out = {k: c for k, c in _prune_plain(ring, terms).items() if k[0] in reps}
-    if norm_plain(om, out, vdegree) != _prune_plain(ring, terms):
+    terms = om.ring.collect(terms.items())
+    out = {k: c for k, c in terms.items() if k[0] in reps}
+    if norm_plain(om, out, vdegree) != terms:
         raise FreenessError("norm map does not reach this invariant element")
     return out
 
@@ -409,10 +393,9 @@ def norm_inverse_plain(om, terms, vdegree):
 def coinv_normalize_plain(om, terms, vdegree):
     """Rewrite a plain tensor in orbit-representative normal form."""
     ring = om.ring
-    out = {}
+    out = []
     for (cname, vtuple), coeff in terms.items():
         degs = tuple(vdegree(v) for v in vtuple)
         rep, slots, sign = om.coinv_normalize(cname, vtuple, degs)
-        key = (rep, slots)
-        out[key] = ring.add(out.get(key, ring.zero), ring.mul(coeff, sign))
-    return _prune_plain(ring, out)
+        out.append(((rep, slots), ring.mul(coeff, sign)))
+    return ring.collect(out)

@@ -56,11 +56,7 @@ def _shuffle_plain(H, cf, u, x):
     """
     C = cf.cooperad
     ring = cf.ring
-    out = {}
-
-    def put(r_out, pk, c):
-        tgt = out.setdefault(r_out, {})
-        tgt[pk] = ring.add(tgt.get(pk, ring.zero), c)
+    out = []
 
     def terms(plain, k, shape):
         """Per term: (v-tuple, weight, [(coeff, outer, block-degrees)])."""
@@ -76,9 +72,7 @@ def _shuffle_plain(H, cf, u, x):
 
     eps_u = u.get(0, {}).get((C.unit_name, ()), ring.zero)
     eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
-    eps = ring.mul(eps_u, eps_x)
-    if not ring.is_zero(eps):
-        put(0, (C.unit_name, ()), eps)
+    out.append(((0, (C.unit_name, ())), ring.mul(eps_u, eps_x)))
     for p, uplain in u.items():
         for q, xplain in x.items():
             k = p + q
@@ -105,12 +99,8 @@ def _shuffle_plain(H, cf, u, x):
                                 if odd % 2:
                                     coeff = ring.neg(coeff)
                                 for pc, c in H.multiply_names(k, a, b):
-                                    put(k, (c, names), ring.mul(coeff, pc))
-    for r in list(out):
-        out[r] = {pk: c for pk, c in out[r].items() if not ring.is_zero(c)}
-        if not out[r]:
-            del out[r]
-    return out
+                                    out.append(((k, (c, names)), ring.mul(coeff, pc)))
+    return cf.sum_by_arity(out)
 
 
 def _weighted_tuples(cf, terms, r):
@@ -142,17 +132,12 @@ def _one_param_plain(H, cf, v, lam):
                 "one-parameter subgroups need a degree-0 element"
             )
     w = v.scale(lam)
-    acc = {0: {(C.unit_name, ()): ring.one}}
-    for r in range(1, C.r_max + 1):
-        plain = {}
-        for cname, e in H.unit(r).terms.items():
-            for vt, c in _weighted_tuples(cf, w.terms, r):
-                pk = (cname, vt)
-                plain[pk] = ring.add(plain.get(pk, ring.zero), ring.mul(e, c))
-        plain = {pk: c for pk, c in plain.items() if not ring.is_zero(c)}
-        if plain:
-            acc[r] = plain
-    return acc
+    terms = [((0, (C.unit_name, ())), ring.one)]
+    terms.extend(((r, (cname, vt)), ring.mul(e, c))
+                 for r in range(1, C.r_max + 1)
+                 for cname, e in H.unit(r).terms.items()
+                 for vt, c in _weighted_tuples(cf, w.terms, r))
+    return cf.sum_by_arity(terms)
 
 
 def one_param(H, cf, v, lam):
@@ -184,10 +169,7 @@ def twist(H, Qt, v, verify=True):
     for key in cf.module.names:
         r, rep, vt = key
         w = _shuffle_plain(H, cf, ev_plain, {r: {(rep, vt): ring.one}})
-        val = cf.V.zero()
-        for r2, plain in w.items():
-            for (cname2, vt2), c in plain.items():
-                val = val.add(Qt.eval_plain(r2, cname2, vt2).scale(c))
+        val = Qt.value_on_plain(w)
         if not val.is_zero():
             comps[key] = val
     twisted = Coderivation(cf, comps)
@@ -217,11 +199,7 @@ def mc_residual(H, Qt, v):
     """
     cf = Qt.cofree
     ring = cf.ring
-    total = cf.V.zero()
-    ev = exp_element(H, cf, v)
-    for r, plain in cf.expand(ev).items():
-        for (cname, vt), c in plain.items():
-            total = total.add(Qt.eval_plain(r, cname, vt).scale(c))
+    total = Qt.value_on(exp_element(H, cf, v))
     direct = Qt.curvature()
     for r in range(1, cf.cooperad.r_max + 1):
         for cname, e in H.unit(r).terms.items():

@@ -270,6 +270,21 @@ def test_value_row_without_class(inst_file, tmp_path, capsys, args, doc):
     assert "error[instance-format]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["validate"],
+    ["horn-fill", "--instance", None, "--horn"],
+    ["mc-simplicial", "--instance", None, "--verify-simplex"],
+], ids=["instance", "horn", "simplex"])
+def test_file_that_is_not_utf8_is_refused(inst_file, tmp_path, capsys, args):
+    # a UTF-16 byte order mark: the file cannot be read as UTF-8 text
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = [inst_file if a is None else a for a in args] + [str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[instance-format]:") and "UTF-8" in err
+
+
 def test_horn_past_the_cap_is_refused(inst_file, tmp_path, capsys):
     # 2^41 - 1 chain classes: refused before any class is listed
     horn = tmp_path / "horn.json"

@@ -5,7 +5,9 @@ trivial-action path (``linf_q.json``: ``com`` cochains over Q), of the
 free-action path (the shipped ``ass`` demo instance over Z/2), and of
 the convolution operations behind ``horn-fill``, ``mc-simplicial`` and
 ``decompose-simplex`` (the ``ass`` demo and ``e2_z2.json``, E2 cochains
-over Z/2).
+over Z/2).  ``twist``, ``mc`` and ``decompose-simplex`` are pinned again
+where signs do not vanish: the ``ass`` demo over Z (``ass_z.json``) and
+Z/3 (``ass_z3.json``), and the E2 instance over Z (``e2_z.json``).
 """
 
 from pathlib import Path
@@ -48,6 +50,15 @@ CASES = {
     "e2_horn_fill_3_0": ["horn-fill", "--instance", "e2_z2.json",
                          "--horn", "e2_horn_3_0.json"],
 }
+# The same demo over Z and Z/3, and E2 cochains over Z: signs survive
+for inst in ("ass_z", "ass_z3", "e2_z"):
+    CASES[f"{inst}_twist_x"] = ["twist", "--instance", f"{inst}.json",
+                                "--element", "x"]
+    CASES[f"{inst}_mc_x2"] = ["mc", "--instance", f"{inst}.json",
+                              "--element", "x=2"]
+    CASES[f"{inst}_decompose_top"] = ["decompose-simplex", "--instance",
+                                      f"{inst}.json", "--n", "2",
+                                      "--class", "0,1,2", "--arity", "2"]
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -130,6 +130,14 @@ def _operand(value, form):
     return {"int": int, "fraction": Fraction, "str": str}[form](value)
 
 
+def _operand_domain(ring):
+    """Exact values and the operand forms they are drawn in: ints and
+    their Fractions only outside Q."""
+    if ring.contains_rationals:
+        return FRACTIONS, ("fraction", "str")
+    return st.integers(-10 ** 6, 10 ** 6), ("int", "fraction", "str")
+
+
 def _oracle(ring, value):
     """The normalized ring element of an exact rational, computed apart
     from the ring's own arithmetic."""
@@ -147,8 +155,7 @@ def test_ring_axioms_on_mixed_operands(ring, data):
     """Associativity, commutativity, distributivity, units and neg on
     int, Fraction and str operands, each result checked against plain
     rational arithmetic; ints and their Fractions only outside Q."""
-    values = FRACTIONS if ring.contains_rationals else st.integers(-10 ** 6, 10 ** 6)
-    forms = ("fraction", "str") if ring.contains_rationals else ("int", "fraction", "str")
+    values, forms = _operand_domain(ring)
     raw = [data.draw(values) for _ in range(3)]
     a, b, c = (_operand(v, data.draw(st.sampled_from(forms))) for v in raw)
     fa, fb, fc = (Fraction(v) for v in raw)
@@ -172,3 +179,32 @@ def test_ring_axioms_on_mixed_operands(ring, data):
     assert ring.add(a, ring.neg(a)) == ring.zero
     assert ring.sub(a, b) == ring.add(a, ring.neg(b))
     assert ring.neg(ring.neg(a)) == ring.normalize(a)
+
+
+@pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_collect_is_the_add_fold(ring, data):
+    """collect sums like folding ``add`` per key and dropping the zeros:
+    the same keys in first-term order, the same values, the ring's
+    scalar type, on int, Fraction and str operands with repeated keys."""
+    values, forms = _operand_domain(ring)
+    # few keys, so most keys repeat; some repeated terms cancel
+    pairs = data.draw(st.lists(st.tuples(
+        st.sampled_from("abcde"), values, st.sampled_from(forms)), max_size=12))
+    items = [(key, _operand(v, form)) for key, v, form in pairs]
+    for key, v, form in data.draw(st.lists(st.sampled_from(pairs), max_size=3)
+                                  if pairs else st.just([])):
+        items.append((key, _operand(-v, form)))
+    fold = {}
+    for key, c in items:
+        fold[key] = ring.add(fold.get(key, ring.zero), c)
+    fold = {key: c for key, c in fold.items() if not ring.is_zero(c)}
+    got = ring.collect(items)
+    assert list(got) == list(fold) and got == fold
+    assert all(type(c) is type(ring.zero) for c in got.values())
+    want = {}
+    for key, c in items:
+        want[key] = want.get(key, 0) + Fraction(c)
+    assert got == {key: _oracle(ring, s) for key, s in want.items()
+                   if _oracle(ring, s) != 0}
