@@ -98,9 +98,7 @@ def ass_cochains(ring, r_max, validate=True):
     for r in range(r_max + 1):
         mod = C.component(r).module
         products[r] = {(a, a): [(ring.one, a)] for a in mod.names}
-        eta = mod.zero()
-        eta.terms = {n: ring.one for n in mod.names}
-        units[r] = eta
+        units[r] = mod.element({n: ring.one for n in mod.names})
     H = HopfStructure(C, products, units)
     if validate:
         validate_cooperad(C).require("ass cochain cooperad")
@@ -309,11 +307,8 @@ def be_cup_structure(ring, C):
                 if nm in names:
                     table[(a, b)] = [(ring.one, nm)]
         products[r] = table
-        eta = mod.zero()
-        eta.terms = {
-            n: ring.one for n in mod.names if C.degree(r, n) == 0
-        }
-        units[r] = eta
+        units[r] = mod.element(
+            {n: ring.one for n in mod.names if C.degree(r, n) == 0})
     return HopfStructure(C, products, units)
 
 
@@ -326,12 +321,10 @@ def en_restriction_morphism(source, target, validate=True):
     """
     maps = {}
     for r in range(min(source.r_max, target.r_max) + 1):
-        f = LinearMap(source.component(r).module, target.component(r).module, 0)
         tgt = set(target.basis_names(r))
-        for nm in source.basis_names(r):
-            if nm in tgt:
-                f.set(nm, nm, 1)
-        maps[r] = f
+        maps[r] = LinearMap(
+            source.component(r).module, target.component(r).module, 0,
+            {(nm, nm): 1 for nm in source.basis_names(r) if nm in tgt})
     phi = CooperadMorphism(source, target, maps,
                            label=f"{source.label}->{target.label}")
     if validate:
@@ -345,15 +338,16 @@ def be1_to_ass_iso(be1, ass, validate=True):
     the dual of that permutation."""
     maps = {}
     for r in range(min(be1.r_max, ass.r_max) + 1):
-        f = LinearMap(be1.component(r).module, ass.component(r).module, 0)
+        entries = {}
         for nm in be1.basis_names(r):
             s = be_from_name(nm)
             if len(s) != 1:
                 raise ShapeError(
                     f"complexity-1 component has a positive-degree class {nm!r}"
                 )
-            f.set(nm, perm_name(s[0]), 1)
-        maps[r] = f
+            entries[nm, perm_name(s[0])] = 1
+        maps[r] = LinearMap(
+            be1.component(r).module, ass.component(r).module, 0, entries)
     phi = CooperadMorphism(be1, ass, maps, label="be1->ass")
     if validate:
         validate_morphism(phi).require("be1 to ass renaming")

@@ -49,7 +49,7 @@ def parse_element_spec(V, spec):
     spec = spec.strip()
     if spec == "0":
         return V.zero()
-    el = V.zero()
+    terms = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -61,8 +61,8 @@ def parse_element_spec(V, spec):
             name, coeff = part, "1"
         if name not in V.basis:
             raise InstanceFormatError(f"unknown module generator {name!r}")
-        el = el.add(V.gen(name, parse_scalar(coeff, V.ring)))
-    return el
+        terms.append((name, parse_scalar(coeff, V.ring)))
+    return V.element(terms)
 
 
 def _emit(doc, path):

@@ -87,13 +87,9 @@ class CofreeCoalgebra:
 
     def from_v(self, v):
         """V -> uC(V): v as the arity-1 class [counit (x) v]."""
-        out = self.zero()
-        acc = {}
-        for vn, c in v.terms.items():
-            key = (1, self.cooperad.counit_name, (vn,))
-            acc[key] = c
-        out.terms = acc
-        return out.prune()
+        counit = self.cooperad.counit_name
+        return Element(self.module, {(1, counit, (vn,)): c
+                                     for vn, c in v.terms.items()})
 
     def tangent(self, x):
         """T: uC(V) -> V, the coefficient of the arity-1 classes."""
@@ -234,7 +230,7 @@ class CofreeCoalgebra:
         counit = self.cooperad.counit_name
         acc = self.ring.collect(
             (keys[0], c) for (a, keys), c in result.items() if a == counit)
-        if acc != x.prune().terms:
+        if acc != x.terms:
             raise InvarianceError("counit component of decompose is not x")
 
 
@@ -259,7 +255,6 @@ class Coderivation:
         self.ring = cofree.ring
         self.comps = {}
         for key, val in comps.items():
-            val = val.prune() if hasattr(val, "prune") else val
             if val.is_zero():
                 continue
             if key not in cofree.module.basis:

@@ -188,13 +188,11 @@ class HopfStructure:
     def multiply(self, r, x, y):
         """Bilinear extension of mu_r to Elements."""
         ring = self.cooperad.ring
-        out = self.cooperad.component(r).module.zero()
-        out.terms = ring.collect(
+        return self.cooperad.component(r).module.element(
             (c, ring.mul(ring.mul(ca, cb), coeff))
             for a, ca in x.terms.items()
             for b, cb in y.terms.items()
             for coeff, c in self.multiply_names(r, a, b))
-        return out
 
     def unit(self, r):
         return self.units[r]

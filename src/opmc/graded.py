@@ -6,6 +6,16 @@ basis element is its filtration index: weight w means the element spans
 F^w but not F^(w+1).  Completion is realized as truncation at a global
 weight bound, so every construction downstream is exact modulo classes of
 weight exceeding that bound.
+
+Normal form.  The terms of an ``Element`` and the rows of a ``LinearMap``
+hold only nonzero scalars in the ring's normal form (int for Z and Z/m,
+reduced into 0..m-1 for Z/m, ``Fraction`` for Q).  The invariant is
+established where terms are made, and nowhere read back: terms from
+outside go through ``GradedModule.element`` and map entries through the
+``LinearMap`` constructor, both summed by ``Ring.collect``; every
+operation here builds its result in normal form directly or through
+``collect``.  ``Element.__init__`` trusts its terms, so reads never
+re-normalise, and neither class has a mutator.
 """
 
 from itertools import chain
@@ -57,13 +67,16 @@ class GradedModule:
         return self.basis[name].weight
 
     def element(self, terms=()):
-        return Element(self, dict(terms))
+        """The element with ``terms``, a mapping or (name, coeff) pairs:
+        summed per name, normalised and without zeros."""
+        return Element(self, self.ring.collect(_items(terms)))
 
     def zero(self):
         return Element(self, {})
 
     def gen(self, name, coeff=1):
-        return Element(self, {name: self.ring.normalize(coeff)}).prune()
+        coeff = self.ring.normalize(coeff)
+        return Element(self, {name: coeff} if coeff else {})
 
     def __len__(self):
         return len(self.names)
@@ -72,8 +85,16 @@ class GradedModule:
         return name in self.basis
 
 
+def _items(terms):
+    """The (key, coeff) pairs of a mapping, or the pairs themselves."""
+    return terms.items() if isinstance(terms, dict) else terms
+
+
 class Element:
-    """Sparse element: mapping basis name -> nonzero scalar."""
+    """Sparse element: mapping basis name -> nonzero normal scalar.
+
+    Never mutated; ``terms`` must already be in normal form.
+    """
 
     __slots__ = ("module", "terms")
 
@@ -81,15 +102,8 @@ class Element:
         self.module = module
         self.terms = terms
 
-    def prune(self):
-        ring = self.module.ring
-        self.terms = {
-            n: ring.normalize(c) for n, c in self.terms.items() if not ring.is_zero(c)
-        }
-        return self
-
     def is_zero(self):
-        return not self.prune().terms
+        return not self.terms
 
     def add(self, other):
         self._check(other)
@@ -100,18 +114,17 @@ class Element:
         return self.add(other.scale(-1))
 
     def scale(self, coeff):
-        ring = self.module.ring
-        coeff = ring.normalize(coeff)
-        return Element(
-            self.module, {n: ring.mul(c, coeff) for n, c in self.terms.items()}
-        ).prune()
+        mul = self.module.ring.mul
+        # a product vanishes when coeff does, or over Z/m at a zero divisor
+        return Element(self.module, {n: p for n, c in self.terms.items()
+                                     if (p := mul(c, coeff))})
 
     def coeff(self, name):
         return self.terms.get(name, self.module.ring.zero)
 
     def eq(self, other):
         self._check(other)
-        return self.prune().terms == other.prune().terms
+        return self.terms == other.terms
 
     def degrees(self):
         return {self.module.degree(n) for n in self.terms}
@@ -145,9 +158,13 @@ class Element:
 
 
 class LinearMap:
-    """Sparse degree-homogeneous linear map between graded modules."""
+    """Sparse degree-homogeneous linear map between graded modules.
 
-    def __init__(self, source, target, degree, entries=None):
+    ``entries`` are ((src, tgt), coeff) pairs, or a mapping of them,
+    summed once at construction; the map is never mutated after.
+    """
+
+    def __init__(self, source, target, degree, entries=()):
         if source.ring is not target.ring and source.ring.spec() != target.ring.spec():
             raise ShapeError("source and target over different rings")
         self.source = source
@@ -155,26 +172,18 @@ class LinearMap:
         self.degree = degree
         self.ring = target.ring
         self.entries = {}
-        if entries:
-            for src, row in entries.items():
-                for tgt, c in row.items():
-                    self.set(src, tgt, c)
+        for (src, tgt), c in self.ring.collect(_items(entries)).items():
+            if target.degree(tgt) != source.degree(src) + degree:
+                raise ShapeError(
+                    f"entry {src!r} -> {tgt!r} violates degree: "
+                    f"{source.degree(src)} + {degree} != {target.degree(tgt)}"
+                )
+            self.entries.setdefault(src, {})[tgt] = c
 
-    def set(self, src, tgt, coeff):
-        coeff = self.ring.normalize(coeff)
-        if self.ring.is_zero(coeff):
-            return
-        if self.target.degree(tgt) != self.source.degree(src) + self.degree:
-            raise ShapeError(
-                f"entry {src!r} -> {tgt!r} violates degree: "
-                f"{self.source.degree(src)} + {self.degree} != {self.target.degree(tgt)}"
-            )
-        row = self.entries.setdefault(src, {})
-        row[tgt] = self.ring.add(row.get(tgt, self.ring.zero), coeff)
-        if self.ring.is_zero(row[tgt]):
-            del row[tgt]
-            if not row:
-                del self.entries[src]
+    def pairs(self):
+        """The nonzero entries as ((src, tgt), coeff) pairs."""
+        return (((src, tgt), c) for src, row in self.entries.items()
+                for tgt, c in row.items())
 
     def apply(self, x):
         if x.module is not self.source:
@@ -186,39 +195,31 @@ class LinearMap:
             for tgt, e in self.entries.get(n, {}).items()))
 
     def apply_name(self, name):
-        return Element(
-            self.target, dict(self.entries.get(name, {}))
-        ).prune()
+        """The image of a basis name; it shares the stored row."""
+        return Element(self.target, self.entries.get(name, {}))
 
     def compose(self, other):
         """self after other (source of self = target of other)."""
         if other.target is not self.source:
             raise ShapeError("maps not composable")
-        out = LinearMap(other.source, self.target, self.degree + other.degree)
-        for src, row in other.entries.items():
-            for mid, c in row.items():
-                for tgt, e in self.entries.get(mid, {}).items():
-                    out.set(src, tgt, self.ring.mul(c, e))
-        return out
+        mul = self.ring.mul
+        return LinearMap(other.source, self.target, self.degree + other.degree, (
+            ((src, tgt), mul(c, e))
+            for (src, mid), c in other.pairs()
+            for tgt, e in self.entries.get(mid, {}).items()))
 
     def add(self, other):
         if other.source is not self.source or other.target is not self.target:
             raise ShapeError("maps between different modules")
         if other.degree != self.degree:
             raise ShapeError("maps of different degrees")
-        out = LinearMap(self.source, self.target, self.degree)
-        for m in (self, other):
-            for src, row in m.entries.items():
-                for tgt, c in row.items():
-                    out.set(src, tgt, c)
-        return out
+        return LinearMap(self.source, self.target, self.degree,
+                         chain(self.pairs(), other.pairs()))
 
     def scale(self, coeff):
-        out = LinearMap(self.source, self.target, self.degree)
-        for src, row in self.entries.items():
-            for tgt, c in row.items():
-                out.set(src, tgt, self.ring.mul(c, coeff))
-        return out
+        mul = self.ring.mul
+        return LinearMap(self.source, self.target, self.degree,
+                         ((key, mul(c, coeff)) for key, c in self.pairs()))
 
     def is_zero(self):
         return not self.entries
@@ -233,10 +234,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, module):
-        m = cls(module, module, 0)
-        for n in module.names:
-            m.set(n, n, 1)
-        return m
+        return cls(module, module, 0, (((n, n), 1) for n in module.names))
 
 
 def koszul_sign_images(images, degrees):

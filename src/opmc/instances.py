@@ -72,7 +72,7 @@ def element_to_list(el):
 
 
 def element_from_list(V, data):
-    el = V.zero()
+    terms = []
     for item in data:
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not all(isinstance(x, str) for x in item)):
@@ -80,8 +80,8 @@ def element_from_list(V, data):
         name, coeff = item
         if name not in V.basis:
             raise InstanceFormatError(f"unknown module generator {name!r}")
-        el = el.add(V.gen(name, parse_scalar(coeff, V.ring)))
-    return el
+        terms.append((name, parse_scalar(coeff, V.ring)))
+    return V.element(terms)
 
 
 def format_element(el):

@@ -84,7 +84,6 @@ class ConvolutionElement:
         I = tuple(I)
         if I not in self.cx.module.basis:
             raise ShapeError(f"{I} is not a basis class of the {self.cx.n}-simplex")
-        val = val.prune()
         if not val.terms:
             self.values.pop(I, None)
             return
@@ -224,7 +223,6 @@ class HornData:
             I = tuple(I)
             if not _is_horn_class(I, n, k):
                 raise ShapeError(f"{I} is not a class of the ({n},{k}) horn")
-            val = val.prune()
             if val.is_zero():
                 continue
             want = len(I) - 1
@@ -515,13 +513,9 @@ class MCProblem:
             psi = self.zero(n)
             acc = {}
             for (I, vn), c in zip(slots, coeffs):
-                if not self.ring.is_zero(c):
-                    acc.setdefault(I, []).append((vn, c))
+                acc.setdefault(I, []).append((vn, c))
             for I, terms in acc.items():
-                val = self.V.zero()
-                for vn, c in terms:
-                    val = val.add(self.V.gen(vn, c))
-                psi.set(I, val)
+                psi.set(I, self.V.element(terms))
             if self.mc_check(psi)[0]:
                 out.append(psi)
         return out

@@ -44,12 +44,9 @@ class SimplexChains:
             for I in combinations(range(n + 1), size):
                 basis.append(BasisElement(I, size - 1, 1))
         self.module = GradedModule(ring, basis)
-        self.d = LinearMap(self.module, self.module, -1)
-        for I in self.module.names:
-            if len(I) == 1:
-                continue
-            for j in range(len(I)):
-                self.d.set(I, I[:j] + I[j + 1:], (-1) ** j)
+        self.d = LinearMap(self.module, self.module, -1, (
+            ((I, I[:j] + I[j + 1:]), (-1) ** j)
+            for I in self.module.names if len(I) > 1 for j in range(len(I))))
 
     def gen(self, I, coeff=1):
         return self.module.gen(tuple(sorted(I)), coeff)
@@ -78,26 +75,29 @@ def induced_map(f, source, target):
         raise ShapeError(f"vertex map {f} is not monotone")
     if f and (f[0] < 0 or f[-1] > target.n):
         raise ShapeError(f"vertex map {f} leaves 0..{target.n}")
-    out = LinearMap(source.module, target.module, 0)
-    for I in source.module.names:
-        J = tuple(f[i] for i in I)
-        if len(set(J)) == len(J):
-            out.set(I, J, 1)
-    return out
+    images = ((I, tuple(f[i] for i in I)) for I in source.module.names)
+    return LinearMap(source.module, target.module, 0, (
+        ((I, J), 1) for I, J in images if len(set(J)) == len(J)))
 
 
+# The maps below are memoised per (ring object, index, n), like ``chains``:
+# a LinearMap has no mutator, so every caller can share one.
+
+@cache
 def face_map(ring, i, n):
     """delta_i: N_*(Delta^(n-1)) -> N_*(Delta^n), skipping vertex i."""
     verts = [v for v in range(n + 1) if v != i]
     return induced_map(verts, chains(ring, n - 1), chains(ring, n))
 
 
+@cache
 def degeneracy_map(ring, j, n):
     """sigma_j: N_*(Delta^(n+1)) -> N_*(Delta^n), repeating vertex j."""
     verts = [v if v <= j else v - 1 for v in range(n + 2)]
     return induced_map(verts, chains(ring, n + 1), chains(ring, n))
 
 
+@cache
 def contraction(ring, k, n):
     """The contraction of N_*(Delta^n) onto its k-th vertex.
 
@@ -111,12 +111,9 @@ def contraction(ring, k, n):
     pt = chains(ring, 0)
     eps = induced_map([0] * (n + 1), cx, pt)
     p = induced_map([k], pt, cx)
-    h = LinearMap(cx.module, cx.module, 1)
-    for I in cx.module.names:
-        if k in I:
-            continue
-        s = sum(1 for v in I if v < k)
-        h.set(I, tuple(sorted(I + (k,))), (-1) ** s)
+    h = LinearMap(cx.module, cx.module, 1, (
+        ((I, tuple(sorted(I + (k,)))), (-1) ** sum(1 for v in I if v < k))
+        for I in cx.module.names if k not in I))
     return cx, eps, p, h
 
 

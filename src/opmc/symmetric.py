@@ -248,9 +248,7 @@ class OrbitModule:
         """
         if not self.is_invariant(y):
             raise InvarianceError("element is not invariant under the group action")
-        x = self.module.zero()
-        x.terms = {r: c for r, c in self.rep_coefficients(y).items()}
-        x.prune()
+        x = self.module.element(self.rep_coefficients(y))
         if not self.norm_element(x).eq(y):
             raise FreenessError("norm map is not surjective onto this element")
         return x

@@ -231,8 +231,7 @@ def mc_enumerate(H, Qt, cap=20000, cross_check=True):
         )
     out = []
     for combo in _product(scalars, repeat=len(names0)):
-        v = cf.V.zero()
-        v.terms = {n: c for n, c in zip(names0, combo) if not ring.is_zero(c)}
+        v = cf.V.element(zip(names0, combo))
         member = is_mc(H, Qt, v)
         if cross_check:
             flat = twist(H, Qt, v, verify=False).curvature().is_zero()

@@ -62,11 +62,6 @@ def random_coderivation(cf, rng, curved=False, density=0.6):
             if V.degree(vn) != tdeg or V.weight(vn) < wt:
                 continue
             if rng.random() < density:
-                c = ring.normalize(rand_scalar(ring, rng))
-                if not ring.is_zero(c):
-                    terms[vn] = c
-        if terms:
-            el = V.zero()
-            el.terms = terms
-            comps[key] = el
+                terms[vn] = rand_scalar(ring, rng)
+        comps[key] = V.element(terms)
     return Coderivation(cf, comps)

@@ -74,21 +74,16 @@ def test_criterion_01_norm_map_isomorphism():
             om = C.component(r)
             names = om.module.names
             for _ in range(32):
-                x = om.module.zero()
-                x.terms = {
-                    n: ring.normalize(rand_scalar(ring, rng))
-                    for n in rng.sample(names, min(4, len(names)))
-                }
-                x = x.prune()
+                x = om.module.element(
+                    (n, rand_scalar(ring, rng))
+                    for n in rng.sample(names, min(4, len(names))))
                 y = om.norm_element(x)
                 back = om.norm_inverse_element(y)
                 assert om.norm_element(back).eq(y)
                 # converse: on representative-supported elements the
                 # norm inverse recovers the element itself
-                xr = om.module.zero()
-                xr.terms = {
-                    n: c for n, c in x.terms.items() if om.is_rep(n)
-                }
+                xr = om.module.element(
+                    (n, c) for n, c in x.terms.items() if om.is_rep(n))
                 assert om.norm_inverse_element(om.norm_element(xr)).eq(xr)
                 checked += 1
     assert checked >= 500
@@ -279,8 +274,7 @@ def test_criterion_07_a_infinity_oracle():
         Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
         sols_oracle = []
         for bits in product((0, 1), repeat=len(deg0)):
-            v = V.zero()
-            v.terms = {vn: b for vn, b in zip(deg0, bits) if b}
+            v = V.element(zip(deg0, bits))
             res = mc_residual(H, Qt, v)
             assert res.eq(oracle_residual(Qt, v)), t
             if Qt.flat and res.is_zero():

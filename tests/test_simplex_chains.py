@@ -97,8 +97,12 @@ def test_chains_is_one_store():
         cx, eps, p, h = contraction(Z, 0, n)
         assert cx is chains(Z, n)
         assert eps.target is p.source is chains(Z, 0).module
-        # maps are built per call, so a caller may change its own copy
-        assert face_map(Z, 0, n) is not face_map(Z, 0, n)
+        # maps are memoised too: a repeat call shares one map, which
+        # has no mutator
+        for build in (face_map, degeneracy_map, contraction):
+            assert build(Z, 0, n) is build(Z, 0, n)
+        assert not hasattr(face_map(Z, 0, n), "set")
+        assert not any(hasattr(m, "set") for m in contraction(Z, 0, n)[1:])
 
 
 def test_induced_map_rejects_bad_vertex_maps():

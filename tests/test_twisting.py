@@ -323,10 +323,7 @@ def test_residual_matches_homotopy_relations_oracle():
     ident = {1: "1", 2: "12", 3: "123"}
     for t in range(8):
         Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
-        v = cf.V.zero()
-        v.terms = {
-            n: 1 for n in ("x", "z") if rng.random() < 0.8
-        }
+        v = cf.V.element({n: 1 for n in ("x", "z") if rng.random() < 0.8})
         want = Qt.curvature()
         for r in range(1, cf.cooperad.r_max + 1):
             for sname in cf.cooperad.basis_names(r):
