@@ -9,7 +9,8 @@ weight exceeding that bound.
 
 Normal form.  The terms of an ``Element`` and the rows of a ``LinearMap``
 hold only nonzero scalars in the ring's normal form (int for Z and Z/m,
-reduced into 0..m-1 for Z/m, ``Fraction`` for Q).  The invariant is
+reduced into 0..m-1 for Z/m; for Q an int for integral values, a reduced
+``Fraction`` otherwise).  The invariant is
 established where terms are made, and nowhere read back: terms from
 outside go through ``GradedModule.element`` and map entries through the
 ``LinearMap`` constructor, both summed by ``Ring.collect``; every

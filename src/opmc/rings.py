@@ -1,8 +1,9 @@
 """Exact coefficient rings: Z, Z/m (m >= 2) and Q.
 
-Scalars are plain Python values (int for Z and Z/m, Fraction for Q),
-normalized by the ring object.  All arithmetic is exact; nothing here
-ever divides implicitly.
+Scalars are plain Python values, normalized by the ring object: an int
+for Z and Z/m; for Q an int for integral values, a reduced ``Fraction``
+otherwise.  All arithmetic is exact; nothing here ever divides
+implicitly.
 """
 
 from fractions import Fraction
@@ -149,30 +150,39 @@ class ModularRing(Ring):
 
 
 class RationalRing(Ring):
-    """Q, with ``Fraction`` scalars.
+    """Q: an int for integral values, a reduced ``Fraction`` otherwise.
 
-    ``Fraction`` arithmetic already returns reduced fractions, so on int
-    and ``Fraction`` operands each operation runs once and its result is
-    wrapped only when it is an int; other operands (a str, say) are
-    converted one by one first.
+    Each rational has exactly one such form, and ``Fraction(n)`` equals,
+    hashes and prints as ``n``, so the form never shows in keys, equality
+    or output.  An int pair takes Python's own + and *; int and
+    ``Fraction`` operands run once and an integral result becomes an int;
+    other operands (a str, say) are normalized first.
     """
 
     contains_rationals = True
 
     def normalize(self, x):
-        return x if type(x) is Fraction else Fraction(x)
+        if type(x) is int:
+            return x
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        return x.numerator if x.denominator == 1 else x
 
     def add(self, a, b):
-        if type(a) in _EXACT and type(b) in _EXACT:
-            s = a + b
-            return s if type(s) is Fraction else Fraction(s)
-        return Fraction(a) + Fraction(b)
+        if type(a) is int and type(b) is int:
+            return a + b
+        if type(a) not in _EXACT or type(b) not in _EXACT:
+            a, b = self.normalize(a), self.normalize(b)
+        s = a + b
+        return s.numerator if s.denominator == 1 else s
 
     def mul(self, a, b):
-        if type(a) in _EXACT and type(b) in _EXACT:
-            p = a * b
-            return p if type(p) is Fraction else Fraction(p)
-        return Fraction(a) * Fraction(b)
+        if type(a) is int and type(b) is int:
+            return a * b
+        if type(a) not in _EXACT or type(b) not in _EXACT:
+            a, b = self.normalize(a), self.normalize(b)
+        p = a * b
+        return p.numerator if p.denominator == 1 else p
 
     def is_zero(self, a):
         return a == 0 if type(a) in _EXACT else Fraction(a) == 0
@@ -183,7 +193,7 @@ class RationalRing(Ring):
     def inv(self, a):
         if not self.is_unit(a):
             raise NonUnitError("0 is not a unit in Q")
-        return 1 / Fraction(a)
+        return self.normalize(1 / Fraction(a))
 
     def spec(self):
         return {"kind": "rationals"}
@@ -192,16 +202,26 @@ class RationalRing(Ring):
         return "Q"
 
 
+_SHARED = {}  # repr -> the one handle of that ring
+
+
 def ring_make(spec):
-    """Build a ring handle from a spec dict {"kind": ..., "modulus"?: m}."""
+    """The ring handle of a spec dict {"kind": ..., "modulus"?: m}.
+
+    The spec is validated first, by building a handle; then every spec of
+    one ring returns the same object, so the memos keyed on the ring
+    object (the simplex complexes and their maps) hit across loads.  A
+    handle holds no mutable state, so sharing it is safe.
+    """
     kind = spec.get("kind")
     if kind == "integers":
-        return IntegerRing()
-    if kind == "integers-mod-m":
+        ring = IntegerRing()
+    elif kind == "integers-mod-m":
         if "modulus" not in spec:
             raise InvalidRingError("integers-mod-m requires a modulus")
-        return ModularRing(spec["modulus"])
-    if kind == "rationals":
-        return RationalRing()
-    raise InvalidRingError(f"unknown ring kind {kind!r}")
-
+        ring = ModularRing(spec["modulus"])
+    elif kind == "rationals":
+        ring = RationalRing()
+    else:
+        raise InvalidRingError(f"unknown ring kind {kind!r}")
+    return _SHARED.setdefault(repr(ring), ring)

@@ -1,7 +1,8 @@
 """Golden CLI outputs, byte for byte.
 
 The expected files under ``tests/data/golden`` pin the output of the
-trivial-action path (``linf_q.json``: ``com`` cochains over Q), of the
+trivial-action path (``linf_q.json``: ``com`` cochains over Q, with
+fractional and with integral coefficients), of the
 free-action path (the shipped ``ass`` demo instance over Z/2), and of
 the convolution operations behind ``horn-fill``, ``mc-simplicial`` and
 ``decompose-simplex`` (the ``ass`` demo and ``e2_z2.json``, E2 cochains
@@ -28,6 +29,12 @@ CASES = {
     "linf_mc_xz": ["mc", "--instance", "linf_q.json",
                    "--element", "x=-3/2,z=1/3"],
     "linf_export": ["export", "--instance", "linf_q.json"],
+    # integral coefficients over Q: the int form of a rational scalar
+    "linf_mc_x2": ["mc", "--instance", "linf_q.json", "--element", "x=2"],
+    "linf_twist_x3": ["twist", "--instance", "linf_q.json", "--element", "x=3"],
+    "linf_twist_x3_validate": ["validate", "golden/linf_twist_x3.txt"],
+    "linf_twist_x3_back": ["twist", "--instance", "golden/linf_twist_x3.txt",
+                           "--element", "x=-3"],
     "ass_twist_x": ["twist", "--instance", ASS, "--element", "x"],
     "ass_mc_enumerate": ["mc", "--instance", ASS, "--enumerate"],
     "ass_horn_fill_1_0": ["horn-fill", "--instance", ASS, "--horn", HORN_1_0],

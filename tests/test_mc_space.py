@@ -22,7 +22,7 @@ from opmc.errors import (
     ShapeError,
     UnsupportedError,
 )
-from opmc import instances, mc_space
+from opmc import instances, mc_space, simplex_chains
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
@@ -542,3 +542,23 @@ def test_mu_memo_holds_a_horn_fill_of_the_shipped_e2():
     psi = P.horn_fill(horn_from_doc(inst.V, doc))
     _assert_rechecks_store_nothing(P, psi)
     assert other is not P and not other._mus
+
+
+def test_loads_share_the_simplex_memos():
+    # every load of one ring gets the same ring object, so the simplex
+    # complexes and maps memoised per ring are built once, not per load
+    path = str(Path(__file__).parent / "data" / "ass_z3.json")
+
+    def spot_check_round():
+        inst = instances.load_instance(path)
+        rep = instances.make_problem(inst).kan_spot_check(trials=3)
+        assert rep["attempted"] == rep["filled"] == 3
+        return inst.ring
+
+    ring = spot_check_round()
+    size = simplex_chains.chains.cache_info().currsize
+    hits = simplex_chains.face_map.cache_info().hits
+    for _ in range(4):
+        assert spot_check_round() is ring
+    assert simplex_chains.chains.cache_info().currsize == size
+    assert simplex_chains.face_map.cache_info().hits > hits

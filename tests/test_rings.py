@@ -1,6 +1,8 @@
+import ast
 import random
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,18 @@ def test_invalid_modulus():
         ring_make({"kind": "integers-mod-m"})
     with pytest.raises(InvalidRingError):
         ring_make({"kind": "reals"})
+    # validated before the shared handles are looked up: no TypeError
+    for bad in ([5], True, False, 1, "5", 2.0):
+        with pytest.raises(InvalidRingError):
+            ring_make({"kind": "integers-mod-m", "modulus": bad})
+
+
+def test_one_handle_per_ring():
+    for spec in ({"kind": "integers"}, {"kind": "rationals"},
+                 {"kind": "integers-mod-m", "modulus": 6}):
+        assert ring_make(dict(spec)) is ring_make(dict(spec))
+    assert ring_make({"kind": "integers-mod-m", "modulus": 2}) is Z2
+    assert ring_make({"kind": "integers-mod-m", "modulus": 3}) is not Z2
 
 
 def test_mod8_arith():
@@ -93,12 +107,59 @@ SCALARS = st.one_of(st.integers(-10 ** 9, 10 ** 9), FRACTIONS, FRACTIONS.map(str
 @given(a=SCALARS, b=SCALARS)
 def test_rational_fast_paths(a, b):
     """Q's own add, mul, normalize and is_zero agree with Fraction
-    arithmetic on int, Fraction and str operands, and return Fractions."""
+    arithmetic on int, Fraction and str operands, and return an int
+    exactly when the denominator is 1, a Fraction otherwise."""
     fa, fb = Fraction(a), Fraction(b)
     for got, want in ((Q.add(a, b), fa + fb), (Q.mul(a, b), fa * fb),
                       (Q.normalize(a), fa)):
-        assert type(got) is Fraction and got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+        assert got == want
     assert Q.is_zero(a) is (fa == 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=SCALARS, b=SCALARS)
+def test_rational_results_are_never_floats(a, b):
+    """Every Q operation returns an exact scalar in normal form: an int
+    or a Fraction, never a float, whatever the operand forms."""
+    results = [Q.add(a, b), Q.sub(a, b), Q.mul(a, b), Q.neg(a),
+               Q.normalize(a), *Q.collect([("k", a), ("k", b), ("j", a)]).values()]
+    for x in (a, b):
+        if Q.is_unit(x):
+            results.append(Q.inv(x))
+    for got in results:
+        assert type(got) in (int, Fraction) and _is_scalar(Q, got)
+
+
+SRC = Path(__file__).parent.parent / "src" / "opmc"
+
+
+def _true_divisions(tree):
+    """The enclosing class and function names of each true division
+    (``/`` or ``/=``) in a module's syntax tree."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, (ast.BinOp, ast.AugAssign))
+                  and isinstance(child.op, ast.Div)):
+                found.append(".".join(scope))
+            walk(child, inner)
+
+    walk(tree, ())
+    return found
+
+
+def test_only_rational_inv_divides():
+    """With ints as Q scalars a stray ``/`` would make a float, so the
+    one true division of the package is the one in ``RationalRing.inv``."""
+    found = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in _true_divisions(ast.parse(path.read_text("utf-8")))]
+    assert found == [("rings.py", "RationalRing.inv")]
 
 
 def test_only_q_specialises():
@@ -126,26 +187,36 @@ AXIOM_RINGS = [Z] + [ring_make({"kind": "integers-mod-m", "modulus": m})
 
 
 def _operand(value, form):
-    """``value`` as an int, a Fraction or a str."""
+    """``value`` as an int, a Fraction or a str; the int form of a value
+    that is not integral is its Fraction."""
+    if form == "int" and Fraction(value).denominator != 1:
+        form = "fraction"
     return {"int": int, "fraction": Fraction, "str": str}[form](value)
 
 
 def _operand_domain(ring):
-    """Exact values and the operand forms they are drawn in: ints and
-    their Fractions only outside Q."""
-    if ring.contains_rationals:
-        return FRACTIONS, ("fraction", "str")
-    return st.integers(-10 ** 6, 10 ** 6), ("int", "fraction", "str")
+    """Exact values and the operand forms they are drawn in: integers,
+    and over Q fractions too."""
+    ints = st.integers(-10 ** 6, 10 ** 6)
+    values = st.one_of(ints, FRACTIONS) if ring.contains_rationals else ints
+    return values, ("int", "fraction", "str")
 
 
 def _oracle(ring, value):
     """The normalized ring element of an exact rational, computed apart
-    from the ring's own arithmetic."""
+    from the ring's own arithmetic: over Q an int when it is integral."""
     if ring.contains_rationals:
-        return Fraction(value)
+        f = Fraction(value)
+        return f.numerator if f.denominator == 1 else f
     if isinstance(ring, type(Z)):
         return int(value)
     return int(value) % ring.modulus
+
+
+def _is_scalar(ring, c):
+    """``c`` is a fixed point of ``ring.normalize``, type included."""
+    n = ring.normalize(c)
+    return type(c) is type(n) and c == n
 
 
 @pytest.mark.parametrize("ring", AXIOM_RINGS, ids=repr)
@@ -154,15 +225,16 @@ def _oracle(ring, value):
 def test_ring_axioms_on_mixed_operands(ring, data):
     """Associativity, commutativity, distributivity, units and neg on
     int, Fraction and str operands, each result checked against plain
-    rational arithmetic; ints and their Fractions only outside Q."""
+    rational arithmetic and in the ring's normal form."""
     values, forms = _operand_domain(ring)
     raw = [data.draw(values) for _ in range(3)]
     a, b, c = (_operand(v, data.draw(st.sampled_from(forms))) for v in raw)
     fa, fb, fc = (Fraction(v) for v in raw)
-    scalar = type(ring.zero)
 
     def check(got, want):
-        assert type(got) is scalar and got == _oracle(ring, want)
+        want = _oracle(ring, want)
+        assert _is_scalar(ring, got) and type(got) is type(want)
+        assert got == want
 
     check(ring.add(a, b), fa + fb)
     check(ring.sub(a, b), fa - fb)
@@ -186,8 +258,8 @@ def test_ring_axioms_on_mixed_operands(ring, data):
 @given(data=st.data())
 def test_collect_is_the_add_fold(ring, data):
     """collect sums like folding ``add`` per key and dropping the zeros:
-    the same keys in first-term order, the same values, the ring's
-    scalar type, on int, Fraction and str operands with repeated keys."""
+    the same keys in first-term order, the same values, in normal form,
+    on int, Fraction and str operands with repeated keys."""
     values, forms = _operand_domain(ring)
     # few keys, so most keys repeat; some repeated terms cancel
     pairs = data.draw(st.lists(st.tuples(
@@ -202,7 +274,7 @@ def test_collect_is_the_add_fold(ring, data):
     fold = {key: c for key, c in fold.items() if not ring.is_zero(c)}
     got = ring.collect(items)
     assert list(got) == list(fold) and got == fold
-    assert all(type(c) is type(ring.zero) for c in got.values())
+    assert all(_is_scalar(ring, c) for c in got.values())
     want = {}
     for key, c in items:
         want[key] = want.get(key, 0) + Fraction(c)
