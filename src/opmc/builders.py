@@ -1,6 +1,6 @@
 """Builders for the example cooperads: cochains of finite simplicial
-operads, with the associative family as the degenerate (discrete) case
-and the Barratt-Eccles family with its complexity filtration.
+operads, the Barratt-Eccles family with its complexity filtration (the
+associative family is its complexity-1 member) and the commutative one.
 """
 
 from itertools import combinations
@@ -63,47 +63,14 @@ def compose_permutations(mu, shape, taus):
     return Permutation(tuple(word))
 
 
-def ass_chain_operad(ring, r_max):
-    components = {}
-    for r in range(r_max + 1):
-        def act(sigma, name, _r=r):
-            return perm_name(sigma.compose(perm_from_name(name)))
-
-        components[r] = OrbitModule.from_orbits(
-            ring, r, [BasisElement(perm_name(Permutation.identity(r)), 0)], act
-        )
-
-    def compose_name(outer, shape, inners):
-        mu = perm_from_name(outer)
-        taus = [perm_from_name(n) for n in inners]
-        return [(1, perm_name(compose_permutations(mu, shape, taus)))]
-
-    return ChainOperad(
-        ring, r_max, components, compose_name,
-        id_name="1", unit_name=UNIT_NAME, label="ass-chains",
-    )
-
-
 def ass_cochains(ring, r_max, validate=True):
-    """Functions on the symmetric groups, dual to the word operad.
-
-    Cochains sit in degree 0; the Hopf product is pointwise
-    multiplication of functions, with unit the constant function 1.
+    """Functions on the symmetric groups, in degree 0: the complexity-1
+    Barratt-Eccles cochains, whose simplices are single permutations.
+    The cup product is pointwise multiplication, with unit the constant 1.
     """
     if r_max < 2:
         raise ShapeError("need r_max >= 2")
-    C = dualize(ass_chain_operad(ring, r_max), label="ass-cochains")
-    products = {}
-    units = {}
-    for r in range(r_max + 1):
-        mod = C.component(r).module
-        products[r] = {(a, a): [(ring.one, a)] for a in mod.names}
-        units[r] = mod.element({n: ring.one for n in mod.names})
-    H = HopfStructure(C, products, units)
-    if validate:
-        validate_cooperad(C).require("ass cochain cooperad")
-        validate_hopf(C, H).require("ass cochain hopf structure")
-    return C, H
+    return barratt_eccles(ring, r_max, 0, n=1, validate=validate)
 
 
 def com_cochains(ring, r_max, validate=True):
@@ -200,10 +167,10 @@ def barratt_eccles(ring, r_max, d_max, n=None, validate=True):
     """Normalized cochains on the Barratt-Eccles simplicial operad.
 
     ``n`` bounds the Berger-Fresse complexity (None: no bound, the full
-    E-infinity truncation); n=1 reproduces the associative family in
-    degree 0.  Chain-level composition is the shuffle (EZ) map followed
-    by vertex-wise block composition; the Hopf product is the simplicial
-    cup product (front face times back face).
+    E-infinity truncation); n=1, d_max=0 is ``ass_cochains``.  Chain-level
+    composition is the shuffle (EZ) map followed by vertex-wise block
+    composition; the Hopf product is the simplicial cup product (front
+    face times back face).
     """
     op = be_chain_operad(ring, r_max, d_max, n)
     C = dualize(op, label=f"be{n if n is not None else 'inf'}-cochains")
@@ -333,22 +300,12 @@ def en_restriction_morphism(source, target, validate=True):
 
 
 def be1_to_ass_iso(be1, ass, validate=True):
-    """The renaming isomorphism from complexity-1 cochains to the
-    associative family: the dual of a vertex permutation tuple goes to
-    the dual of that permutation."""
-    maps = {}
+    """The identity restriction from complexity-1 cochains to the
+    associative family, which are the same; refuses positive degrees."""
     for r in range(min(be1.r_max, ass.r_max) + 1):
-        entries = {}
         for nm in be1.basis_names(r):
-            s = be_from_name(nm)
-            if len(s) != 1:
+            if be1.degree(r, nm):
                 raise ShapeError(
                     f"complexity-1 component has a positive-degree class {nm!r}"
                 )
-            entries[nm, perm_name(s[0])] = 1
-        maps[r] = LinearMap(
-            be1.component(r).module, ass.component(r).module, 0, entries)
-    phi = CooperadMorphism(be1, ass, maps, label="be1->ass")
-    if validate:
-        validate_morphism(phi).require("be1 to ass renaming")
-    return phi
+    return en_restriction_morphism(be1, ass, validate)

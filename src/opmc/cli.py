@@ -10,8 +10,14 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
-from .errors import InstanceFormatError, OpmcError, PreconditionError
+from .errors import (
+    DEFAULT_RESOURCE_CAP,
+    InstanceFormatError,
+    OpmcError,
+    PreconditionError,
+)
 from .instances import (
     Instance,
     element_from_list,
@@ -32,10 +38,10 @@ HORN_FORMAT = "opmc-horn/1"
 SIMPLEX_FORMAT = "opmc-simplex/1"
 
 
-def resource_cap(default=200000):
+def resource_cap():
     raw = os.environ.get("OPMC_RESOURCE_CAP")
     if raw is None:
-        return default
+        return DEFAULT_RESOURCE_CAP
     try:
         return int(raw)
     except ValueError:
@@ -236,7 +242,9 @@ def cmd_export(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The argparse tree, built once per process: parsing leaves it as is."""
     ap = argparse.ArgumentParser(
         prog="opmc",
         description="Exact operadic twisting and simplicial solution spaces.",

@@ -23,7 +23,7 @@ signed stabilizer sum.
 
 from itertools import product as _product
 
-from .cooperad import compositions, infinitesimal_cocomposition
+from .cooperad import infinitesimal_cocomposition, shapes
 from .errors import (
     InvarianceError,
     PreconditionError,
@@ -190,9 +190,7 @@ class CofreeCoalgebra:
         ring = self.ring
         terms = []
         for r, plain in self.expand(x).items():
-            for shape in compositions(r, k):
-                if any(ri > C.r_max for ri in shape):
-                    continue
+            for shape in (s for j, s in shapes(r, C.r_max) if j == k):
                 for (cname, vt), coeff in plain.items():
                     for lam, a, blocks in self.cocompose_plain(
                             k, shape, cname, vt):

@@ -207,9 +207,6 @@ class CooperadMorphism:
         self.maps = maps  # r -> LinearMap
         self.label = label
 
-    def apply(self, r, x):
-        return self.maps[r].apply(x)
-
     def apply_name(self, r, name):
         return self.maps[r].apply_name(name)
 

@@ -41,6 +41,10 @@ class ResourceLimitError(OpmcError):
     code = "resource-limit"
 
 
+# Term and assignment cap of a job before it is refused as a resource limit
+DEFAULT_RESOURCE_CAP = 200000
+
+
 class UnsupportedError(OpmcError):
     code = "unsupported"
 

@@ -10,10 +10,16 @@ checked structure.
 import json
 from fractions import Fraction
 
-from .builders import ass_cochains, barratt_eccles, com_cochains
+from .builders import (
+    ass_cochains,
+    barratt_eccles,
+    com_cochains,
+    en_restriction_morphism,
+)
 from .cofree import Coderivation, cofree_build, completeness_check
 from .errors import CompletenessError, InstanceFormatError, UnsupportedError
 from .graded import BasisElement, GradedModule
+from .mc_space import MCProblem
 from .rings import ring_make
 
 FORMAT = "opmc-instance/1"
@@ -229,24 +235,15 @@ def instance_to_dict(inst):
 def make_problem(inst, cap=None):
     """The convolution-complex problem for an instance.
 
-    Builds the chain-coalgebra morphism matching the instance's
-    cooperad: associative cochains receive the complexity-one
-    restriction, permutation-tuple cochains act through themselves.
+    An ``ass`` or ``be`` cooperad is permutation-tuple cochains (``ass``
+    at complexity 1), whose chain coproduct it receives through itself.
     """
-    from .builders import be1_to_ass_iso, en_restriction_morphism
-    from .mc_space import MCProblem
-
     kind = inst.spec["cooperad"].get("builder")
-    C = inst.cooperad
-    if kind == "ass":
-        E, _ = barratt_eccles(inst.ring, C.r_max, 0, n=1, validate=False)
-        phi = be1_to_ass_iso(E, C, validate=False)
-    elif kind == "be":
-        E = C
-        phi = en_restriction_morphism(C, C, validate=False)
-    else:
+    if kind not in ("ass", "be"):
         raise UnsupportedError(
             f"no chain-coalgebra structure available for builder {kind!r}"
         )
+    C = inst.cooperad
+    phi = en_restriction_morphism(C, C, validate=False)
     kwargs = {} if cap is None else {"cap": cap}
-    return MCProblem(inst.Qt, phi, E, **kwargs)
+    return MCProblem(inst.Qt, phi, C, **kwargs)

@@ -36,6 +36,7 @@ import random
 from itertools import chain, combinations, product
 
 from .errors import (
+    DEFAULT_RESOURCE_CAP,
     ConventionError,
     InternalCheckError,
     PreconditionError,
@@ -253,7 +254,7 @@ class MCProblem:
     simplex becomes a coalgebra over that cooperad.
     """
 
-    def __init__(self, Qt, phi, E, cap=200000):
+    def __init__(self, Qt, phi, E, cap=DEFAULT_RESOURCE_CAP):
         self.Qt = Qt
         self.cofree = Qt.cofree
         self.C = self.cofree.cooperad

@@ -12,7 +12,8 @@ procedure, and surjections act on chains through interval cuts.
 from functools import cache
 from itertools import combinations
 
-from .errors import ResourceLimitError, ShapeError
+from .builders import be_from_name
+from .errors import DEFAULT_RESOURCE_CAP, ResourceLimitError, ShapeError
 from .graded import BasisElement, GradedModule, LinearMap, koszul_sign_images
 
 __all__ = [
@@ -277,7 +278,7 @@ def table_reduction(simplex):
     return out
 
 
-def einfty_decompose(E, cx, I, r, cap=200000):
+def einfty_decompose(E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
     """Arity-r chain coproduct over permutation-tuple cochains.
 
     ``E`` is the cochain cooperad on tuples of permutations (with its
@@ -290,8 +291,6 @@ def einfty_decompose(E, cx, I, r, cap=200000):
     same wherever it appears: each distinct surjection acts once, and the
     others read its terms.  Every term read still counts against ``cap``.
     """
-    from .builders import be_from_name
-
     if r > E.r_max:
         raise ShapeError(f"arity {r} exceeds the truncation {E.r_max}")
     if r == 0:
@@ -313,7 +312,7 @@ def einfty_decompose(E, cx, I, r, cap=200000):
     return cx.ring.collect(terms)
 
 
-def c_coalgebra_decompose(phi, E, cx, I, r, cap=200000):
+def c_coalgebra_decompose(phi, E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
     """Push the chain coproduct along a cooperad morphism out of ``E``.
 
     Returns {(target-cooperad name, (J_1..J_r)): coeff}.

@@ -67,9 +67,6 @@ class Permutation:
     def koszul_sign(self, degrees):
         return koszul_sign_images(self.images, degrees)
 
-    def sign(self):
-        return koszul_sign_images(self.images, (1,) * self.r)
-
     @classmethod
     def identity(cls, r):
         return cls(tuple(range(1, r + 1)))

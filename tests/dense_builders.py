@@ -1,5 +1,7 @@
 """Dense reference builders: the oracle for ``opmc.operads.dualize`` and
-the Barratt-Eccles construction in ``opmc.builders``.
+the Barratt-Eccles construction in ``opmc.builders``, with the word
+operad ``dense_ass_chain_operad`` as an oracle for ``ass_cochains`` that
+does not go through Barratt-Eccles.
 
 These are the straightforward loops that the pruned, memoised builder
 replaces: ``dense_tables`` calls ``compose`` on every (outer, inners)
@@ -14,10 +16,13 @@ tests keep their instances small.
 from itertools import product as _product
 
 from opmc.builders import (
+    UNIT_NAME,
     be_from_name,
     be_name,
     be_nondegenerate,
     compose_permutations,
+    perm_from_name,
+    perm_name,
 )
 from opmc.cooperad import compositions
 from opmc.graded import BasisElement
@@ -46,6 +51,29 @@ def dense_tables(op):
                             table.setdefault(out, []).append((coeff, b, inners))
                 tables[(k, shape)] = table
     return tables
+
+
+def dense_ass_chain_operad(ring, r_max):
+    """The word operad: one basis word per permutation, in degree 0,
+    composed by substitution."""
+    components = {}
+    for r in range(r_max + 1):
+        def act(sigma, name, _r=r):
+            return perm_name(sigma.compose(perm_from_name(name)))
+
+        components[r] = OrbitModule.from_orbits(
+            ring, r, [BasisElement(perm_name(Permutation.identity(r)), 0)], act
+        )
+
+    def compose_name(outer, shape, inners):
+        mu = perm_from_name(outer)
+        taus = [perm_from_name(n) for n in inners]
+        return [(1, perm_name(compose_permutations(mu, shape, taus)))]
+
+    return ChainOperad(
+        ring, r_max, components, compose_name,
+        id_name="1", unit_name=UNIT_NAME, label="ass-chains",
+    )
 
 
 def be_complexity(simplex, r):

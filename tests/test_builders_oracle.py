@@ -11,7 +11,6 @@ import pytest
 
 import dense_builders as dense
 from opmc.builders import (
-    ass_chain_operad,
     ass_cochains,
     barratt_eccles,
     be_simplices,
@@ -43,7 +42,7 @@ def test_be_tables_and_cup_products_match_dense(build):
 
 def test_ass_tables_match_dense():
     C, _ = ass_cochains(Z, 4, validate=False)
-    assert ordered(C.cocomp) == ordered(dense.dense_tables(ass_chain_operad(Z, 4)))
+    assert ordered(C.cocomp) == ordered(dense.dense_tables(dense.dense_ass_chain_operad(Z, 4)))
 
 
 @pytest.mark.parametrize("r", range(4))

@@ -23,12 +23,13 @@ from opmc.cooperad import (
     validate_hopf,
     validate_morphism,
 )
-from opmc.errors import RingRequirementError, ValidationError
+from opmc.errors import RingRequirementError, ShapeError, ValidationError
 from opmc.rings import ring_make
 from opmc.symmetric import Permutation, TrivialModule, all_permutations
 
 Z = ring_make({"kind": "integers"})
 Q = ring_make({"kind": "rationals"})
+Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
 
 
 # -- independent oracle: partial composition of permutations via list
@@ -261,6 +262,39 @@ def test_be1_matches_ass():
             (vertex,) = be_from_name(nm)
             assert phi.maps[r].apply_name(nm).terms == {perm_name(vertex): 1}
     assert validate_morphism(phi).ok
+
+
+def cooperad_items(C, H):
+    """Everything a cochain cooperad and its Hopf structure hold, as
+    ordered lists: names, degrees, orbit reps, action tables,
+    cocomposition tables with term order, products and units."""
+    arities = []
+    for r in range(C.r_max + 1):
+        comp = C.component(r)
+        names = list(comp.module.names)
+        arities.append((
+            names, [C.degree(r, nm) for nm in names], list(comp.orbit_reps),
+            [(sigma.images, nm, comp.act_name(sigma, nm))
+             for sigma in comp.group() for nm in names],
+            list(H.products[r].items()), list(H.unit(r).terms.items()),
+        ))
+    tables = [(key, list(table.items())) for key, table in C.cocomp.items()]
+    return C.label, C.unit_name, C.counit_name, arities, tables
+
+
+@pytest.mark.parametrize("r_max", [2, 3, 4])
+@pytest.mark.parametrize("ring", [Z, Z2, Q], ids=["Z", "Z2", "Q"])
+def test_ass_is_complexity_one_be(ring, r_max):
+    assert (cooperad_items(*ass_cochains(ring, r_max, validate=False))
+            == cooperad_items(*barratt_eccles(ring, r_max, 0, n=1,
+                                              validate=False)))
+
+
+def test_be1_to_ass_iso_refuses_positive_degree():
+    ass, _ = ass_cochains(Z, 2, validate=False)
+    e2, _ = barratt_eccles(Z, 2, 1, n=2, validate=False)
+    with pytest.raises(ShapeError, match="positive-degree class"):
+        be1_to_ass_iso(e2, ass)
 
 
 def test_einfty_to_en_restriction():

@@ -54,6 +54,9 @@ CASES = {
     "ass_decompose_face_arity3": ["decompose-simplex", "--instance", ASS,
                                   "--n", "3", "--class", "0,2,3",
                                   "--arity", "3"],
+    "ass_kan_check": ["kan-check", "--instance", ASS, "--trials", "8",
+                      "--seed", "1"],
+    "ass_build_cooperad": ["build-cooperad", "--instance", ASS],
     "e2_horn_fill_3_0": ["horn-fill", "--instance", "e2_z2.json",
                          "--horn", "e2_horn_3_0.json"],
 }

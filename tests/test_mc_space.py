@@ -22,7 +22,7 @@ from opmc.errors import (
     ShapeError,
     UnsupportedError,
 )
-from opmc import instances, mc_space, simplex_chains
+from opmc import builders, instances, mc_space, simplex_chains
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
@@ -542,6 +542,21 @@ def test_mu_memo_holds_a_horn_fill_of_the_shipped_e2():
     psi = P.horn_fill(horn_from_doc(inst.V, doc))
     _assert_rechecks_store_nothing(P, psi)
     assert other is not P and not other._mus
+
+
+def test_make_problem_builds_no_cooperad(monkeypatch):
+    # ass is the complexity-1 Barratt-Eccles cooperad: it acts through
+    # itself, so the problem needs no second cooperad
+    inst = instances.load_instance(
+        str(Path(__file__).parent / "data" / "ass_z3.json"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("make_problem built a cooperad")
+
+    monkeypatch.setattr(instances, "barratt_eccles", refuse)
+    monkeypatch.setattr(builders, "barratt_eccles", refuse)
+    P = instances.make_problem(inst)
+    assert P.E is inst.cooperad and P.phi.source is P.phi.target
 
 
 def test_loads_share_the_simplex_memos():
