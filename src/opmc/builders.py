@@ -195,13 +195,10 @@ def be_chain_operad(ring, r_max, d_max, n=None):
         # degree of a k-simplex is k; orbit reps start at the identity
         basis = [BasisElement(be_name(s), len(s) - 1) for s in simplices]
         reps = [be_name(s) for s in simplices if s[0].is_identity()]
-        action = {}
-        for s in simplices:
-            nm = be_name(s)
-            for sigma in all_permutations(r):
-                moved = tuple(sigma.compose(p) for p in s)
-                action[(sigma.images, nm)] = be_name(moved)
-        components[r] = OrbitModule(ring, r, basis, reps, action)
+        actions = {sigma.images: {b.name: be_name(tuple(sigma.compose(p) for p in s))
+                                  for b, s in zip(basis, simplices)}
+                   for sigma in all_permutations(r)}
+        components[r] = OrbitModule(ring, r, basis, reps, actions)
 
     name_sets = {r: set(components[r].module.names) for r in range(r_max + 1)}
     vertices = {nm: tuple(nm.split("|")) for names in name_sets.values()

@@ -335,9 +335,7 @@ def coderivation_extend(Qt, check=False):
         terms = []
         r = key[0]
         for (cname, vt), coeff in cf.expand_key(key).items():
-            for (tcoeff, k, out, i, m, inner) in infinitesimal_cocomposition(
-                C, r, cname, include_trivial=True
-            ):
+            for tcoeff, k, out, i, m, inner in infinitesimal_cocomposition(C, r, cname):
                 # v-slots: positions i-1 .. i-1+m-1 feed the inner factor
                 prefix = vt[:i - 1]
                 block = vt[i - 1:i - 1 + m]

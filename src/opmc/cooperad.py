@@ -32,8 +32,9 @@ nonzero table entries, not loops over all pairs or triples of names:
   partners b_0 of a_0 and y_i of x_i, and then with every b having the
   term (b_0, y_1..y_k) through an index of the table by (outer, inners).
 * Coassociativity, table equivariance and the morphism laws compare two
-  routes per basis name over its cocomposition terms, with degrees and
-  group actions read from dicts built once.
+  routes per basis name over its cocomposition terms, with degrees read
+  from dicts built once and group actions from the components' stored
+  ``actions`` rows.
 * Table equivariance, per arity: if the law holds for two block
   permutations (mu; sigma_1..sigma_k), one leaving a shape and one
   leaving the shape the first leads to, it holds for their product,
@@ -42,7 +43,9 @@ nonzero table entries, not loops over all pairs or triples of names:
   adjacent swaps of mu with every sigma_i the identity and the adjacent
   swaps inside one sigma_i with mu the identity: 450 of the 8,142 at
   r_max 4.  So the law is checked on these generators when the action
-  tables pass ``_acts_by_homomorphisms``, and all block permutations are
+  tables pass ``_acts_by_homomorphisms``: the adjacent swaps keep
+  degrees, and the table passes ``symmetric.is_group_action``, the
+  group law the module constructor checks.  All block permutations are
   walked, in the order of the dense loops, only when the tables fail it
   or a generator fails.
 
@@ -55,7 +58,7 @@ from itertools import product as _product
 
 from .errors import ShapeError, ValidationError
 from .graded import koszul_sign_images
-from .symmetric import all_permutations
+from .symmetric import adjacent_swaps, is_group_action
 
 __all__ = [
     "CooperadTruncation",
@@ -270,13 +273,8 @@ def _degrees(C):
 
 
 def _actions(C):
-    """Per arity: sigma.images -> {name: sigma . name}, in group order."""
-    out = {}
-    for r in range(C.r_max + 1):
-        om = C.component(r)
-        out[r] = {s.images: {n: om.act_name(s, n) for n in om.module.names}
-                  for s in all_permutations(r)}
-    return out
+    """Per arity, the component's action table (``OrbitModule.actions``)."""
+    return {r: C.component(r).actions for r in range(C.r_max + 1)}
 
 
 def validate_cooperad(C):
@@ -284,8 +282,8 @@ def validate_cooperad(C):
     rep = Report()
     ring = C.ring
 
-    # freeness is structural: OrbitModule construction verifies it, but a
-    # hand-built instance may bypass from_orbits, so re-derive cheaply.
+    # freeness is structural: every component's constructor locates each
+    # name in the orbit of a representative; this reads that index back
     for r, om in C.components.items():
         try:
             for name in om.module.names:
@@ -402,12 +400,6 @@ def _coassoc_check(C, r, grand_shapes, deg):
     return None
 
 
-def _adjacent_swaps(n):
-    """Images of the adjacent transpositions (i, i+1) of S_n, in order."""
-    ident = tuple(range(1, n + 1))
-    return [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(n - 1)]
-
-
 def _block_permutations(r, r_max, act):
     """Every block permutation (k, shape, mu, sigmas) of arity r, in the
     order of the dense loops: by shape, then mu, then sigma_1..sigma_k."""
@@ -423,31 +415,26 @@ def _block_generators(r, r_max):
     adjacent swaps inside one sigma_i with mu the identity."""
     for k, shape in shapes(r, r_max):
         ids = tuple(tuple(range(1, s + 1)) for s in shape)
-        for mu in _adjacent_swaps(k):
+        for mu in adjacent_swaps(k):
             yield k, shape, mu, ids
         for i, s in enumerate(shape):
-            for tau in _adjacent_swaps(s):
+            for tau in adjacent_swaps(s):
                 yield k, shape, tuple(range(1, k + 1)), ids[:i] + (tau,) + ids[i + 1:]
 
 
 def _acts_by_homomorphisms(deg, act):
     """Whether every arity acts on its names by a group action that keeps
-    degrees: the identity fixes every name, each adjacent swap t sends
-    names to names of the same degree, and act[s t] = act[s] o act[t] for
-    every s.  Then every sigma acts as the product of the swaps that
-    write it."""
+    degrees: each adjacent swap sends names to names of the same degree,
+    and the table passes ``is_group_action``, the law the module
+    constructor checks.  Then every sigma acts as the product of the
+    swaps that write it, and keeps degrees too."""
     for r, table in act.items():
         d = deg[r]
-        if any(x != n for n, x in table[tuple(range(1, r + 1))].items()):
+        if any(x not in d or d[x] != d[n]
+               for t in adjacent_swaps(r) for n, x in table[t].items()):
             return False
-        for i, t in enumerate(_adjacent_swaps(r)):
-            ft = table[t]
-            if any(x not in d or d[x] != d[n] for n, x in ft.items()):
-                return False
-            for s, fs in table.items():
-                fst = table[s[:i] + (s[i + 1], s[i]) + s[i + 2:]]
-                if any(fst[n] != fs[x] for n, x in ft.items()):
-                    return False
+        if not is_group_action(r, table):
+            return False
     return True
 
 
@@ -577,11 +564,9 @@ def _hopf_assoc_check(ring, r, pos, inner, by_left, by_right):
 def _hopf_equivariance_check(ring, r, om, pos, eta, table, inner):
     """sigma . eta = eta, and mu(sigma a, sigma b) = sigma . mu(a, b) on the
     nonzero products and their preimages under sigma x sigma."""
-    eta_terms = ring.collect(eta.items())
-    for sigma in om.group():
-        if ring.collect((om.act_name(sigma, n), c) for n, c in eta.items()) != eta_terms:
-            return (r, sigma.images)
-        move = {a: om.act_name(sigma, a) for a in pos}
+    for images, move in om.actions.items():
+        if ring.collect((move[n], c) for n, c in eta.items()) != eta:
+            return (r, images)
         preimages = {}
         for a, x in move.items():
             preimages.setdefault(x, []).append(a)
@@ -589,10 +574,9 @@ def _hopf_equivariance_check(ring, r, om, pos, eta, table, inner):
         for x, y in table:
             pairs.update(_product(preimages.get(x, ()), preimages.get(y, ())))
         for a, b in sorted(pairs, key=lambda k: (pos[k[0]], pos[k[1]])):
-            moved = ring.collect((om.act_name(sigma, c), v)
-                                 for c, v in inner.get((a, b), {}).items())
+            moved = ring.collect((move[c], v) for c, v in inner.get((a, b), {}).items())
             if table.get((move[a], move[b]), {}) != moved:
-                return (r, sigma.images, a, b)
+                return (r, images, a, b)
     return None
 
 
@@ -643,26 +627,23 @@ def validate_morphism(phi):
     S, T = phi.source, phi.target
     ring = T.ring
     r_max = min(S.r_max, T.r_max)
-    images = {}
 
     def image(r, name):
-        """phi(name) in arity r as a sparse dict."""
-        if (r, name) not in images:
-            images[r, name] = ring.collect(phi.maps[r].entries.get(name, {}).items())
-        return images[r, name]
+        """phi(name) in arity r, the stored sparse row."""
+        return phi.maps[r].entries.get(name, {})
 
     for r in range(r_max + 1):
         f = phi.maps[r]
         ok = f.degree == 0
         rep.add(f"morphism-degree arity {r}", ok, None if ok else f.degree)
 
-        om_s, om_t = S.component(r), T.component(r)
+        act_t = T.component(r).actions
         rep.add_first(f"morphism-equivariance arity {r}", (
-            (r, sigma.images, name)
-            for sigma in om_s.group()
-            for name in om_s.module.names
-            if image(r, om_s.act_name(sigma, name)) != ring.collect(
-                (om_t.act_name(sigma, n), c) for n, c in image(r, name).items())))
+            (r, images, name)
+            for images, move in S.component(r).actions.items()
+            for name, moved in move.items()
+            if image(r, moved) != ring.collect(
+                (act_t[images][n], c) for n, c in image(r, name).items())))
 
     ok = phi.maps[1].apply_name(S.counit_name).eq(T.counit_element())
     rep.add("morphism-counit", ok)
@@ -720,20 +701,17 @@ def cocom_unit_morphism(C, H):
 # infinitesimal cocomposition
 
 
-def infinitesimal_cocomposition(C, r, cname, include_trivial=False):
+def infinitesimal_cocomposition(C, r, cname):
     """Components of cocomposition with exactly one non-trivial inner factor.
 
     Returns a list of (coeff, k, outer-name, slot-index (1-based), m,
     inner-name) where the inner factor sits in uC(m) and every other
     inner slot carries the counit.  Arity-0 insertions (m = 0) generate
-    the curvature terms; with ``include_trivial`` the counit-law-forced
-    terms (m = 1, inner = counit) are listed too.
+    the curvature terms; the counit-law-forced terms (m = 1, inner =
+    counit) come first.
     """
-    out = []
     counit = C.counit_name
-    if include_trivial:
-        for i in range(1, r + 1):
-            out.append((C.ring.one, r, cname, i, 1, counit))
+    out = [(C.ring.one, r, cname, i, 1, counit) for i in range(1, r + 1)]
     for m in list(range(0, C.r_max + 1)):
         if m == 1:
             continue

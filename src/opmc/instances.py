@@ -17,7 +17,12 @@ from .builders import (
     en_restriction_morphism,
 )
 from .cofree import Coderivation, cofree_build, completeness_check
-from .errors import CompletenessError, InstanceFormatError, UnsupportedError
+from .errors import (
+    DEFAULT_RESOURCE_CAP,
+    CompletenessError,
+    InstanceFormatError,
+    UnsupportedError,
+)
 from .graded import BasisElement, GradedModule
 from .mc_space import MCProblem
 from .rings import ring_make
@@ -232,7 +237,7 @@ def instance_to_dict(inst):
     }
 
 
-def make_problem(inst, cap=None):
+def make_problem(inst, cap=DEFAULT_RESOURCE_CAP):
     """The convolution-complex problem for an instance.
 
     An ``ass`` or ``be`` cooperad is permutation-tuple cochains (``ass``
@@ -245,5 +250,4 @@ def make_problem(inst, cap=None):
         )
     C = inst.cooperad
     phi = en_restriction_morphism(C, C, validate=False)
-    kwargs = {} if cap is None else {"cap": cap}
-    return MCProblem(inst.Qt, phi, C, **kwargs)
+    return MCProblem(inst.Qt, phi, C, cap=cap)

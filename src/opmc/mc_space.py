@@ -287,9 +287,6 @@ class MCProblem:
     def zero(self, n, degree=0):
         return ConvolutionElement(self.chains(n), self.V, degree)
 
-    def element(self, n, values, degree=0):
-        return ConvolutionElement(self.chains(n), self.V, degree, values)
-
     def _decompose(self, n, I, r):
         """The arity-r chain coproduct of the class I of the n-simplex.
 
@@ -614,21 +611,23 @@ class MCProblem:
                     )
         return psi
 
-    def kan_spot_check(self, trials=20, seed=0, n_max=3, enum_cap=4096):
+    def kan_spot_check(self, trials=20, seed=0):
         """Generate horns from known solutions and fill them.
 
-        Vertices come from exhaustive enumeration; higher simplices from
-        fillers and degeneracies of lower ones.  Returns a report dict.
+        Trial t fills a horn of dimension 1 + t mod 3.  Vertices come from
+        exhaustive enumeration, refused past 4096 candidates; higher
+        simplices from fillers and degeneracies of lower ones.  Returns a
+        report dict.
         """
         rng = random.Random(seed)
         report = {"attempted": 0, "filled": 0, "cases": []}
-        vertices = self.mc_simplices(0, cap=enum_cap)
+        vertices = self.mc_simplices(0, cap=4096)
         if not vertices:
             report["note"] = "no vertex solutions; nothing to check"
             return report
         pool = {0: vertices}
         for t in range(trials):
-            n = 1 + t % n_max
+            n = 1 + t % 3
             k = rng.randrange(n + 1)
             if n == 1:
                 v0 = rng.choice(pool[0])

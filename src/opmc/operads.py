@@ -71,7 +71,7 @@ def dualize(op, label=""):
             BasisElement(n, -om.module.degree(n), om.module.weight(n))
             for n in om.module.names
         ]
-        components[r] = OrbitModule(ring, r, basis, om.orbit_reps, om._action)
+        components[r] = OrbitModule(ring, r, basis, om.orbit_reps, om.actions)
 
     buckets = {r: _degree_buckets(om.module) for r, om in op.components.items()}
     tables = {}

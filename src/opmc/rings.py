@@ -76,9 +76,6 @@ class Ring:
                 out[key] = s
         return out
 
-    def eq(self, a, b):
-        return self.normalize(a) == self.normalize(b)
-
     def is_unit(self, a):
         raise NotImplementedError
 

@@ -6,6 +6,10 @@ basis is {sigma . rep} and the action permutes basis names (no signs on
 the module factor; Koszul signs only enter through the tensor slots that
 an action permutes alongside).  ``TrivialModule`` is the one non-free
 module: rank one, trivial action, over a ring containing Q.
+
+A module stores its action once, as the table ``actions`` of rows
+{name: sigma . name} keyed by sigma.images; its constructor checks the
+group law at every arity (``is_group_action``), and every layer reads it.
 """
 
 from itertools import combinations_with_replacement
@@ -21,7 +25,8 @@ from .errors import (
 )
 from .graded import BasisElement, Element, GradedModule, koszul_sign_images
 
-__all__ = ["Permutation", "OrbitModule", "TrivialModule", "all_permutations"]
+__all__ = ["Permutation", "OrbitModule", "TrivialModule", "adjacent_swaps",
+           "all_permutations", "is_group_action"]
 
 
 class Permutation:
@@ -89,72 +94,90 @@ def all_permutations(r):
     return [Permutation(p) for p in _itperms(range(1, r + 1))]
 
 
+def adjacent_swaps(r):
+    """Images of the adjacent transpositions (i, i+1) of S_r, in order."""
+    ident = tuple(range(1, r + 1))
+    return [ident[:i] + (i + 2, i + 1) + ident[i + 2:] for i in range(r - 1)]
+
+
+def is_group_action(r, actions):
+    """Whether ``actions``, sigma.images -> {name: sigma . name} with
+    every row on the names of the identity row, is an action of S_r: the
+    identity fixes every name, and act[s t] = act[s] o act[t] for every s
+    and every adjacent swap t.  The swaps generate S_r, so by induction
+    on word length act[s u] = act[s] o act[u] for all s, u."""
+    ident = tuple(range(1, r + 1))
+    if any(x != n for n, x in actions[ident].items()):
+        return False
+    for i, t in enumerate(adjacent_swaps(r)):
+        ft = actions[t].items()
+        for s, fs in actions.items():
+            fst = actions[s[:i] + (s[i + 1], s[i]) + s[i + 2:]]
+            for n, x in ft:
+                if fst[n] != fs.get(x):
+                    return False
+    return True
+
+
 class OrbitModule:
     """Free S_r permutation module on named basis elements.
 
-    ``action`` maps (sigma.images, name) -> name.  Freeness (sigma.b = b
-    only for sigma = id) is verified on construction.
+    ``actions`` maps sigma.images -> {name: sigma . name}: one row per
+    sigma, keyed in the order of ``all_permutations``, each row in basis
+    order.  The constructor is the one place that checks it: every sigma
+    has a row, each row maps the basis into itself, the rows form a group
+    action (``is_group_action``, the same check at every arity) and the
+    action is free, with every name in the orbit of one representative.
     """
 
-    def __init__(self, ring, arity, basis, orbit_reps, action):
+    def __init__(self, ring, arity, basis, orbit_reps, actions):
         self.arity = arity
         self.module = GradedModule(ring, basis)
         self.orbit_reps = list(orbit_reps)
-        self._action = dict(action)
         self._group = all_permutations(arity)
-        self._locate = {}
-        self._normal = {}
-        self._check_and_index()
+        known = self.module.basis
+        self.actions = {}
+        for sigma in self._group:
+            row = actions.get(sigma.images)
+            if row is None:
+                raise ShapeError(f"action table has no row for {sigma.images}")
+            if row.keys() != known.keys() or not set(row.values()) <= known.keys():
+                raise ShapeError(f"row {sigma.images} is no map of the basis to itself")
+            self.actions[sigma.images] = {n: row[n] for n in known}
+        if not is_group_action(arity, self.actions):
+            raise ShapeError("action table is not a group action")
+        self._index()
 
     @classmethod
     def from_orbits(cls, ring, arity, rep_basis, act_name):
         """Build from representatives and a free action function on names."""
         group = all_permutations(arity)
-        basis, action, seen = [], {}, set()
+        basis, seen = [], set()
         for rep in rep_basis:
             for sigma in group:
                 name = act_name(sigma, rep.name)
                 if name not in seen:
                     seen.add(name)
                     basis.append(BasisElement(name, rep.degree, rep.weight))
-        for b in basis:
-            for sigma in group:
-                action[(sigma.images, b.name)] = act_name(sigma, b.name)
-        return cls(ring, arity, basis, [r.name for r in rep_basis], action)
+        actions = {sigma.images: {b.name: act_name(sigma, b.name) for b in basis}
+                   for sigma in group}
+        return cls(ring, arity, basis, [r.name for r in rep_basis], actions)
 
-    def _check_and_index(self):
-        names = set(self.module.names)
-        idp = Permutation.identity(self.arity)
-        for (images, name), out in self._action.items():
-            if out not in names:
-                raise ShapeError(f"action leaves the basis: {name!r} -> {out!r}")
-        for name in names:
-            if self.act_name(idp, name) != name:
-                raise ShapeError("action table does not fix the identity")
-        # group action property on a generating set is implied by the full
-        # table check below (we verify all pairs; arities are tiny).
-        if self.arity <= 4:
-            for s in self._group:
-                for t in self._group:
-                    st = s.compose(t)
-                    for name in names:
-                        if self.act_name(st, name) != self.act_name(s, self.act_name(t, name)):
-                            raise ShapeError("action table is not a group action")
-        covered = set()
+    def _index(self):
+        """Locate every name as sigma . rep, refusing an action that is
+        not free or whose representatives miss an orbit."""
+        self._locate = {}
+        self._normal = {}
         for rep in self.orbit_reps:
             for sigma in self._group:
-                name = self.act_name(sigma, rep)
+                name = self.actions[sigma.images][rep]
                 if name in self._locate:
                     raise FreenessError(
                         f"action is not free: {name!r} reached twice from orbit reps"
                     )
-                inv = sigma.inverse()
-                if self.act_name(inv, name) != rep:
-                    raise ShapeError("action table is not a group action")
                 self._locate[name] = (rep, sigma)
-                self._normal[name] = (rep, inv.images)
-                covered.add(name)
-        if covered != names:
+                self._normal[name] = (rep, sigma.inverse().images)
+        if len(self._locate) != len(self.module.names):
             raise FreenessError("orbit representatives do not generate the basis")
 
     @property
@@ -167,7 +190,7 @@ class OrbitModule:
     def act_name(self, sigma, name):
         if sigma.r != self.arity:
             raise ShapeError(f"arity mismatch: {sigma.r} vs {self.arity}")
-        return self._action[(sigma.images, name)]
+        return self.actions[sigma.images][name]
 
     def locate(self, name):
         """Return (rep, sigma) with name = sigma . rep."""
@@ -267,12 +290,13 @@ class TrivialModule(OrbitModule):
                 "trivial symmetric group actions need the divided norm, "
                 "which requires Q in the ring"
             )
-        self.arity = arity
-        self.module = GradedModule(ring, [BasisElement(name, 0)])
-        self.orbit_reps = [name]
-        self._group = all_permutations(arity)
-        self._action = {(s.images, name): name for s in self._group}
-        self._locate = {name: (name, Permutation.identity(arity))}
+        super().__init__(ring, arity, [BasisElement(name, 0)], [name], {
+            images: {name: name} for images in _itperms(range(1, arity + 1))})
+
+    def _index(self):
+        """The one name is its own representative; the action is not free."""
+        name = self.orbit_reps[0]
+        self._locate = {name: (name, Permutation.identity(self.arity))}
 
     def coinv_normalize(self, name, slots, slot_degrees):
         """Sort the slots; the sign is the Koszul sign of the (stable) sort."""

@@ -122,7 +122,7 @@ def dense_be_chain_operad(ring, r_max, d_max, n=None):
         for s in simplices:
             for sigma in all_permutations(r):
                 moved = tuple(sigma.compose(p) for p in s)
-                action[(sigma.images, be_name(s))] = be_name(moved)
+                action.setdefault(sigma.images, {})[be_name(s)] = be_name(moved)
         components[r] = OrbitModule(ring, r, basis, reps, action)
     name_sets = {r: set(components[r].module.names) for r in range(r_max + 1)}
 

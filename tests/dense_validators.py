@@ -72,8 +72,8 @@ def validate_cooperad(C):
     rep = Report()
     ring = C.ring
 
-    # freeness is structural: OrbitModule construction verifies it, but a
-    # hand-built instance may bypass from_orbits, so re-derive cheaply.
+    # freeness is structural: every component's constructor locates each
+    # name in the orbit of a representative; this reads that index back
     for r, om in C.components.items():
         try:
             for name in om.module.names:

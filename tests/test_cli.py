@@ -198,6 +198,18 @@ def test_validate_command(inst_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_einfty_degree_cut_is_rejected(tmp_path, capsys):
+    """E-infinity cochains cut at d_max 1 are no Hopf cooperad: the cup
+    product of two arity-3 edges fails to commute with cocomposition."""
+    path = write_variant(tmp_path, "einf.json", coderivation=[], cooperad={
+        "builder": "be", "r_max": 3, "d_max": 1, "n": None})
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().err == (
+        "error[validation]: barratt-eccles hopf structure failed "
+        "hopf-cocomposition-compat arity 3: "
+        "(3, 2, (1, 2), '123|132', '132|321')\n")
+
+
 def test_unknown_command_is_usage_error(inst_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--instance", inst_file])

@@ -139,8 +139,7 @@ def test_counit_infinitesimal_trivial(ass3):
     C, _ = ass3
     terms = infinitesimal_cocomposition(C, 1, C.counit_name)
     assert [t for t in terms if t[4] >= 2] == []
-    with_trivial = infinitesimal_cocomposition(C, 1, C.counit_name,
-                                               include_trivial=True)
+    with_trivial = infinitesimal_cocomposition(C, 1, C.counit_name)
     assert (Z.one, 1, C.counit_name, 1, 1, C.counit_name) in with_trivial
 
 

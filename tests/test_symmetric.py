@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from opmc.builders import ass_cochains, barratt_eccles, be_chain_operad, com_cochains
 from opmc.errors import (
     FreenessError,
     InvarianceError,
@@ -17,8 +18,10 @@ from opmc.symmetric import (
     Permutation,
     TrivialModule,
     act_plain,
+    adjacent_swaps,
     all_permutations,
     coinv_normalize_plain,
+    is_group_action,
     norm_inverse_plain,
     norm_plain,
 )
@@ -214,3 +217,97 @@ def test_trivial_module_closed_forms():
             checked += 1
         assert om.class_tuples(degree, degree.get) == sorted(keys)
     assert checked == 340
+
+
+# ---------------------------------------------------------------------------
+# the group law of an action table
+
+
+def dense_is_group_action(r, actions):
+    """The group law as loops over all pairs of S_r: every row maps the
+    names of the identity row into them, the identity fixes each name,
+    and act[s t] = act[s] o act[t] for every s and t."""
+    group = all_permutations(r)
+    names = actions[Permutation.identity(r).images]
+    if any(x not in names for row in actions.values() for x in row.values()):
+        return False
+    if any(x != n for n, x in names.items()):
+        return False
+    for s in group:
+        for t in group:
+            fst = actions[s.compose(t).images]
+            fs, ft = actions[s.images], actions[t.images]
+            if any(fst[n] != fs[ft[n]] for n in names):
+                return False
+    return True
+
+
+def spoiled_tables(r, actions):
+    """Copies of an arity-r table with one row spoiled: the images of the
+    first and the last name swapped in the reversal row, the identity
+    moving the first name onto the last, and the last adjacent swap
+    sending the first name off the basis."""
+    names = list(actions[Permutation.identity(r).images])
+    first, last = names[0], names[-1]
+
+    def spoil(images, changes):
+        return {**actions, images: {**actions[images], **changes}}
+
+    out = []
+    if len(names) > 1:
+        rev = tuple(range(r, 0, -1))
+        row = actions[rev]
+        out.append(spoil(rev, {first: row[last], last: row[first]}))
+        out.append(spoil(Permutation.identity(r).images, {first: last}))
+    if r > 1:
+        out.append(spoil(adjacent_swaps(r)[-1], {first: "off-the-basis"}))
+    return out
+
+
+def build_components(build):
+    """The components of one build, named kind-ring."""
+    kind, ring = build.rsplit("-", 1)
+    ring = RINGS[ring]
+    if kind == "ass":
+        return ass_cochains(ring, 4, validate=False)[0].components
+    if kind == "be":
+        return barratt_eccles(ring, 3, 2, validate=False)[0].components
+    if kind == "be-chains":
+        return be_chain_operad(ring, 4, 1).components
+    return com_cochains(ring, 4, validate=False)[0].components
+
+
+@pytest.mark.parametrize("build", [
+    f"{kind}-{ring}" for kind in ("ass", "be", "be-chains") for ring in ("Z", "Z2", "Q")
+] + ["com-Q"])
+def test_group_law_matches_the_loop_over_all_pairs(build):
+    """is_group_action agrees with the loops over all pairs on every
+    component and on its spoiled copies, and the constructor refuses
+    each copy that is no group action."""
+    refused = 0
+    for r, om in build_components(build).items():
+        assert dense_is_group_action(r, om.actions) and is_group_action(r, om.actions)
+        basis = [BasisElement(n, om.module.degree(n)) for n in om.module.names]
+        for table in spoiled_tables(r, om.actions):
+            want = dense_is_group_action(r, table)
+            assert is_group_action(r, table) == want, (build, r)
+            if not want and type(om) is OrbitModule:
+                with pytest.raises(ShapeError):
+                    OrbitModule(om.ring, r, basis, om.orbit_reps, table)
+                refused += 1
+    assert refused or build == "com-Q"
+
+
+def test_table_that_is_no_group_action_is_refused_at_every_arity():
+    """In S_5, swap the reversal's images of two names that the freeness
+    index never reads, or drop a row: the constructor refuses both."""
+    om = regular_module(Z, 5)
+    basis = [BasisElement(n, 0) for n in om.module.names]
+    rev = (5, 4, 3, 2, 1)
+    row = dict(om.actions[rev])
+    row["21345"], row["12354"] = row["12354"], row["21345"]
+    with pytest.raises(ShapeError, match="not a group action"):
+        OrbitModule(Z, 5, basis, om.orbit_reps, {**om.actions, rev: row})
+    missing = {images: row for images, row in om.actions.items() if images != rev}
+    with pytest.raises(ShapeError, match="no row"):
+        OrbitModule(Z, 5, basis, om.orbit_reps, missing)

@@ -210,8 +210,8 @@ def test_spoiled_action_not_a_bijection(einf2):
     # a hand-built module that skipped OrbitModule's checks: the swap now
     # sends both edges of one orbit to the same edge
     om = copy.copy(C.component(2))
-    om._action = dict(om._action)
-    om._action[((2, 1), "12|21")] = om._action[((2, 1), "21|12")]
+    row = om.actions[(2, 1)]
+    om.actions = {**om.actions, (2, 1): {**row, "12|21": row["21|12"]}}
     components = dict(C.components)
     components[2] = om
     bad = CooperadTruncation(Z, C.r_max, components, C.cocomp,
@@ -289,9 +289,9 @@ def test_action_not_a_homomorphism_forces_the_full_walk(ass3):
     # of two names: no generator of the block permutations reads that
     # entry, so each of them passes, and only the full walk can fail
     om = copy.copy(C.component(3))
-    om._action = dict(om._action)
-    a, b = ((3, 2, 1), "123"), ((3, 2, 1), "132")
-    om._action[a], om._action[b] = om._action[b], om._action[a]
+    row = dict(om.actions[(3, 2, 1)])
+    row["123"], row["132"] = row["132"], row["123"]
+    om.actions = {**om.actions, (3, 2, 1): row}
     components = dict(C.components)
     components[3] = om
     bad = CooperadTruncation(Z, C.r_max, components, C.cocomp,
