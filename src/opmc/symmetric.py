@@ -126,8 +126,9 @@ class OrbitModule:
     sigma, keyed in the order of ``all_permutations``, each row in basis
     order.  The constructor is the one place that checks it: every sigma
     has a row, each row maps the basis into itself, the rows form a group
-    action (``is_group_action``, the same check at every arity) and the
-    action is free, with every name in the orbit of one representative.
+    action (``is_group_action``, the same check at every arity), each
+    orbit representative is a basis name and the action is free, with
+    every name in the orbit of one representative.
     """
 
     def __init__(self, ring, arity, basis, orbit_reps, actions):
@@ -146,22 +147,10 @@ class OrbitModule:
             self.actions[sigma.images] = {n: row[n] for n in known}
         if not is_group_action(arity, self.actions):
             raise ShapeError("action table is not a group action")
+        for rep in self.orbit_reps:
+            if rep not in known:
+                raise ShapeError(f"orbit representative {rep!r} is not a basis name")
         self._index()
-
-    @classmethod
-    def from_orbits(cls, ring, arity, rep_basis, act_name):
-        """Build from representatives and a free action function on names."""
-        group = all_permutations(arity)
-        basis, seen = [], set()
-        for rep in rep_basis:
-            for sigma in group:
-                name = act_name(sigma, rep.name)
-                if name not in seen:
-                    seen.add(name)
-                    basis.append(BasisElement(name, rep.degree, rep.weight))
-        actions = {sigma.images: {b.name: act_name(sigma, b.name) for b in basis}
-                   for sigma in group}
-        return cls(ring, arity, basis, [r.name for r in rep_basis], actions)
 
     def _index(self):
         """Locate every name as sigma . rep, refusing an action that is

@@ -30,6 +30,22 @@ from opmc.operads import ChainOperad, nary_ez
 from opmc.symmetric import OrbitModule, Permutation, all_permutations
 
 
+def from_orbits(ring, arity, rep_basis, act_name):
+    """The OrbitModule spanned by the orbits of ``rep_basis`` under a free
+    action function ``act_name(sigma, name)``."""
+    group = all_permutations(arity)
+    basis, seen = [], set()
+    for rep in rep_basis:
+        for sigma in group:
+            name = act_name(sigma, rep.name)
+            if name not in seen:
+                seen.add(name)
+                basis.append(BasisElement(name, rep.degree, rep.weight))
+    actions = {sigma.images: {b.name: act_name(sigma, b.name) for b in basis}
+               for sigma in group}
+    return OrbitModule(ring, arity, basis, [r.name for r in rep_basis], actions)
+
+
 def dense_tables(op):
     """The cocomposition tables of ``op``, one ``compose`` per product."""
     ring = op.ring
@@ -61,7 +77,7 @@ def dense_ass_chain_operad(ring, r_max):
         def act(sigma, name, _r=r):
             return perm_name(sigma.compose(perm_from_name(name)))
 
-        components[r] = OrbitModule.from_orbits(
+        components[r] = from_orbits(
             ring, r, [BasisElement(perm_name(Permutation.identity(r)), 0)], act
         )
 

@@ -26,6 +26,8 @@ from opmc.symmetric import (
     norm_plain,
 )
 
+from dense_builders import from_orbits
+
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
 Z8 = ring_make({"kind": "integers-mod-m", "modulus": 8})
@@ -43,7 +45,7 @@ def regular_module(ring, r):
         tau = Permutation(tuple(int(ch) for ch in name))
         return sigma.compose(tau).oneline()
 
-    return OrbitModule.from_orbits(
+    return from_orbits(
         ring, r, [BasisElement(ident.oneline(), 0)], act
     )
 
@@ -311,3 +313,13 @@ def test_table_that_is_no_group_action_is_refused_at_every_arity():
     missing = {images: row for images, row in om.actions.items() if images != rev}
     with pytest.raises(ShapeError, match="no row"):
         OrbitModule(Z, 5, basis, om.orbit_reps, missing)
+
+
+@pytest.mark.parametrize("reps", [["nope"], [12], ["12", "nope"]])
+def test_orbit_representative_outside_the_basis_is_refused(reps):
+    # a representative that names no basis element, alone or beside a
+    # good one, is refused with a ShapeError, not a KeyError
+    om = regular_module(Z, 2)
+    basis = [BasisElement(n, 0) for n in om.module.names]
+    with pytest.raises(ShapeError, match="is not a basis name"):
+        OrbitModule(Z, 2, basis, reps, om.actions)
