@@ -9,7 +9,6 @@ checked structure.
 
 import json
 from fractions import Fraction
-from functools import cached_property
 
 from .builders import (
     ass_cochains,
@@ -118,14 +117,6 @@ class Instance:
         self.Qt = Qt
         self.options = options
         self.spec = spec
-
-    @cached_property
-    def chain_morphism(self):
-        """The identity restriction of the cooperad onto itself, built on
-        first use: the one morphism of every problem ``make_problem``
-        makes from this instance, so they share its chain coproduct."""
-        return en_restriction_morphism(self.cooperad, self.cooperad,
-                                       validate=False)
 
 
 def _build_cooperad(ring, block, validate):
@@ -250,15 +241,13 @@ def make_problem(inst, cap=DEFAULT_RESOURCE_CAP):
     """The convolution-complex problem for an instance.
 
     An ``ass`` or ``be`` cooperad is permutation-tuple cochains (``ass``
-    at complexity 1), whose chain coproduct it receives through itself,
-    along ``inst.chain_morphism``.  Every problem of one instance gets
-    that one morphism, so problems of equal ``cap`` share the chain
-    coproduct, each computed on first use; mu and the coderivation's
-    evaluations are still memoised per problem only.
+    at complexity 1), whose chain coproduct it receives through itself.
     """
     kind = inst.spec["cooperad"].get("builder")
     if kind not in ("ass", "be"):
         raise UnsupportedError(
             f"no chain-coalgebra structure available for builder {kind!r}"
         )
-    return MCProblem(inst.Qt, inst.chain_morphism, inst.cooperad, cap=cap)
+    C = inst.cooperad
+    phi = en_restriction_morphism(C, C, validate=False)
+    return MCProblem(inst.Qt, phi, C, cap=cap)

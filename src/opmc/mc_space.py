@@ -22,25 +22,18 @@ vertex values.  mu_r joins that positional coproduct with the support of
 its arguments, skipping every term with a block on which some argument
 vanishes, and the problem memoises the coderivation's plain evaluations.
 
-The coproduct depends on the cooperad morphism and the term cap, not on
-the coderivation, so its store (and the join index built from it) is
-kept per morphism and cap and shared by every problem over that
-morphism.  It is filled on first use; ``instances.make_problem`` passes
-one morphism per instance, so every problem of an instance shares it.
-
 The same relabelling makes the value of mu_r on a class I a function of
 r, |I|, the argument degrees and the arguments restricted to the
 classes inside I in positions.  Each problem memoises mu per such
-content for its own lifetime, as it does the evaluations; these two
-memos are never shared between problems.  A horn fill reads most of
-them back: the filler's classes other than the top and the open face
-lie in the faces already checked, and every later check of the filler
-or of its faces finds every class stored.
+content for its own lifetime, as it does the evaluations; nothing is
+shared between problems.  A horn fill reads most of it back: the
+filler's classes other than the top and the open face lie in the faces
+already checked, and every later check of the filler or of its faces
+finds every class stored.
 """
 
 import random
 from itertools import chain, combinations, product
-from weakref import WeakKeyDictionary
 
 from .errors import (
     DEFAULT_RESOURCE_CAP,
@@ -253,20 +246,12 @@ class HornData:
         return self.values.get(tuple(I), self.V.zero())
 
 
-# phi -> {cap: (_dec, _joins)}, the chain coproduct store of every problem
-# over phi; keyed by cap, so a problem is refused where a fresh
-# computation under its own cap would be.
-_COPRODUCTS = WeakKeyDictionary()
-
-
 class MCProblem:
     """A flat coderivation plus a chain-coalgebra structure.
 
     ``phi`` is a cooperad morphism from the permutation-tuple cochains
     ``E`` onto the cooperad of ``Qt``'s cofree object; it is how each
-    simplex becomes a coalgebra over that cooperad.  Its chain coproduct
-    is shared with every problem over the same ``phi`` and ``cap``; the
-    memos of mu and of the evaluations are the problem's own.
+    simplex becomes a coalgebra over that cooperad.
     """
 
     def __init__(self, Qt, phi, E, cap=DEFAULT_RESOURCE_CAP):
@@ -282,8 +267,8 @@ class MCProblem:
         self.phi = phi
         self.E = E
         self.cap = cap
-        self._dec, self._joins = _COPRODUCTS.setdefault(phi, {}).setdefault(
-            cap, ({}, {}))
+        self._dec = {}
+        self._joins = {}
         self._evals = {}
         self._mus = {}
 
@@ -306,9 +291,8 @@ class MCProblem:
         """The arity-r chain coproduct of the class I of the n-simplex.
 
         Only the coproduct of the top class of each Delta^m is computed
-        and stored (keyed as that top class, in the store shared by the
-        problems over ``phi`` at this cap); a class with m + 1 vertices
-        reads it with position j relabelled to I[j].
+        and stored (keyed as that top class); a class with m + 1
+        vertices reads it with position j relabelled to I[j].
         """
         cx = self.chains(n)
         I = tuple(I)
@@ -437,9 +421,12 @@ class MCProblem:
         key = (size, r)
         if key not in self._joins:
             index = self._joins[key] = {}
+            degree = {}
             for (cname, Js), c in dec.items():
+                if cname not in degree:
+                    degree[cname] = self.C.degree(r, cname)
                 crossing = 0
-                crossed = self.C.degree(r, cname)
+                crossed = degree[cname]
                 for i, J in enumerate(Js):
                     if crossed % 2:
                         crossing |= 1 << i

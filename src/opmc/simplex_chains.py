@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .builders import be_from_name
 from .errors import DEFAULT_RESOURCE_CAP, ResourceLimitError, ShapeError
-from .graded import BasisElement, GradedModule, LinearMap, koszul_sign_images
+from .graded import BasisElement, GradedModule, LinearMap
 
 __all__ = [
     "SimplexChains",
@@ -149,21 +149,6 @@ class Surjection:
         return f"Surjection{self.seq}"
 
 
-def _cut_positions(l, p):
-    """All 0 = c_0 <= c_1 <= ... <= c_l = p: l interval endpoints."""
-    out = []
-
-    def rec(i, last, acc):
-        if i == l:
-            out.append(tuple(acc + [p]))
-            return
-        for c in range(last, p + 1):
-            rec(i + 1, c, acc + [c])
-
-    rec(1, 0, [0])
-    return out
-
-
 def surjection_action(u, cx, I):
     """Interval-cut action of a surjection on a chain basis class.
 
@@ -173,38 +158,48 @@ def surjection_action(u, cx, I):
     occurrence is graded one above its interior degree and contributes
     the parity of its right cut -- the orientation convention fixed by
     the chain-map property (see surjection_boundary).
+
+    The cuts 0 = c_0 <= ... <= c_l = |I| - 1 are walked in lexicographic
+    order, one piece at a time, with the sign carried along: a piece
+    crosses the odd-degree pieces already placed in higher slots.  A
+    piece that starts where the previous piece of its slot ended repeats
+    a vertex, so every cut completing it gives a degenerate class and
+    the walk leaves that branch.
     """
     seq = u.seq
     l = len(seq)
-    r = u.arity
     p = len(I) - 1
-    last_occ = {v: max(t for t in range(l) if seq[t] == v) for v in set(seq)}
+    slots = [v - 1 for v in seq]
+    caesura = [v in seq[t + 1:] for t, v in enumerate(seq)]
+    segs = [()] * u.arity
     out = {}
-    for cuts in _cut_positions(l, p):
-        pieces = []  # (slot, piece degree for the sign)
-        segs = [[] for _ in range(r)]
-        extra = 1
-        for t in range(l):
-            a, b = cuts[t], cuts[t + 1]
-            slot = seq[t] - 1
-            segs[slot].extend(I[a:b + 1])
-            deg = b - a
-            if t != last_occ[seq[t]]:
-                deg += 1
-                if b % 2:
-                    extra = -extra
-            pieces.append((slot, deg))
-        if any(not s for s in segs):
-            continue
-        if any(len(set(s)) != len(s) for s in segs):
-            continue
-        # Koszul sign of sorting the pieces stably by output slot
-        order = sorted(range(len(pieces)), key=lambda t: (pieces[t][0], t))
-        position = {t: i + 1 for i, t in enumerate(order)}
-        images = [position[t] for t in range(len(pieces))]
-        sign = koszul_sign_images(images, [d for _, d in pieces]) * extra
-        key = tuple(tuple(s) for s in segs)
-        out[key] = out.get(key, 0) + sign
+
+    def place(t, a, sign, odd):
+        # piece t starts at cut a; bit s of odd is the degree parity of slot s
+        s = slots[t]
+        seg = segs[s]
+        if seg and seg[-1] == I[a]:
+            return
+        above = (odd >> (s + 1)).bit_count() & 1
+        if t == l - 1:
+            if (p - a) & 1 and above:
+                sign = -sign
+            segs[s] = seg + I[a:]
+            key = tuple(segs)
+            out[key] = out.get(key, 0) + sign
+            segs[s] = seg
+            return
+        c = caesura[t]
+        for b in range(a, p + 1):
+            deg = b - a + c
+            sg = -sign if c and b & 1 else sign
+            if deg & 1 and above:
+                sg = -sg
+            segs[s] = seg + I[a:b + 1]
+            place(t + 1, b, sg, odd ^ ((deg & 1) << s))
+        segs[s] = seg
+
+    place(0, 0, 1, 0)
     return {k: c for k, c in out.items() if c}
 
 
@@ -259,15 +254,14 @@ def table_reduction(simplex):
 
     def rec(i, closed, seq, remaining_len):
         row_all = [v for v in simplex[i].images if v not in closed]
+        # every take from this row starts with row_all[0], and a row
+        # repeats no value: the one place two equal values can meet
+        if seq and row_all and row_all[0] == seq[-1]:
+            return
         max_take = len(row_all)
         if i == d:
-            take = row_all
-            if len(take) != remaining_len:
-                return
-            full = seq + take
-            if any(full[t] == full[t + 1] for t in range(len(full) - 1)):
-                return
-            out.append(Surjection(full))
+            if len(row_all) == remaining_len:
+                out.append(Surjection(seq + row_all))
             return
         for a in range(1, min(max_take, remaining_len - (d - i)) + 1):
             take = row_all[:a]
@@ -303,22 +297,29 @@ def einfty_decompose(E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
             action = actions.get(surj.seq)
             if action is None:
                 action = actions[surj.seq] = surjection_action(surj, cx, I)
-            for key, c in action.items():
-                if len(terms) == cap:
-                    raise ResourceLimitError(
-                        f"decomposition exceeded the term cap {cap}"
-                    )
-                terms.append(((name, key), c))
+            if len(terms) + len(action) > cap:
+                raise ResourceLimitError(
+                    f"decomposition exceeded the term cap {cap}"
+                )
+            terms.extend(((name, key), c) for key, c in action.items())
     return cx.ring.collect(terms)
 
 
 def c_coalgebra_decompose(phi, E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
     """Push the chain coproduct along a cooperad morphism out of ``E``.
 
-    Returns {(target-cooperad name, (J_1..J_r)): coeff}.
+    Returns {(target-cooperad name, (J_1..J_r)): coeff}.  The image of
+    each source name is read from ``phi`` once per call.
     """
     ring = cx.ring
+    images = {}
+
+    def image(name):
+        if name not in images:
+            images[name] = phi.apply_name(r, name).terms.items()
+        return images[name]
+
     return ring.collect(
         ((tname, key), ring.mul(c, tc))
         for (name, key), c in einfty_decompose(E, cx, I, r, cap=cap).items()
-        for tname, tc in phi.apply_name(r, name).terms.items())
+        for tname, tc in image(name))

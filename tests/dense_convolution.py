@@ -8,19 +8,94 @@ reads every block value through ``ConvolutionElement.value`` and adds
 each evaluated term to the class value as an ``Element``.  Nothing is
 shared between classes or calls, so it is slow; tests keep their
 simplices small.  ``dense_einfty_decompose`` is the chain coproduct with
-every (name, surjection) pair acting on the class anew.
+every (name, surjection) pair acting on the class anew, through
+``dense_surjection_action`` (every cut of the class, each regrouped and
+signed on its own) and ``dense_table_reduction`` (every row-length
+composition, filtered at the end).
 """
 
 from itertools import product
 
 from opmc.builders import be_from_name
 from opmc.errors import ShapeError
+from opmc.graded import koszul_sign_images
 from opmc.mc_space import ConvolutionElement
-from opmc.simplex_chains import (
-    c_coalgebra_decompose,
-    surjection_action,
-    table_reduction,
-)
+from opmc.simplex_chains import Surjection, c_coalgebra_decompose
+
+
+def _cut_positions(l, p):
+    """All 0 = c_0 <= c_1 <= ... <= c_l = p: l interval endpoints."""
+    out = []
+
+    def rec(i, last, acc):
+        if i == l:
+            out.append(tuple(acc + [p]))
+            return
+        for c in range(last, p + 1):
+            rec(i + 1, c, acc + [c])
+
+    rec(1, 0, [0])
+    return out
+
+
+def dense_surjection_action(u, cx, I):
+    """The interval-cut action of u on e_I, one cut at a time: each cut
+    is regrouped by output slot, dropped when a slot repeats a vertex,
+    and signed by ``koszul_sign_images`` of the stable sort by slot."""
+    seq = u.seq
+    l = len(seq)
+    r = u.arity
+    p = len(I) - 1
+    last_occ = {v: max(t for t in range(l) if seq[t] == v) for v in set(seq)}
+    out = {}
+    for cuts in _cut_positions(l, p):
+        pieces = []  # (slot, piece degree for the sign)
+        segs = [[] for _ in range(r)]
+        extra = 1
+        for t in range(l):
+            a, b = cuts[t], cuts[t + 1]
+            slot = seq[t] - 1
+            segs[slot].extend(I[a:b + 1])
+            deg = b - a
+            if t != last_occ[seq[t]]:
+                deg += 1
+                if b % 2:
+                    extra = -extra
+            pieces.append((slot, deg))
+        if any(not s for s in segs):
+            continue
+        if any(len(set(s)) != len(s) for s in segs):
+            continue
+        order = sorted(range(len(pieces)), key=lambda t: (pieces[t][0], t))
+        position = {t: i + 1 for i, t in enumerate(order)}
+        images = [position[t] for t in range(len(pieces))]
+        sign = koszul_sign_images(images, [d for _, d in pieces]) * extra
+        key = tuple(tuple(s) for s in segs)
+        out[key] = out.get(key, 0) + sign
+    return {k: c for k, c in out.items() if c}
+
+
+def dense_table_reduction(simplex):
+    """The table reduction of a tuple of permutations, every row-length
+    composition built out and those with equal adjacent values dropped."""
+    d = len(simplex) - 1
+    out = []
+
+    def rec(i, closed, seq, remaining_len):
+        row_all = [v for v in simplex[i].images if v not in closed]
+        if i == d:
+            full = seq + row_all
+            if len(row_all) == remaining_len and all(
+                    full[t] != full[t + 1] for t in range(len(full) - 1)):
+                out.append(Surjection(full))
+            return
+        for a in range(1, min(len(row_all), remaining_len - (d - i)) + 1):
+            take = row_all[:a]
+            rec(i + 1, closed | set(take[:-1]), seq + take,
+                remaining_len - a)
+
+    rec(0, frozenset(), [], simplex[0].r + d)
+    return out
 
 
 def dense_einfty_decompose(E, cx, I, r):
@@ -29,8 +104,8 @@ def dense_einfty_decompose(E, cx, I, r):
     out = {}
     count = 0
     for name in E.basis_names(r):
-        for surj in table_reduction(be_from_name(name)):
-            for key, c in surjection_action(surj, cx, I).items():
+        for surj in dense_table_reduction(be_from_name(name)):
+            for key, c in dense_surjection_action(surj, cx, I).items():
                 count += 1
                 out[name, key] = out.get((name, key), 0) + c
     ring = cx.ring

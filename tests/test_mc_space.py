@@ -544,53 +544,6 @@ def test_mu_memo_holds_a_horn_fill_of_the_shipped_e2():
     assert other is not P and not other._mus
 
 
-def _values(psi):
-    return {I: v.terms for I, v in psi.values.items()}
-
-
-def test_problems_of_one_instance_share_the_chain_coproduct(monkeypatch):
-    # the second problem of an instance computes no coproduct: it reads
-    # the first one's, and fills the horn as a problem of a fresh load
-    data = Path(__file__).parent / "data"
-    path = str(data / "e2_z2.json")
-    doc = json.loads((data / "e2_horn_3_0.json").read_text(encoding="utf-8"))
-    fresh = instances.load_instance(path)
-    want = instances.make_problem(fresh).horn_fill(horn_from_doc(fresh.V, doc))
-    inst = instances.load_instance(path)
-    horn = horn_from_doc(inst.V, doc)
-    calls = []
-    real = simplex_chains.einfty_decompose
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(simplex_chains, "einfty_decompose", counted)
-    P = instances.make_problem(inst)
-    first = P.horn_fill(horn)
-    assert calls
-    calls.clear()
-    Q = instances.make_problem(inst)
-    second = Q.horn_fill(horn)
-    assert calls == []
-    assert Q.phi is P.phi and Q._mus is not P._mus
-    assert _values(first) == _values(second) == _values(want)
-
-
-@pytest.mark.parametrize("cls", [(0, 1, 2), (1, 2, 3)])
-def test_a_stored_coproduct_is_refused_past_the_reading_problems_cap(cls):
-    # a 3-vertex class has 36 arity-3 terms; once a default-cap problem
-    # has stored them, a problem of the same instance at cap 35 is still
-    # refused, and one at cap 36 reads all 36
-    inst = instances.load_instance(
-        str(Path(__file__).parent / "data" / "ass_z3.json"))
-    assert len(instances.make_problem(inst)._decompose(3, (0, 1, 2), 3)) == 36
-    with pytest.raises(ResourceLimitError,
-                       match="decomposition exceeded the term cap 35"):
-        instances.make_problem(inst, cap=35)._decompose(3, cls, 3)
-    assert len(instances.make_problem(inst, cap=36)._decompose(3, cls, 3)) == 36
-
-
 def test_make_problem_builds_no_cooperad(monkeypatch):
     # ass is the complexity-1 Barratt-Eccles cooperad: it acts through
     # itself, so the problem needs no second cooperad

@@ -25,7 +25,11 @@ from opmc.simplex_chains import (
     table_reduction,
 )
 
-from dense_convolution import dense_einfty_decompose
+from dense_convolution import (
+    dense_einfty_decompose,
+    dense_surjection_action,
+    dense_table_reduction,
+)
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -259,6 +263,21 @@ def test_surjection_boundary_squares_to_zero(arity):
             assert all(c == 0 for c in acc.values()), u
 
 
+@pytest.mark.parametrize("arity,max_len", [(1, 3), (2, 5), (3, 5), (4, 5)])
+def test_surjection_action_matches_the_cut_loop(arity, max_len):
+    # the pruned walk gives the per-cut loop's dict, insertion order
+    # included, on every class of Delta^0..Delta^3 and the top of Delta^4
+    classes = [(n, I) for n in range(4) for I in chains(Z, n).module.names]
+    classes.append((4, chains(Z, 4).top()))
+    for length in range(arity, max_len + 1):
+        for u in all_surjections(arity, length):
+            for n, I in classes:
+                cx = chains(Z, n)
+                got = surjection_action(u, cx, I)
+                want = dense_surjection_action(u, cx, I)
+                assert list(got.items()) == list(want.items()), (u, I)
+
+
 def P(*images):
     from opmc.builders import Permutation
 
@@ -284,6 +303,20 @@ def test_table_reduction_lengths():
     for s in sims:
         for u in table_reduction(s):
             assert len(u.seq) == s[0].r + len(s) - 1
+
+
+def test_table_reduction_matches_the_row_loop():
+    # pruning a row whose first value repeats the previous one keeps the
+    # list and its order, on every tuple of 1 to 4 permutations of 1..3
+    perms = [P(*images) for images in product((1, 2, 3), repeat=3)
+             if len(set(images)) == 3]
+    perms += [P(1, 2), P(2, 1)]
+    for d in range(4):
+        for simplex in product(perms, repeat=d + 1):
+            if len({p.r for p in simplex}) != 1:
+                continue
+            want = dense_table_reduction(simplex)
+            assert table_reduction(simplex) == want, simplex
 
 
 def test_einfty_decompose_counit():
