@@ -7,7 +7,7 @@ Run from the repository root after `pip install -e .`:
 
 import random
 
-from opmc.builders import ass_cochains, barratt_eccles, be1_to_ass_iso
+from opmc.builders import ass_cochains, barratt_eccles, en_restriction_morphism
 from opmc.cofree import Coderivation, cofree_build, square_check
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import HornData, MCProblem
@@ -54,7 +54,7 @@ print(f"twisting back recovers the original: {same}")
 
 # 6. the simplicial solution space and constructive horn filling
 E1, _ = barratt_eccles(Z2, 3, 0, n=1)
-prob = MCProblem(Qt, be1_to_ass_iso(E1, C), E1)
+prob = MCProblem(Qt, en_restriction_morphism(E1, C), E1)
 verts = prob.mc_simplices(0)
 print(f"solution vertices: {len(verts)}; "
       f"1-simplices: {len(prob.mc_simplices(1))}")

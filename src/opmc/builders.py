@@ -24,7 +24,6 @@ __all__ = [
     "com_cochains",
     "barratt_eccles",
     "en_restriction_morphism",
-    "be1_to_ass_iso",
 ]
 
 UNIT_NAME = "()"
@@ -294,15 +293,3 @@ def en_restriction_morphism(source, target, validate=True):
     if validate:
         validate_morphism(phi).require("cochain restriction morphism")
     return phi
-
-
-def be1_to_ass_iso(be1, ass, validate=True):
-    """The identity restriction from complexity-1 cochains to the
-    associative family, which are the same; refuses positive degrees."""
-    for r in range(min(be1.r_max, ass.r_max) + 1):
-        for nm in be1.basis_names(r):
-            if be1.degree(r, nm):
-                raise ShapeError(
-                    f"complexity-1 component has a positive-degree class {nm!r}"
-                )
-    return en_restriction_morphism(be1, ass, validate)

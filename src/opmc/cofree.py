@@ -10,7 +10,9 @@ depends on its symmetric group action, so there is one code path:
 - ``class_tuples``: the v-tuples that key a class;
 - ``orbit_sum``: the plain expansion of a key;
 - ``collection_coefficient``: the coefficient with which a plain term
-  is read back as a key, or None when it is not read;
+  is read back as a key, or None when it is not read; with it
+  ``symmetric.orbit_classes``, the one inverse of ``orbit_sum``, reads
+  every output back;
 - ``coinv_normalize``: the normal form on which a coderivation is read.
 
 A free action (``OrbitModule``) keys every tuple, expands by the norm and
@@ -31,6 +33,7 @@ from .errors import (
     ShapeError,
 )
 from .graded import BasisElement, Element, GradedModule
+from .symmetric import orbit_classes
 
 __all__ = [
     "CofreeCoalgebra",
@@ -119,35 +122,18 @@ class CofreeCoalgebra:
             out.setdefault(r, {})[pk] = c
         return out
 
-    def collect_plain(self, r, plain, check=False):
-        """Read an invariant arity-r plain tensor back into key form."""
-        ring = self.ring
-        om = self.cooperad.component(r)
-        terms = []
-        for (cname, vt), coeff in plain.items():
-            lam = om.collection_coefficient(cname, vt, self.vdeg)
-            if lam is not None:
-                terms.append(((r, cname, vt), ring.mul(coeff, lam)))
-        out = ring.collect(terms)
-        if check:
-            redone = ring.collect(
-                (pk, ring.mul(coeff, c))
-                for key, coeff in out.items()
-                for pk, c in self.expand_key(key).items())
-            if redone != ring.collect(plain.items()):
-                raise InvarianceError(
-                    f"arity-{r} output is not a sum of orbit classes"
-                )
-        return out
-
     def collect(self, plain_by_arity, check=False):
+        """Read invariant plain tensors {r: {(cname, vtuple): coeff}} back
+        into key form by ``orbit_classes``; ``check`` is passed on."""
         terms = []
         for r, plain in plain_by_arity.items():
             if r == 0:
                 terms.extend(((0, cname, ()), coeff)
                              for (cname, vt), coeff in plain.items())
             else:
-                terms.extend(self.collect_plain(r, plain, check=check).items())
+                terms.extend(((r, cname, vt), coeff) for (cname, vt), coeff
+                             in orbit_classes(self.cooperad.component(r), plain,
+                                              self.vdeg, check).items())
         basis = self.module.basis
         return Element(self.module, {k: c for k, c in self.ring.collect(terms).items()
                                      if k in basis})

@@ -28,9 +28,7 @@ __all__ = [
     "GradedModule",
     "Element",
     "LinearMap",
-    "koszul_sign",
     "koszul_sign_images",
-    "tensor_module",
 ]
 
 
@@ -260,39 +258,3 @@ def koszul_sign_images(images, degrees):
             if images[i] > images[j]:
                 sign = -sign
     return sign
-
-
-def koszul_sign(perm, degrees):
-    """Koszul sign of a Permutation acting on entries with given degrees."""
-    return koszul_sign_images(perm.images, degrees)
-
-
-def tensor_module(factors, weight_bound=None):
-    """Tensor product of graded modules: basis = tuples, degree/weight add.
-
-    Tuples whose total weight exceeds ``weight_bound`` are omitted; this
-    truncation is the desk-scale stand-in for the completed tensor product.
-    """
-    if not factors:
-        raise ShapeError("empty tensor product")
-    ring = factors[0].ring
-    for f in factors[1:]:
-        if f.ring is not ring and f.ring.spec() != ring.spec():
-            raise ShapeError("tensor factors over different rings")
-    basis = []
-
-    def rec(idx, name_acc, deg, wt):
-        if weight_bound is not None and wt > weight_bound:
-            return
-        if idx == len(factors):
-            basis.append(BasisElement(tuple(name_acc), deg, wt))
-            return
-        mod = factors[idx]
-        for n, b in mod.basis.items():
-            rec(idx + 1, name_acc + [n], deg + b.degree, wt + b.weight)
-
-    rec(0, [], 0, 0)
-    out_basis = []
-    for b in basis:
-        out_basis.append(BasisElement(b.name, b.degree, max(b.weight, 1)))
-    return GradedModule(ring, out_basis)

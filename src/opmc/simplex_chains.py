@@ -149,7 +149,7 @@ class Surjection:
         return f"Surjection{self.seq}"
 
 
-def surjection_action(u, cx, I):
+def surjection_action(u, I):
     """Interval-cut action of a surjection on a chain basis class.
 
     Returns {(J_1, ..., J_r): coeff}; total output degree is
@@ -296,7 +296,7 @@ def einfty_decompose(E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
         for surj in table_reduction(simplex):
             action = actions.get(surj.seq)
             if action is None:
-                action = actions[surj.seq] = surjection_action(surj, cx, I)
+                action = actions[surj.seq] = surjection_action(surj, I)
             if len(terms) + len(action) > cap:
                 raise ResourceLimitError(
                     f"decomposition exceeded the term cap {cap}"

@@ -235,33 +235,6 @@ class OrbitModule:
         return Element(self.module, self.ring.collect(
             (self.act_name(sigma, n), c) for n, c in x.terms.items()))
 
-    def norm_element(self, x):
-        """Sum of sigma.x over the full group (module factor only)."""
-        out = self.module.zero()
-        for sigma in self._group:
-            out = out.add(self.act_element(sigma, x))
-        return out
-
-    def is_invariant(self, x):
-        return all(self.act_element(s, x).eq(x) for s in self._group)
-
-    def rep_coefficients(self, x):
-        """Coefficients of x on the orbit-representative basis names."""
-        return {rep: x.coeff(rep) for rep in self.orbit_reps}
-
-    def norm_inverse_element(self, y):
-        """Inverse of the norm map on the module factor.
-
-        y must be invariant; returns the Element supported on orbit reps
-        whose norm is y, erroring if no such element exists.
-        """
-        if not self.is_invariant(y):
-            raise InvarianceError("element is not invariant under the group action")
-        x = self.module.element(self.rep_coefficients(y))
-        if not self.norm_element(x).eq(y):
-            raise FreenessError("norm map is not surjective onto this element")
-        return x
-
 
 class TrivialModule(OrbitModule):
     """Rank-one S_r-module with the trivial action, over a ring with Q.
@@ -354,9 +327,11 @@ def _stabilizer_sum(slots, vdegree):
 # -- diagonal action on C(r) (x) V^{(x)r}, on plain term dicts ---------------
 #
 # A "plain tensor" is a dict (cname, vtuple) -> coeff, where vtuple is a
-# tuple of V-basis names and vdegree gives their degrees.  These functions
-# realize the norm map Tr(x) = sum_sigma sigma.x and its inverse on the
-# canonical orbit-representative normal form.
+# tuple of V-basis names and vdegree gives their degrees.  ``norm_plain``
+# is the norm map Tr(x) = sum_sigma sigma.x.  ``orbit_classes`` is the one
+# inverse of a component's ``orbit_sum`` (the norm for a free action, the
+# norm over r! for the trivial one): it reads an invariant tensor back as
+# classes, and the cofree coalgebra collects every output through it.
 
 
 def act_plain(om, sigma, terms, vdegree):
@@ -377,33 +352,29 @@ def norm_plain(om, terms, vdegree):
         for term in act_plain(om, sigma, terms, vdegree).items())
 
 
-def is_invariant_plain(om, terms, vdegree):
-    terms = om.ring.collect(terms.items())
-    return all(act_plain(om, s, terms, vdegree) == terms for s in om.group())
+def orbit_classes(om, terms, vdegree, check=False):
+    """The classes whose orbit sums add up to the plain tensor ``terms``.
 
-
-def norm_inverse_plain(om, terms, vdegree):
-    """Inverse of the norm on a free module: read off orbit-rep components.
-
-    Raises InvarianceError if the input is not invariant and FreenessError
-    if re-applying the norm does not reproduce it.
+    Each term is read with ``om.collection_coefficient``, and terms it
+    does not read are dropped; returns {(rep, vtuple): coeff}.  With
+    ``check``, the classes are expanded again and InvarianceError is
+    raised unless they give ``terms`` back, which holds exactly when
+    ``terms`` is invariant.
     """
-    if not is_invariant_plain(om, terms, vdegree):
-        raise InvarianceError("element is not invariant under the diagonal action")
-    reps = set(om.orbit_reps)
-    terms = om.ring.collect(terms.items())
-    out = {k: c for k, c in terms.items() if k[0] in reps}
-    if norm_plain(om, out, vdegree) != terms:
-        raise FreenessError("norm map does not reach this invariant element")
-    return out
-
-
-def coinv_normalize_plain(om, terms, vdegree):
-    """Rewrite a plain tensor in orbit-representative normal form."""
     ring = om.ring
     out = []
-    for (cname, vtuple), coeff in terms.items():
-        degs = tuple(vdegree(v) for v in vtuple)
-        rep, slots, sign = om.coinv_normalize(cname, vtuple, degs)
-        out.append(((rep, slots), ring.mul(coeff, sign)))
-    return ring.collect(out)
+    for (cname, vt), coeff in terms.items():
+        lam = om.collection_coefficient(cname, vt, vdegree)
+        if lam is not None:
+            out.append(((cname, vt), ring.mul(coeff, lam)))
+    out = ring.collect(out)
+    if check:
+        redone = ring.collect(
+            (pk, ring.mul(coeff, c))
+            for (rep, vt), coeff in out.items()
+            for pk, c in om.orbit_sum(rep, vt, vdegree).items())
+        if redone != ring.collect(terms.items()):
+            raise InvarianceError(
+                f"arity-{om.arity} output is not a sum of orbit classes"
+            )
+    return out

@@ -38,7 +38,7 @@ def _cut_positions(l, p):
     return out
 
 
-def dense_surjection_action(u, cx, I):
+def dense_surjection_action(u, I):
     """The interval-cut action of u on e_I, one cut at a time: each cut
     is regrouped by output slot, dropped when a slot repeats a vertex,
     and signed by ``koszul_sign_images`` of the stable sort by slot."""
@@ -105,7 +105,7 @@ def dense_einfty_decompose(E, cx, I, r):
     count = 0
     for name in E.basis_names(r):
         for surj in dense_table_reduction(be_from_name(name)):
-            for key, c in dense_surjection_action(surj, cx, I).items():
+            for key, c in dense_surjection_action(surj, I).items():
                 count += 1
                 out[name, key] = out.get((name, key), 0) + c
     ring = cx.ring

@@ -6,7 +6,6 @@ import pytest
 from opmc.builders import (
     ass_cochains,
     barratt_eccles,
-    be1_to_ass_iso,
     be_chain_operad,
     be_from_name,
     com_cochains,
@@ -23,7 +22,7 @@ from opmc.cooperad import (
     validate_hopf,
     validate_morphism,
 )
-from opmc.errors import RingRequirementError, ShapeError, ValidationError
+from opmc.errors import RingRequirementError, ValidationError
 from opmc.rings import ring_make
 from opmc.symmetric import Permutation, TrivialModule, all_permutations
 
@@ -255,7 +254,7 @@ def test_be1_matches_ass():
     for r in range(4):
         assert len(be1.component(r).module) == len(ass.component(r).module)
         assert all(be1.degree(r, nm) == 0 for nm in be1.basis_names(r))
-    phi = be1_to_ass_iso(be1, ass)
+    phi = en_restriction_morphism(be1, ass)
     for r in range(4):
         for nm in be1.basis_names(r):
             (vertex,) = be_from_name(nm)
@@ -287,13 +286,6 @@ def test_ass_is_complexity_one_be(ring, r_max):
     assert (cooperad_items(*ass_cochains(ring, r_max, validate=False))
             == cooperad_items(*barratt_eccles(ring, r_max, 0, n=1,
                                               validate=False)))
-
-
-def test_be1_to_ass_iso_refuses_positive_degree():
-    ass, _ = ass_cochains(Z, 2, validate=False)
-    e2, _ = barratt_eccles(Z, 2, 1, n=2, validate=False)
-    with pytest.raises(ShapeError, match="positive-degree class"):
-        be1_to_ass_iso(e2, ass)
 
 
 def test_einfty_to_en_restriction():

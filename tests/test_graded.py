@@ -10,7 +10,6 @@ from opmc.graded import (
     GradedModule,
     LinearMap,
     koszul_sign_images,
-    tensor_module,
 )
 from opmc.rings import ring_make
 from opmc.symmetric import Permutation, all_permutations
@@ -76,20 +75,6 @@ def test_differential_squares_to_zero():
     assert d.entries == {"b2": {"b1": 2}}
     dd = d.compose(d)
     assert dd.is_zero()
-
-
-def test_tensor_module_counts_and_weights():
-    v = simple_module([(0, 1), (1, 1)])
-    w = simple_module([(0, 1), (0, 2), (1, 1)])
-    t = tensor_module([v, w])
-    assert len(t) == 6
-    t1 = simple_module([(0, 1)])
-    t2 = simple_module([(0, 2)])
-    tw = tensor_module([t1, t2])
-    (name,) = tw.names
-    assert tw.weight(name) == 3
-    bounded = tensor_module([t2, t1], weight_bound=2)
-    assert len(bounded) == 0
 
 
 def test_element_arith():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from opmc.builders import (
     ass_cochains,
     barratt_eccles,
-    be1_to_ass_iso,
     en_restriction_morphism,
 )
 from opmc.cli import horn_from_doc
@@ -44,7 +43,7 @@ def make_problem(ring, comps=None, spec=(("x", 0, 1), ("u", 1, 1), ("y", -1, 1))
         comps = {(2, "12", ("x", "x")): V.gen("y")}
     Qt = Coderivation(cf, {k: _mk(V, v) for k, v in comps.items()})
     E1, _ = barratt_eccles(ring, r_max, 2, n=1, validate=False)
-    phi = be1_to_ass_iso(E1, C)
+    phi = en_restriction_morphism(E1, C)
     return MCProblem(Qt, phi, E1), H
 
 

@@ -49,3 +49,51 @@ def test_private_attributes_stay_with_their_object():
              for expr, line in _private_access(ast.parse(path.read_text("utf-8")))
              if (path.name, expr) not in PRIVATE_ACCESS]
     assert found == []
+
+
+# functions and methods that no module, demo or benchmark calls, kept as
+# library API that the tests exercise (the tests that do, by entry)
+TESTED_API = {
+    "CofreeCoalgebra.from_v",  # V -> uC(V): test_cofree, test_twisting
+    "CofreeCoalgebra.tangent",  # uC(V) -> V: test_cofree, criterion 03
+    "morphism_extend",  # coalgebra maps from corestrictions: test_cofree
+    "HopfStructure.multiply",  # test_twisting, the dense_validators oracle
+    "cocom_unit_morphism",  # test_validators, test_cooperad_builders
+    "LinearMap.apply",  # test_graded, test_simplex_chains
+    "surjection_boundary",  # the chain-map tests of surjection_action
+    "OrbitModule.act_element",  # the dense_validators oracle
+}
+
+
+def _definitions(tree):
+    """(qualified name, name) of each function of a module and each
+    method of its classes, dunder methods left out."""
+    out = []
+    for node in tree.body:
+        fns = [(f"{node.name}.", fn) for fn in node.body] \
+            if isinstance(node, ast.ClassDef) else [("", node)]
+        out.extend((prefix + fn.name, fn.name) for prefix, fn in fns
+                   if isinstance(fn, ast.FunctionDef)
+                   and not (fn.name.startswith("__") and fn.name.endswith("__")))
+    return out
+
+
+def _references(tree):
+    """Every name and attribute name that a module uses."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_function_has_a_caller():
+    """Each function and method of the package is referenced from the
+    package, the demos or the benchmark, or is tested API listed in
+    TESTED_API: a helper that only tests call is dead code."""
+    root = SRC.parent.parent
+    refs = set().union(*(_references(ast.parse(path.read_text("utf-8")))
+                         for part in ("src", "demos", "bench")
+                         for path in sorted((root / part).rglob("*.py"))))
+    defs = [qual for path in sorted(SRC.glob("*.py"))
+            for qual, name in _definitions(ast.parse(path.read_text("utf-8")))
+            if name not in refs]
+    assert sorted(defs) == sorted(TESTED_API)

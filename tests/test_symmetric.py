@@ -6,7 +6,6 @@ import pytest
 
 from opmc.builders import ass_cochains, barratt_eccles, be_chain_operad, com_cochains
 from opmc.errors import (
-    FreenessError,
     InvarianceError,
     RingRequirementError,
     ShapeError,
@@ -20,10 +19,9 @@ from opmc.symmetric import (
     act_plain,
     adjacent_swaps,
     all_permutations,
-    coinv_normalize_plain,
     is_group_action,
-    norm_inverse_plain,
     norm_plain,
+    orbit_classes,
 )
 
 from dense_builders import from_orbits
@@ -97,42 +95,113 @@ def test_norm_inverse_round_trip():
         for r in (1, 2, 3, 4):
             om = regular_module(ring, r)
             ident = Permutation.identity(r).oneline()
-            for _ in range(10):
-                x = {}
-                for _ in range(rng.randint(1, 3)):
-                    vt = tuple(rng.choice("ab") for _ in range(r))
-                    x[(ident, vt)] = ring.normalize(rng.randint(1, 5))
-                x = {k: c for k, c in x.items() if not ring.is_zero(c)}
-                y = norm_plain(om, x, vdeg_const(0))
-                assert norm_inverse_plain(om, y, vdeg_const(0)) == x, (rname, r)
+            for d in (0, 1):
+                for _ in range(10):
+                    x = {}
+                    for _ in range(rng.randint(1, 3)):
+                        vt = tuple(rng.choice("ab") for _ in range(r))
+                        x[(ident, vt)] = ring.normalize(rng.randint(1, 5))
+                    x = {k: c for k, c in x.items() if not ring.is_zero(c)}
+                    y = norm_plain(om, x, vdeg_const(d))
+                    back = orbit_classes(om, y, vdeg_const(d), check=True)
+                    assert back == x, (rname, r, d)
 
 
 def test_norm_inverse_rejects_non_invariant():
     om = regular_module(Z, 2)
     y = {("12", ("v", "w")): 1}
-    with pytest.raises(InvarianceError):
-        norm_inverse_plain(om, y, vdeg_const(0))
+    for d in (0, 1):
+        with pytest.raises(InvarianceError, match="not a sum of orbit classes"):
+            orbit_classes(om, y, vdeg_const(d), check=True)
+    # unchecked, the representative terms are read as they are
+    assert orbit_classes(om, y, vdeg_const(0)) == y
 
 
 def test_norm_inverse_detects_unreachable():
     om = regular_module(Z, 2)
-    # invariant but not a norm over Z: the symmetric tensor on one slot pair
+    # the norm of a class whose two slots hold the same name
     y = {("12", ("v", "v")): 1, ("21", ("v", "v")): 1}
-    assert norm_inverse_plain(om, y, vdeg_const(0)) == {("12", ("v", "v")): 1}
+    assert orbit_classes(om, y, vdeg_const(0), check=True) == {("12", ("v", "v")): 1}
+    # at odd slot degree the swap flips the sign, so y is no norm there
+    with pytest.raises(InvarianceError):
+        orbit_classes(om, y, vdeg_const(1), check=True)
+    y_odd = {("12", ("v", "v")): 1, ("21", ("v", "v")): -1}
+    assert orbit_classes(om, y_odd, vdeg_const(1), check=True) == {("12", ("v", "v")): 1}
     y_bad = {("12", ("v", "w")): 1, ("21", ("v", "w")): 1}
-    with pytest.raises((InvarianceError, FreenessError)):
-        norm_inverse_plain(om, y_bad, vdeg_const(0))
+    with pytest.raises(InvarianceError):
+        orbit_classes(om, y_bad, vdeg_const(0), check=True)
+
+
+def test_divided_norm_inverse_on_the_trivial_module():
+    """Over Q the trivial module's classes, keyed by sorted tuples with
+    no repeated odd-degree name, come back from their orbit sums (the
+    norm over r!) and, r! times, from their norms."""
+    degree = {"a": 0, "b": 1, "c": 0, "d": 1}
+    rng = random.Random(7)
+    for r in range(1, 5):
+        om = TrivialModule(Q, r, "c")
+        keys = om.class_tuples(degree, degree.get)
+        fact = Q.normalize(factorial(r))
+        for _ in range(10):
+            x = Q.collect((("c", vt), Q.normalize(rng.randint(-3, 3)))
+                          for vt in rng.sample(keys, min(3, len(keys))))
+            y = Q.collect((pk, Q.mul(c, e)) for (_, vt), c in x.items()
+                          for pk, e in om.orbit_sum("c", vt, degree.get).items())
+            assert orbit_classes(om, y, degree.get, check=True) == x
+            assert orbit_classes(om, norm_plain(om, x, degree.get), degree.get,
+                                 check=True) == {k: Q.mul(c, fact) for k, c in x.items()}
+    om = TrivialModule(Q, 2, "c")
+    # one ordering alone is not invariant; an odd name twice is
+    # anti-invariant, so its class vanishes and nothing is read back
+    for y in ({("c", ("a", "b")): 1}, {("c", ("b", "b")): 1}):
+        with pytest.raises(InvarianceError):
+            orbit_classes(om, y, degree.get, check=True)
+
+
+class ReadsOneNonRepresentative(OrbitModule):
+    """A free module whose reading also takes the name ``extra``, which
+    is no orbit representative: a spoiled ``collection_coefficient``."""
+
+    extra = None
+
+    def collection_coefficient(self, name, slots, vdegree):
+        if name == self.extra:
+            return self.ring.one
+        return super().collection_coefficient(name, slots, vdegree)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_checked_inverse_refuses_a_spoiled_reading(r):
+    om = regular_module(Z, r)
+    basis = [BasisElement(n, 0) for n in om.module.names]
+    spoiled = ReadsOneNonRepresentative(Z, r, basis, om.orbit_reps, om.actions)
+    spoiled.extra = next(n for n in om.module.names if not om.is_rep(n))
+    x = {(om.orbit_reps[0], tuple("abc"[:r])): 1}
+    for d in (0, 1):
+        y = norm_plain(om, x, vdeg_const(d))
+        assert orbit_classes(om, y, vdeg_const(d), check=True) == x
+        assert orbit_classes(spoiled, y, vdeg_const(d)) != x
+        with pytest.raises(InvarianceError, match=f"arity-{r} output"):
+            orbit_classes(spoiled, y, vdeg_const(d), check=True)
+
+
+def normal_form(om, terms, vdegree):
+    """(rep, slots, coefficient) of a one-term plain tensor, read with
+    ``om.coinv_normalize``."""
+    ((cname, vt), c), = terms.items()
+    rep, slots, sign = om.coinv_normalize(cname, vt, tuple(vdegree(v) for v in vt))
+    return rep, slots, sign * c
 
 
 def test_coinv_normalize():
     om = regular_module(Z, 2)
     x = {("21", ("w", "v")): 1}
-    assert coinv_normalize_plain(om, x, vdeg_const(0)) == {("12", ("v", "w")): 1}
+    assert normal_form(om, x, vdeg_const(0)) == ("12", ("v", "w"), 1)
     x_odd = {("21", ("v", "v")): 1}
-    assert coinv_normalize_plain(om, x_odd, vdeg_const(1)) == {("12", ("v", "v")): -1}
+    assert normal_form(om, x_odd, vdeg_const(1)) == ("12", ("v", "v"), -1)
     # already a representative
     x_rep = {("12", ("v", "w")): 2}
-    assert coinv_normalize_plain(om, x_rep, vdeg_const(0)) == x_rep
+    assert normal_form(om, x_rep, vdeg_const(0)) == ("12", ("v", "w"), 2)
     for module, name in ((om, "21"), (TrivialModule(Q, 2, "c2"), "c2")):
         with pytest.raises(ShapeError, match="slot count"):
             module.coinv_normalize(name, ("v",), (0,))
@@ -146,10 +215,10 @@ def test_normalize_constant_on_orbits():
         vt = tuple(rng.choice("ab") for _ in range(3))
         degs = vdeg_const(rng.choice([0, 1]))
         x = {(rng.choice(perms).oneline(), vt): 1}
-        base = coinv_normalize_plain(om, x, degs)
+        base = normal_form(om, x, degs)
         sigma = rng.choice(perms)
         moved = act_plain(om, sigma, x, degs)
-        assert coinv_normalize_plain(om, moved, degs) == base
+        assert normal_form(om, moved, degs) == base
 
 
 def test_action_is_group_action_with_signs():

@@ -16,7 +16,6 @@ from opmc import cooperad
 from opmc.builders import (
     ass_cochains,
     barratt_eccles,
-    be1_to_ass_iso,
     com_cochains,
     en_restriction_morphism,
 )
@@ -103,7 +102,7 @@ def test_morphism_reports_match():
 
     be1, _ = barratt_eccles(Z, 3, 0, n=1, validate=False)
     ass, _ = ass_cochains(Z, 3, validate=False)
-    iso = be1_to_ass_iso(be1, ass, validate=False)
+    iso = en_restriction_morphism(be1, ass, validate=False)
     assert same_reports(cooperad.validate_morphism(iso),
                         dense.validate_morphism(iso)).ok
 
