@@ -54,7 +54,7 @@ print(f"twisting back recovers the original: {same}")
 
 # 6. the simplicial solution space and constructive horn filling
 E1, _ = barratt_eccles(Z2, 3, 0, n=1)
-prob = MCProblem(Qt, en_restriction_morphism(E1, C), E1)
+prob = MCProblem(Qt, en_restriction_morphism(E1, C))
 verts = prob.mc_simplices(0)
 print(f"solution vertices: {len(verts)}; "
       f"1-simplices: {len(prob.mc_simplices(1))}")

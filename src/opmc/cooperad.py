@@ -12,10 +12,11 @@ maps have degree 0, so dualization is sign-free and Koszul signs only
 enter through explicit reorderings of tensor factors.
 
 Validators check every law used downstream (counit, coassociativity,
-equivariance, Hopf compatibility, morphism laws) and return a report
-with a witness for each failure.  Each law compares two sparse dicts
-holding only nonzero coefficients, and both sides are joins over the
-nonzero table entries, not loops over all pairs or triples of names:
+equivariance, Hopf compatibility, the units' cocompositions, morphism
+laws) and return a report with a witness for each failure.  Each law
+compares two sparse dicts holding only nonzero coefficients, and both
+sides are joins over the nonzero table entries, not loops over all
+pairs or triples of names:
 
 * Hopf associativity: each nonzero (a, b) -> d meets the products
   (d, c) -> e through an index by left factor, each (b, c) -> f meets
@@ -70,28 +71,25 @@ __all__ = [
     "validate_cooperad",
     "validate_hopf",
     "validate_morphism",
-    "cocom_unit_morphism",
     "infinitesimal_cocomposition",
 ]
 
 
+@lru_cache(maxsize=None)
 def compositions(total, parts):
     """All tuples of `parts` non-negative integers summing to `total`."""
     if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+        return ((),) if total == 0 else ()
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in compositions(total - first, parts - 1))
 
 
+@lru_cache(maxsize=None)
 def shapes(r, r_max):
-    """(k, shape) of every cocomposition of arity r inside the truncation."""
-    for k in range(1, r_max + 1):
-        for shape in compositions(r, k):
-            if all(x <= r_max for x in shape):
-                yield k, shape
+    """(k, shape) of every cocomposition of arity r inside the truncation,
+    as a tuple cached per (r, r_max): every law walks it per arity."""
+    return tuple((k, shape) for k in range(1, r_max + 1)
+                 for shape in compositions(r, k) if all(x <= r_max for x in shape))
 
 
 class Report:
@@ -522,6 +520,15 @@ def validate_hopf(C, H):
     for r in range(C.r_max + 1):
         res = _hopf_compat_check(C, r, pos[r], inner[r], prods, deg)
         rep.add(f"hopf-cocomposition-compat arity {r}", res is None, res)
+
+    # Delta(eta_r) = eta_k (x) eta_{r_1} .. eta_{r_k}: eta is a morphism from uCOCOM
+    eta = [H.unit(r).terms for r in range(C.r_max + 1)]
+    for r in range(C.r_max + 1):
+        rep.add_first(f"hopf-unit-cocomposition arity {r}", (
+            (r, k, shape) for k, shape in shapes(r, C.r_max)
+            if ring.collect(_delta(ring, C.table(k, shape), eta[r]))
+            != ring.collect(_tensor(ring, ring.one, eta[k],
+                                    [eta[s] for s in shape]))))
     return rep
 
 
@@ -669,32 +676,6 @@ def _morphism_cocomp_check(ring, S, T, image, r, k, shape):
         if lhs != ring.collect(_delta(ring, target, image(r, c))):
             return (r, k, shape, c)
     return None
-
-
-# ---------------------------------------------------------------------------
-# the canonical morphism from the unitary cocommutative cooperad
-
-
-def cocom_unit_morphism(C, H):
-    """eta: uCOCOM -> uC sending the arity-r generator to eta_r.
-
-    Verifies the morphism property on every truncation shape: the
-    cocomposition of eta_r must equal eta_k (x) eta_{r_1} ... eta_{r_k}.
-    Returns the images {r: eta_r}.
-    """
-    ring = C.ring
-    images = {r: H.unit(r) for r in range(C.r_max + 1)}
-    for r in range(C.r_max + 1):
-        for k, shape in shapes(r, C.r_max):
-            lhs = ring.collect(_delta(ring, C.table(k, shape), images[r].terms))
-            rhs = ring.collect(_tensor(
-                ring, ring.one, images[k].terms, [images[s].terms for s in shape]))
-            if lhs != rhs:
-                raise ValidationError(
-                    f"Hopf units are not compatible with cocomposition at "
-                    f"arity {r}, shape {shape}"
-                )
-    return images
 
 
 # ---------------------------------------------------------------------------

@@ -250,4 +250,4 @@ def make_problem(inst, cap=DEFAULT_RESOURCE_CAP):
         )
     C = inst.cooperad
     phi = en_restriction_morphism(C, C, validate=False)
-    return MCProblem(inst.Qt, phi, C, cap=cap)
+    return MCProblem(inst.Qt, phi, cap=cap)

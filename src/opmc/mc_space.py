@@ -8,10 +8,10 @@ operations mu_r and a solution condition
 
     d(psi) + sum_{r >= 2} mu_r(psi, ..., psi) = 0,
 
-whose degree-0 solutions on the n-simplex form a simplicial set.  The
-simplex contractions lift to operators on convolution elements, giving a
-constructive filler for every horn (the simplicial set is Kan at any
-finite weight truncation).
+whose degree-0 solutions on the n-simplex form a simplicial set.  A chain
+map into a simplex acts by one signed composite, ``precompose``; so lifted,
+the simplex contractions give a constructive filler for every horn (the
+simplicial set is Kan at any finite weight truncation).
 
 The chain coproduct is stored once per class size and arity, as the
 coproduct of the top class of the simplex of that size, in vertex
@@ -33,8 +33,9 @@ finds every class stored.
 """
 
 import random
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
+from .cofree import square_check
 from .errors import (
     DEFAULT_RESOURCE_CAP,
     ConventionError,
@@ -139,15 +140,17 @@ class ConvolutionElement:
         return min(weights) if weights else None
 
     def precompose(self, f, src_cx):
-        """The composite with a chain map into this simplex.
+        """psi o f for a chain map ``f``: src_cx.module -> self.cx.module.
 
-        ``f`` is a LinearMap src_cx.module -> self.cx.module of degree 0.
+        The composite has degree |psi| + |f| and the Koszul sign
+        (-1)^{|psi| |f|}.  Faces, degeneracies, the boundary in the
+        convolution differential and the lifted homotopy are all this.
         """
-        out = ConvolutionElement(src_cx, self.V, self.degree)
-        ring = self.V.ring
+        out = ConvolutionElement(src_cx, self.V, self.degree + f.degree)
+        sign = -1 if self.degree * f.degree % 2 else 1
         for J in src_cx.module.names:
-            out.set(J, Element(self.V, ring.collect(
-                _linear_terms(self.values, f.apply_name(J).terms))))
+            out.set(J, Element(self.V, self.V.ring.collect(
+                _linear_terms(self.values, f.apply_name(J).terms, sign))))
         return out
 
     def _check(self, other):
@@ -249,12 +252,12 @@ class HornData:
 class MCProblem:
     """A flat coderivation plus a chain-coalgebra structure.
 
-    ``phi`` is a cooperad morphism from the permutation-tuple cochains
-    ``E`` onto the cooperad of ``Qt``'s cofree object; it is how each
+    ``phi`` is a cooperad morphism from permutation-tuple cochains, its
+    source, onto the cooperad of ``Qt``'s cofree object; it is how each
     simplex becomes a coalgebra over that cooperad.
     """
 
-    def __init__(self, Qt, phi, E, cap=DEFAULT_RESOURCE_CAP):
+    def __init__(self, Qt, phi, cap=DEFAULT_RESOURCE_CAP):
         self.Qt = Qt
         self.cofree = Qt.cofree
         self.C = self.cofree.cooperad
@@ -262,10 +265,7 @@ class MCProblem:
         self.ring = self.cofree.ring
         if phi.target is not self.C:
             raise ShapeError("morphism does not land in the coderivation's cooperad")
-        if phi.source is not E:
-            raise ShapeError("morphism does not start at the given cochain cooperad")
         self.phi = phi
-        self.E = E
         self.cap = cap
         self._dec = {}
         self._joins = {}
@@ -303,7 +303,7 @@ class MCProblem:
         key = (m, top, r)
         if key not in self._dec:
             self._dec[key] = c_coalgebra_decompose(
-                self.phi, self.E, self.chains(m), top, r, cap=self.cap
+                self.phi, self.chains(m), top, r, cap=self.cap
             )
         if I == top:
             return self._dec[key]
@@ -317,6 +317,17 @@ class MCProblem:
             raise ConventionError(
                 "the convolution solution condition assumes a flat coderivation"
             )
+
+    def _internal_check_failed(self, message):
+        """Raise InternalCheckError, or ConventionError if Q o Q != 0: the
+        solution space assumes Q o Q = 0, so the input is at fault."""
+        ok, witness = square_check(self.Qt)
+        if not ok:
+            raise ConventionError(
+                "the convolution solution condition assumes a coderivation "
+                f"that squares to zero; Q o Q is nonzero on {witness[0]}"
+            )
+        raise InternalCheckError(message)
 
     # -- operations ----------------------------------------------------
 
@@ -436,16 +447,8 @@ class MCProblem:
         return self._joins[key]
 
     def differential(self, psi):
-        """d(psi) = Q_1 o psi - (-1)^{|psi|} psi o d."""
-        out = self.mu([psi])
-        sgn = -1 if psi.degree % 2 == 0 else 1
-        cx = psi.cx
-        for I in cx.module.names:
-            terms = _linear_terms(psi.values, cx.d.apply_name(I).terms, sgn)
-            if I in out.values:
-                terms = chain(terms, out.values[I].terms.items())
-            out.set(I, Element(self.V, self.ring.collect(terms)))
-        return out
+        """d(psi) = Q_1 o psi - psi o d, the composite signed by precompose."""
+        return self.mu([psi]).sub(psi.precompose(psi.cx.d, psi.cx))
 
     def star(self, psi):
         """The curvature-type sum over arities >= 2 at a degree-0 element."""
@@ -487,7 +490,7 @@ class MCProblem:
         out = psi.precompose(vertex_map(self.ring, index, psi.cx.n), src)
         if verify and psi.degree == 0 and self.mc_check(psi)[0]:
             if not self.mc_check(out)[0]:
-                raise InternalCheckError(f"{what} of a solution failed the check")
+                self._internal_check_failed(f"{what} of a solution failed the check")
         return out
 
     def mc_simplices(self, n, cap=None):
@@ -521,41 +524,6 @@ class MCProblem:
                 out.append(psi)
         return out
 
-    # -- lifted contraction operators ----------------------------------
-
-    def lifted_ops(self, k, n):
-        """Operators (E, P, H, R) on convolution elements at vertex k.
-
-        E sends a value on the point to the constant element; P projects
-        onto the vertex value; H is the (signed) lift of the chain
-        homotopy; R = differential o H.  They satisfy
-        dH + Hd = id - P exactly.
-        """
-        cxn = self.chains(n)
-        cx0 = self.chains(0)
-        _, eps, p, h = contraction(self.ring, k, n)
-
-        def E_op(phi0):
-            return phi0.precompose(eps, cxn)
-
-        def P_op(psi):
-            return E_op(psi.precompose(p, cx0))
-
-        def H_op(psi):
-            # the sign makes dH + Hd = id - P hold with the convolution
-            # differential's (-1)^{|psi|} convention
-            sgn = 1 if psi.degree % 2 == 0 else -1
-            out = ConvolutionElement(cxn, self.V, psi.degree + 1)
-            for I in cxn.module.names:
-                out.set(I, Element(self.V, self.ring.collect(
-                    _linear_terms(psi.values, h.apply_name(I).terms, sgn))))
-            return out
-
-        def R_op(psi):
-            return self.differential(H_op(psi))
-
-        return E_op, P_op, H_op, R_op
-
     # -- horn filling --------------------------------------------------
 
     def horn_fill(self, horn, verify=True, trace=None):
@@ -563,9 +531,9 @@ class MCProblem:
 
         Start from the horn values with the open-face value solved so
         the top boundary sum vanishes and the top value zero, then
-        repeatedly subtract the lifted-homotopy image of the defect; the
-        weight filtration forces the correction to vanish within w_max
-        steps.
+        repeatedly subtract the defect precomposed with the contraction's
+        homotopy h (signed so, H gives dH + Hd = id - P); the weight
+        filtration forces the correction to vanish within w_max steps.
         """
         n, k = horn.n, horn.k
         psi = self.zero(n)
@@ -588,7 +556,7 @@ class MCProblem:
                 continue
             acc = acc.add(psi.value(top[:i] + top[i + 1:]).scale((-1) ** i))
         psi.set(miss, acc.scale(-((-1) ** k)))
-        _, _, H_op, _ = self.lifted_ops(k, n)
+        cx, _, _, h = contraction(self.ring, k, n)
         w_max = self.cofree.w_max
         for _ in range(w_max + 1):
             solved, defect = self.mc_check(psi)
@@ -596,20 +564,20 @@ class MCProblem:
                 trace.append(defect.min_weight())
             if solved:
                 break
-            gamma = H_op(defect)
+            gamma = defect.precompose(h, cx)
             if gamma.is_zero():
-                raise InternalCheckError(
+                self._internal_check_failed(
                     "nonzero defect with zero correction during horn filling"
                 )
             psi = psi.sub(gamma)
         else:
-            raise InternalCheckError(
+            self._internal_check_failed(
                 f"horn filling did not stabilize within {w_max} corrections"
             )
         if verify:
             for I in horn_basis(n, k):
                 if not psi.value(I).eq(horn.value(I)):
-                    raise InternalCheckError(
+                    self._internal_check_failed(
                         f"filler changed the horn value on e_{I}"
                     )
         return psi
@@ -645,7 +613,7 @@ class MCProblem:
             report["attempted"] += 1
             psi = self.horn_fill(horn)
             if not self.mc_check(psi)[0]:
-                raise InternalCheckError("filled horn failed the final check")
+                self._internal_check_failed("filled horn failed the final check")
             pool.setdefault(n, []).append(psi)
             report["filled"] += 1
             report["cases"].append({"n": n, "k": k})

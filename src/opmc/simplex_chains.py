@@ -305,8 +305,8 @@ def einfty_decompose(E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
     return cx.ring.collect(terms)
 
 
-def c_coalgebra_decompose(phi, E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
-    """Push the chain coproduct along a cooperad morphism out of ``E``.
+def c_coalgebra_decompose(phi, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
+    """Push the chain coproduct along a cooperad morphism out of cochains.
 
     Returns {(target-cooperad name, (J_1..J_r)): coeff}.  The image of
     each source name is read from ``phi`` once per call.
@@ -321,5 +321,6 @@ def c_coalgebra_decompose(phi, E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
 
     return ring.collect(
         ((tname, key), ring.mul(c, tc))
-        for (name, key), c in einfty_decompose(E, cx, I, r, cap=cap).items()
+        for (name, key), c in einfty_decompose(
+            phi.source, cx, I, r, cap=cap).items()
         for tname, tc in image(name))

@@ -129,8 +129,7 @@ def dense_mu(problem, psis):
     degs = [p.degree for p in psis]
     for I in cx.module.names:
         acc = V.zero()
-        dec = c_coalgebra_decompose(problem.phi, problem.E, cx, I, r,
-                                    cap=problem.cap)
+        dec = c_coalgebra_decompose(problem.phi, cx, I, r, cap=problem.cap)
         for (cname, Js), c in dec.items():
             # Koszul sign: psi_i crosses the cooperad factor and the
             # chain factors to its left

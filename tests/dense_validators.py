@@ -11,7 +11,7 @@ law by law, witness included.  They are slow (about 20 s for
 from itertools import product as _product
 
 from opmc.cooperad import Report, compositions
-from opmc.errors import ShapeError, ValidationError
+from opmc.errors import ShapeError
 from opmc.symmetric import Permutation, all_permutations
 
 
@@ -301,6 +301,11 @@ def validate_hopf(C, H):
     for r in range(C.r_max + 1):
         res = _hopf_compat_check(C, H, r)
         rep.add(f"hopf-cocomposition-compat arity {r}", res is None, res)
+
+    # the units' cocompositions
+    for r in range(C.r_max + 1):
+        res = hopf_unit_cocomp_check(C, H, r)
+        rep.add(f"hopf-unit-cocomposition arity {r}", res is None, res)
     return rep
 
 
@@ -433,41 +438,32 @@ def validate_morphism(phi):
     return rep
 
 
-def cocom_unit_morphism(C, H):
-    """eta: uCOCOM -> uC sending the arity-r generator to eta_r.
-
-    Verifies the morphism property on every truncation shape: the
-    cocomposition of eta_r must equal eta_k (x) eta_{r_1} ... eta_{r_k}.
-    """
+def hopf_unit_cocomp_check(C, H, r):
+    """Delta(eta_r) = eta_k (x) eta_{r_1} ... (x) eta_{r_k} on every
+    truncation shape of arity r."""
     ring = C.ring
-    images = {r: H.unit(r) for r in range(C.r_max + 1)}
-    for r in range(C.r_max + 1):
-        for k in range(1, C.r_max + 1):
-            for shape in compositions(r, k):
-                if any(x > C.r_max for x in shape):
-                    continue
-                lhs = {}
-                for name, cc in images[r].terms.items():
-                    for coeff, o, gs in C.cocompose(k, shape, name):
-                        key = (o, tuple(gs))
-                        lhs[key] = ring.add(lhs.get(key, ring.zero), ring.mul(cc, coeff))
-                lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
-                rhs = {}
-                outer = images[k]
-                inner = [images[shape[i]] for i in range(k)]
-                for oname, cco in outer.terms.items():
-                    for combo in _product(*[list(e.terms.items()) for e in inner]):
-                        cval = cco
-                        names = []
-                        for n, cc in combo:
-                            cval = ring.mul(cval, cc)
-                            names.append(n)
-                        key = (oname, tuple(names))
-                        rhs[key] = ring.add(rhs.get(key, ring.zero), cval)
-                rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
-                if lhs != rhs:
-                    raise ValidationError(
-                        f"Hopf units are not compatible with cocomposition at "
-                        f"arity {r}, shape {shape}"
-                    )
-    return images
+    for k in range(1, C.r_max + 1):
+        for shape in compositions(r, k):
+            if any(x > C.r_max for x in shape):
+                continue
+            lhs = {}
+            for name, cc in H.unit(r).terms.items():
+                for coeff, o, gs in C.cocompose(k, shape, name):
+                    key = (o, tuple(gs))
+                    lhs[key] = ring.add(lhs.get(key, ring.zero), ring.mul(cc, coeff))
+            lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
+            rhs = {}
+            inner = [H.unit(shape[i]) for i in range(k)]
+            for oname, cco in H.unit(k).terms.items():
+                for combo in _product(*[list(e.terms.items()) for e in inner]):
+                    cval = cco
+                    names = []
+                    for n, cc in combo:
+                        cval = ring.mul(cval, cc)
+                        names.append(n)
+                    key = (oname, tuple(names))
+                    rhs[key] = ring.add(rhs.get(key, ring.zero), cval)
+            rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
+            if lhs != rhs:
+                return (r, k, shape)
+    return None

@@ -116,12 +116,14 @@ def test_criterion_02_contraction_identities():
         (1, "1", ("a3",)): V.gen("a2", 3),
     })
     E1, _ = barratt_eccles(Z, 3, 0, n=1, validate=False)
-    prob = MCProblem(Qt, en_restriction_morphism(E1, C, validate=False), E1)
+    prob = MCProblem(Qt, en_restriction_morphism(E1, C, validate=False))
     rng = random.Random(102)
     checked = 0
+    pt = prob.chains(0)
     for n in range(5):
         for k in range(n + 1):
-            _, P_op, H_op, _ = prob.lifted_ops(k, n)
+            # H precomposes with h; P with p o eps, through the point
+            cx, eps, p, h = contraction(Z, k, n)
             for deg in (-1, 0, 1):
                 for _ in range(3):
                     psi = prob.zero(n, deg)
@@ -132,9 +134,10 @@ def test_criterion_02_contraction_identities():
                             if V.degree(vn) == want and rng.random() < 0.7:
                                 val = val.add(V.gen(vn, rng.randint(-2, 2)))
                         psi.set(I, val)
-                    lhs = prob.differential(H_op(psi)).add(
-                        H_op(prob.differential(psi)))
-                    assert lhs.eq(psi.sub(P_op(psi))), (n, k, deg)
+                    lhs = prob.differential(psi.precompose(h, cx)).add(
+                        prob.differential(psi).precompose(h, cx))
+                    proj = psi.precompose(p, pt).precompose(eps, cx)
+                    assert lhs.eq(psi.sub(proj)), (n, k, deg)
                     checked += 1
     assert checked >= 100
     report(2, "contraction identities, chain and convolution level")
@@ -410,7 +413,7 @@ def ladder_problem(ring=Z2, seed=0):
     comps[(2, "12", ("x", "x"))] = cf.V.gen("y")
     Qt = Coderivation(cf, comps)
     E1, _ = barratt_eccles(ring, 3, 0, n=1, validate=False)
-    return MCProblem(Qt, en_restriction_morphism(E1, C, validate=False), E1), H
+    return MCProblem(Qt, en_restriction_morphism(E1, C, validate=False)), H
 
 
 def test_criterion_11_mc_simplicial_set():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +306,30 @@ def test_horn_past_the_cap_is_refused(inst_file, tmp_path, capsys):
     assert main(["horn-fill", "--instance", inst_file,
                  "--horn", str(horn)]) == 1
     assert "error[resource-limit]" in capsys.readouterr().err
+
+
+def test_horn_fill_blames_a_structure_that_does_not_square_to_zero(
+        tmp_path, capsys):
+    # e2_z.json over Z/3, where Q o Q is 4c = c at (3, '123', ('a', 'a',
+    # 'a')): filling this horn meets a nonzero defect whose correction
+    # vanishes, and the error names the structure, not an internal check
+    doc = json.loads((Path(__file__).parent / "data" / "e2_z.json")
+                     .read_text(encoding="utf-8"))
+    doc["ring"] = {"kind": "integers-mod-m", "modulus": 3}
+    inst = tmp_path / "e2_z3.json"
+    inst.write_text(json.dumps(doc))
+    horn = tmp_path / "horn.json"
+    horn.write_text(json.dumps({"format": "opmc-horn/1", "n": 2, "k": 0,
+                                "values": [
+                                    {"class": [1], "value": [["z", "2"]]},
+                                    {"class": [0, 1], "value": [["a", "1"]]},
+                                ]}))
+    assert main(["horn-fill", "--instance", str(inst),
+                 "--horn", str(horn)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error[convention]: the convolution solution condition assumes a "
+        "coderivation that squares to zero; Q o Q is nonzero on "
+        "(3, '123', ('a', 'a', 'a'))")
 
 
 def test_mc_simplicial_enumerate(inst_file, capsys):

@@ -16,7 +16,6 @@ from opmc.builders import (
 from opmc.cooperad import (
     CooperadTruncation,
     HopfStructure,
-    cocom_unit_morphism,
     infinitesimal_cocomposition,
     validate_cooperad,
     validate_hopf,
@@ -143,11 +142,20 @@ def test_counit_infinitesimal_trivial(ass3):
 
 
 def test_cocom_unit_morphism(ass3):
+    # eta_r, the image of the arity-r generator of uCOCOM, is the sum of
+    # the permutations; validate_hopf checks that eta is a morphism
     C, H = ass3
-    images = cocom_unit_morphism(C, H)
-    assert sorted(images) == [0, 1, 2, 3]
-    assert images[2].terms == {"12": 1, "21": 1}
-    assert images[0].terms == {C.unit_name: 1}
+    assert H.unit(2).terms == {"12": 1, "21": 1}
+    assert H.unit(0).terms == {C.unit_name: 1}
+    laws = {law: ok for law, ok, _ in validate_hopf(C, H).checks}
+    assert [laws[f"hopf-unit-cocomposition arity {r}"] for r in range(4)] == [
+        True] * 4
+    units = dict(H.units)
+    units[3] = H.unit(3).scale(2)
+    rep = validate_hopf(C, HopfStructure(C, H.products, units))
+    # 2 eta_3 is no unit, and each arity has a shape with outer arity 3
+    assert [law for law, _ in rep.failures()] == ["hopf-unit arity 3"] + [
+        f"hopf-unit-cocomposition arity {r}" for r in range(4)]
 
 
 def test_hopf_validators_catch_breakage(ass3):

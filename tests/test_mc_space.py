@@ -25,7 +25,7 @@ from opmc import builders, instances, mc_space, simplex_chains
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
-from opmc.simplex_chains import c_coalgebra_decompose
+from opmc.simplex_chains import c_coalgebra_decompose, contraction
 from opmc.twisting import mc_enumerate
 
 from dense_convolution import dense_mu
@@ -44,7 +44,7 @@ def make_problem(ring, comps=None, spec=(("x", 0, 1), ("u", 1, 1), ("y", -1, 1))
     Qt = Coderivation(cf, {k: _mk(V, v) for k, v in comps.items()})
     E1, _ = barratt_eccles(ring, r_max, 2, n=1, validate=False)
     phi = en_restriction_morphism(E1, C)
-    return MCProblem(Qt, phi, E1), H
+    return MCProblem(Qt, phi), H
 
 
 def _mk(V, v):
@@ -102,7 +102,7 @@ def test_differential_squares_to_zero():
         (2, "12", ("x", "x")): V.gen("y"),
         (1, "1", ("u",)): V.gen("x", 2),
     })
-    P2 = MCProblem(Qt, P.phi, P.E)
+    P2 = MCProblem(Qt, P.phi)
     rng = random.Random(1)
     for n in (1, 2):
         for deg in (-1, 0, 1):
@@ -138,7 +138,7 @@ def test_star_requires_flat_and_degree_zero():
         (0, P.C.unit_name, ()): P.V.gen("y"),
         (2, "12", ("x", "x")): P.V.gen("y"),
     })
-    Pc = MCProblem(curved, P.phi, P.E)
+    Pc = MCProblem(curved, P.phi)
     with pytest.raises(ConventionError):
         Pc.star(Pc.zero(1))
     with pytest.raises(ShapeError):
@@ -219,28 +219,39 @@ def test_simplicial_identity_on_faces():
             assert a.eq(b), (i, j)
 
 
+def _lifted_contraction(P, k, n):
+    """H and P on convolution elements of the n-simplex: precomposition
+    with the contraction's homotopy h, and with the projection p o eps
+    through the point."""
+    cx, eps, p, h = contraction(P.ring, k, n)
+    pt = P.chains(0)
+    return (lambda psi: psi.precompose(h, cx),
+            lambda psi: psi.precompose(p, pt).precompose(eps, cx))
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_lifted_homotopy_identity(n):
+    # dH + Hd = id - P, with the Koszul sign of precompose on odd elements
     P, _ = make_problem(Z)
     rng = random.Random(6)
     for k in range(n + 1):
-        E_op, P_op, H_op, R_op = P.lifted_ops(k, n)
+        H_op, P_op = _lifted_contraction(P, k, n)
         for deg in (-1, 0, 1):
             psi = rand_psi(P, rng, n, deg)
-            lhs = P.differential(H_op(psi)).add(H_op(P.differential(psi)))
+            gamma = H_op(psi)
+            assert gamma.degree == deg + 1
+            lhs = P.differential(gamma).add(H_op(P.differential(psi)))
             assert lhs.eq(psi.sub(P_op(psi))), (n, k, deg)
-            assert R_op(psi).eq(P.differential(H_op(psi)))
             proj = P_op(psi)
             for I in proj.support():
-                assert proj.value(I).eq(psi.value((k,) * len(I))
-                                        if len(I) == 1 else proj.value(I))
+                assert len(I) == 1 and proj.value(I).eq(psi.value((k,)))
 
 
 def test_projection_is_vertex_constant():
     P, _ = make_problem(Z)
     rng = random.Random(7)
     psi = rand_psi(P, rng, 2, 0)
-    _, P_op, _, _ = P.lifted_ops(1, 2)
+    _, P_op = _lifted_contraction(P, 1, 2)
     proj = P_op(psi)
     for I in P.chains(2).module.names:
         if len(I) == 1:
@@ -249,9 +260,9 @@ def test_projection_is_vertex_constant():
             assert proj.value(I).is_zero()
 
 
-def test_lifted_ops_refuses_past_the_cap(monkeypatch):
+def test_horn_fill_refuses_past_the_cap(monkeypatch):
     P, _ = make_problem(Z)
-    capped = MCProblem(P.Qt, P.phi, P.E, cap=100)
+    capped = MCProblem(P.Qt, P.phi, cap=100)
 
     def contraction(*args):
         raise AssertionError("the contraction was built before the refusal")
@@ -260,7 +271,7 @@ def test_lifted_ops_refuses_past_the_cap(monkeypatch):
     # complex is built
     monkeypatch.setattr(mc_space, "contraction", contraction)
     with pytest.raises(ResourceLimitError):
-        capped.lifted_ops(0, 7)
+        capped.horn_fill(HornData(7, 0, P.V, {}))
 
 
 def test_mu2_cocycle_operator_identity():
@@ -274,7 +285,7 @@ def test_mu2_cocycle_operator_identity():
     })
     ok, _ = square_check(Qt)
     assert ok
-    P2 = MCProblem(Qt, P.phi, P.E)
+    P2 = MCProblem(Qt, P.phi)
     rng = random.Random(8)
     for n in (1, 2):
         for d1, d2 in [(0, 0), (-1, 0), (0, 1), (1, -1)]:
@@ -306,7 +317,7 @@ def odd_parts():
         (3, "123", ("x", "u", "x")): V.gen("x"),
         (3, "123", ("u", "u", "y")): V.gen("x", -2),
     })
-    return Qt, P.phi, P.E
+    return Qt, P.phi
 
 
 @lru_cache(maxsize=None)
@@ -327,7 +338,7 @@ def e2_parts(ring):
         (3, "123", ("x", "u", "x")): V.gen("x"),
         (3, "123|132", ("u", "u", "x")): V.gen("x", 3),
     })
-    return Qt, en_restriction_morphism(C, C, validate=False), C
+    return Qt, en_restriction_morphism(C, C, validate=False)
 
 
 def _mu_matches_dense(parts, seed, n, r, degrees, same):
@@ -381,7 +392,7 @@ def test_relabelled_decomposition_matches_per_class(case):
         cx = P.chains(n)
         for I in cx.module.names:
             for r in range(1, P.C.r_max + 1):
-                want = c_coalgebra_decompose(P.phi, P.E, cx, I, r, cap=P.cap)
+                want = c_coalgebra_decompose(P.phi, cx, I, r, cap=P.cap)
                 assert P._decompose(n, I, r) == want, (n, I, r)
 
 
@@ -442,12 +453,32 @@ def test_horn_fill_abelian_one_correction():
     # only an arity-1 component: a single correction suffices
     P0, _ = make_problem(Z, comps={})
     Qt = Coderivation(P0.cofree, {(1, "1", ("u",)): P0.V.gen("x", 2)})
-    P = MCProblem(Qt, P0.phi, P0.E)
+    P = MCProblem(Qt, P0.phi)
     horn = HornData(1, 0, P.V, {(0,): P.V.zero()})
     trace = []
     psi = P.horn_fill(horn, trace=trace)
     assert P.mc_check(psi)[0]
     assert len(trace) <= 2
+
+
+def test_horn_fill_corrects_once_to_the_only_filler():
+    # quad_z3.json: Q_2(u, u) = v over Z/3.  The open face's first value
+    # u leaves mu_2 = v, of weight 2, on the top class; one correction
+    # moves it onto the open face, and the result is the only solution
+    # with the horn's values
+    data = Path(__file__).parent / "data"
+    inst = instances.load_instance(str(data / "quad_z3.json"))
+    assert square_check(inst.Qt)[0]
+    P = instances.make_problem(inst)
+    doc = json.loads((data / "quad_horn_2_0.json").read_text(encoding="utf-8"))
+    horn = horn_from_doc(inst.V, doc)
+    trace = []
+    psi = P.horn_fill(horn, trace=trace)
+    assert trace == [2, None]
+    assert psi.value((1, 2)).eq(P.V.element([("u", 1), ("v", 2)]))
+    fillers = [s for s in P.mc_simplices(2)
+               if all(s.value(I).eq(horn.value(I)) for I in horn_basis(2, 0))]
+    assert len(fillers) == 1 and fillers[0].eq(psi)
 
 
 def test_horn_fill_rejects_non_solution_horn():
@@ -503,7 +534,7 @@ def test_kan_spot_check_e2():
         (2, "12", ("x", "u")): V.gen("x"),
     })
     phi = en_restriction_morphism(C, C, validate=False)
-    P = MCProblem(Qt, phi, C)
+    P = MCProblem(Qt, phi)
     rep = P.kan_spot_check(trials=6, seed=13)
     assert rep["attempted"] == rep["filled"] == 6
 
@@ -555,7 +586,7 @@ def test_make_problem_builds_no_cooperad(monkeypatch):
     monkeypatch.setattr(instances, "barratt_eccles", refuse)
     monkeypatch.setattr(builders, "barratt_eccles", refuse)
     P = instances.make_problem(inst)
-    assert P.E is inst.cooperad and P.phi.source is P.phi.target
+    assert P.phi.source is inst.cooperad and P.phi.target is inst.cooperad
 
 
 def test_loads_share_the_simplex_memos():

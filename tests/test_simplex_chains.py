@@ -399,7 +399,7 @@ def test_c_coalgebra_decompose_via_renaming():
     assC, _ = ass_cochains(Z, 2)
     phi = en_restriction_morphism(E1, assC)
     cx = chains(Z, 2)
-    got = c_coalgebra_decompose(phi, E1, cx, (0, 1), 2)
+    got = c_coalgebra_decompose(phi, cx, (0, 1), 2)
     assert got == {
         ("12", ((0,), (0, 1))): 1,
         ("12", ((0, 1), (1,))): 1,
@@ -416,9 +416,9 @@ def test_c_coalgebra_decompose_via_restriction():
     assC, _ = ass_cochains(Z, 2)
     phi = en_restriction_morphism(E1, assC).compose(en_restriction_morphism(E2, E1))
     cx = chains(Z, 2)
-    got = c_coalgebra_decompose(phi, E2, cx, (0, 1), 2)
+    got = c_coalgebra_decompose(phi, cx, (0, 1), 2)
     want = c_coalgebra_decompose(
-        en_restriction_morphism(E1, assC), E1, cx, (0, 1), 2
+        en_restriction_morphism(E1, assC), cx, (0, 1), 2
     )
     assert got == want
 

@@ -58,7 +58,6 @@ TESTED_API = {
     "CofreeCoalgebra.tangent",  # uC(V) -> V: test_cofree, criterion 03
     "morphism_extend",  # coalgebra maps from corestrictions: test_cofree
     "HopfStructure.multiply",  # test_twisting, the dense_validators oracle
-    "cocom_unit_morphism",  # test_validators, test_cooperad_builders
     "LinearMap.apply",  # test_graded, test_simplex_chains
     "surjection_boundary",  # the chain-map tests of surjection_action
     "OrbitModule.act_element",  # the dense_validators oracle
