@@ -211,16 +211,6 @@ class CooperadMorphism:
     def apply_name(self, r, name):
         return self.maps[r].apply_name(name)
 
-    def compose(self, other):
-        """self after other (source of self = target of other)."""
-        maps = {
-            r: self.maps[r].compose(other.maps[r])
-            for r in self.maps
-            if r in other.maps
-        }
-        label = f"{self.label}o{other.label}" if self.label else other.label
-        return CooperadMorphism(other.source, self.target, maps, label)
-
 
 # ---------------------------------------------------------------------------
 # validators

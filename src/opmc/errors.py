@@ -29,10 +29,6 @@ class FreenessError(OpmcError):
     code = "freeness"
 
 
-class InvarianceError(OpmcError):
-    code = "invariance"
-
-
 class CompletenessError(OpmcError):
     code = "completeness"
 

@@ -207,8 +207,8 @@ def read_json(path):
         ) from exc
 
 
-def load_instance(path, validate=True):
-    return parse_instance(read_json(path), validate=validate)
+def load_instance(path):
+    return parse_instance(read_json(path))
 
 
 def instance_to_dict(inst):

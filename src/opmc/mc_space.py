@@ -33,7 +33,7 @@ finds every class stored.
 """
 
 import random
-from itertools import combinations, product
+from itertools import product
 
 from .cofree import square_check
 from .errors import (
@@ -52,6 +52,7 @@ from .simplex_chains import (
     contraction,
     degeneracy_map,
     face_map,
+    simplex_classes,
 )
 
 __all__ = [
@@ -69,14 +70,11 @@ class ConvolutionElement:
     q + d; values are stored sparsely by basis class.
     """
 
-    def __init__(self, cx, V, degree, values=None):
+    def __init__(self, cx, V, degree):
         self.cx = cx
         self.V = V
         self.degree = degree
         self.values = {}
-        if values:
-            for I, val in values.items():
-                self.set(I, val)
 
     @property
     def n(self):
@@ -191,7 +189,7 @@ def horn_basis(n, k):
     """Basis classes of the chains on the k-th horn of the n-simplex:
     everything except the top class and the face opposite vertex k."""
     _check_horn(n, k)
-    return [I for I in _all_subsets(n) if _is_horn_class(I, n, k)]
+    return [I for I in simplex_classes(n) if _is_horn_class(I, n, k)]
 
 
 def _check_horn(n, k):
@@ -207,11 +205,6 @@ def _is_horn_class(I, n, k):
         return False
     # n + 1 vertices is the top class; n vertices without k the open face
     return len(I) < n or (len(I) == n and k in I)
-
-
-def _all_subsets(n):
-    for size in range(1, n + 2):
-        yield from combinations(range(n + 1), size)
 
 
 class HornData:
@@ -303,8 +296,7 @@ class MCProblem:
         key = (m, top, r)
         if key not in self._dec:
             self._dec[key] = c_coalgebra_decompose(
-                self.phi, self.chains(m), top, r, cap=self.cap
-            )
+                self.phi, top, r, cap=self.cap)
         if I == top:
             return self._dec[key]
         return {
@@ -364,22 +356,18 @@ class MCProblem:
         if r > self.C.r_max:
             return out
         degrees = tuple(p.degree for p in psis)
-        n = cx.n
         distinct = {id(p): p for p in psis}
         frozen = {k: {K: frozenset(v.terms.items()) for K, v in p.values.items()}
                   for k, p in distinct.items()}
-        for size in range(1, n + 2):
-            for I in combinations(range(n + 1), size):
-                content = {k: frozenset(_restrict(f, I).items())
-                           for k, f in frozen.items()}
-                key = (size, r, degrees,
-                       tuple(content[id(p)] for p in psis))
-                if key not in self._mus:
-                    local = {k: _restrict(p.values, I)
-                             for k, p in distinct.items()}
-                    self._mus[key] = self._mu_class(
-                        size, degrees, [local[id(p)] for p in psis])
-                out.set(I, self._mus[key])
+        for I in cx.module.names:
+            content = {k: frozenset(_restrict(f, I).items())
+                       for k, f in frozen.items()}
+            key = (len(I), r, degrees, tuple(content[id(p)] for p in psis))
+            if key not in self._mus:
+                local = {k: _restrict(p.values, I) for k, p in distinct.items()}
+                self._mus[key] = self._mu_class(
+                    len(I), degrees, [local[id(p)] for p in psis])
+            out.set(I, self._mus[key])
         return out
 
     def _mu_class(self, size, degrees, local):

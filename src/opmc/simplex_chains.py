@@ -18,6 +18,7 @@ from .graded import BasisElement, GradedModule, LinearMap
 
 __all__ = [
     "SimplexChains",
+    "simplex_classes",
     "chains",
     "induced_map",
     "face_map",
@@ -40,11 +41,8 @@ class SimplexChains:
             raise ShapeError(f"need n >= 0, got {n}")
         self.ring = ring
         self.n = n
-        basis = []
-        for size in range(1, n + 2):
-            for I in combinations(range(n + 1), size):
-                basis.append(BasisElement(I, size - 1, 1))
-        self.module = GradedModule(ring, basis)
+        self.module = GradedModule(ring, [
+            BasisElement(I, len(I) - 1, 1) for I in simplex_classes(n)])
         self.d = LinearMap(self.module, self.module, -1, (
             ((I, I[:j] + I[j + 1:]), (-1) ** j)
             for I in self.module.names if len(I) > 1 for j in range(len(I))))
@@ -54,6 +52,14 @@ class SimplexChains:
 
     def top(self):
         return tuple(range(self.n + 1))
+
+
+def simplex_classes(n):
+    """The basis classes of N_*(Delta^n), the one enumeration of them:
+    the nonempty subsets of {0..n} as increasing tuples, by size, then
+    in ``combinations`` order."""
+    for size in range(1, n + 2):
+        yield from combinations(range(n + 1), size)
 
 
 @cache
@@ -272,14 +278,14 @@ def table_reduction(simplex):
     return out
 
 
-def einfty_decompose(E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
+def einfty_decompose(E, I, r, cap=DEFAULT_RESOURCE_CAP):
     """Arity-r chain coproduct over permutation-tuple cochains.
 
     ``E`` is the cochain cooperad on tuples of permutations (with its
-    complexity filter), ``cx`` the chains on a simplex and ``I`` a basis
-    class.  Returns {(dual-basis name, (J_1..J_r)): coeff}: the dual
-    basis element against the image of e_I under the table reduction of
-    the named tuple.
+    complexity filter) and ``I`` a basis class of the chains on a
+    simplex; the simplex itself is not read.  Returns {(dual-basis name,
+    (J_1..J_r)): coeff}: the dual basis element against the image of e_I
+    under the table reduction of the named tuple.
 
     I and r are fixed within a call, so the action of a surjection is the
     same wherever it appears: each distinct surjection acts once, and the
@@ -302,16 +308,16 @@ def einfty_decompose(E, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
                     f"decomposition exceeded the term cap {cap}"
                 )
             terms.extend(((name, key), c) for key, c in action.items())
-    return cx.ring.collect(terms)
+    return E.ring.collect(terms)
 
 
-def c_coalgebra_decompose(phi, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
+def c_coalgebra_decompose(phi, I, r, cap=DEFAULT_RESOURCE_CAP):
     """Push the chain coproduct along a cooperad morphism out of cochains.
 
     Returns {(target-cooperad name, (J_1..J_r)): coeff}.  The image of
     each source name is read from ``phi`` once per call.
     """
-    ring = cx.ring
+    ring = phi.target.ring
     images = {}
 
     def image(name):
@@ -322,5 +328,5 @@ def c_coalgebra_decompose(phi, cx, I, r, cap=DEFAULT_RESOURCE_CAP):
     return ring.collect(
         ((tname, key), ring.mul(c, tc))
         for (name, key), c in einfty_decompose(
-            phi.source, cx, I, r, cap=cap).items()
+            phi.source, I, r, cap=cap).items()
         for tname, tc in image(name))

@@ -98,7 +98,7 @@ def dense_table_reduction(simplex):
     return out
 
 
-def dense_einfty_decompose(E, cx, I, r):
+def dense_einfty_decompose(E, I, r):
     """The arity-r chain coproduct of e_I (r >= 1), one action per
     (name, surjection) pair; returns it with the number of terms read."""
     out = {}
@@ -108,7 +108,7 @@ def dense_einfty_decompose(E, cx, I, r):
             for key, c in dense_surjection_action(surj, I).items():
                 count += 1
                 out[name, key] = out.get((name, key), 0) + c
-    ring = cx.ring
+    ring = E.ring
     norm = {k: ring.normalize(c) for k, c in out.items()}
     return {k: c for k, c in norm.items() if not ring.is_zero(c)}, count
 
@@ -129,7 +129,7 @@ def dense_mu(problem, psis):
     degs = [p.degree for p in psis]
     for I in cx.module.names:
         acc = V.zero()
-        dec = c_coalgebra_decompose(problem.phi, cx, I, r, cap=problem.cap)
+        dec = c_coalgebra_decompose(problem.phi, I, r, cap=problem.cap)
         for (cname, Js), c in dec.items():
             # Koszul sign: psi_i crosses the cooperad factor and the
             # chain factors to its left

@@ -67,7 +67,7 @@ def test_unit_counit_tangent(cfZ):
 def test_expand_collect_roundtrip(cfZ):
     for key in cfZ.module.names:
         x = cfZ.module.gen(key)
-        back = cfZ.collect(cfZ.expand(x), check=True)
+        back = cfZ.collect(cfZ.expand(x))
         assert back.eq(x), key
 
 
@@ -80,14 +80,18 @@ def test_expand_collect_roundtrip_divided():
     assert (2, "c2", ("x", "y")) in cf.module.basis
     for key in cf.module.names:
         x = cf.module.gen(key)
-        assert cf.collect(cf.expand(x), check=True).eq(x), key
+        assert cf.collect(cf.expand(x)).eq(x), key
 
 
 def test_decompose_counit_component(cfZ):
+    # reading the counit component of decompose(x, 1) gives x back
     rng = random.Random(11)
+    counit = cfZ.cooperad.counit_name
     for _ in range(10):
         x = random_element(cfZ, rng)
-        cfZ.decompose(x, 1, check=True)  # raises on failure
+        got = cfZ.decompose(x, 1)
+        assert Z.collect((keys[0], c) for (a, keys), c in got.items()
+                         if a == counit) == x.terms
 
 
 def test_decompose_unit_is_grouplike(cfZ):
@@ -122,7 +126,7 @@ def test_roundtrip_corestriction_divided():
     rng = random.Random(7)
     for t in range(6):
         Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
-        Q = coderivation_extend(Qt, check=True)
+        Q = coderivation_extend(Qt)
         for key in cf.module.names:
             got = cf.tangent(Q.on_key(key))
             assert got.eq(Qt.value_on(cf.module.gen(key))), key
@@ -137,13 +141,16 @@ def test_coleibniz(cfZ):
 
 
 def test_coleibniz_divided():
+    # with the odd name a, the sign of the operator passing an odd prefix
+    # reaches the sorted terms that are read back under the divided norm
     C, _ = com_cochains(QQ, 3)
-    V = make_V(QQ, [("x", 0, 1), ("y", -1, 1)])
-    cf = cofree_build(C, V, 3)
     rng = random.Random(23)
-    for t in range(4):
-        Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
-        assert coleibniz_defect(cf, Qt, ks=(1, 2, 3)) == [], t
+    for spec in ([("x", 0, 1), ("y", -1, 1)],
+                 [("a", 1, 1), ("x", 0, 1), ("y", -1, 1)]):
+        cf = cofree_build(C, make_V(QQ, spec), 3)
+        for t in range(4):
+            Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
+            assert coleibniz_defect(cf, Qt, ks=(1, 2, 3)) == [], (spec, t)
 
 
 def test_square_zero_by_degree(assZ):

@@ -392,7 +392,7 @@ def test_relabelled_decomposition_matches_per_class(case):
         cx = P.chains(n)
         for I in cx.module.names:
             for r in range(1, P.C.r_max + 1):
-                want = c_coalgebra_decompose(P.phi, cx, I, r, cap=P.cap)
+                want = c_coalgebra_decompose(P.phi, I, r, cap=P.cap)
                 assert P._decompose(n, I, r) == want, (n, I, r)
 
 
