@@ -4,6 +4,7 @@ associative family is its complexity-1 member) and the commutative one.
 """
 
 from itertools import combinations
+from math import comb
 
 from .cooperad import (
     CooperadMorphism,
@@ -162,15 +163,22 @@ def be_simplices(r, d_max, n):
     return out
 
 
-def barratt_eccles(ring, r_max, d_max, n=None, validate=True):
+def barratt_eccles(ring, r_max, d_max=None, n=None, validate=True):
     """Normalized cochains on the Barratt-Eccles simplicial operad.
 
     ``n`` bounds the Berger-Fresse complexity (None: no bound, the full
-    E-infinity truncation); n=1, d_max=0 is ``ass_cochains``.  Chain-level
-    composition is the shuffle (EZ) map followed by vertex-wise block
-    composition; the Hopf product is the simplicial cup product (front
-    face times back face).
+    E-infinity truncation); n=1, d_max=0 is ``ass_cochains``.  For a
+    finite ``n``, ``d_max`` defaults to the top dimension
+    (n-1)*C(r_max, 2) of the complexity-n simplices of arity r_max, which
+    gives the whole arity truncation of E_n.  Chain-level composition is
+    the shuffle (EZ) map followed by vertex-wise block composition; the
+    Hopf product is the simplicial cup product (front face times back
+    face).
     """
+    if d_max is None:
+        if n is None:
+            raise ShapeError("an E-infinity truncation (n=None) needs d_max")
+        d_max = (n - 1) * comb(r_max, 2)
     op = be_chain_operad(ring, r_max, d_max, n)
     C = dualize(op, label=f"be{n if n is not None else 'inf'}-cochains")
     H = be_cup_structure(ring, C)
@@ -229,6 +237,20 @@ def be_chain_operad(ring, r_max, d_max, n=None):
             terms.append((nm, sign))
         return [(c, nm) for nm, c in ring.collect(terms).items()]
 
+    restricted = {}
+
+    def vanishes(outer, shape):
+        """Whether the restriction of ``outer`` along the 0/1 pattern of
+        ``shape`` (the unit in each arity-0 slot, the identity in every
+        other slot) is degenerate, computed once per (outer, pattern)."""
+        pattern = tuple(min(ri, 1) for ri in shape)
+        key = (outer, pattern)
+        if key not in restricted:
+            slots = tuple(perm_name(Permutation.identity(ri)) for ri in pattern)
+            restricted[key] = not be_nondegenerate(
+                [compose_vertex(pattern, (v,) + slots) for v in vertices[outer]])
+        return restricted[key]
+
     def faces(r, name):
         s = vertices[name]
         terms = []
@@ -247,6 +269,7 @@ def be_chain_operad(ring, r_max, d_max, n=None):
         id_name=be_name((Permutation.identity(1),)),
         unit_name=be_name((Permutation.identity(0),)),
         faces=faces, label=f"be{n if n is not None else 'inf'}-chains",
+        vanishes=vanishes,
     )
 
 

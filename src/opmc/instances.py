@@ -129,10 +129,13 @@ def _build_cooperad(ring, block, validate):
     if kind == "com":
         return com_cochains(ring, r_max, validate=validate)
     if kind == "be":
-        d_max = field(block, "d_max", int, "cooperad")
         n = block.get("n")
-        if d_max < 0:
-            raise InstanceFormatError(f"bad d_max {d_max!r}")
+        # without d_max, a finite n builds the whole truncation of E_n
+        d_max = None
+        if n is None or "d_max" in block:
+            d_max = field(block, "d_max", int, "cooperad")
+            if d_max < 0:
+                raise InstanceFormatError(f"bad d_max {d_max!r}")
         if n is not None and (isinstance(n, bool) or not isinstance(n, int)
                               or n < 1):
             raise InstanceFormatError(

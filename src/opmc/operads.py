@@ -29,10 +29,13 @@ class ChainOperad:
     ``compose_name(outer_name, shape, inner_names)`` returns a list of
     (coeff, out_name) for gamma(outer; inners); ``faces``, when given,
     maps (r, name) to the terms (coeff, name') of the differential.
+    ``vanishes(outer_name, shape)``, when given, is true only where
+    every product gamma(outer; inners) in a shape with an arity-0 inner
+    is zero, so that ``dualize`` never forms those products.
     """
 
     def __init__(self, ring, r_max, components, compose_name, id_name,
-                 unit_name, faces=None, label=""):
+                 unit_name, faces=None, label="", vanishes=None):
         self.ring = ring
         self.r_max = r_max
         self.components = dict(components)
@@ -41,6 +44,7 @@ class ChainOperad:
         self.unit_name = unit_name
         self.faces = faces
         self.label = label
+        self.vanishes = vanishes
         for r in range(r_max + 1):
             if r not in self.components:
                 raise ShapeError(f"missing chain component in arity {r}")
@@ -63,6 +67,18 @@ def dualize(op, label=""):
     formed: each factor is drawn from the names its share of the degree
     budget allows, in basis order, so every table lists its terms in the
     order of the full product.
+
+    In a shape with an arity-0 inner, the outers for which
+    ``op.vanishes`` holds are dropped before any product is formed.  For
+    a simplicial operad whose arity-0 part is the unit alone (as for
+    Barratt-Eccles) this is the restriction prune of Berger-Fresse: put
+    the unit in each arity-0 slot and the identity in every other slot.
+    That restriction of b is a simplicial map, and by associativity
+    gamma(b; c_1..c_k) is its composite with the inners of positive
+    arity.  If the restricted vertex word of b has two equal neighbours,
+    every shuffle term of the product steps from one of those vertices
+    of b to the next with all inners fixed, so every term is degenerate
+    and the product is 0 in normalised chains.
     """
     ring = op.ring
     components = {}
@@ -79,7 +95,11 @@ def dualize(op, label=""):
         top = len(buckets[r]) - 1
         for k, shape in shapes(r, op.r_max):
             table = {}
-            pools = [buckets[k]] + [buckets[ri] for ri in shape]
+            outers = buckets[k]
+            if op.vanishes is not None and 0 in shape:
+                outers = [[(n, d) for n, d in bucket if not op.vanishes(n, shape)]
+                          for bucket in outers]
+            pools = [outers] + [buckets[ri] for ri in shape]
             for names in _bounded_products(pools, top):
                 b, inners = names[0], names[1:]
                 for coeff, out in op.compose(b, shape, inners):

@@ -5,6 +5,7 @@ their order and the order of the terms within each list must agree.
 """
 
 import resource
+from functools import cache
 from math import comb
 
 import pytest
@@ -13,8 +14,11 @@ import dense_builders as dense
 from opmc.builders import (
     ass_cochains,
     barratt_eccles,
+    be_chain_operad,
     be_simplices,
 )
+from opmc.errors import ShapeError
+from opmc.operads import dualize
 from opmc.rings import ring_make
 
 Z = ring_make({"kind": "integers"})
@@ -22,6 +26,8 @@ Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
 
 BE_BUILDS = {
     "e2-z2": (Z2, 3, 2, 2),
+    # complete E2: the restriction prune drops the most products here
+    "e2c-z2": (Z2, 3, 3, 2),
     "einf-d1": (Z, 3, 1, None),
     "einf-r2": (Z, 2, 2, None),
 }
@@ -31,13 +37,50 @@ def ordered(tables):
     return {key: list(table.items()) for key, table in tables.items()}
 
 
+@cache
+def dense_be_tables(build):
+    ring, r_max, d_max, n = BE_BUILDS[build]
+    return ordered(dense.dense_tables(
+        dense.dense_be_chain_operad(ring, r_max, d_max, n)))
+
+
 @pytest.mark.parametrize("build", sorted(BE_BUILDS))
 def test_be_tables_and_cup_products_match_dense(build):
     ring, r_max, d_max, n = BE_BUILDS[build]
     C, H = barratt_eccles(ring, r_max, d_max, n=n, validate=False)
-    expect = dense.dense_tables(dense.dense_be_chain_operad(ring, r_max, d_max, n))
-    assert ordered(C.cocomp) == ordered(expect)
+    assert ordered(C.cocomp) == dense_be_tables(build)
     assert ordered(H.products) == ordered(dense.dense_cup_products(C, d_max))
+
+
+def test_an_overeager_restriction_prune_changes_the_tables():
+    """The oracle comparison catches a prune that drops one outer too
+    many: 123|213 restricts to the edge 12|21 when slot 3 takes the
+    unit, so gamma(123|213; 1, 1, ()) is that edge, not 0."""
+    ring, r_max, d_max, n = BE_BUILDS["e2-z2"]
+    op = be_chain_operad(ring, r_max, d_max, n)
+    spoiled = ("123|213", (1, 1, 0))
+    prune = op.vanishes
+    assert not prune(*spoiled)
+    assert ordered(dualize(op).cocomp) == dense_be_tables("e2-z2")
+    op.vanishes = lambda outer, shape: (
+        prune(outer, shape) or (outer, shape) == spoiled)
+    tables, expect = ordered(dualize(op).cocomp), dense_be_tables("e2-z2")
+    assert [key for key in tables if tables[key] != expect[key]] == [(3, (1, 1, 0))]
+
+
+@pytest.mark.parametrize("ring, n", [(Z, 1), (Z2, 2)])
+def test_omitted_d_max_is_the_top_degree(ring, n):
+    C, H = barratt_eccles(ring, 3, n=n, validate=False)
+    top_C, top_H = barratt_eccles(ring, 3, (n - 1) * comb(3, 2), n=n,
+                                  validate=False)
+    assert C.basis_names(3) == top_C.basis_names(3)
+    assert ordered(C.cocomp) == ordered(top_C.cocomp)
+    assert ordered(H.products) == ordered(top_H.products)
+
+
+def test_einfty_needs_d_max():
+    with pytest.raises(ShapeError, match="d_max"):
+        barratt_eccles(Z, 3, n=None, validate=False)
 
 
 def test_ass_tables_match_dense():

@@ -211,6 +211,19 @@ def test_einfty_degree_cut_is_rejected(tmp_path, capsys):
         "(3, 2, (1, 2), '123|132', '132|321')\n")
 
 
+def test_be_d_max_defaults_to_the_top_degree_for_finite_n(tmp_path, capsys):
+    """A finite n without d_max is the whole truncation of E_n, as in
+    ``e2c_z2.json``; E-infinity has no top degree, so n null needs d_max."""
+    data = Path(__file__).parent / "data"
+    assert main(["validate", str(data / "e2c_z2.json")]) == 0
+    capsys.readouterr()
+    einf = write_variant(tmp_path, "einf.json", coderivation=[], cooperad={
+        "builder": "be", "r_max": 3, "n": None})
+    assert main(["validate", einf]) == 1
+    assert capsys.readouterr().err == (
+        "error[instance-format]: cooperad has no 'd_max'\n")
+
+
 def test_unknown_command_is_usage_error(inst_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--instance", inst_file])

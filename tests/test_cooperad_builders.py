@@ -1,5 +1,6 @@
 import copy
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from opmc.cooperad import (
     validate_morphism,
 )
 from opmc.errors import RingRequirementError, ValidationError
+from opmc.instances import load_instance
 from opmc.rings import ring_make
 from opmc.symmetric import Permutation, TrivialModule, all_permutations
 
@@ -305,6 +307,20 @@ def test_einfty_to_en_restriction():
     assert dead
     for nm in dead:
         assert phi.maps[2].apply_name(nm).is_zero()
+
+
+def test_complete_e2_restricts_to_e1_and_the_shipped_e2():
+    """``e2c_z2.json`` omits d_max, so it loads complete E2 at r_max 3,
+    whose arity-3 top degree is (2 - 1) * C(3, 2) = 3."""
+    data = Path(__file__).parent / "data"
+    e2c = load_instance(str(data / "e2c_z2.json")).cooperad
+    assert min(e2c.degree(3, nm) for nm in e2c.basis_names(3)) == -3
+    e1, _ = barratt_eccles(Z2, 3, 0, n=1)
+    e2 = load_instance(str(data / "e2_z2.json")).cooperad
+    for target in (e1, e2):
+        report = validate_morphism(en_restriction_morphism(e2c, target,
+                                                           validate=False))
+        assert report.ok
 
 
 def test_cup_unit_is_vertex_sum():
