@@ -237,20 +237,6 @@ def be_chain_operad(ring, r_max, d_max, n=None):
             terms.append((nm, sign))
         return [(c, nm) for nm, c in ring.collect(terms).items()]
 
-    restricted = {}
-
-    def vanishes(outer, shape):
-        """Whether the restriction of ``outer`` along the 0/1 pattern of
-        ``shape`` (the unit in each arity-0 slot, the identity in every
-        other slot) is degenerate, computed once per (outer, pattern)."""
-        pattern = tuple(min(ri, 1) for ri in shape)
-        key = (outer, pattern)
-        if key not in restricted:
-            slots = tuple(perm_name(Permutation.identity(ri)) for ri in pattern)
-            restricted[key] = not be_nondegenerate(
-                [compose_vertex(pattern, (v,) + slots) for v in vertices[outer]])
-        return restricted[key]
-
     def faces(r, name):
         s = vertices[name]
         terms = []
@@ -269,7 +255,6 @@ def be_chain_operad(ring, r_max, d_max, n=None):
         id_name=be_name((Permutation.identity(1),)),
         unit_name=be_name((Permutation.identity(0),)),
         faces=faces, label=f"be{n if n is not None else 'inf'}-chains",
-        vanishes=vanishes,
     )
 
 

@@ -29,13 +29,10 @@ class ChainOperad:
     ``compose_name(outer_name, shape, inner_names)`` returns a list of
     (coeff, out_name) for gamma(outer; inners); ``faces``, when given,
     maps (r, name) to the terms (coeff, name') of the differential.
-    ``vanishes(outer_name, shape)``, when given, is true only where
-    every product gamma(outer; inners) in a shape with an arity-0 inner
-    is zero, so that ``dualize`` never forms those products.
     """
 
     def __init__(self, ring, r_max, components, compose_name, id_name,
-                 unit_name, faces=None, label="", vanishes=None):
+                 unit_name, faces=None, label=""):
         self.ring = ring
         self.r_max = r_max
         self.components = dict(components)
@@ -44,7 +41,6 @@ class ChainOperad:
         self.unit_name = unit_name
         self.faces = faces
         self.label = label
-        self.vanishes = vanishes
         for r in range(r_max + 1):
             if r not in self.components:
                 raise ShapeError(f"missing chain component in arity {r}")
@@ -68,17 +64,20 @@ def dualize(op, label=""):
     budget allows, in basis order, so every table lists its terms in the
     order of the full product.
 
-    In a shape with an arity-0 inner, the outers for which
-    ``op.vanishes`` holds are dropped before any product is formed.  For
-    a simplicial operad whose arity-0 part is the unit alone (as for
-    Barratt-Eccles) this is the restriction prune of Berger-Fresse: put
-    the unit in each arity-0 slot and the identity in every other slot.
-    That restriction of b is a simplicial map, and by associativity
-    gamma(b; c_1..c_k) is its composite with the inners of positive
-    arity.  If the restricted vertex word of b has two equal neighbours,
-    every shuffle term of the product steps from one of those vertices
-    of b to the next with all inners fixed, so every term is degenerate
-    and the product is 0 in normalised chains.
+    When the arity-0 part is the unit alone, a shape with an arity-0
+    inner also drops every outer whose restriction is 0 before any
+    product is formed (the restriction operators from which
+    Berger-Fresse build E_n).  The restriction of b along the 0/1
+    pattern p of the shape is gamma(b; p), the unit in each arity-0 slot
+    and the identity in every other one, and by associativity
+    gamma(b; c_1..c_k) = gamma(gamma(b; p); c') with c' the inners of
+    positive arity.  So a zero restriction zeroes every product with
+    that outer, provided the truncation keeps every nonzero restriction
+    of a basis element.  Barratt-Eccles truncations do: the restriction
+    is the vertex-wise restricted word of b, which keeps the dimension
+    and cannot raise the complexity, so it is a basis simplex unless two
+    neighbouring vertices are equal, and then it is 0 in normalised
+    chains.
     """
     ring = op.ring
     components = {}
@@ -90,14 +89,26 @@ def dualize(op, label=""):
         components[r] = OrbitModule(ring, r, basis, om.orbit_reps, om.actions)
 
     buckets = {r: _degree_buckets(om.module) for r, om in op.components.items()}
+    restricts = op.components[0].module.names == [op.unit_name]
+    restricted = {}
+
+    def restriction_vanishes(b, pattern):
+        key = (b, pattern)
+        if key not in restricted:
+            slots = [op.id_name if p else op.unit_name for p in pattern]
+            restricted[key] = not op.compose(b, pattern, slots)
+        return restricted[key]
+
     tables = {}
     for r in range(op.r_max + 1):
         top = len(buckets[r]) - 1
         for k, shape in shapes(r, op.r_max):
             table = {}
             outers = buckets[k]
-            if op.vanishes is not None and 0 in shape:
-                outers = [[(n, d) for n, d in bucket if not op.vanishes(n, shape)]
+            if restricts and 0 in shape:
+                pattern = tuple(min(ri, 1) for ri in shape)
+                outers = [[(n, d) for n, d in bucket
+                           if not restriction_vanishes(n, pattern)]
                           for bucket in outers]
             pools = [outers] + [buckets[ri] for ri in shape]
             for names in _bounded_products(pools, top):

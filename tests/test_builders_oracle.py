@@ -54,18 +54,28 @@ def test_be_tables_and_cup_products_match_dense(build):
 
 def test_an_overeager_restriction_prune_changes_the_tables():
     """The oracle comparison catches a prune that drops one outer too
-    many: 123|213 restricts to the edge 12|21 when slot 3 takes the
-    unit, so gamma(123|213; 1, 1, ()) is that edge, not 0."""
+    many.  123|213 restricts to the edge 12|21 when slot 3 takes the
+    unit, so gamma(123|213; 1, 1, ()) is not 0; here it reads 0 the
+    first time only, which is when ``dualize`` asks for the restriction."""
     ring, r_max, d_max, n = BE_BUILDS["e2-z2"]
     op = be_chain_operad(ring, r_max, d_max, n)
-    spoiled = ("123|213", (1, 1, 0))
-    prune = op.vanishes
-    assert not prune(*spoiled)
-    assert ordered(dualize(op).cocomp) == dense_be_tables("e2-z2")
-    op.vanishes = lambda outer, shape: (
-        prune(outer, shape) or (outer, shape) == spoiled)
+    spoiled = ("123|213", (1, 1, 0), (op.id_name, op.id_name, op.unit_name))
+    compose, calls = op._compose, []
+    assert compose(*spoiled)
+
+    def spoil(outer, shape, inners):
+        if (outer, shape, inners) == spoiled:
+            calls.append(inners)
+            if len(calls) == 1:
+                return []
+        return compose(outer, shape, inners)
+
+    op._compose = spoil
     tables, expect = ordered(dualize(op).cocomp), dense_be_tables("e2-z2")
-    assert [key for key in tables if tables[key] != expect[key]] == [(3, (1, 1, 0))]
+    # the outer was dropped, so the product itself was never formed
+    assert len(calls) == 1
+    assert [key for key in tables if tables[key] != expect[key]] == [
+        (3, (1, 1, 0)), (3, (1, 2, 0)), (3, (2, 1, 0))]
 
 
 @pytest.mark.parametrize("ring, n", [(Z, 1), (Z2, 2)])
