@@ -22,11 +22,18 @@ coefficient one.  The trivial action over Q (``TrivialModule``) keys
 sorted tuples without a repeated odd-degree name, expands by the norm
 over r!, and reads a sorted term with coefficient r!/h, h the
 signed stabilizer sum.
+
+``cocompose_plain`` splits a plain tensor along one cocomposition shape.
+It is the one place that writes the Koszul sign of interleaving the
+inner cooperad factors into the v-blocks: ``decompose``,
+``coderivation_extend`` and the shuffle kernel of ``twisting`` take
+every term and that sign from it.  Cooperad degrees come from the
+truncation's ``degrees`` table, cogenerator degrees from ``V.degree``.
 """
 
 from itertools import product as _product
 
-from .cooperad import infinitesimal_cocomposition, shapes
+from .cooperad import shapes
 from .errors import PreconditionError, ResourceLimitError, ShapeError
 from .graded import BasisElement, Element, GradedModule
 from .symmetric import orbit_classes
@@ -57,7 +64,7 @@ class CofreeCoalgebra:
             om = C.component(r)
             for rep in om.orbit_reps:
                 cdeg = om.module.degree(rep)
-                for vt in om.class_tuples(V.names, self.vdeg):
+                for vt in om.class_tuples(V.names, self.V.degree):
                     wt = sum(V.weight(v) for v in vt)
                     if wt > w_max:
                         continue
@@ -70,9 +77,6 @@ class CofreeCoalgebra:
         self.module = GradedModule(self.ring, basis)
 
     # -- basic structure ---------------------------------------------------
-
-    def vdeg(self, vname):
-        return self.V.degree(vname)
 
     def zero(self):
         return self.module.zero()
@@ -100,7 +104,7 @@ class CofreeCoalgebra:
     def expand_key(self, key):
         """Plain-tensor expansion of a basis key, as {(cname, vt): coeff}."""
         r, rep, vt = key
-        return self.cooperad.component(r).orbit_sum(rep, vt, self.vdeg)
+        return self.cooperad.component(r).orbit_sum(rep, vt, self.V.degree)
 
     def expand(self, x):
         """Expansion by arity: {r: {(cname, vtuple): coeff}}."""
@@ -129,7 +133,7 @@ class CofreeCoalgebra:
             else:
                 terms.extend(((r, cname, vt), coeff) for (cname, vt), coeff
                              in orbit_classes(self.cooperad.component(r), plain,
-                                              self.vdeg).items())
+                                              self.V.degree).items())
         basis = self.module.basis
         return Element(self.module, {k: c for k, c in self.ring.collect(terms).items()
                                      if k in basis})
@@ -146,6 +150,7 @@ class CofreeCoalgebra:
         The sign is a plain negation; callers normalise with ``ring.mul``.
         """
         C = self.cooperad
+        deg = C.degrees
         blocks = []
         pre_odd = []
         pos = pre = 0
@@ -153,11 +158,11 @@ class CofreeCoalgebra:
             vb = vt[pos:pos + ri]
             blocks.append(vb)
             pre_odd.append(pre % 2)
-            pre += sum(self.vdeg(v) for v in vb)
+            pre += sum(self.V.degree(v) for v in vb)
             pos += ri
         for lam, a, gs in C.cocompose(k, shape, cname):
             for i in range(k):
-                if pre_odd[i] and C.degree(shape[i], gs[i]) % 2:
+                if pre_odd[i] and deg[shape[i]][gs[i]] % 2:
                     lam = -lam
             yield lam, a, tuple(zip(shape, gs, blocks))
 
@@ -194,7 +199,7 @@ class CofreeCoalgebra:
         if r == 0:
             return (0, self.cooperad.unit_name, ()), self.ring.one
         lam = self.cooperad.component(r).collection_coefficient(
-            g, vb, self.vdeg)
+            g, vb, self.V.degree)
         key = (r, g, vb)
         if lam is None or key not in self.module.basis:
             return None, None
@@ -252,7 +257,7 @@ class Coderivation:
         cf = self.cofree
         if r == 0:
             return self.curvature()
-        degs = tuple(cf.vdeg(v) for v in vt)
+        degs = tuple(cf.V.degree(v) for v in vt)
         rep, wt, sign = cf.cooperad.component(r).coinv_normalize(cname, vt, degs)
         base = self.comps.get((r, rep, wt))
         if base is None:
@@ -285,48 +290,54 @@ def coderivation_extend(Qt):
 
     Returns a function Element -> Element.  A basis key stands for the
     orbit sum of its representative tensor, so the key is expanded into
-    plain tensors first; every infinitesimal cocomposition component
-    then feeds its distinguished block to Qt, with Koszul signs for
-    moving the inner cooperad factor and then the degree -1 operator
-    past the prefix factors; the (invariant) output is collected back
-    into key form.  With this normalization the tangent of Q agrees
-    with the plain evaluation of Qt, matching the eta-sum form of the
-    residual and the flatness of twists over every ring.
+    plain tensors first.  Q applies Qt to one block of a cocomposition
+    whose other blocks have arity 1: ``cocompose_plain`` gives the terms
+    of every shape with at most one inner arity other than 1, signed for
+    moving the inner cooperad factors past the v-blocks before them, and
+    Qt reads the block of that inner (any block when all have arity 1,
+    the counit-law terms).  The degree -1 operator then passes the outer
+    factor and the prefix v's, the sign (-1)^{|outer| + |prefix|}; the
+    (invariant) output is collected back into key form.  With this
+    normalization the tangent of Q agrees with the plain evaluation of
+    Qt, matching the eta-sum form of the residual and the flatness of
+    twists over every ring.
     """
     cf = Qt.cofree
     C = cf.cooperad
     ring = cf.ring
+    vdeg = cf.V.degree
+    # per arity: (k, shape, [(slot, first v-position)]) for the shapes
+    # with at most one inner arity other than 1 and the slots Qt reads
+    infinitesimal = {r: [] for r in range(C.r_max + 1)}
+    for r, found in infinitesimal.items():
+        for k, shape in shapes(r, C.r_max):
+            other = [i for i in range(k) if shape[i] != 1]
+            if len(other) <= 1:
+                slots = other or range(k)
+                found.append((k, shape, [(i, sum(shape[:i])) for i in slots]))
     cache = {}
 
     def on_key(key):
         if key in cache:
             return cache[key]
         terms = []
-        r = key[0]
         for (cname, vt), coeff in cf.expand_key(key).items():
-            for tcoeff, k, out, i, m, inner in infinitesimal_cocomposition(C, r, cname):
-                # v-slots: positions i-1 .. i-1+m-1 feed the inner factor
-                prefix = vt[:i - 1]
-                block = vt[i - 1:i - 1 + m]
-                suffix = vt[i - 1 + m:]
-                val = Qt.eval_plain(m, inner, block)
-                if val.is_zero():
-                    continue
-                sign = 1
-                pre_deg = sum(cf.vdeg(v) for v in prefix)
-                in_deg = C.degree(m, inner)
-                if in_deg % 2 and pre_deg % 2:
-                    sign = -sign
-                out_deg = C.degree(k, out)
-                if (out_deg + pre_deg) % 2:
-                    sign = -sign
-                base = ring.mul(coeff, tcoeff if sign == 1 else -tcoeff)
-                for vn, vc in val.terms.items():
-                    nvt = prefix + (vn,) + suffix
-                    wt = sum(cf.V.weight(v) for v in nvt)
-                    if wt > cf.w_max:
-                        continue
-                    terms.append(((k, (out, nvt)), ring.mul(base, vc)))
+            for k, shape, slots in infinitesimal[key[0]]:
+                for lam, out, blocks in cf.cocompose_plain(k, shape, cname, vt):
+                    for i, start in slots:
+                        m, inner, block = blocks[i]
+                        val = Qt.eval_plain(m, inner, block)
+                        if val.is_zero():
+                            continue
+                        prefix, suffix = vt[:start], vt[start + m:]
+                        odd = C.degrees[k][out] + sum(vdeg(v) for v in prefix)
+                        base = ring.mul(coeff, -lam if odd % 2 else lam)
+                        for vn, vc in val.terms.items():
+                            nvt = prefix + (vn,) + suffix
+                            wt = sum(cf.V.weight(v) for v in nvt)
+                            if wt > cf.w_max:
+                                continue
+                            terms.append(((k, (out, nvt)), ring.mul(base, vc)))
         res = cf.collect(cf.sum_by_arity(terms))
         cache[key] = res
         return res

@@ -32,10 +32,12 @@ pairs or triples of names:
   against each term (a_0, x_1..x_k) of Delta(a), joined with the right
   partners b_0 of a_0 and y_i of x_i, and then with every b having the
   term (b_0, y_1..y_k) through an index of the table by (outer, inners).
+  The interleave sign is ``riffle_parity``, the shuffle kernel's too,
+  taken once per inner combination and parity of b_0.
 * Coassociativity, table equivariance and the morphism laws compare two
   routes per basis name over its cocomposition terms, with degrees read
-  from dicts built once and group actions from the components' stored
-  ``actions`` rows.
+  from the truncation's ``degrees`` table and group actions from the
+  components' stored ``actions`` rows.
 * Table equivariance, per arity: if the law holds for two block
   permutations (mu; sigma_1..sigma_k), one leaving a shape and one
   leaving the shape the first leads to, it holds for their product,
@@ -71,7 +73,7 @@ __all__ = [
     "validate_cooperad",
     "validate_hopf",
     "validate_morphism",
-    "infinitesimal_cocomposition",
+    "riffle_parity",
 ]
 
 
@@ -90,6 +92,17 @@ def shapes(r, r_max):
     as a tuple cached per (r, r_max): every law walks it per arity."""
     return tuple((k, shape) for k in range(1, r_max + 1)
                  for shape in compositions(r, k) if all(x <= r_max for x in shape))
+
+
+def riffle_parity(bdeg, xdegs, ydegs):
+    """Parity of the Koszul sign of a x_1..x_k b y_1..y_k -> a b x_1 y_1
+    .. x_k y_k, the interleave of two cocompositions under a product:
+    b passes every x_i, and y_j passes x_i for i > j."""
+    odd = later = 0  # later: the degree of the x_i right of y_j
+    for x, y in zip(reversed(xdegs), reversed(ydegs)):
+        odd += y * later
+        later += x
+    return (odd + bdeg * later) % 2
 
 
 class Report:
@@ -149,6 +162,9 @@ class CooperadTruncation:
             raise ShapeError("unitary component must have rank 1")
         if len(self.components[1].module) != 1:
             raise ShapeError("reduced: arity-1 component must be the counit line")
+        # degrees[r][name]: the one degree table, read by every sign
+        self.degrees = {r: {n: b.degree for n, b in om.module.basis.items()}
+                        for r, om in self.components.items()}
 
     def component(self, r):
         if r not in self.components:
@@ -159,7 +175,7 @@ class CooperadTruncation:
         return self.component(r).module.names
 
     def degree(self, r, name):
-        return self.component(r).module.degree(name)
+        return self.degrees[r][name]
 
     def table(self, k, shape):
         return self.cocomp.get((k, tuple(shape)), {})
@@ -254,12 +270,6 @@ def _block_starts(mu, shape):
     return [sum(s for s, m in zip(shape, mu) if m < mi) for mi in mu]
 
 
-def _degrees(C):
-    """Degree of every basis name, one dict per arity."""
-    return {r: {n: C.degree(r, n) for n in C.basis_names(r)}
-            for r in range(C.r_max + 1)}
-
-
 def _actions(C):
     """Per arity, the component's action table (``OrbitModule.actions``)."""
     return {r: C.component(r).actions for r in range(C.r_max + 1)}
@@ -297,7 +307,7 @@ def validate_cooperad(C):
                 if not ok:
                     break
 
-    deg = _degrees(C)
+    deg = C.degrees
     for r in range(C.r_max + 1):
         rep.add_first(f"coassociativity arity {r}", (
             _coassoc_check(C, r, trees, deg)
@@ -486,7 +496,7 @@ def validate_hopf(C, H):
     """Associativity, units, equivariance and cocomposition compatibility."""
     rep = Report()
     ring = C.ring
-    deg = _degrees(C)
+    deg = C.degrees
     prods = {r: _products(ring, H.products.get(r, {})) for r in range(C.r_max + 1)}
     # per arity: basis positions, and the nonzero products of basis names
     pos, inner = {}, {}
@@ -601,14 +611,12 @@ def _hopf_compat_check(C, r, pos, inner, prods, deg):
                 xdeg = [deg[s][x] for s, x in zip(shape, xs)]
                 for combo in _product(*[p.get(x, ()) for p, x in zip(inner_partners, xs)]):
                     ys = tuple(y for y, _ in combo)
-                    # a0 x_1..x_k b0 y_1..y_k -> a0 b0 x_1 y_1 ... x_k y_k:
-                    # b0 passes every x_i, y_j passes x_i for i > j
                     ydeg = [deg[s][y] for s, y in zip(shape, ys)]
-                    cross = sum(ydeg[j] * xdeg[i] for i in range(k) for j in range(i))
+                    # the interleave sign for an even and for an odd b0
+                    sign = [-1 if riffle_parity(p, xdeg, ydeg) else 1 for p in (0, 1)]
                     for b0, outer in partners:
-                        odd = deg[k][b0] * sum(xdeg) + cross
                         for b, cb in by_term.get((b0, ys), ()):
-                            coeff = ring.mul(ring.mul(ca, cb), -1 if odd % 2 else 1)
+                            coeff = ring.mul(ring.mul(ca, cb), sign[deg[k][b0] % 2])
                             rhs.extend(((a, b) + key, val) for key, val in _tensor(
                                 ring, coeff, outer, [p for _, p in combo]))
         key = _mismatch(ring.collect(lhs), ring.collect(rhs),
@@ -666,32 +674,3 @@ def _morphism_cocomp_check(ring, S, T, image, r, k, shape):
         if lhs != ring.collect(_delta(ring, target, image(r, c))):
             return (r, k, shape, c)
     return None
-
-
-# ---------------------------------------------------------------------------
-# infinitesimal cocomposition
-
-
-def infinitesimal_cocomposition(C, r, cname):
-    """Components of cocomposition with exactly one non-trivial inner factor.
-
-    Returns a list of (coeff, k, outer-name, slot-index (1-based), m,
-    inner-name) where the inner factor sits in uC(m) and every other
-    inner slot carries the counit.  Arity-0 insertions (m = 0) generate
-    the curvature terms; the counit-law-forced terms (m = 1, inner =
-    counit) come first.
-    """
-    counit = C.counit_name
-    out = [(C.ring.one, r, cname, i, 1, counit) for i in range(1, r + 1)]
-    for m in list(range(0, C.r_max + 1)):
-        if m == 1:
-            continue
-        k = r - m + 1
-        if k < 1 or k > C.r_max:
-            continue
-        for i in range(1, k + 1):
-            shape = (1,) * (i - 1) + (m,) + (1,) * (k - i)
-            for coeff, o, gs in C.cocompose(k, shape, cname):
-                if all(gs[j] == counit for j in range(k) if j != i - 1):
-                    out.append((coeff, k, o, i, m, gs[i - 1]))
-    return out

@@ -420,10 +420,8 @@ class MCProblem:
         key = (size, r)
         if key not in self._joins:
             index = self._joins[key] = {}
-            degree = {}
+            degree = self.C.degrees[r]
             for (cname, Js), c in dec.items():
-                if cname not in degree:
-                    degree[cname] = self.C.degree(r, cname)
                 crossing = 0
                 crossed = degree[cname]
                 for i, J in enumerate(Js):

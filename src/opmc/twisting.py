@@ -21,6 +21,7 @@ from itertools import combinations as _combinations
 from itertools import product as _product
 
 from .cofree import Coderivation, coderivation_extend
+from .cooperad import riffle_parity
 from .errors import (
     InternalCheckError,
     PreconditionError,
@@ -56,6 +57,7 @@ def _shuffle_plain(H, cf, u, x):
     """
     C = cf.cooperad
     ring = cf.ring
+    deg, vdeg = C.degrees, cf.V.degree
     out = []
 
     def terms(plain, k, shape):
@@ -64,7 +66,7 @@ def _shuffle_plain(H, cf, u, x):
         for (cname, vt), c in plain.items():
             cocomp = []
             for lam, a, blocks in cf.cocompose_plain(k, shape, cname, vt):
-                degs = [C.degree(ri, g) + sum(cf.vdeg(v) for v in vb)
+                degs = [deg[ri][g] + sum(vdeg(v) for v in vb)
                         for ri, g, vb in blocks]
                 cocomp.append((ring.mul(c, lam), a, degs))
             res.append((vt, sum(cf.V.weight(v) for v in vt), cocomp))
@@ -92,11 +94,8 @@ def _shuffle_plain(H, cf, u, x):
                             for cb, b, degsB in xcomp:
                                 # a, A_1..A_k, b, B_1..B_k
                                 #   -> (a b), (A_1 B_1), ..., (A_k B_k)
-                                odd = C.degree(k, b) * sum(degsA)
-                                for i in range(k):
-                                    odd += degsB[i] * sum(degsA[i + 1:])
                                 coeff = ring.mul(ca, cb)
-                                if odd % 2:
+                                if riffle_parity(deg[k][b], degsA, degsB):
                                     coeff = ring.neg(coeff)
                                 for pc, c in H.multiply_names(k, a, b):
                                     out.append(((k, (c, names)), ring.mul(coeff, pc)))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import coleibniz_defect, random_coderivation
-from opmc.builders import ass_cochains, com_cochains
+from opmc.builders import ass_cochains, barratt_eccles, com_cochains
 from opmc.cofree import (
     Coderivation,
     cofree_build,
@@ -151,6 +151,17 @@ def test_coleibniz_divided():
         for t in range(4):
             Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
             assert coleibniz_defect(cf, Qt, ks=(1, 2, 3)) == [], (spec, t)
+
+
+def test_coleibniz_e2_odd_cooperad_degrees():
+    # E2 cochains over Z have cooperad names of odd degree, and a and b
+    # give odd and even prefixes, so both signs of the operator show:
+    # the inner factor passing the prefix, and Q passing outer and prefix
+    C, _ = barratt_eccles(Z, 3, 2, n=2, validate=False)
+    V = make_V(Z, [("x", 0, 1), ("a", 1, 1), ("y", -1, 2), ("b", 2, 1)])
+    cf = cofree_build(C, V, 3)
+    Qt = random_coderivation(cf, random.Random(5), curved=True, density=0.8)
+    assert coleibniz_defect(cf, Qt, ks=(1, 2)) == []
 
 
 def test_square_zero_by_degree(assZ):

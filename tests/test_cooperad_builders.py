@@ -17,7 +17,6 @@ from opmc.builders import (
 from opmc.cooperad import (
     CooperadTruncation,
     HopfStructure,
-    infinitesimal_cocomposition,
     validate_cooperad,
     validate_hopf,
     validate_morphism,
@@ -91,12 +90,29 @@ def test_corrupted_table_detected(ass3):
     assert rep.failures()
 
 
+def one_inner_terms(C, r, c):
+    """(k, i, m, outer, inner, coeff) of Delta(c) on the shapes
+    (1^(i-1), m, 1^(k-i)) with m != 1, read from the tables; every other
+    inner slot carries the counit, the only name of arity 1."""
+    out = []
+    for m in range(C.r_max + 1):
+        k = r - m + 1
+        if m == 1 or not 1 <= k <= C.r_max:
+            continue
+        for i in range(1, k + 1):
+            shape = (1,) * (i - 1) + (m,) + (1,) * (k - i)
+            for coeff, o, gs in C.cocompose(k, shape, c):
+                assert all(g == C.counit_name for j, g in enumerate(gs) if j != i - 1)
+                out.append((k, i, m, o, gs[i - 1], coeff))
+    return out
+
+
 def test_infinitesimal_matches_partial_duals(ass3):
     C, _ = ass3
     for r in (2, 3):
         for c in C.basis_names(r):
             got = {}
-            for coeff, k, out, i, m, inner in infinitesimal_cocomposition(C, r, c):
+            for k, i, m, out, inner, coeff in one_inner_terms(C, r, c):
                 if m < 2:
                     continue
                 got.setdefault((k, i, m), {})[(out, inner)] = coeff
@@ -121,8 +137,8 @@ def test_infinitesimal_arity0_insertions(ass3):
     C, _ = ass3
     # inserting the unitary element into delta_sigma, sigma in S_2, yields
     # arity-3 outers composing down to sigma when one input is deleted
-    terms = infinitesimal_cocomposition(C, 2, "21")
-    zero_arity = [(t[2], t[3]) for t in terms if t[4] == 0]
+    terms = one_inner_terms(C, 2, "21")
+    zero_arity = [(out, i) for k, i, m, out, inner, coeff in terms if m == 0]
     assert zero_arity  # insertion terms exist
     for out, i in zero_arity:
         mu = perm_from_name(out)
@@ -137,10 +153,14 @@ def test_infinitesimal_arity0_insertions(ass3):
 
 def test_counit_infinitesimal_trivial(ass3):
     C, _ = ass3
-    terms = infinitesimal_cocomposition(C, 1, C.counit_name)
-    assert [t for t in terms if t[4] >= 2] == []
-    with_trivial = infinitesimal_cocomposition(C, 1, C.counit_name)
-    assert (Z.one, 1, C.counit_name, 1, 1, C.counit_name) in with_trivial
+    counit = C.counit_name
+    assert [t for t in one_inner_terms(C, 1, counit) if t[2] >= 2] == []
+    # the terms with every inner of arity 1 are the counit law's: c over
+    # the counit in each slot, the counit itself included
+    assert C.cocompose(1, (1,), counit) == [(Z.one, counit, (counit,))]
+    for r in range(1, C.r_max + 1):
+        for c in C.basis_names(r):
+            assert C.cocompose(r, (1,) * r, c) == [(Z.one, c, (counit,) * r)]
 
 
 def test_cocom_unit_morphism(ass3):

@@ -8,6 +8,7 @@ validators must reject them at the same law with the same witness.
 
 import copy
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from opmc.builders import (
     en_restriction_morphism,
 )
 from opmc.cooperad import CooperadMorphism, CooperadTruncation, HopfStructure
+from opmc.graded import koszul_sign_images
 from opmc.rings import ring_make
 
 Z = ring_make({"kind": "integers"})
@@ -125,6 +127,20 @@ def test_compositions_children_within_budget():
             for m in range(1, r_max + 1):
                 assert (cooperad.compositions_children(r, m, r_max)
                         == tuple(dense.compositions_children(r, m, r_max)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_riffle_parity_is_the_koszul_sign(k):
+    """a x_1..x_k b y_1..y_k -> a b x_1 y_1 .. x_k y_k, the interleave of
+    the Hopf compatibility law and of the shuffle kernel, against the
+    Koszul sign of that permutation on every 0/1 degree pattern."""
+    # a, x_i, b, y_j sit at 1, 1 + i, k + 2, k + 2 + j and go to 1, 2i + 1, 2, 2j + 2
+    images = [1] + [2 * i + 1 for i in range(1, k + 1)] + [2] \
+        + [2 * j + 2 for j in range(1, k + 1)]
+    for bits in product((0, 1), repeat=2 * k + 1):
+        b, xs, ys = bits[0], bits[1:k + 1], bits[k + 1:]
+        want = koszul_sign_images(images, (0,) + xs + (b,) + ys)
+        assert (-1) ** cooperad.riffle_parity(b, xs, ys) == want, bits
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +254,7 @@ def equivariance_parts(C, r):
     """What validate_cooperad reads for the equivariance law of arity r:
     whether the generators speak for the group, and the first witness
     among the generators alone."""
-    deg, act = cooperad._degrees(C), cooperad._actions(C)
+    deg, act = C.degrees, cooperad._actions(C)
     return (cooperad._acts_by_homomorphisms(deg, act),
             cooperad._equivariance_check(
                 C, r, deg, act, cooperad._block_generators(r, C.r_max)))
