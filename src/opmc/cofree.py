@@ -63,8 +63,8 @@ class CofreeCoalgebra:
         for r in range(1, C.r_max + 1):
             om = C.component(r)
             for rep in om.orbit_reps:
-                cdeg = om.module.degree(rep)
-                for vt in om.class_tuples(V.names, self.V.degree):
+                cdeg = C.degrees[r][rep]
+                for vt in om.class_tuples(V.names, V.degree):
                     wt = sum(V.weight(v) for v in vt)
                     if wt > w_max:
                         continue
