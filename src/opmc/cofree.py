@@ -62,18 +62,25 @@ class CofreeCoalgebra:
         basis = [BasisElement((0, C.unit_name, ()), 0, 0)]
         for r in range(1, C.r_max + 1):
             om = C.component(r)
+            if not om.orbit_reps:
+                continue
+            # the v-tuples within w_max, with their degree sums and
+            # weights: the same for every orbit representative of arity r
+            tuples = []
+            for vt in om.class_tuples(V.names, V.degree):
+                wt = sum(V.weight(v) for v in vt)
+                if wt <= w_max:
+                    tuples.append((vt, sum(V.degree(v) for v in vt), wt))
+                    if len(basis) + len(tuples) > DEFAULT_BASIS_CAP:
+                        break  # the first representative exceeds the cap
             for rep in om.orbit_reps:
                 cdeg = C.degrees[r][rep]
-                for vt in om.class_tuples(V.names, V.degree):
-                    wt = sum(V.weight(v) for v in vt)
-                    if wt > w_max:
-                        continue
-                    deg = cdeg + sum(V.degree(v) for v in vt)
-                    basis.append(BasisElement((r, rep, vt), deg, wt))
-                    if len(basis) > DEFAULT_BASIS_CAP:
-                        raise ResourceLimitError(
-                            f"cofree basis exceeds cap {DEFAULT_BASIS_CAP}"
-                        )
+                basis.extend(BasisElement((r, rep, vt), cdeg + vdeg, wt)
+                             for vt, vdeg, wt in tuples)
+                if len(basis) > DEFAULT_BASIS_CAP:
+                    raise ResourceLimitError(
+                        f"cofree basis exceeds cap {DEFAULT_BASIS_CAP}"
+                    )
         self.module = GradedModule(self.ring, basis)
 
     # -- basic structure ---------------------------------------------------

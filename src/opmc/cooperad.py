@@ -16,8 +16,18 @@ equivariance, Hopf compatibility, the units' cocompositions, morphism
 laws) and return a report with a witness for each failure.  Each law
 compares two sparse dicts holding only nonzero coefficients, and both
 sides are joins over the nonzero table entries, not loops over all
-pairs or triples of names:
+pairs or triples of names.  The tables are in normal form by
+construction: every coefficient goes through ``ring.normalize`` and
+every term is a tuple (coeff, outer, inners).  So the joins multiply
+coefficients with plain * and negation, and each side is reduced once
+per key by one ``Ring.collect`` (delayed modular reduction, as in
+Dumas-Giorgi-Pernet, "FFPACK", ISSAC 2004):
 
+* Coassociativity, per 2-level tree: both evaluation orders over the
+  whole table, keyed (c, outer, inners, grands).  ``coassoc_trees``
+  lists the table keys of each tree once per (r, r_max); a tree whose
+  flat and middle tables are empty is skipped, and the inner terms are
+  read with their degrees once per slot and name.
 * Hopf associativity: each nonzero (a, b) -> d meets the products
   (d, c) -> e through an index by left factor, each (b, c) -> f meets
   (a, f) -> e through an index by right factor; compare on (a, b, c, e).
@@ -29,15 +39,15 @@ pairs or triples of names:
   names; when sigma permutes the basis it says that sigma carries the
   table of nonzero products onto itself.
 * Cocomposition compatibility, per shape: Delta of each nonzero product
-  against each term (a_0, x_1..x_k) of Delta(a), joined with the right
-  partners b_0 of a_0 and y_i of x_i, and then with every b having the
-  term (b_0, y_1..y_k) through an index of the table by (outer, inners).
-  The interleave sign is ``riffle_parity``, the shuffle kernel's too,
-  taken once per inner combination and parity of b_0.
-* Coassociativity, table equivariance and the morphism laws compare two
-  routes per basis name over its cocomposition terms, with degrees read
-  from the truncation's ``degrees`` table and group actions from the
-  components' stored ``actions`` rows.
+  against each term (a_0, x_1..x_k) of Delta(a) and each combination ys
+  of right partners y_i of the x_i.  The terms of Delta(b) are indexed
+  as ys -> {b_0: [(b, coeff)]}, so a combination without an entry is
+  skipped, and each b_0 of an entry meets a_0 through a_0's partner
+  dict.  The interleave sign is ``riffle_parity``, the shuffle kernel's
+  too, computed on a hit only and memoised on the parities of |b_0|, the
+  x_i and the y_i.
+* The morphism law, per shape: both routes over the whole table, keyed
+  (c, outer, inners).
 * Table equivariance, per arity: if the law holds for two block
   permutations (mu; sigma_1..sigma_k), one leaving a shape and one
   leaving the shape the first leads to, it holds for their product,
@@ -50,10 +60,16 @@ pairs or triples of names:
   degrees, and the table passes ``symmetric.is_group_action``, the
   group law the module constructor checks.  All block permutations are
   walked, in the order of the dense loops, only when the tables fail it
-  or a generator fails.
+  or a generator fails.  Under the identity mu the table is read as it
+  is; otherwise the Koszul sign of mu is memoised on the degree
+  parities of the inner factors.  Each name's moved terms are compared
+  with the cached Delta of its image, name by name.
 
-A failing law reports the witness that loops over the basis in order
-would meet first: the differing keys are ordered by basis position.
+Degrees are read from the truncation's ``degrees`` table and group
+actions from the components' stored ``actions`` rows.  A failing law
+reports the witness that loops over the basis in order would meet
+first: the differing keys are ordered by basis position, whatever the
+order of the table dicts.
 """
 
 from functools import lru_cache
@@ -151,7 +167,13 @@ class CooperadTruncation:
         self.ring = ring
         self.r_max = r_max
         self.components = dict(components)
-        self.cocomp = cocomp
+        # normal form by construction: each term is (coeff, outer, inners)
+        # with a normalized coeff and a tuple of inners, so the validators
+        # multiply coefficients with plain * and reduce once per key
+        normalize = ring.normalize
+        self.cocomp = {key: {name: [(normalize(c), o, tuple(gs)) for c, o, gs in terms]
+                             for name, terms in table.items()}
+                       for key, table in cocomp.items()}
         self.unit_name = unit_name
         self.counit_name = counit_name
         self.label = label
@@ -196,7 +218,11 @@ class HopfStructure:
 
     def __init__(self, cooperad, products, units):
         self.cooperad = cooperad
-        self.products = products  # r -> {(a, b): [(coeff, c), ...]}
+        normalize = cooperad.ring.normalize
+        # r -> {(a, b): [(coeff, c), ...]}, each coeff normalized
+        self.products = {r: {pair: [(normalize(coeff), c) for coeff, c in terms]
+                             for pair, terms in table.items()}
+                         for r, table in products.items()}
         self.units = units  # r -> Element over components[r].module
 
     def multiply_names(self, r, a, b):
@@ -242,26 +268,23 @@ def _mismatch(lhs, rhs, order):
 
 def _term_dict(ring, terms):
     """Cocomposition terms (coeff, outer, inners) as a sparse dict."""
-    return ring.collect(((o, tuple(gs)), c) for c, o, gs in terms)
+    return ring.collect(((o, gs), c) for c, o, gs in terms)
 
 
-def _delta(ring, table, x):
-    """Terms ((outer, inners), coeff) of one cocomposition table applied
-    to the sparse element x = {name: coeff}."""
-    for name, cx in x.items():
-        for c, o, gs in table.get(name, ()):
-            yield (o, tuple(gs)), ring.mul(cx, c)
-
-
-def _tensor(ring, coeff, outer, inners):
+def _tensor(coeff, outer, inners):
     """Terms ((o, (g_1..g_k)), coeff) of coeff * outer (x) inner_1 ... (x)
-    inner_k for sparse elements given as dicts."""
+    inner_k for sparse elements given as dicts, unreduced."""
     for o, co in outer.items():
-        for combo in _product(*[list(x.items()) for x in inners]):
-            val = ring.mul(coeff, co)
+        for combo in _product(*[x.items() for x in inners]):
+            val = coeff * co
             for _, c in combo:
-                val = ring.mul(val, c)
+                val *= c
             yield (o, tuple(g for g, _ in combo)), val
+
+
+def _positions(names):
+    """{name: position} of a basis: the order in which witnesses are named."""
+    return {n: i for i, n in enumerate(names)}
 
 
 def _block_starts(mu, shape):
@@ -307,13 +330,12 @@ def validate_cooperad(C):
                 if not ok:
                     break
 
-    deg = C.degrees
     for r in range(C.r_max + 1):
+        pos = _positions(C.basis_names(r))
         rep.add_first(f"coassociativity arity {r}", (
-            _coassoc_check(C, r, trees, deg)
-            for m in range(1, C.r_max + 1)
-            for trees in compositions_children(r, m, C.r_max)))
+            _coassoc_check(C, r, pos, tree) for tree in coassoc_trees(r, C.r_max)))
 
+    deg = C.degrees
     act = _actions(C)
     generators_suffice = _acts_by_homomorphisms(deg, act)
     for r in range(C.r_max + 1):
@@ -354,48 +376,73 @@ def compositions_children(r, m, r_max):
     return tuple(out)
 
 
-def _coassoc_check(C, r, grand_shapes, deg):
-    """Compare the two evaluation orders of a 2-level cocomposition.
+@lru_cache(maxsize=None)
+def coassoc_trees(r, r_max):
+    """Every 2-level tree of arity r with the keys of the tables it reads,
+    in the order of the dense loops: (grand_shapes, flat, outer, middle,
+    inners), built once per (r, r_max).  grand_shapes holds the shape of
+    the inner cocomposition of each outer slot i; flat is the table of
+    the whole tree, outer the one splitting it into the m slots, middle
+    the one of the slot arities and inners the one of each slot."""
+    trees = []
+    for m in range(1, r_max + 1):
+        for grand in compositions_children(r, m, r_max):
+            flat = tuple(x for s in grand for x in s)
+            sizes = tuple(len(s) for s in grand)
+            trees.append((grand, (len(flat), flat), (m, sizes),
+                          (m, tuple(sum(s) for s in grand)), tuple(zip(sizes, grand))))
+    return tuple(trees)
 
-    grand_shapes: per outer slot i, the shape of the inner cocomposition
-    applied there.  Returns a witness on mismatch, None when equal.
-    """
-    ring = C.ring
-    m = len(grand_shapes)
-    mid_shape = tuple(sum(s) for s in grand_shapes)
-    flat_shape = tuple(x for s in grand_shapes for x in s)
-    child_sizes = tuple(len(s) for s in grand_shapes)
-    flat = C.table(len(flat_shape), flat_shape)
-    outer = C.table(m, child_sizes)
-    middle = C.table(m, mid_shape)
-    inner = [C.table(child_sizes[i], grand_shapes[i]) for i in range(m)]
 
-    for c in C.basis_names(r):
-        # Path A: Delta_{k; flat}(c), then Delta_{m;(k_1..k_m)} on the outer
-        side_a = ring.collect(
-            ((o, tuple(cs), tuple(gs)), ring.mul(coeff, coeff2))
-            for coeff, a, gs in flat.get(c, ())
-            for coeff2, o, cs in outer.get(a, ()))
+def _coassoc_check(C, r, pos, tree):
+    """Compare the two evaluation orders of one 2-level cocomposition on
+    the whole table, keyed (c, outer, inners, grands).  Returns a witness
+    for the first basis name c that differs, None when equal."""
+    grand_shapes, flat_key, outer_key, middle_key, inner_keys = tree
+    flat, middle = C.table(*flat_key), C.table(*middle_key)
+    if not flat and not middle:
+        return None
+    outer = C.table(*outer_key)
+    inner = [C.table(*key) for key in inner_keys]
+    deg = C.degrees
+    slots = [{} for _ in inner]  # per slot: b -> its inner terms with degrees
 
-        # Path B: Delta_{m; mid}(c), then inner cocompositions per slot,
-        # read in the order o, c_1, g-block_1, c_2, g-block_2, ...  Moving
-        # to o, c_1..c_m, g_1..g_k takes each c_i past the g-blocks before
-        # it.
-        side_b = []
-        for coeff, o, bs in middle.get(c, ()):
-            for combo in _product(*[inner[i].get(b, ()) for i, b in enumerate(bs)]):
-                val, odd, passed = coeff, 0, 0
-                for i, (cf, ci, gi) in enumerate(combo):
-                    val = ring.mul(val, cf)
-                    odd += deg[child_sizes[i]][ci] * passed
-                    passed += sum(deg[s][g] for s, g in zip(grand_shapes[i], gi))
-                key = (o, tuple(ci for _, ci, _ in combo),
-                       tuple(g for _, _, gi in combo for g in gi))
-                side_b.append((key, ring.mul(val, -1 if odd % 2 else 1)))
+    def slot_terms(i, b):
+        """(coeff, c_i, g-block, |c_i|, |g-block|) of each term of Delta(b)
+        in slot i."""
+        if b not in slots[i]:
+            k, shape = inner_keys[i]
+            slots[i][b] = [(cf, ci, gi, deg[k][ci], sum(deg[s][g] for s, g in zip(shape, gi)))
+                           for cf, ci, gi in inner[i].get(b, ())]
+        return slots[i][b]
 
-        if side_a != ring.collect(side_b):
-            return (r, c, grand_shapes, "coassociativity mismatch")
-    return None
+    # Path A: Delta_{k; flat}(c), then Delta_{m;(k_1..k_m)} on the outer
+    side_a = C.ring.collect(
+        ((c, o, cs, gs), coeff * coeff2)
+        for c, terms in flat.items() if c in pos
+        for coeff, a, gs in terms
+        for coeff2, o, cs in outer.get(a, ()))
+
+    def path_b():
+        # Delta_{m; mid}(c), then inner cocompositions per slot, read in
+        # the order o, c_1, g-block_1, c_2, g-block_2, ...  Moving to o,
+        # c_1..c_m, g_1..g_k takes each c_i past the g-blocks before it.
+        for c, terms in middle.items():
+            if c not in pos:
+                continue
+            for coeff, o, bs in terms:
+                for combo in _product(*[slot_terms(i, b) for i, b in enumerate(bs)]):
+                    val, odd, passed = coeff, 0, 0
+                    for cf, _, _, dc, dg in combo:
+                        val *= cf
+                        odd += dc * passed
+                        passed += dg
+                    yield ((c, o, tuple(t[1] for t in combo),
+                            tuple(g for t in combo for g in t[2])),
+                           -val if odd % 2 else val)
+
+    key = _mismatch(side_a, C.ring.collect(path_b()), lambda key: pos[key[0]])
+    return None if key is None else (r, key[0], grand_shapes, "coassociativity mismatch")
 
 
 def _block_permutations(r, r_max, act):
@@ -441,13 +488,14 @@ def _equivariance_check(C, r, deg, act, elements):
     that the tables do not commute with, as a witness; None if none."""
     ring = C.ring
     names = C.basis_names(r)
-    terms = {}  # (shape, name) -> Delta_{k; shape}(name) as a sparse dict
+    deltas = {}  # (shape, name) -> Delta_{k; shape}(name) as a sparse dict
 
     def delta(k, shape, name):
-        if (shape, name) not in terms:
-            terms[shape, name] = _term_dict(ring, C.cocompose(k, shape, name))
-        return terms[shape, name]
+        if (shape, name) not in deltas:
+            deltas[shape, name] = _term_dict(ring, C.cocompose(k, shape, name))
+        return deltas[shape, name]
 
+    signs = {}  # (mu, degree parities of the inner factors) -> Koszul sign of mu
     signed_for = None  # the (shape, mu) that ``signed`` was built for
     for k, shape, mu, sigmas in elements:
         if signed_for != (shape, mu):
@@ -457,18 +505,29 @@ def _equivariance_check(C, r, deg, act, elements):
             order = sorted(range(k), key=lambda i: mu[i])
             new_shape = tuple(shape[i] for i in order)
             starts = _block_starts(mu, shape)
-            # Delta(c) with its inner factors in that order and the Koszul
-            # sign of mu on them
-            signed = {c: [(a, tuple(gs[i] for i in order), ring.mul(v, koszul_sign_images(
-                              mu, [deg[s][g] for s, g in zip(shape, gs)])))
-                          for (a, gs), v in delta(k, shape, c).items()]
-                      for c in names}
+            if order == list(range(k)):
+                # the identity mu: Delta(c) as it is
+                signed = {c: delta(k, shape, c) for c in names}
+            else:
+                # Delta(c) with its inner factors in that order and the
+                # Koszul sign of mu on them
+                degs = [deg[s] for s in shape]
+                signed = {}
+                for c in names:
+                    row = []
+                    for (a, gs), v in delta(k, shape, c).items():
+                        parities = (mu,) + tuple(d[g] % 2 for d, g in zip(degs, gs))
+                        if parities not in signs:
+                            signs[parities] = koszul_sign_images(mu, parities[1:])
+                        row.append(((a, tuple(gs[i] for i in order)),
+                                    v if signs[parities] > 0 else -v))
+                    signed[c] = ring.collect(row)
         # the block permutation (mu; sigma_1..sigma_k) of 1..r
         hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
         inners = [act[shape[i]][sigmas[i]] for i in order]
         for c in names:
             moved = [((outer[a], tuple([f[g] for f, g in zip(inners, gs)])), v)
-                     for a, gs, v in signed[c]]
+                     for (a, gs), v in signed[c].items()]
             rhs = dict(moved)
             if len(rhs) < len(moved):  # two terms moved onto one key
                 rhs = ring.collect(moved)
@@ -479,7 +538,8 @@ def _equivariance_check(C, r, deg, act, elements):
 
 def _products(ring, products):
     """Nonzero products {(a, b): {c: coeff}} of one arity, and the same
-    entries listed by left factor and by right factor."""
+    entries indexed by left factor, {a: {b: ab}}, and by right factor,
+    {b: {a: ab}}."""
     table = {}
     for key, terms in products.items():
         prod = ring.collect((c, coeff) for coeff, c in terms)
@@ -487,8 +547,8 @@ def _products(ring, products):
             table[key] = prod
     by_left, by_right = {}, {}
     for (a, b), prod in table.items():
-        by_left.setdefault(a, []).append((b, prod))
-        by_right.setdefault(b, []).append((a, prod))
+        by_left.setdefault(a, {})[b] = prod
+        by_right.setdefault(b, {})[a] = prod
     return table, by_left, by_right
 
 
@@ -501,7 +561,7 @@ def validate_hopf(C, H):
     # per arity: basis positions, and the nonzero products of basis names
     pos, inner = {}, {}
     for r in range(C.r_max + 1):
-        pos[r] = {n: i for i, n in enumerate(C.basis_names(r))}
+        pos[r] = _positions(C.basis_names(r))
         inner[r] = {key: prod for key, prod in prods[r][0].items()
                     if key[0] in pos[r] and key[1] in pos[r]}
 
@@ -526,9 +586,9 @@ def validate_hopf(C, H):
     for r in range(C.r_max + 1):
         rep.add_first(f"hopf-unit-cocomposition arity {r}", (
             (r, k, shape) for k, shape in shapes(r, C.r_max)
-            if ring.collect(_delta(ring, C.table(k, shape), eta[r]))
-            != ring.collect(_tensor(ring, ring.one, eta[k],
-                                    [eta[s] for s in shape]))))
+            if ring.collect(((o, gs), cx * c) for n, cx in eta[r].items()
+                            for c, o, gs in C.table(k, shape).get(n, ()))
+            != ring.collect(_tensor(ring.one, eta[k], [eta[s] for s in shape]))))
     return rep
 
 
@@ -537,9 +597,8 @@ def _hopf_unit_check(ring, r, pos, eta, by_left, by_right):
     def times_eta(index):
         terms = {}
         for n, ce in eta.items():
-            for x, prod in index.get(n, ()):
-                terms.setdefault(x, []).extend(
-                    (c, ring.mul(ce, cp)) for c, cp in prod.items())
+            for x, prod in index.get(n, {}).items():
+                terms.setdefault(x, []).extend((c, ce * cp) for c, cp in prod.items())
         return {x: ring.collect(t) for x, t in terms.items()}
 
     left, right = times_eta(by_left), times_eta(by_right)
@@ -552,19 +611,17 @@ def _hopf_unit_check(ring, r, pos, eta, by_left, by_right):
 
 def _hopf_assoc_check(ring, r, pos, inner, by_left, by_right):
     """(ab)c = a(bc), joined over the nonzero products ab and bc."""
-    lhs, rhs = [], []
-    for (a, b), ab in inner.items():
-        for d, cd in ab.items():
-            for c, dc in by_left.get(d, ()):
-                if c in pos:
-                    lhs.extend(((a, b, c, e), ring.mul(cd, ce)) for e, ce in dc.items())
-    for (b, c), bc in inner.items():
-        for f, cf in bc.items():
-            for a, af in by_right.get(f, ()):
-                if a in pos:
-                    rhs.extend(((a, b, c, e), ring.mul(cf, ce)) for e, ce in af.items())
-    key = _mismatch(ring.collect(lhs), ring.collect(rhs),
-                    lambda k: (pos[k[0]], pos[k[1]], pos[k[2]]))
+    lhs = ring.collect(
+        ((a, b, c, e), cd * ce)
+        for (a, b), ab in inner.items() for d, cd in ab.items()
+        for c, dc in by_left.get(d, {}).items() if c in pos
+        for e, ce in dc.items())
+    rhs = ring.collect(
+        ((a, b, c, e), cf * ce)
+        for (b, c), bc in inner.items() for f, cf in bc.items()
+        for a, af in by_right.get(f, {}).items() if a in pos
+        for e, ce in af.items())
+    key = _mismatch(lhs, rhs, lambda k: (pos[k[0]], pos[k[1]], pos[k[2]]))
     return None if key is None else (r,) + key[:3]
 
 
@@ -591,35 +648,62 @@ def _hopf_compat_check(C, r, pos, inner, prods, deg):
     """Delta(mu(a, b)) = (mu_k (x) mu_{r_i}) of Delta(a) and Delta(b)
     interleaved, per shape, joined over nonzero products and terms."""
     ring = C.ring
+    parities = {}  # (|b_0|, x-parities, y-parities) mod 2 -> riffle_parity
     for k, shape in shapes(r, C.r_max):
         table = C.table(k, shape)
-        lhs = [((a, b) + key, val)
-               for (a, b), ab in inner.items() for key, val in _delta(ring, table, ab)]
-
-        by_term = {}  # (b_0, (y_1..y_k)) -> [(b, coeff)] over the terms of Delta(b)
-        for b in pos:
-            for cb, b0, ys in table.get(b, ()):
-                by_term.setdefault((b0, tuple(ys)), []).append((b, cb))
         outer_partners = prods[k][1]
         inner_partners = [prods[s][1] for s in shape]
-        rhs = []
-        for a in pos:
-            for ca, a0, xs in table.get(a, ()):
-                partners = outer_partners.get(a0)
-                if not partners:
+        by_ys = {}  # (y_1..y_k) -> {b_0: [(b, coeff)]} over the terms of Delta(b)
+        for b, terms in table.items():
+            if b in pos:
+                for cb, b0, ys in terms:
+                    by_ys.setdefault(ys, {}).setdefault(b0, []).append((b, cb))
+
+        def rhs_terms():
+            # each term (a_0, xs) of Delta(a), each combination ys of right
+            # partners of the x_i, each b with a term (b_0, ys) whose b_0 is
+            # a right partner of a_0
+            for a, terms in table.items():
+                if a not in pos:
                     continue
-                xdeg = [deg[s][x] for s, x in zip(shape, xs)]
-                for combo in _product(*[p.get(x, ()) for p, x in zip(inner_partners, xs)]):
-                    ys = tuple(y for y, _ in combo)
-                    ydeg = [deg[s][y] for s, y in zip(shape, ys)]
-                    # the interleave sign for an even and for an odd b0
-                    sign = [-1 if riffle_parity(p, xdeg, ydeg) else 1 for p in (0, 1)]
-                    for b0, outer in partners:
-                        for b, cb in by_term.get((b0, ys), ()):
-                            coeff = ring.mul(ring.mul(ca, cb), sign[deg[k][b0] % 2])
-                            rhs.extend(((a, b) + key, val) for key, val in _tensor(
-                                ring, coeff, outer, [p for _, p in combo]))
-        key = _mismatch(ring.collect(lhs), ring.collect(rhs),
+                for ca, a0, xs in terms:
+                    partners = outer_partners.get(a0)
+                    if not partners:
+                        continue
+                    rows = [p.get(x) for p, x in zip(inner_partners, xs)]
+                    if not all(rows):
+                        continue
+                    xpar = tuple(deg[s][x] % 2 for s, x in zip(shape, xs))
+                    for combo in _product(*[row.items() for row in rows]):
+                        hits = by_ys.get(tuple(y for y, _ in combo))
+                        b0s = hits.keys() & partners.keys() if hits else ()
+                        if not b0s:
+                            continue
+                        ypar = tuple(deg[s][y] % 2 for s, (y, _) in zip(shape, combo))
+                        # mu_{r_1}(x_1, y_1) (x) .. (x) mu_{r_k}(x_k, y_k)
+                        grands = []
+                        for gc in _product(*[p.items() for _, p in combo]):
+                            cg = ring.one
+                            for _, c in gc:
+                                cg *= c
+                            grands.append((tuple(g for g, _ in gc), cg))
+                        for b0 in b0s:
+                            key = (deg[k][b0] % 2, xpar, ypar)
+                            if key not in parities:
+                                parities[key] = riffle_parity(*key)
+                            odd = parities[key]
+                            for b, cb in hits[b0]:
+                                cab = -(ca * cb) if odd else ca * cb
+                                for o, co in partners[b0].items():
+                                    v = cab * co
+                                    for gs, cg in grands:
+                                        yield (a, b, o, gs), v * cg
+
+        lhs = ring.collect(
+            ((a, b, o, gs), v * c)
+            for (a, b), ab in inner.items() for d, v in ab.items()
+            for c, o, gs in table.get(d, ()))
+        key = _mismatch(lhs, ring.collect(rhs_terms()),
                         lambda key: (pos[key[0]], pos[key[1]]))
         if key is not None:
             return (r, k, shape, key[0], key[1])
@@ -656,21 +740,26 @@ def validate_morphism(phi):
     rep.add("morphism-unit", ok)
 
     for r in range(r_max + 1):
+        pos = _positions(S.basis_names(r))
         rep.add_first(f"morphism-cocomposition arity {r}", (
-            _morphism_cocomp_check(ring, S, T, image, r, k, shape)
+            _morphism_cocomp_check(ring, S, T, image, pos, r, k, shape)
             for k, shape in shapes(r, r_max)))
     return rep
 
 
-def _morphism_cocomp_check(ring, S, T, image, r, k, shape):
-    """(phi (x) phi..) Delta_S(c) = Delta_T(phi(c)) for every c of arity r."""
+def _morphism_cocomp_check(ring, S, T, image, pos, r, k, shape):
+    """(phi (x) phi..) Delta_S(c) = Delta_T(phi(c)) on the whole table of
+    arity r, keyed (c, outer, inners); a witness for the first c that
+    differs."""
     source, target = S.table(k, shape), T.table(k, shape)
-    for c in S.basis_names(r):
-        lhs = ring.collect(
-            term
-            for coeff, o, gs in source.get(c, ())
-            for term in _tensor(ring, coeff, image(k, o),
-                                [image(s, g) for s, g in zip(shape, gs)]))
-        if lhs != ring.collect(_delta(ring, target, image(r, c))):
-            return (r, k, shape, c)
-    return None
+    lhs = ring.collect(
+        ((c,) + key, v)
+        for c, terms in source.items() if c in pos
+        for coeff, o, gs in terms
+        for key, v in _tensor(coeff, image(k, o), [image(s, g) for s, g in zip(shape, gs)]))
+    rhs = ring.collect(
+        ((c, o, gs), cx * cc)
+        for c in pos for n, cx in image(r, c).items()
+        for cc, o, gs in target.get(n, ()))
+    key = _mismatch(lhs, rhs, lambda key: pos[key[0]])
+    return None if key is None else (r, k, shape, key[0])

@@ -5,6 +5,7 @@ import pytest
 from helpers import coleibniz_defect, random_coderivation
 from opmc.builders import ass_cochains, barratt_eccles, com_cochains
 from opmc.cofree import (
+    DEFAULT_BASIS_CAP,
     Coderivation,
     cofree_build,
     coderivation_extend,
@@ -12,6 +13,7 @@ from opmc.cofree import (
     morphism_extend,
     square_check,
 )
+from opmc.errors import ResourceLimitError
 from opmc.graded import BasisElement, GradedModule
 from opmc.rings import ring_make
 
@@ -244,3 +246,27 @@ def test_completeness_check(assZ):
     rep = completeness_check(bad)
     assert not rep["complete"]
     assert rep["violations"][0][0] == "weight-violation"
+
+
+@pytest.mark.parametrize("build, names", [
+    # the arity-3 tuples of the one representative pass the cap
+    (lambda: ass_cochains(Z, 3, validate=False), 26),
+    # each representative's tuples fit, all of arity 3 together do not
+    (lambda: barratt_eccles(Z2, 3, 2, n=2, validate=False), 11),
+], ids=["ass", "e2"])
+def test_basis_cap(build, names):
+    """A weight-1 cogenerator set of n names keys reps(r) * n^r classes
+    in arity r; one name more than fits is refused."""
+    C, _ = build()
+
+    def rank(n):
+        return 1 + sum(len(C.component(r).orbit_reps) * n ** r
+                       for r in range(1, C.r_max + 1))
+
+    def V(n):
+        return make_V(C.ring, [(f"v{i}", 0, 1) for i in range(n)])
+
+    assert rank(names) <= DEFAULT_BASIS_CAP < rank(names + 1)
+    assert len(cofree_build(C, V(names), 3).module) == rank(names)
+    with pytest.raises(ResourceLimitError, match=f"exceeds cap {DEFAULT_BASIS_CAP}"):
+        cofree_build(C, V(names + 1), 3)

@@ -38,10 +38,12 @@ INSTANCES = {
     # the cooperad of the shipped E2 instance
     "E2-Z2-d2": lambda: barratt_eccles(Z2, 3, 2, n=2, validate=False),
     "Einf-Z2-d1": lambda: barratt_eccles(Z2, 3, 1, n=None, validate=False),
+    # complete E2: 84 arity-3 names, about 1 s for the dense cooperad loops
+    "E2c-Z2": lambda: barratt_eccles(Z2, 3, None, n=2, validate=False),
 }
 # the dense Hopf loops run over every triple of names: about 19 s on
 # E2-Z2-d2, whose 72 arity-3 names make 373,248 triples
-HOPF_INSTANCES = sorted(set(INSTANCES) - {"E2-Z2-d2"})
+HOPF_INSTANCES = sorted(set(INSTANCES) - {"E2-Z2-d2", "E2c-Z2"})
 
 
 @lru_cache(maxsize=None)
@@ -119,6 +121,71 @@ def test_morphism_reports_match():
     rep = same_reports(cooperad.validate_morphism(bad), dense.validate_morphism(bad))
     assert failing_laws(rep)[0] == "morphism-equivariance arity 3"
     assert "morphism-cocomposition arity 3" in failing_laws(rep)
+
+
+def test_structures_are_normal_by_construction(monkeypatch):
+    C, H = build("E2-Z2-d1")
+    tables = copy.deepcopy(C.cocomp)
+    key, name = next((key, n) for key, t in tables.items()
+                     for n, terms in t.items() if len(terms) >= 2)
+    row = tables[key][name]
+    (_, o0, gs0), (_, o1, gs1) = row[:2]
+    row[:2] = [("1", o0, list(gs0)), (3, o1, gs1)]
+    products = {r: dict(t) for r, t in H.products.items()}
+    (a, b), [(_, ab)] = next(iter(products[2].items()))
+    products[2][a, b] = [(3, ab), ("1", ab)]
+    C2 = CooperadTruncation(Z2, C.r_max, C.components, tables,
+                            C.unit_name, C.counit_name)
+    H2 = HopfStructure(C2, products, H.units)
+    assert C2.cocompose(*key, name)[:2] == [(1, o0, gs0), (1, o1, gs1)]
+    assert H2.multiply_names(2, a, b) == [(1, ab), (1, ab)]
+    assert cooperad.validate_cooperad(C2).checks == cooperad.validate_cooperad(C).checks
+
+    # the builders' tables are in normal form already: stored as given
+    given = []
+    init = CooperadTruncation.__init__
+
+    def recording_init(self, ring, r_max, components, cocomp, *args, **kwargs):
+        given.append(copy.deepcopy(cocomp))
+        init(self, ring, r_max, components, cocomp, *args, **kwargs)
+
+    monkeypatch.setattr(CooperadTruncation, "__init__", recording_init)
+    for label in ("ass-Z-3", "com-Q-3", "E2-Z2-d1"):
+        C, H = INSTANCES[label]()
+        assert given.pop() == C.cocomp
+        assert HopfStructure(C, H.products, H.units).products == H.products
+
+
+def test_witness_is_the_lowest_position_in_any_table_order(ass3, einf2):
+    """Two spoiled names of one table, the later basis position first in
+    the table's dict order: both reports name the earlier one, in
+    coassociativity and in Hopf compatibility."""
+    def spoiled(C, key, later, earlier):
+        tables = copy.deepcopy(C.cocomp)
+        rest = tables[key]
+        rows = {n: [(C.ring.add(rest[n][0][0], 1),) + rest[n][0][1:]] + rest[n][1:]
+                for n in (later, earlier)}
+        tables[key] = {**rows, **{n: t for n, t in rest.items() if n not in rows}}
+        bad = CooperadTruncation(C.ring, C.r_max, C.components, tables,
+                                 C.unit_name, C.counit_name)
+        names = C.basis_names(sum(key[1]))
+        assert names.index(earlier) < names.index(later)
+        assert list(bad.table(*key))[:2] == [later, earlier]
+        return bad
+
+    # the flat and the middle table of the tree ((0,), (0, 3)), which
+    # each name alone fails: the order of the two sides of the law
+    for key in ((3, (0, 0, 3)), (2, (0, 3))):
+        bad = spoiled(ass3, key, "321", "213")
+        rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+        assert dict(rep.failures())["coassociativity arity 3"] == (
+            3, "213", ((0,), (0, 3)), "coassociativity mismatch")
+
+    C, H = einf2
+    bad = spoiled(C, (2, (2, 0)), "21", "12")
+    rep = both_hopf(bad, HopfStructure(bad, H.products, H.units))
+    assert dict(rep.failures())["hopf-cocomposition-compat arity 2"] == (
+        2, 2, (2, 0), "12", "12")
 
 
 def test_compositions_children_within_budget():
