@@ -330,10 +330,11 @@ def validate_cooperad(C):
                 if not ok:
                     break
 
+    slots = {}  # the inner tables of the trees, read by _inner_terms
     for r in range(C.r_max + 1):
         pos = _positions(C.basis_names(r))
         rep.add_first(f"coassociativity arity {r}", (
-            _coassoc_check(C, r, pos, tree) for tree in coassoc_trees(r, C.r_max)))
+            _coassoc_check(C, r, pos, tree, slots) for tree in coassoc_trees(r, C.r_max)))
 
     deg = C.degrees
     act = _actions(C)
@@ -384,17 +385,33 @@ def coassoc_trees(r, r_max):
     the inner cocomposition of each outer slot i; flat is the table of
     the whole tree, outer the one splitting it into the m slots, middle
     the one of the slot arities and inners the one of each slot."""
+    # every key is a shape of the truncation: share the (k, shape) tuples
+    # of ``shapes`` rather than keep a copy per tree
+    key = {ks: ks for R in range(r_max + 1) for ks in shapes(R, r_max)}
     trees = []
     for m in range(1, r_max + 1):
         for grand in compositions_children(r, m, r_max):
             flat = tuple(x for s in grand for x in s)
             sizes = tuple(len(s) for s in grand)
-            trees.append((grand, (len(flat), flat), (m, sizes),
-                          (m, tuple(sum(s) for s in grand)), tuple(zip(sizes, grand))))
+            trees.append((grand, key[len(flat), flat], key[m, sizes],
+                          key[m, tuple(sum(s) for s in grand)],
+                          tuple(key[ks] for ks in zip(sizes, grand))))
     return tuple(trees)
 
 
-def _coassoc_check(C, r, pos, tree):
+def _inner_terms(C, key, slots):
+    """Table ``key`` as {b: [(coeff, c_i, g-block, |c_i|, |g-block|)]},
+    built once per validation: the inner table of a slot in many trees."""
+    if key not in slots:
+        deg = C.degrees
+        k, shape = key
+        slots[key] = {b: [(cf, ci, gi, deg[k][ci], sum(deg[s][g] for s, g in zip(shape, gi)))
+                          for cf, ci, gi in terms]
+                      for b, terms in C.table(k, shape).items()}
+    return slots[key]
+
+
+def _coassoc_check(C, r, pos, tree, slots):
     """Compare the two evaluation orders of one 2-level cocomposition on
     the whole table, keyed (c, outer, inners, grands).  Returns a witness
     for the first basis name c that differs, None when equal."""
@@ -403,18 +420,7 @@ def _coassoc_check(C, r, pos, tree):
     if not flat and not middle:
         return None
     outer = C.table(*outer_key)
-    inner = [C.table(*key) for key in inner_keys]
-    deg = C.degrees
-    slots = [{} for _ in inner]  # per slot: b -> its inner terms with degrees
-
-    def slot_terms(i, b):
-        """(coeff, c_i, g-block, |c_i|, |g-block|) of each term of Delta(b)
-        in slot i."""
-        if b not in slots[i]:
-            k, shape = inner_keys[i]
-            slots[i][b] = [(cf, ci, gi, deg[k][ci], sum(deg[s][g] for s, g in zip(shape, gi)))
-                           for cf, ci, gi in inner[i].get(b, ())]
-        return slots[i][b]
+    inner = [_inner_terms(C, key, slots) for key in inner_keys]
 
     # Path A: Delta_{k; flat}(c), then Delta_{m;(k_1..k_m)} on the outer
     side_a = C.ring.collect(
@@ -431,7 +437,7 @@ def _coassoc_check(C, r, pos, tree):
             if c not in pos:
                 continue
             for coeff, o, bs in terms:
-                for combo in _product(*[slot_terms(i, b) for i, b in enumerate(bs)]):
+                for combo in _product(*[slot.get(b, ()) for slot, b in zip(inner, bs)]):
                     val, odd, passed = coeff, 0, 0
                     for cf, _, _, dc, dg in combo:
                         val *= cf
@@ -514,14 +520,13 @@ def _equivariance_check(C, r, deg, act, elements):
                 degs = [deg[s] for s in shape]
                 signed = {}
                 for c in names:
-                    row = []
+                    row = signed[c] = {}
                     for (a, gs), v in delta(k, shape, c).items():
                         parities = (mu,) + tuple(d[g] % 2 for d, g in zip(degs, gs))
                         if parities not in signs:
                             signs[parities] = koszul_sign_images(mu, parities[1:])
-                        row.append(((a, tuple(gs[i] for i in order)),
-                                    v if signs[parities] > 0 else -v))
-                    signed[c] = ring.collect(row)
+                        row[a, tuple(gs[i] for i in order)] = (
+                            v if signs[parities] > 0 else ring.neg(v))
         # the block permutation (mu; sigma_1..sigma_k) of 1..r
         hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
         inners = [act[shape[i]][sigmas[i]] for i in order]
