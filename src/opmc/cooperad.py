@@ -169,11 +169,13 @@ class CooperadTruncation:
         self.components = dict(components)
         # normal form by construction: each term is (coeff, outer, inners)
         # with a normalized coeff and a tuple of inners, so the validators
-        # multiply coefficients with plain * and reduce once per key
+        # multiply coefficients with plain * and reduce once per key.  The
+        # tables are taken over, not copied: each row is replaced in place
         normalize = ring.normalize
-        self.cocomp = {key: {name: [(normalize(c), o, tuple(gs)) for c, o, gs in terms]
-                             for name, terms in table.items()}
-                       for key, table in cocomp.items()}
+        for table in cocomp.values():
+            for name, terms in table.items():
+                table[name] = [(normalize(c), o, tuple(gs)) for c, o, gs in terms]
+        self.cocomp = cocomp
         self.unit_name = unit_name
         self.counit_name = counit_name
         self.label = label
@@ -219,10 +221,10 @@ class HopfStructure:
     def __init__(self, cooperad, products, units):
         self.cooperad = cooperad
         normalize = cooperad.ring.normalize
-        # r -> {(a, b): [(coeff, c), ...]}, each coeff normalized
-        self.products = {r: {pair: [(normalize(coeff), c) for coeff, c in terms]
-                             for pair, terms in table.items()}
-                         for r, table in products.items()}
+        for table in products.values():  # each row in normal form, in place
+            for pair, terms in table.items():
+                table[pair] = [(normalize(coeff), c) for coeff, c in terms]
+        self.products = products  # r -> {(a, b): [(coeff, c), ...]}
         self.units = units  # r -> Element over components[r].module
 
     def multiply_names(self, r, a, b):
