@@ -26,8 +26,8 @@ Dumas-Giorgi-Pernet, "FFPACK", ISSAC 2004):
 * Coassociativity, per 2-level tree: both evaluation orders over the
   whole table, keyed (c, outer, inners, grands).  ``coassoc_trees``
   lists the table keys of each tree once per (r, r_max); a tree whose
-  flat and middle tables are empty is skipped, and the inner terms are
-  read with their degrees once per slot and name.
+  flat and middle tables are empty is skipped, and each inner table is
+  read with its degrees once per validation.
 * Hopf associativity: each nonzero (a, b) -> d meets the products
   (d, c) -> e through an index by left factor, each (b, c) -> f meets
   (a, f) -> e through an index by right factor; compare on (a, b, c, e).

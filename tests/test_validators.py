@@ -141,19 +141,25 @@ def test_structures_are_normal_by_construction(monkeypatch):
     assert H2.multiply_names(2, a, b) == [(1, ab), (1, ab)]
     assert cooperad.validate_cooperad(C2).checks == cooperad.validate_cooperad(C).checks
 
-    # the builders' tables are in normal form already: stored as given
+    # the builders' tables and products are in normal form already: the
+    # constructors store them as given
     given = []
-    init = CooperadTruncation.__init__
+    cooperad_init, hopf_init = CooperadTruncation.__init__, HopfStructure.__init__
 
-    def recording_init(self, ring, r_max, components, cocomp, *args, **kwargs):
+    def record_cooperad(self, ring, r_max, components, cocomp, *args, **kwargs):
         given.append(copy.deepcopy(cocomp))
-        init(self, ring, r_max, components, cocomp, *args, **kwargs)
+        cooperad_init(self, ring, r_max, components, cocomp, *args, **kwargs)
 
-    monkeypatch.setattr(CooperadTruncation, "__init__", recording_init)
+    def record_hopf(self, cooperad, products, units):
+        given.append(copy.deepcopy(products))
+        hopf_init(self, cooperad, products, units)
+
+    monkeypatch.setattr(CooperadTruncation, "__init__", record_cooperad)
+    monkeypatch.setattr(HopfStructure, "__init__", record_hopf)
     for label in ("ass-Z-3", "com-Q-3", "E2-Z2-d1"):
         C, H = INSTANCES[label]()
-        assert given.pop() == C.cocomp
-        assert HopfStructure(C, H.products, H.units).products == H.products
+        assert given == [C.cocomp, H.products]
+        given.clear()
 
 
 def test_witness_is_the_lowest_position_in_any_table_order(ass3, einf2):
