@@ -351,13 +351,12 @@ def validate_cooperad(C):
     return rep
 
 
-@lru_cache(maxsize=None)
 def compositions_children(r, m, r_max):
     """2-level trees: per outer slot i (of m), a grandchild shape; total r.
 
     Only trees with at most r_max grandchildren in all are built, in the
-    order of the full product of the per-slot shape lists.  The tuple is
-    built once per (r, m, r_max).
+    order of the full product of the per-slot shape lists.  It is read
+    once per (r, m, r_max), by ``coassoc_trees``.
     """
     shapes_of = {R: [s for _, s in shapes(R, r_max)] for R in range(r_max + 1)}
     out = []
