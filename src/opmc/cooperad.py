@@ -337,6 +337,7 @@ def validate_cooperad(C):
         pos = _positions(C.basis_names(r))
         rep.add_first(f"coassociativity arity {r}", (
             _coassoc_check(C, r, pos, tree, slots) for tree in coassoc_trees(r, C.r_max)))
+    del slots  # not kept alive through the equivariance checks
 
     deg = C.degrees
     act = _actions(C)

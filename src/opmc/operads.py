@@ -115,7 +115,7 @@ def dualize(op, label=""):
                 b, inners = names[0], names[1:]
                 for coeff, out in op.compose(b, shape, inners):
                     coeff = ring.normalize(coeff)
-                    if ring.is_zero(coeff):
+                    if coeff == ring.zero:
                         continue
                     table.setdefault(out, []).append((coeff, b, inners))
             tables[(k, shape)] = table
