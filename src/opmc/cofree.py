@@ -43,6 +43,7 @@ __all__ = [
     "Coderivation",
     "cofree_build",
     "coderivation_extend",
+    "plain_evaluator",
     "square_check",
     "morphism_extend",
     "completeness_check",
@@ -279,17 +280,37 @@ class Coderivation:
         the corestriction of the extended coderivation reproduces the
         cogenerator data (and the eta-sum residual its special case).
         """
-        return self.value_on_plain(self.cofree.expand(x))
+        return self.value_on_plain(self.cofree.expand(x), self.eval_plain)
 
-    def value_on_plain(self, plain_by_arity):
+    def value_on_plain(self, plain_by_arity, evaluate):
         """The components applied term by term to a plain presentation
-        {r: {(cname, vtuple): coeff}}, summed in V."""
+        {r: {(cname, vtuple): coeff}}, summed in V; ``evaluate`` is
+        ``eval_plain`` or a ``plain_evaluator`` of this coderivation."""
         ring = self.ring
         return Element(self.cofree.V, ring.collect(
             (vn, ring.mul(vc, c))
             for r, plain in plain_by_arity.items()
             for (cname, vt), c in plain.items()
-            for vn, vc in self.eval_plain(r, cname, vt).terms.items()))
+            for vn, vc in evaluate(r, cname, vt).terms.items()))
+
+
+def plain_evaluator(Qt):
+    """``Qt.eval_plain`` memoised on its arguments (r, name, v-tuple).
+
+    The memo belongs to the returned function, so it lives exactly as
+    long as the caller keeps that function: one call of ``twist``, one
+    operator of ``coderivation_extend``, one ``MCProblem``.  Nothing is
+    stored on ``Qt``, so no later call starts from a warm memo.
+    """
+    memo = {}
+
+    def evaluate(r, cname, vt):
+        key = (r, cname, vt)
+        val = memo.get(key)
+        if val is None:
+            val = memo[key] = Qt.eval_plain(r, cname, vt)
+        return val
+    return evaluate
 
 
 def coderivation_extend(Qt):
@@ -308,11 +329,19 @@ def coderivation_extend(Qt):
     normalization the tangent of Q agrees with the plain evaluation of
     Qt, matching the eta-sum form of the residual and the flatness of
     twists over every ring.
+
+    The operator memoises, for as long as it is kept: its image of each
+    key (``on_key``'s ``cache``) and, through one ``plain_evaluator``,
+    the value of Qt on each plain block, since many terms of many keys
+    read the same block.  The prefix degree and weight sums are made
+    once per plain tensor, and a term is kept when the weight of its
+    new cogenerator fits the room the tensor leaves plus the weight of
+    the block it replaces.  Nothing is stored on Qt or the coalgebra.
     """
     cf = Qt.cofree
     C = cf.cooperad
     ring = cf.ring
-    vdeg = cf.V.degree
+    vdeg, weight = cf.V.degree, cf.V.weight
     # per arity: (k, shape, [(slot, first v-position)]) for the shapes
     # with at most one inner arity other than 1 and the slots Qt reads
     infinitesimal = {r: [] for r in range(C.r_max + 1)}
@@ -322,6 +351,7 @@ def coderivation_extend(Qt):
             if len(other) <= 1:
                 slots = other or range(k)
                 found.append((k, shape, [(i, sum(shape[:i])) for i in slots]))
+    evaluate = plain_evaluator(Qt)
     cache = {}
 
     def on_key(key):
@@ -329,22 +359,29 @@ def coderivation_extend(Qt):
             return cache[key]
         terms = []
         for (cname, vt), coeff in cf.expand_key(key).items():
+            # degree and weight of each prefix of vt, once per tensor
+            pdeg, pwt = [0], [0]
+            for v in vt:
+                pdeg.append(pdeg[-1] + vdeg(v))
+                pwt.append(pwt[-1] + weight(v))
+            room = cf.w_max - pwt[-1]
             for k, shape, slots in infinitesimal[key[0]]:
                 for lam, out, blocks in cf.cocompose_plain(k, shape, cname, vt):
                     for i, start in slots:
                         m, inner, block = blocks[i]
-                        val = Qt.eval_plain(m, inner, block)
+                        val = evaluate(m, inner, block)
                         if val.is_zero():
                             continue
-                        prefix, suffix = vt[:start], vt[start + m:]
-                        odd = C.degrees[k][out] + sum(vdeg(v) for v in prefix)
+                        odd = C.degrees[k][out] + pdeg[start]
                         base = ring.mul(coeff, -lam if odd % 2 else lam)
+                        # the weight vn may have: the block's is freed
+                        free = room + pwt[start + m] - pwt[start]
+                        prefix, suffix = vt[:start], vt[start + m:]
                         for vn, vc in val.terms.items():
-                            nvt = prefix + (vn,) + suffix
-                            wt = sum(cf.V.weight(v) for v in nvt)
-                            if wt > cf.w_max:
+                            if weight(vn) > free:
                                 continue
-                            terms.append(((k, (out, nvt)), ring.mul(base, vc)))
+                            terms.append(((k, (out, prefix + (vn,) + suffix)),
+                                          ring.mul(base, vc)))
         res = cf.collect(cf.sum_by_arity(terms))
         cache[key] = res
         return res

@@ -35,7 +35,7 @@ finds every class stored.
 import random
 from itertools import product
 
-from .cofree import square_check
+from .cofree import plain_evaluator, square_check
 from .errors import (
     DEFAULT_RESOURCE_CAP,
     ConventionError,
@@ -262,7 +262,7 @@ class MCProblem:
         self.cap = cap
         self._dec = {}
         self._joins = {}
-        self._evals = {}
+        self._evaluate = plain_evaluator(Qt)  # Qt is fixed: one memo
         self._mus = {}
 
     # -- plumbing ------------------------------------------------------
@@ -332,7 +332,7 @@ class MCProblem:
         coproduct of I is the positional one relabelled through I, and
         nothing reads vertex values.  That content is the key of the
         problem's memo ``_mus``, which lives as long as the problem, like
-        ``_evals``; a hit sets the stored sum, and an empty sum is stored
+        its ``plain_evaluator``; a hit sets the stored sum, and an empty sum is stored
         too.  The values of each distinct argument object (``star`` passes
         one object r times) are frozen once per call, and the frozen
         values are restricted to each class for its key.
@@ -341,7 +341,7 @@ class MCProblem:
         grouped by its first block, is joined with the restricted
         arguments: a term is evaluated only when each of its blocks
         carries a value of its argument.  Evaluations go through the
-        problem's memo of ``Qt.eval_plain``, and each class is summed
+        problem's ``plain_evaluator`` of Qt, and each class is summed
         once by ``ring.collect``.
         """
         r = len(psis)
@@ -397,16 +397,9 @@ class MCProblem:
                         coeff = c
                         for ci in coeffs:
                             coeff *= ci
-                        acc.append((self._eval_plain(r, cname, vt), coeff))
+                        acc.append((self._evaluate(r, cname, vt).terms, coeff))
         return Element(self.V, self.ring.collect(
             (vn, coeff * c) for ev, coeff in acc for vn, c in ev.items()))
-
-    def _eval_plain(self, r, cname, vt):
-        """The terms of ``Qt.eval_plain``, memoised: Qt is fixed."""
-        key = (r, cname, vt)
-        if key not in self._evals:
-            self._evals[key] = self.Qt.eval_plain(r, cname, vt).terms
-        return self._evals[key]
 
     def _join_index(self, size, r):
         """The arity-r coproduct of a class of ``size`` vertices, in

@@ -15,12 +15,23 @@ the key form ``shuffle`` expands both factors, runs the kernel and
 collects the result.  tilde vanishes unless one block has arity 1 and
 the other arity 0, so the kernel only builds cocompositions into 0/1
 block shapes and pairs each with its complement.
+
+One kernel call multiplies one left factor u by a list of right
+factors: ``twist`` passes exp(v) and every basis key at once, and the
+verify path does the same for each conjugation.  The cut of u into a
+0/1 shape is the same for every right factor, so the kernel makes it
+once per shape, in a dict that is dropped when the call returns.  In
+the same way ``twist`` evaluates the components through one
+``plain_evaluator``, a memo of ``Qt.eval_plain`` for that call only.
+No memo is kept on the coderivation, the cofree coalgebra or the Hopf
+structure, or at module level: each call costs the same on the same
+inputs, whatever ran before it.
 """
 
 from itertools import combinations as _combinations
 from itertools import product as _product
 
-from .cofree import Coderivation, coderivation_extend
+from .cofree import Coderivation, coderivation_extend, plain_evaluator
 from .cooperad import riffle_parity
 from .errors import (
     InternalCheckError,
@@ -42,23 +53,25 @@ __all__ = [
 
 def shuffle(H, cf, x, y):
     """The generalized shuffle product x * y in uC(V)."""
-    return cf.collect(_shuffle_plain(H, cf, cf.expand(x), cf.expand(y)))
+    [xy] = _shuffle_plain(H, cf, cf.expand(x), [cf.expand(y)])
+    return cf.collect(xy)
 
 
-def _shuffle_plain(H, cf, u, x):
-    """Shuffle product of two plain presentations, kept plain.
+def _shuffle_plain(H, cf, u, xs):
+    """Shuffle products u * x for each x of ``xs``, kept plain, in order.
 
-    ``u`` and ``x`` map arity -> {(cooperad-name, v-tuple): coeff};
-    the result is in the same form.  tilde only pairs an arity-1 block
-    with an arity-0 block, so an arity-p term of u meets an arity-q term
-    of x only at outer arity k = p + q, with the u-blocks of arity 1 on
-    a p-subset S of the k slots and the x-blocks of arity 1 on the
-    complement; the output v-tuple merges the two tuples along S.
+    ``u`` and each x map arity -> {(cooperad-name, v-tuple): coeff}; each
+    result is in the same form.  tilde only pairs an arity-1 block with
+    an arity-0 block, so an arity-p term of u meets an arity-q term of x
+    only at outer arity k = p + q, with the u-blocks of arity 1 on a
+    p-subset S of the k slots and the x-blocks of arity 1 on the
+    complement; the output v-tuple merges the two tuples along S.  The
+    cut of u into a 0/1 shape depends on u and the shape alone, so it is
+    made once per shape and serves every x of the call.
     """
     C = cf.cooperad
     ring = cf.ring
-    deg, vdeg = C.degrees, cf.V.degree
-    out = []
+    deg, vdeg, weight = C.degrees, cf.V.degree, cf.V.weight
 
     def terms(plain, k, shape):
         """Per term: (v-tuple, weight, [(coeff, outer, block-degrees)])."""
@@ -69,37 +82,44 @@ def _shuffle_plain(H, cf, u, x):
                 degs = [deg[ri][g] + sum(vdeg(v) for v in vb)
                         for ri, g, vb in blocks]
                 cocomp.append((ring.mul(c, lam), a, degs))
-            res.append((vt, sum(cf.V.weight(v) for v in vt), cocomp))
+            res.append((vt, sum(weight(v) for v in vt), cocomp))
         return res
 
+    u_cut = {}  # 0/1 shape -> terms(u[p], k, shape), for this call only
     eps_u = u.get(0, {}).get((C.unit_name, ()), ring.zero)
-    eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
-    out.append(((0, (C.unit_name, ())), ring.mul(eps_u, eps_x)))
-    for p, uplain in u.items():
-        for q, xplain in x.items():
-            k = p + q
-            if not 0 < k <= C.r_max:
-                continue
-            for S in _combinations(range(k), p):
-                shape = tuple(1 if i in S else 0 for i in range(k))
-                xterms = terms(xplain, k, tuple(1 - s for s in shape))
-                for vu, wu, ucomp in terms(uplain, k, shape):
-                    for vx, wx, xcomp in xterms:
-                        if wu + wx > cf.w_max:
-                            continue
-                        iu, ix = iter(vu), iter(vx)
-                        names = tuple(next(iu) if s else next(ix)
-                                      for s in shape)
-                        for ca, a, degsA in ucomp:
-                            for cb, b, degsB in xcomp:
-                                # a, A_1..A_k, b, B_1..B_k
-                                #   -> (a b), (A_1 B_1), ..., (A_k B_k)
-                                coeff = ring.mul(ca, cb)
-                                if riffle_parity(deg[k][b], degsA, degsB):
-                                    coeff = ring.neg(coeff)
-                                for pc, c in H.multiply_names(k, a, b):
-                                    out.append(((k, (c, names)), ring.mul(coeff, pc)))
-    return cf.sum_by_arity(out)
+    results = []
+    for x in xs:
+        eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
+        out = [((0, (C.unit_name, ())), ring.mul(eps_u, eps_x))]
+        for p, uplain in u.items():
+            for q, xplain in x.items():
+                k = p + q
+                if not 0 < k <= C.r_max:
+                    continue
+                for S in _combinations(range(k), p):
+                    shape = tuple(1 if i in S else 0 for i in range(k))
+                    if shape not in u_cut:
+                        u_cut[shape] = terms(uplain, k, shape)
+                    xterms = terms(xplain, k, tuple(1 - s for s in shape))
+                    for vu, wu, ucomp in u_cut[shape]:
+                        for vx, wx, xcomp in xterms:
+                            if wu + wx > cf.w_max:
+                                continue
+                            iu, ix = iter(vu), iter(vx)
+                            names = tuple(next(iu) if s else next(ix)
+                                          for s in shape)
+                            for ca, a, degsA in ucomp:
+                                for cb, b, degsB in xcomp:
+                                    # a, A_1..A_k, b, B_1..B_k
+                                    #   -> (a b), (A_1 B_1), ..., (A_k B_k)
+                                    coeff = ring.mul(ca, cb)
+                                    if riffle_parity(deg[k][b], degsA, degsB):
+                                        coeff = ring.neg(coeff)
+                                    for pc, c in H.multiply_names(k, a, b):
+                                        out.append(((k, (c, names)),
+                                                    ring.mul(coeff, pc)))
+        results.append(cf.sum_by_arity(out))
+    return results
 
 
 def _weighted_tuples(cf, terms, r):
@@ -163,25 +183,27 @@ def twist(H, Qt, v, verify=True):
     """
     cf = Qt.cofree
     ring = cf.ring
-    ev_plain = _one_param_plain(H, cf, v, ring.one)
+    names = cf.module.names
+    evaluate = plain_evaluator(Qt)  # one memo for every key of this call
     comps = {}
-    for key in cf.module.names:
-        r, rep, vt = key
-        w = _shuffle_plain(H, cf, ev_plain, {r: {(rep, vt): ring.one}})
-        val = Qt.value_on_plain(w)
+    for key, w in zip(names, _shuffle_plain(
+            H, cf, _one_param_plain(H, cf, v, ring.one),
+            [{r: {(rep, vt): ring.one}} for r, rep, vt in names])):
+        val = Qt.value_on_plain(w, evaluate)
         if not val.is_zero():
             comps[key] = val
     twisted = Coderivation(cf, comps)
     if verify:
         Q = coderivation_extend(Qt)
         Q2 = coderivation_extend(twisted)
-        # exp(v) and exp(-v) are expanded once for all keys
         ev = cf.expand(exp_element(H, cf, v))
         em = cf.expand(exp_element(H, cf, v.scale(-1)))
-        for key in cf.module.names:
-            w = cf.collect(_shuffle_plain(H, cf, ev, cf.expand(cf.module.gen(key))))
-            img = cf.collect(_shuffle_plain(H, cf, em, cf.expand(Q(w))))
-            if not Q2.on_key(key).eq(img):
+        moved = _shuffle_plain(H, cf, ev, [cf.expand(cf.module.gen(key))
+                                           for key in names])
+        images = _shuffle_plain(H, cf, em, [cf.expand(Q(cf.collect(w)))
+                                            for w in moved])
+        for key, img in zip(names, images):
+            if not Q2.on_key(key).eq(cf.collect(img)):
                 raise InternalCheckError(
                     f"twisted operator is not the extension of its "
                     f"cogenerator projection at {key!r}"
