@@ -300,15 +300,18 @@ def plain_evaluator(Qt):
     The memo belongs to the returned function, so it lives exactly as
     long as the caller keeps that function: one call of ``twist``, one
     operator of ``coderivation_extend``, one ``MCProblem``.  Nothing is
-    stored on ``Qt``, so no later call starts from a warm memo.
+    stored on ``Qt``, so no later call starts from a warm memo.  Most
+    values are zero; they share one zero element.
     """
     memo = {}
+    zero = Qt.cofree.V.zero()
 
     def evaluate(r, cname, vt):
         key = (r, cname, vt)
         val = memo.get(key)
         if val is None:
-            val = memo[key] = Qt.eval_plain(r, cname, vt)
+            val = Qt.eval_plain(r, cname, vt)
+            val = memo[key] = zero if val.is_zero() else val
         return val
     return evaluate
 

@@ -332,8 +332,8 @@ class MCProblem:
         coproduct of I is the positional one relabelled through I, and
         nothing reads vertex values.  That content is the key of the
         problem's memo ``_mus``, which lives as long as the problem, like
-        its ``plain_evaluator``; a hit sets the stored sum, and an empty sum is stored
-        too.  The values of each distinct argument object (``star`` passes
+        its ``plain_evaluator``; a hit sets the stored sum, and an empty
+        sum is stored too.  The values of each distinct argument object (``star`` passes
         one object r times) are frozen once per call, and the frozen
         values are restricted to each class for its key.
 

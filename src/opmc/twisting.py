@@ -185,10 +185,10 @@ def twist(H, Qt, v, verify=True):
     ring = cf.ring
     names = cf.module.names
     evaluate = plain_evaluator(Qt)  # one memo for every key of this call
+    keys = [{r: {(rep, vt): ring.one}} for r, rep, vt in names]
+    moved = _shuffle_plain(H, cf, _one_param_plain(H, cf, v, ring.one), keys)
     comps = {}
-    for key, w in zip(names, _shuffle_plain(
-            H, cf, _one_param_plain(H, cf, v, ring.one),
-            [{r: {(rep, vt): ring.one}} for r, rep, vt in names])):
+    for key, w in zip(names, moved):
         val = Qt.value_on_plain(w, evaluate)
         if not val.is_zero():
             comps[key] = val
