@@ -12,11 +12,19 @@ every (name, surjection) pair acting on the class anew, through
 ``dense_surjection_action`` (every cut of the class, each regrouped and
 signed on its own) and ``dense_table_reduction`` (every row-length
 composition, filtered at the end).
+
+The twist path has its memo-free oracles here too: ``dense_shuffle_plain``
+re-cuts the left factor into every 0/1 shape for each right factor,
+``dense_twist_components`` runs it once per basis key and evaluates every
+plain tensor anew, and ``dense_on_key`` is the per-key loop of
+``coderivation_extend`` that sums prefix degrees and output weights term
+by term and calls ``Qt.eval_plain`` for every block it reads.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 from opmc.builders import be_from_name
+from opmc.cooperad import riffle_parity, shapes
 from opmc.errors import ShapeError
 from opmc.graded import koszul_sign_images
 from opmc.mc_space import ConvolutionElement
@@ -150,3 +158,98 @@ def dense_mu(problem, psis):
                 acc = acc.add(Qt.eval_plain(r, cname, vt).scale(coeff))
         out.set(I, acc)
     return out
+
+
+def dense_shuffle_plain(H, cf, u, x):
+    """The plain shuffle product u * x, both factors cut anew."""
+    C = cf.cooperad
+    ring = cf.ring
+    deg, vdeg = C.degrees, cf.V.degree
+    out = []
+
+    def terms(plain, k, shape):
+        """Per term: (v-tuple, weight, [(coeff, outer, block-degrees)])."""
+        res = []
+        for (cname, vt), c in plain.items():
+            cocomp = []
+            for lam, a, blocks in cf.cocompose_plain(k, shape, cname, vt):
+                degs = [deg[ri][g] + sum(vdeg(v) for v in vb)
+                        for ri, g, vb in blocks]
+                cocomp.append((ring.mul(c, lam), a, degs))
+            res.append((vt, sum(cf.V.weight(v) for v in vt), cocomp))
+        return res
+
+    eps_u = u.get(0, {}).get((C.unit_name, ()), ring.zero)
+    eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
+    out.append(((0, (C.unit_name, ())), ring.mul(eps_u, eps_x)))
+    for p, uplain in u.items():
+        for q, xplain in x.items():
+            k = p + q
+            if not 0 < k <= C.r_max:
+                continue
+            for S in combinations(range(k), p):
+                shape = tuple(1 if i in S else 0 for i in range(k))
+                xterms = terms(xplain, k, tuple(1 - s for s in shape))
+                for vu, wu, ucomp in terms(uplain, k, shape):
+                    for vx, wx, xcomp in xterms:
+                        if wu + wx > cf.w_max:
+                            continue
+                        iu, ix = iter(vu), iter(vx)
+                        names = tuple(next(iu) if s else next(ix)
+                                      for s in shape)
+                        for ca, a, degsA in ucomp:
+                            for cb, b, degsB in xcomp:
+                                coeff = ring.mul(ca, cb)
+                                if riffle_parity(deg[k][b], degsA, degsB):
+                                    coeff = ring.neg(coeff)
+                                for pc, c in H.multiply_names(k, a, b):
+                                    out.append(((k, (c, names)),
+                                                ring.mul(coeff, pc)))
+    return cf.sum_by_arity(out)
+
+
+def dense_twist_components(H, Qt, ev_plain):
+    """The components of the twist of Qt by v, ``ev_plain`` the plain
+    exp(v): one kernel call and fresh evaluations per basis key."""
+    cf = Qt.cofree
+    ring = cf.ring
+    comps = {}
+    for key in cf.module.names:
+        r, rep, vt = key
+        w = dense_shuffle_plain(H, cf, ev_plain, {r: {(rep, vt): ring.one}})
+        val = Qt.value_on_plain(w, Qt.eval_plain)
+        if not val.is_zero():
+            comps[key] = val
+    return comps
+
+
+def dense_on_key(Qt, key):
+    """(plain image, key-form image) of a basis key under the coderivation
+    extending Qt, computed with nothing kept between keys."""
+    cf = Qt.cofree
+    C = cf.cooperad
+    ring = cf.ring
+    vdeg = cf.V.degree
+    terms = []
+    for (cname, vt), coeff in cf.expand_key(key).items():
+        for k, shape in shapes(key[0], C.r_max):
+            other = [i for i in range(k) if shape[i] != 1]
+            if len(other) > 1:
+                continue
+            slots = [(i, sum(shape[:i])) for i in (other or range(k))]
+            for lam, out, blocks in cf.cocompose_plain(k, shape, cname, vt):
+                for i, start in slots:
+                    m, inner, block = blocks[i]
+                    val = Qt.eval_plain(m, inner, block)
+                    if val.is_zero():
+                        continue
+                    prefix, suffix = vt[:start], vt[start + m:]
+                    odd = C.degrees[k][out] + sum(vdeg(v) for v in prefix)
+                    base = ring.mul(coeff, -lam if odd % 2 else lam)
+                    for vn, vc in val.terms.items():
+                        nvt = prefix + (vn,) + suffix
+                        if sum(cf.V.weight(v) for v in nvt) > cf.w_max:
+                            continue
+                        terms.append(((k, (out, nvt)), ring.mul(base, vc)))
+    plain = cf.sum_by_arity(terms)
+    return plain, cf.collect(plain)

@@ -1,7 +1,15 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import random
 from pathlib import Path
+
+from helpers import random_coderivation
+from opmc.builders import ass_cochains
+from opmc.cofree import coderivation_extend, cofree_build
+from opmc.graded import BasisElement, GradedModule
+from opmc.rings import ring_make
 
 SRC = Path(__file__).parent.parent / "src" / "opmc"
 
@@ -96,3 +104,48 @@ def test_every_function_has_a_caller():
             for qual, name in _definitions(ast.parse(path.read_text("utf-8")))
             if name not in refs]
     assert sorted(defs) == sorted(TESTED_API)
+
+
+TRACER = SRC.parent.parent / "bench" / "tracer.py"
+# qualnames the tracer still names after their code was removed
+STALE_TRACER_NAMES = {"builders.be1_to_ass_iso"}
+
+
+def _tracer_tables():
+    """The SPANS, COUNTED and HOOKS dicts of the benchmark tracer, read
+    from its source without importing it."""
+    tree = ast.parse(TRACER.read_text("utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("SPANS", "COUNTED", "HOOKS")}
+
+
+def test_tracer_hooks_resolve():
+    """Every function the tracer wraps by qualified name exists, and the
+    operator of coderivation_extend keeps the ``cache`` closure cell that
+    the tracer's extend hook reads."""
+    tables = _tracer_tables()
+    assert set(tables) == {"SPANS", "COUNTED", "HOOKS"}
+    missing = set()
+    for qual in set().union(*tables.values()):
+        layer, *path = qual.split(".")
+        obj = importlib.import_module(f"opmc.{layer}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.add(qual)
+    assert missing == STALE_TRACER_NAMES
+
+    ring = ring_make({"kind": "integers"})
+    C, _ = ass_cochains(ring, 2, validate=False)
+    V = GradedModule(ring, [BasisElement("x", 0, 1), BasisElement("y", -1, 2)])
+    cf = cofree_build(C, V, 2)
+    Q = coderivation_extend(random_coderivation(cf, random.Random(0)))
+    on_key = Q.on_key
+    cache = on_key.__closure__[
+        on_key.__code__.co_freevars.index("cache")].cell_contents
+    key = cf.module.names[-1]
+    assert cache == {}
+    assert on_key(key) is cache[key]
