@@ -105,24 +105,28 @@ def simplex_from_doc(problem, doc):
     if n < 0:
         raise InstanceFormatError(f"bad simplex dimension {n!r}")
     psi = problem.zero(n)
-    for I, value in _value_rows(problem.V, doc):
+    for I, value in _value_rows(problem.V, doc).items():
         psi.set(I, value)
     return psi
 
 
 def horn_from_doc(V, doc):
     n, k = field(doc, "n", int, "horn file"), field(doc, "k", int, "horn file")
-    return HornData(n, k, V, dict(_value_rows(V, doc)))
+    return HornData(n, k, V, _value_rows(V, doc))
 
 
 def _value_rows(V, doc):
-    """(class, value) of each row of a horn or simplex file; a class is
-    a tuple of vertices."""
+    """{class: value} of the rows of a horn or simplex file; a class is
+    a tuple of vertices, and no two rows name the same class."""
+    rows = {}
     for row in field(doc, "values", list, "the file", []):
         what = f"value row {row!r}"
         I = tuple(expect(v, int, f"a vertex in {what}")
                   for v in field(row, "class", list, what))
-        yield I, element_from_list(V, field(row, "value", list, what, []))
+        if I in rows:
+            raise InstanceFormatError(f"duplicate value row for class {list(I)}")
+        rows[I] = element_from_list(V, field(row, "value", list, what, []))
+    return rows
 
 
 # -- commands ----------------------------------------------------------

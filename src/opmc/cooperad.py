@@ -148,14 +148,6 @@ class Report:
             raise ValidationError(f"{what} failed {law}: {witness}")
         return self
 
-    def summary(self):
-        lines = []
-        for law, ok, witness in self.checks:
-            mark = "pass" if ok else "FAIL"
-            extra = "" if ok else f"  [{witness}]"
-            lines.append(f"{mark}  {law}{extra}")
-        return "\n".join(lines)
-
     def __repr__(self):
         status = "ok" if self.ok else f"{len(self.failures())} failures"
         return f"Report({len(self.checks)} checks, {status})"

@@ -23,17 +23,22 @@ its arguments, skipping every term with a block on which some argument
 vanishes, and the problem memoises the coderivation's plain evaluations.
 
 The same relabelling makes the value of mu_r on a class I a function of
-r, |I|, the argument degrees and the arguments restricted to the
-classes inside I in positions.  Each problem memoises mu per such
-content for its own lifetime, as it does the evaluations; nothing is
-shared between problems.  A horn fill reads most of it back: the
-filler's classes other than the top and the open face lie in the faces
-already checked, and every later check of the filler or of its faces
-finds every class stored.
+r, |I|, the argument degrees and the arguments on the subclasses of I,
+in positions.  ``simplex_chains.subclass_table``, built once per simplex
+dimension, lists the subclasses of each class in one positional order
+per class size, so an argument's content on I is a tuple of (subclass
+position, frozen value) pairs, read by lookup.  Each problem memoises mu per such content for its own
+lifetime, as it does the evaluations; nothing is shared between
+problems.  The solution defect is one pass over the classes: each
+class's content is read once and keys mu_r for every arity, and the
+class value, boundary term included, is summed once.  A horn fill reads
+most of it back: the filler's classes other than the top and the open
+face lie in the faces already checked, and every later check of the
+filler or of its faces finds every class stored.
 """
 
 import random
-from itertools import product
+from itertools import chain, product
 
 from .cofree import plain_evaluator, square_check
 from .errors import (
@@ -53,6 +58,7 @@ from .simplex_chains import (
     degeneracy_map,
     face_map,
     simplex_classes,
+    subclass_table,
 )
 
 __all__ = [
@@ -82,17 +88,22 @@ class ConvolutionElement:
 
     def set(self, I, val):
         I = tuple(I)
+        self.check(I, val)
+        if val.terms:
+            self.values[I] = val
+        else:
+            self.values.pop(I, None)
+
+    def check(self, I, val):
+        """Raise ShapeError unless ``val`` can be the value on the class
+        I (a tuple): every check ``set`` makes."""
         if I not in self.cx.module.basis:
             raise ShapeError(f"{I} is not a basis class of the {self.cx.n}-simplex")
-        if not val.terms:
-            self.values.pop(I, None)
-            return
         want = (len(I) - 1) + self.degree
-        if val.degrees() != {want}:
+        if val.terms and val.degrees() != {want}:
             raise ShapeError(
                 f"value on e_{I} must be homogeneous of degree {want}"
             )
-        self.values[I] = val
 
     def value(self, I):
         return self.values.get(tuple(I), self.V.zero())
@@ -176,13 +187,24 @@ def _linear_terms(values, combination, scale=1):
                 yield vn, c * vc
 
 
-def _restrict(support, I):
-    """The classes of ``support`` inside I, renamed to their positions
-    in I (I is strictly increasing, so positions keep the order)."""
-    pos = {v: j for j, v in enumerate(I)}
-    inside = pos.keys()
-    return {tuple(map(pos.__getitem__, K)): t for K, t in support.items()
-            if inside >= set(K)}
+def _frozen(values):
+    """The values of a convolution element as hashable term sets."""
+    return {K: frozenset(v.terms.items()) for K, v in values.items()}
+
+
+def _content(frozen, subclasses):
+    """An argument's part of the memo key on a class: (position, frozen
+    value) of each subclass that carries a value, in positional order."""
+    return tuple((j, f) for j, K in enumerate(subclasses)
+                 if (f := frozen.get(K)) is not None)
+
+
+def _local(values, subclasses):
+    """An argument restricted to a class, keyed by its subclasses in
+    positions (the last subclass is the class itself)."""
+    positions = simplex_classes(len(subclasses[-1]) - 1)
+    return {J: v for J, K in zip(positions, subclasses)
+            if (v := values.get(K)) is not None}
 
 
 def horn_basis(n, k):
@@ -328,21 +350,24 @@ class MCProblem:
 
         A sparse join, memoised per class.  The value on a class I
         depends only on r, |I|, the argument degrees and each argument
-        restricted to the classes inside I, renamed to positions: the
-        coproduct of I is the positional one relabelled through I, and
-        nothing reads vertex values.  That content is the key of the
-        problem's memo ``_mus``, which lives as long as the problem, like
-        its ``plain_evaluator``; a hit sets the stored sum, and an empty
-        sum is stored too.  The values of each distinct argument object (``star`` passes
-        one object r times) are frozen once per call, and the frozen
-        values are restricted to each class for its key.
+        restricted to the subclasses of I in positions: the coproduct of
+        I is the positional one relabelled through I, and nothing reads
+        vertex values.  ``subclass_table`` lists the subclasses of I in
+        one positional order for every class of its size, so an
+        argument's content on I is read by lookup: the (position, frozen
+        value) pairs of the subclasses carrying a value.  Those contents
+        key the problem's memo ``_mus``, which lives as long as the
+        problem, like its ``plain_evaluator``; an empty sum is stored
+        too.  The values of each distinct argument object are frozen
+        once per call.
 
         On a miss the coproduct of the class size, in positions and
         grouped by its first block, is joined with the restricted
         arguments: a term is evaluated only when each of its blocks
         carries a value of its argument.  Evaluations go through the
         problem's ``plain_evaluator`` of Qt, and each class is summed
-        once by ``ring.collect``.
+        once by ``ring.collect``.  ``mc_defect`` reads the same memo
+        under the same keys.
         """
         r = len(psis)
         if r < 1:
@@ -356,15 +381,12 @@ class MCProblem:
         if r > self.C.r_max:
             return out
         degrees = tuple(p.degree for p in psis)
-        distinct = {id(p): p for p in psis}
-        frozen = {k: {K: frozenset(v.terms.items()) for K, v in p.values.items()}
-                  for k, p in distinct.items()}
-        for I in cx.module.names:
-            content = {k: frozenset(_restrict(f, I).items())
-                       for k, f in frozen.items()}
+        distinct = {id(p): (p.values, _frozen(p.values)) for p in psis}
+        for I, subs in zip(cx.module.names, subclass_table(cx.n)):
+            content = {k: _content(f, subs) for k, (_, f) in distinct.items()}
             key = (len(I), r, degrees, tuple(content[id(p)] for p in psis))
             if key not in self._mus:
-                local = {k: _restrict(p.values, I) for k, p in distinct.items()}
+                local = {k: _local(v, subs) for k, (v, _) in distinct.items()}
                 self._mus[key] = self._mu_class(
                     len(I), degrees, [local[id(p)] for p in psis])
             out.set(I, self._mus[key])
@@ -440,7 +462,40 @@ class MCProblem:
         return out
 
     def mc_defect(self, psi):
-        return self.differential(psi).add(self.star(psi))
+        """d(psi) + sum_{r >= 2} mu_r(psi, ..., psi) in one pass over the
+        classes, for a degree-0 psi.
+
+        Each class's content is read once and keys mu_r for every arity
+        r, as ``mu([psi] * r)`` keys it; a miss computes and checks the
+        value, and stores it.  The class value is the sum of mu_1, the
+        boundary term -psi o d and mu_2..mu_{r_max}, in one ``collect``.
+        """
+        self._require_flat()
+        if psi.degree != 0:
+            raise ShapeError("the arity sum is only formed in degree 0")
+        cx, values = psi.cx, psi.values
+        frozen = _frozen(values)
+        arities = [(r, (0,) * r) for r in range(1, self.C.r_max + 1)]
+        out = ConvolutionElement(cx, self.V, -1)
+        for I, subs in zip(cx.module.names, subclass_table(cx.n)):
+            content = _content(frozen, subs)
+            local = None
+            mus = []
+            for r, degrees in arities:
+                key = (len(I), r, degrees, (content,) * r)
+                val = self._mus.get(key)
+                if val is None:
+                    if local is None:
+                        local = _local(values, subs)
+                    val = self._mus[key] = self._mu_class(
+                        len(I), degrees, [local] * r)
+                    out.check(I, val)
+                mus.append(val.terms.items())
+            boundary = _linear_terms(values, cx.d.apply_name(I).terms, -1)
+            # summed in the order of d(psi) + star(psi)
+            out.set(I, Element(self.V, self.ring.collect(
+                chain(*mus[:1], boundary, *mus[1:]))))
+        return out
 
     def mc_check(self, psi):
         """(solves, defect) for a degree-0 convolution element."""

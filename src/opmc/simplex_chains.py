@@ -19,6 +19,7 @@ from .graded import BasisElement, GradedModule, LinearMap
 __all__ = [
     "SimplexChains",
     "simplex_classes",
+    "subclass_table",
     "chains",
     "induced_map",
     "face_map",
@@ -60,6 +61,24 @@ def simplex_classes(n):
     in ``combinations`` order."""
     for size in range(1, n + 2):
         yield from combinations(range(n + 1), size)
+
+
+@cache
+def subclass_table(n):
+    """The subclasses of each class of Delta^n, in positional order.
+
+    Entry i belongs to the i-th class I of ``simplex_classes(n)``; its
+    j-th member is I relabelled through the j-th class of
+    ``simplex_classes(len(I) - 1)``, so position j names the same
+    subclass, in positions, for every class of that size, and the last
+    member is I.  Members are the tuples of the table's own class list,
+    shared, so the table costs one reference per (class, subclass).
+    """
+    classes = {I: I for I in simplex_classes(n)}
+    return tuple(
+        tuple(classes[tuple(I[p] for p in J)]
+              for J in simplex_classes(len(I) - 1))
+        for I in classes)
 
 
 @cache

@@ -296,6 +296,25 @@ def test_value_row_without_class(inst_file, tmp_path, capsys, args, doc):
     assert "error[instance-format]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, doc", [
+    (["horn-fill", "--horn"], {"format": "opmc-horn/1", "n": 1, "k": 0}),
+    (["mc-simplicial", "--verify-simplex"], {"format": "opmc-simplex/1",
+                                             "n": 1}),
+], ids=["horn", "simplex"])
+def test_duplicate_value_rows_are_refused(inst_file, tmp_path, capsys, args,
+                                          doc):
+    # a later row for the same class would otherwise replace the first:
+    # here the zero row would turn the vertex value x into 0
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({**doc, "values": [
+        {"class": [0], "value": [["x", "1"]]}, {"class": [0], "value": []}]}))
+    assert main([args[0], "--instance", inst_file, args[1], str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error[instance-format]: duplicate value row for class [0]\n")
+
+
 @pytest.mark.parametrize("args", [
     ["validate"],
     ["horn-fill", "--instance", None, "--horn"],

@@ -29,6 +29,7 @@ from opmc.simplex_chains import c_coalgebra_decompose, contraction
 from opmc.twisting import mc_enumerate
 
 from dense_convolution import dense_mu
+from helpers import random_coderivation
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -385,6 +386,89 @@ def test_mu_matches_dense_oracle_e2(ring, seed, n, r, degrees, same):
     _mu_matches_dense(e2_parts(ring), seed, n, r, degrees, same)
 
 
+Z3 = ring_make({"kind": "integers-mod-m", "modulus": 3})
+
+
+@lru_cache(maxsize=None)
+def full_parts(builder, ring):
+    """A random flat coderivation on a module with a weight-1 cogenerator
+    in each degree 0..3, so a degree-0 element can carry a value on every
+    class of Delta^3, and a weight-3 one in each degree -1..2, so each
+    arity up to 3 has components; ``builder`` is "ass" or "e2"."""
+    if builder == "ass":
+        C, _ = ass_cochains(ring, 3, validate=False)
+        E1, _ = barratt_eccles(ring, 3, 2, n=1, validate=False)
+        phi = en_restriction_morphism(E1, C)
+    else:
+        C, _ = barratt_eccles(ring, 3, 2, n=2, validate=False)
+        phi = en_restriction_morphism(C, C, validate=False)
+    V = GradedModule(ring, [BasisElement(name, d, w) for name, d, w in (
+        ("x", 0, 1), ("u", 1, 1), ("t", 2, 1), ("s", 3, 1),
+        ("Y", -1, 3), ("X", 0, 3), ("U", 1, 3), ("T", 2, 3))])
+    Qt = random_coderivation(cofree_build(C, V, 3), random.Random(23),
+                             density=0.5)
+    return Qt, phi
+
+
+def _psi_on_every_class(P, rng, n):
+    """A random degree-0 element with a nonzero value on every class."""
+    V = P.V
+    coeffs = P.ring.elements() if P.ring.finite else (-2, -1, 0, 1, 3)
+    psi = P.zero(n)
+    for I in P.chains(n).module.names:
+        names = [b for b in V.names if V.degree(b) == len(I) - 1]
+        val = V.zero()
+        while val.is_zero():
+            val = V.element([(b, rng.choice(coeffs)) for b in names])
+        psi.set(I, val)
+    return psi
+
+
+def _dense_defect(P, psi):
+    """d(psi) + sum_{r >= 2} mu_r(psi, ..., psi) from the dense mu, with
+    the boundary term -psi o d from ``precompose``."""
+    out = dense_mu(P, [psi]).sub(psi.precompose(psi.cx.d, psi.cx))
+    for r in range(2, P.C.r_max + 1):
+        out = out.add(dense_mu(P, [psi] * r))
+    return out
+
+
+@pytest.mark.parametrize("builder, ring", [
+    ("e2", Z2), ("e2", Z3), ("e2", Z), ("ass", Z)],
+    ids=["E2-Z2", "E2-Z3", "E2-Z", "ass-Z"])
+def test_mc_defect_matches_dense_oracle(builder, ring):
+    # each element is checked, then its faces, on one problem, so later
+    # checks read what earlier ones stored; the oracle has its own problem
+    parts = full_parts(builder, ring)
+    P, Q = MCProblem(*parts), MCProblem(*parts)
+    rng = random.Random(7)
+    unsolved = nonlinear = 0
+    for n in range(4):
+        for _ in range(2):
+            psi = _psi_on_every_class(P, rng, n)
+            for elem in [psi] + [P.face(i, psi, verify=False)
+                                 for i in range(n + 1) if n]:
+                got, want = P.mc_defect(elem), _dense_defect(Q, elem)
+                assert got.degree == want.degree == -1
+                assert got.eq(want), (n, elem)
+                assert P.mc_check(elem)[1].eq(got)
+                unsolved += not got.is_zero()
+                nonlinear += not P.star(elem).is_zero()
+    # over Z/2 the arity sum vanishes on every element drawn here, so
+    # there the check covers d(psi) and the memo
+    assert unsolved >= 10 and (nonlinear >= 10 or ring is Z2)
+
+
+def test_mc_defect_refusals_keep_their_messages():
+    P = MCProblem(*full_parts("e2", Z))
+    with pytest.raises(ShapeError, match="^the arity sum is only formed in degree 0$"):
+        P.mc_defect(P.zero(1, 1))
+    curved = Coderivation(P.cofree, {(0, P.C.unit_name, ()): P.V.gen("Y")})
+    with pytest.raises(ConventionError, match=(
+            "^the convolution solution condition assumes a flat coderivation$")):
+        MCProblem(curved, P.phi).mc_check(P.zero(1))
+
+
 @pytest.mark.parametrize("case", ["ass-Z", "E2-Z2"])
 def test_relabelled_decomposition_matches_per_class(case):
     P = MCProblem(*(odd_parts() if case == "ass-Z" else e2_parts(Z2)))
@@ -572,6 +656,26 @@ def test_mu_memo_holds_a_horn_fill_of_the_shipped_e2():
     psi = P.horn_fill(horn_from_doc(inst.V, doc))
     _assert_rechecks_store_nothing(P, psi)
     assert other is not P and not other._mus
+
+
+def test_memo_counts_of_a_shipped_e2_fill(monkeypatch):
+    # a gate on counts: filling e2_horn_3_0 and checking its faces
+    # computes 18 distinct class contents and stores each once, as the
+    # key of (subclass position, value) pairs found before it replaced a
+    # scan of the support; a key that split one content would store
+    # more, one that merged two contents fewer
+    data = Path(__file__).parent / "data"
+    inst = instances.load_instance(str(data / "e2_z2.json"))
+    P = instances.make_problem(inst)
+    computed = []
+    mu_class = MCProblem._mu_class
+    monkeypatch.setattr(MCProblem, "_mu_class",
+                        lambda self, *args: computed.append(args)
+                        or mu_class(self, *args))
+    doc = json.loads((data / "e2_horn_3_0.json").read_text(encoding="utf-8"))
+    psi = P.horn_fill(horn_from_doc(inst.V, doc))
+    assert all(P.mc_check(P.face(i, psi, verify=False))[0] for i in range(4))
+    assert len(computed) == len(P._mus) == 18
 
 
 def test_make_problem_builds_no_cooperad(monkeypatch):

@@ -69,6 +69,12 @@ TESTED_API = {
     "LinearMap.apply",  # test_graded, test_simplex_chains
     "surjection_boundary",  # the chain-map tests of surjection_action
     "OrbitModule.act_element",  # the dense_validators oracle
+    # d(psi) and the arity sum, which mc_defect forms in one pass:
+    # test_mc_space, criterion 02 of test_acceptance
+    "MCProblem.differential",
+    "MCProblem.star",  # test_mc_space
+    # the chain operad's d^2 = 0 and chain-map tests of test_cooperad_builders
+    "ChainOperad.differential",
 }
 
 
@@ -86,23 +92,32 @@ def _definitions(tree):
 
 
 def _references(tree):
-    """Every name and attribute name that a module uses."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    """The attribute names and the bare names that a module uses."""
+    attrs, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return attrs, names
 
 
 def test_every_function_has_a_caller():
     """Each function and method of the package is referenced from the
     package, the demos or the benchmark, or is tested API listed in
-    TESTED_API: a helper that only tests call is dead code."""
+    TESTED_API: a helper that only tests call is dead code.  A method is
+    reached through an attribute, so a local variable of the same name
+    does not count for it."""
     root = SRC.parent.parent
-    refs = set().union(*(_references(ast.parse(path.read_text("utf-8")))
-                         for part in ("src", "demos", "bench")
-                         for path in sorted((root / part).rglob("*.py"))))
+    attrs, names = set(), set()
+    for part in ("src", "demos", "bench"):
+        for path in sorted((root / part).rglob("*.py")):
+            a, n = _references(ast.parse(path.read_text("utf-8")))
+            attrs |= a
+            names |= n
     defs = [qual for path in sorted(SRC.glob("*.py"))
             for qual, name in _definitions(ast.parse(path.read_text("utf-8")))
-            if name not in refs]
+            if name not in attrs and ("." in qual or name not in names)]
     assert sorted(defs) == sorted(TESTED_API)
 
 
