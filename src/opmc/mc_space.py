@@ -27,9 +27,9 @@ r, |I|, the argument degrees and the arguments on the subclasses of I,
 in positions.  ``simplex_chains.subclass_table``, built once per simplex
 dimension, lists the subclasses of each class in one positional order
 per class size, so an argument's content on I is a tuple of (subclass
-position, frozen value) pairs, read by lookup.  Each problem memoises mu per such content for its own
-lifetime, as it does the evaluations; nothing is shared between
-problems.  The solution defect is one pass over the classes: each
+position, frozen value) pairs, read by lookup.  Each problem memoises mu
+per such content for its own lifetime, as it does the evaluations;
+nothing is shared between problems.  The solution defect is one pass over the classes: each
 class's content is read once and keys mu_r for every arity, and the
 class value, boundary term included, is summed once.  A horn fill reads
 most of it back: the filler's classes other than the top and the open
@@ -381,16 +381,27 @@ class MCProblem:
         if r > self.C.r_max:
             return out
         degrees = tuple(p.degree for p in psis)
-        distinct = {id(p): (p.values, _frozen(p.values)) for p in psis}
+        distinct = {id(p): p for p in psis}
+        frozen = {k: _frozen(p.values) for k, p in distinct.items()}
+        args = [p.values for p in psis]
         for I, subs in zip(cx.module.names, subclass_table(cx.n)):
-            content = {k: _content(f, subs) for k, (_, f) in distinct.items()}
-            key = (len(I), r, degrees, tuple(content[id(p)] for p in psis))
-            if key not in self._mus:
-                local = {k: _local(v, subs) for k, (v, _) in distinct.items()}
-                self._mus[key] = self._mu_class(
-                    len(I), degrees, [local[id(p)] for p in psis])
-            out.set(I, self._mus[key])
+            content = {k: _content(f, subs) for k, f in frozen.items()}
+            out.set(I, self._mu_stored(out, I, subs, degrees, tuple(
+                content[id(p)] for p in psis), args))
         return out
+
+    def _mu_stored(self, out, I, subs, degrees, contents, args):
+        """mu on the class I from the memo ``_mus``, keyed by |I|, the
+        argument degrees and the arguments' contents on I; a miss
+        computes it from the argument values ``args``, checks it as a
+        value of ``out`` on I and stores it."""
+        key = (len(I), degrees, contents)
+        val = self._mus.get(key)
+        if val is None:
+            val = self._mus[key] = self._mu_class(
+                len(I), degrees, [_local(v, subs) for v in args])
+            out.check(I, val)
+        return val
 
     def _mu_class(self, size, degrees, local):
         """The value of mu on a class of ``size`` vertices, from the
@@ -466,31 +477,22 @@ class MCProblem:
         classes, for a degree-0 psi.
 
         Each class's content is read once and keys mu_r for every arity
-        r, as ``mu([psi] * r)`` keys it; a miss computes and checks the
-        value, and stores it.  The class value is the sum of mu_1, the
-        boundary term -psi o d and mu_2..mu_{r_max}, in one ``collect``.
+        r, as ``mu([psi] * r)`` keys it.  The class value is the sum of
+        mu_1, the boundary term -psi o d and mu_2..mu_{r_max}, in one
+        ``collect``.
         """
         self._require_flat()
         if psi.degree != 0:
             raise ShapeError("the arity sum is only formed in degree 0")
         cx, values = psi.cx, psi.values
         frozen = _frozen(values)
-        arities = [(r, (0,) * r) for r in range(1, self.C.r_max + 1)]
+        arities = range(1, self.C.r_max + 1)
         out = ConvolutionElement(cx, self.V, -1)
         for I, subs in zip(cx.module.names, subclass_table(cx.n)):
             content = _content(frozen, subs)
-            local = None
-            mus = []
-            for r, degrees in arities:
-                key = (len(I), r, degrees, (content,) * r)
-                val = self._mus.get(key)
-                if val is None:
-                    if local is None:
-                        local = _local(values, subs)
-                    val = self._mus[key] = self._mu_class(
-                        len(I), degrees, [local] * r)
-                    out.check(I, val)
-                mus.append(val.terms.items())
+            mus = [self._mu_stored(out, I, subs, (0,) * r, (content,) * r,
+                                   [values] * r).terms.items()
+                   for r in arities]
             boundary = _linear_terms(values, cx.d.apply_name(I).terms, -1)
             # summed in the order of d(psi) + star(psi)
             out.set(I, Element(self.V, self.ring.collect(
