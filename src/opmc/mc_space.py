@@ -24,10 +24,10 @@ vanishes, and the problem memoises the coderivation's plain evaluations.
 
 The same relabelling makes the value of mu_r on a class I a function of
 r, |I|, the argument degrees and the arguments on the subclasses of I,
-in positions.  ``simplex_chains.subclass_table``, built once per simplex
-dimension, lists the subclasses of each class in one positional order
-per class size, so an argument's content on I is a tuple of (subclass
-position, frozen value) pairs, read by lookup.  Each problem memoises mu
+in positions.  ``simplex_chains.subclass_table``, built once per problem
+and simplex dimension, lists the subclasses of each class in one
+positional order per class size, so an argument's content on I is a
+tuple of (subclass position, frozen value) pairs, read by lookup.  Each problem memoises mu
 per such content for its own lifetime, as it does the evaluations;
 nothing is shared between problems.  The solution defect is one pass over the classes: each
 class's content is read once and keys mu_r for every arity, and the
@@ -286,6 +286,7 @@ class MCProblem:
         self._joins = {}
         self._evaluate = plain_evaluator(Qt)  # Qt is fixed: one memo
         self._mus = {}
+        self._subclasses = {}
 
     # -- plumbing ------------------------------------------------------
 
@@ -301,6 +302,13 @@ class MCProblem:
 
     def zero(self, n, degree=0):
         return ConvolutionElement(self.chains(n), self.V, degree)
+
+    def _subclass_table(self, n):
+        """``subclass_table(n)``, built once per problem: it lives and
+        dies with the memo it keys."""
+        if n not in self._subclasses:
+            self._subclasses[n] = subclass_table(n)
+        return self._subclasses[n]
 
     def _decompose(self, n, I, r):
         """The arity-r chain coproduct of the class I of the n-simplex.
@@ -384,7 +392,7 @@ class MCProblem:
         distinct = {id(p): p for p in psis}
         frozen = {k: _frozen(p.values) for k, p in distinct.items()}
         args = [p.values for p in psis]
-        for I, subs in zip(cx.module.names, subclass_table(cx.n)):
+        for I, subs in zip(cx.module.names, self._subclass_table(cx.n)):
             content = {k: _content(f, subs) for k, f in frozen.items()}
             out.set(I, self._mu_stored(out, I, subs, degrees, tuple(
                 content[id(p)] for p in psis), args))
@@ -488,7 +496,7 @@ class MCProblem:
         frozen = _frozen(values)
         arities = range(1, self.C.r_max + 1)
         out = ConvolutionElement(cx, self.V, -1)
-        for I, subs in zip(cx.module.names, subclass_table(cx.n)):
+        for I, subs in zip(cx.module.names, self._subclass_table(cx.n)):
             content = _content(frozen, subs)
             mus = [self._mu_stored(out, I, subs, (0,) * r, (content,) * r,
                                    [values] * r).terms.items()

@@ -63,7 +63,6 @@ def simplex_classes(n):
         yield from combinations(range(n + 1), size)
 
 
-@cache
 def subclass_table(n):
     """The subclasses of each class of Delta^n, in positional order.
 
