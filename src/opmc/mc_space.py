@@ -304,8 +304,7 @@ class MCProblem:
         return ConvolutionElement(self.chains(n), self.V, degree)
 
     def _subclass_table(self, n):
-        """``subclass_table(n)``, built once per problem: it lives and
-        dies with the memo it keys."""
+        """``subclass_table(n)``, kept as long as the memo it keys."""
         if n not in self._subclasses:
             self._subclasses[n] = subclass_table(n)
         return self._subclasses[n]
@@ -356,18 +355,11 @@ class MCProblem:
     def mu(self, psis):
         """mu_r(psi_1, ..., psi_r): structure map after the chain coproduct.
 
-        A sparse join, memoised per class.  The value on a class I
-        depends only on r, |I|, the argument degrees and each argument
-        restricted to the subclasses of I in positions: the coproduct of
-        I is the positional one relabelled through I, and nothing reads
-        vertex values.  ``subclass_table`` lists the subclasses of I in
-        one positional order for every class of its size, so an
-        argument's content on I is read by lookup: the (position, frozen
-        value) pairs of the subclasses carrying a value.  Those contents
-        key the problem's memo ``_mus``, which lives as long as the
-        problem, like its ``plain_evaluator``; an empty sum is stored
-        too.  The values of each distinct argument object are frozen
-        once per call.
+        A sparse join, memoised per class as the module docstring says:
+        each argument's content on a class, read through the problem's
+        ``subclass_table``, keys the memo ``_mus``, which lives as long
+        as the problem, like its ``plain_evaluator``; an empty sum is
+        stored too.  Each distinct argument object is frozen once.
 
         On a miss the coproduct of the class size, in positions and
         grouped by its first block, is joined with the restricted

@@ -66,12 +66,11 @@ def simplex_classes(n):
 def subclass_table(n):
     """The subclasses of each class of Delta^n, in positional order.
 
-    Entry i belongs to the i-th class I of ``simplex_classes(n)``; its
-    j-th member is I relabelled through the j-th class of
-    ``simplex_classes(len(I) - 1)``, so position j names the same
-    subclass, in positions, for every class of that size, and the last
-    member is I.  Members are the tuples of the table's own class list,
-    shared, so the table costs one reference per (class, subclass).
+    Entry i lists the subclasses of the i-th class I of
+    ``simplex_classes(n)``: member j is I relabelled through the j-th
+    class of ``simplex_classes(len(I) - 1)``, so position j means the
+    same for every class of that size, and the last member is I.
+    Members are shared tuples: one reference per (class, subclass).
     """
     classes = {I: I for I in simplex_classes(n)}
     return tuple(
