@@ -11,7 +11,11 @@ operations mu_r and a solution condition
 whose degree-0 solutions on the n-simplex form a simplicial set.  A chain
 map into a simplex acts by one signed composite, ``precompose``; so lifted,
 the simplex contractions give a constructive filler for every horn (the
-simplicial set is Kan at any finite weight truncation).
+simplicial set is Kan at any finite weight truncation).  The composite
+sets a value only on the source classes whose row of the map meets the
+support, and where a row has one term with signed coefficient 1, as
+every row of a face or a degeneracy has, it shares the stored value
+instead of copying it.
 
 The chain coproduct is stored once per class size and arity, as the
 coproduct of the top class of the simplex of that size, in vertex
@@ -154,12 +158,36 @@ class ConvolutionElement:
         The composite has degree |psi| + |f| and the Koszul sign
         (-1)^{|psi| |f|}.  Faces, degeneracies, the boundary in the
         convolution differential and the lifted homotopy are all this.
+
+        Only a source class whose row of ``f`` meets the support of psi
+        gets a value, set in source-class order; every other class is
+        zero and is skipped.  A row of one term, as every row of a vertex
+        map and of the homotopy is, shares the stored value of psi when
+        its signed coefficient is 1 and scales it otherwise; a longer
+        row, as of the boundary, is summed by ``collect``.
         """
         out = ConvolutionElement(src_cx, self.V, self.degree + f.degree)
-        sign = -1 if self.degree * f.degree % 2 else 1
+        odd = self.degree * f.degree % 2
+        values, rows, ring = self.values, f.entries, self.V.ring
         for J in src_cx.module.names:
-            out.set(J, Element(self.V, self.V.ring.collect(
-                _linear_terms(self.values, f.apply_name(J).terms, sign))))
+            row = rows.get(J)
+            if row is None:
+                continue
+            if len(row) == 1:
+                (I, c), = row.items()
+                val = values.get(I)
+                if val is None:
+                    continue
+                if odd:
+                    c = ring.neg(c)
+                if c != ring.one:
+                    val = val.scale(c)
+            elif values.keys().isdisjoint(row):
+                continue
+            else:
+                val = Element(self.V, ring.collect(
+                    _linear_terms(values, row, -1 if odd else 1)))
+            out.set(J, val)
         return out
 
     def _check(self, other):
@@ -479,7 +507,7 @@ class MCProblem:
         Each class's content is read once and keys mu_r for every arity
         r, as ``mu([psi] * r)`` keys it.  The class value is the sum of
         mu_1, the boundary term -psi o d and mu_2..mu_{r_max}, in one
-        ``collect``.
+        ``collect``; a class whose sum vanishes is not set.
         """
         self._require_flat()
         if psi.degree != 0:
@@ -495,8 +523,9 @@ class MCProblem:
                    for r in arities]
             boundary = _linear_terms(values, cx.d.apply_name(I).terms, -1)
             # summed in the order of d(psi) + star(psi)
-            out.set(I, Element(self.V, self.ring.collect(
-                chain(*mus[:1], boundary, *mus[1:]))))
+            val = self.ring.collect(chain(*mus[:1], boundary, *mus[1:]))
+            if val:
+                out.set(I, Element(self.V, val))
         return out
 
     def mc_check(self, psi):
@@ -574,8 +603,8 @@ class MCProblem:
         n, k = horn.n, horn.k
         psi = self.zero(n)
         self._require_flat()
-        for I in horn_basis(n, k):
-            psi.set(I, horn.value(I))
+        for I, val in horn.values.items():
+            psi.set(I, val)
         # a face other than the k-th reads only horn classes
         for i in range(n + 1):
             if i != k and not self.mc_check(self.face(i, psi, verify=False))[0]:
@@ -586,12 +615,11 @@ class MCProblem:
         miss = tuple(v for v in top if v != k)
         # solve the single unknown from the top boundary:
         # sum_i (-1)^i psi(top minus i) = 0
-        acc = self.V.zero()
-        for i in range(n + 1):
-            if i == k:
-                continue
-            acc = acc.add(psi.value(top[:i] + top[i + 1:]).scale((-1) ** i))
-        psi.set(miss, acc.scale(-((-1) ** k)))
+        others = {top[:i] + top[i + 1:]: (-1) ** (i + k + 1)
+                  for i in range(n + 1) if i != k}
+        acc = self.ring.collect(_linear_terms(psi.values, others))
+        if acc:
+            psi.set(miss, Element(self.V, acc))
         cx, _, _, h = contraction(self.ring, k, n)
         w_max = self.cofree.w_max
         for _ in range(w_max + 1):

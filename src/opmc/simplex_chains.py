@@ -223,6 +223,7 @@ def surjection_action(u, I):
         segs[s] = seg
 
     place(0, 0, 1, 0)
+    del place  # the closure holds itself through its cell: no cycle left
     return {k: c for k, c in out.items() if c}
 
 
@@ -292,6 +293,7 @@ def table_reduction(simplex):
                 remaining_len - a)
 
     rec(0, frozenset(), [], r + d)
+    del rec  # as in surjection_action
     return out
 
 
@@ -342,8 +344,9 @@ def c_coalgebra_decompose(phi, I, r, cap=DEFAULT_RESOURCE_CAP):
             images[name] = phi.apply_name(r, name).terms.items()
         return images[name]
 
+    # both factors are normal, so the products are summed by ``collect``
     return ring.collect(
-        ((tname, key), ring.mul(c, tc))
+        ((tname, key), c * tc)
         for (name, key), c in einfty_decompose(
             phi.source, I, r, cap=cap).items()
         for tname, tc in image(name))

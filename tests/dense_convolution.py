@@ -1,5 +1,5 @@
-"""Dense reference convolution: the oracles for ``MCProblem.mu`` and for
-``einfty_decompose``.
+"""Dense reference convolution: the oracles for ``MCProblem.mu``,
+``ConvolutionElement.precompose`` and ``einfty_decompose``.
 
 This is the straightforward per-class loop that the sparse join in
 ``opmc.mc_space`` replaces.  For every basis class of the simplex it
@@ -12,6 +12,9 @@ every (name, surjection) pair acting on the class anew, through
 ``dense_surjection_action`` (every cut of the class, each regrouped and
 signed on its own) and ``dense_table_reduction`` (every row-length
 composition, filtered at the end).
+
+``dense_precompose`` is the composite with a chain map as a loop that
+sums and sets a value on every class of the source, zeros included.
 
 The twist path has its memo-free oracles here too: ``dense_shuffle_plain``
 re-cuts the left factor into every 0/1 shape for each right factor,
@@ -26,7 +29,7 @@ from itertools import combinations, product
 from opmc.builders import be_from_name
 from opmc.cooperad import riffle_parity, shapes
 from opmc.errors import ShapeError
-from opmc.graded import koszul_sign_images
+from opmc.graded import Element, koszul_sign_images
 from opmc.mc_space import ConvolutionElement
 from opmc.simplex_chains import Surjection, c_coalgebra_decompose
 
@@ -119,6 +122,19 @@ def dense_einfty_decompose(E, I, r):
     ring = E.ring
     norm = {k: ring.normalize(c) for k, c in out.items()}
     return {k: c for k, c in norm.items() if not ring.is_zero(c)}, count
+
+
+def dense_precompose(psi, f, src_cx):
+    """psi o f with a value set on every class of the source, zeros
+    included, each summed by ``collect`` from the row of f."""
+    out = ConvolutionElement(src_cx, psi.V, psi.degree + f.degree)
+    sign = -1 if psi.degree * f.degree % 2 else 1
+    for J in src_cx.module.names:
+        out.set(J, Element(psi.V, psi.V.ring.collect(
+            (vn, sign * c * vc)
+            for I, c in f.apply_name(J).terms.items()
+            for vn, vc in psi.value(I).terms.items())))
+    return out
 
 
 def dense_mu(problem, psis):

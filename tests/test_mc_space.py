@@ -25,10 +25,16 @@ from opmc import builders, instances, mc_space, simplex_chains
 from opmc.graded import BasisElement, GradedModule
 from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
-from opmc.simplex_chains import c_coalgebra_decompose, contraction
+from opmc.simplex_chains import (
+    c_coalgebra_decompose,
+    chains,
+    contraction,
+    degeneracy_map,
+    face_map,
+)
 from opmc.twisting import mc_enumerate
 
-from dense_convolution import dense_mu
+from dense_convolution import dense_mu, dense_precompose
 from helpers import random_coderivation
 
 Z = ring_make({"kind": "integers"})
@@ -387,6 +393,60 @@ def test_mu_matches_dense_oracle_e2(ring, seed, n, r, degrees, same):
 
 
 Z3 = ring_make({"kind": "integers-mod-m", "modulus": 3})
+Z4 = ring_make({"kind": "integers-mod-m", "modulus": 4})
+
+
+def _chain_maps_into(ring, n):
+    """(name, chain map into the n-simplex, its source chains) for each
+    kind of map ``precompose`` meets: the faces, the degeneracies, the
+    boundary d, and per vertex the homotopy h, twice h (a non-unit row
+    over Z/4) and the projection p o eps."""
+    cx = chains(ring, n)
+    maps = [(f"face{i}", face_map(ring, i, n), chains(ring, n - 1))
+            for i in range(n + 1) if n]
+    maps += [(f"degeneracy{j}", degeneracy_map(ring, j, n), chains(ring, n + 1))
+             for j in range(n + 1)]
+    maps.append(("d", cx.d, cx))
+    for k in range(n + 1):
+        _, eps, p, h = contraction(ring, k, n)
+        maps += [(f"h{k}", h, cx), (f"2h{k}", h.scale(2), cx),
+                 (f"p eps{k}", p.compose(eps), cx)]
+    return maps
+
+
+def _as_items(elem):
+    """The values of a convolution element with their order and the
+    order of their terms."""
+    return [(I, list(v.terms.items())) for I, v in elem.values.items()]
+
+
+@pytest.mark.parametrize("ring", [Z, Z2, Z3, Z4], ids=["Z", "Z2", "Z3", "Z4"])
+def test_precompose_matches_dense_oracle(ring):
+    # sparse elements of degree -1, 0 and 1, so rows that miss the
+    # support are met, composed with every kind of map; values, their
+    # order and their term order must be the oracle's
+    V = GradedModule(ring, [BasisElement(f"{b}{d}", d, 1)
+                            for d in range(-1, 5) for b in "ab"])
+    coeffs = ring.elements() if ring.finite else (-3, -2, -1, 1, 2)
+    rng = random.Random(24)
+    nonzero = 0
+    for n in range(4):
+        for deg in (-1, 0, 1):
+            for _ in range(2):
+                psi = ConvolutionElement(chains(ring, n), V, deg)
+                for I in psi.cx.module.names:
+                    names = [b for b in V.names
+                             if V.degree(b) == len(I) - 1 + deg]
+                    if rng.random() < 0.6:
+                        psi.set(I, V.element(
+                            [(b, rng.choice(coeffs)) for b in names]))
+                for name, f, src in _chain_maps_into(ring, n):
+                    got = psi.precompose(f, src)
+                    want = dense_precompose(psi, f, src)
+                    assert got.degree == want.degree == deg + f.degree
+                    assert _as_items(got) == _as_items(want), (n, deg, name)
+                    nonzero += not got.is_zero()
+    assert nonzero >= 150
 
 
 @lru_cache(maxsize=None)
@@ -676,6 +736,28 @@ def test_memo_counts_of_a_shipped_e2_fill(monkeypatch):
     psi = P.horn_fill(horn_from_doc(inst.V, doc))
     assert all(P.mc_check(P.face(i, psi, verify=False))[0] for i in range(4))
     assert len(computed) == len(P._mus) == 18
+
+
+def test_set_counts_of_a_shipped_e2_fill(monkeypatch):
+    # a gate on counts: filling e2_horn_3_0, then taking each face and
+    # degeneracy of the filler (each checked), sets no class to zero and
+    # makes 87 set calls in all; setting every class of each composite,
+    # of each defect and of the horn made 495, 408 of them zero
+    data = Path(__file__).parent / "data"
+    inst = instances.load_instance(str(data / "e2_z2.json"))
+    P = instances.make_problem(inst)
+    calls = []
+    set_value = ConvolutionElement.set
+    monkeypatch.setattr(ConvolutionElement, "set",
+                        lambda self, I, val: calls.append(bool(val.terms))
+                        or set_value(self, I, val))
+    doc = json.loads((data / "e2_horn_3_0.json").read_text(encoding="utf-8"))
+    psi = P.horn_fill(horn_from_doc(inst.V, doc))
+    for i in range(4):
+        P.face(i, psi)
+        P.degeneracy(i, psi)
+    assert all(calls)
+    assert len(calls) == 87
 
 
 def test_make_problem_builds_no_cooperad(monkeypatch):

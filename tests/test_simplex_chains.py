@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations, product
 
 import pytest
@@ -314,6 +315,25 @@ def test_table_reduction_matches_the_row_loop():
                 continue
             want = dense_table_reduction(simplex)
             assert table_reduction(simplex) == want, simplex
+
+
+@pytest.mark.parametrize("walk", ["table_reduction", "surjection_action"])
+def test_walks_leave_no_reference_cycle(walk):
+    # each walk recurses through a closure; one call must leave nothing
+    # for the cyclic collector to find
+    call = {
+        "table_reduction": lambda: table_reduction(
+            (P(1, 2, 3), P(2, 1, 3), P(3, 1, 2))),
+        "surjection_action": lambda: surjection_action(
+            Surjection((1, 2, 1, 3, 2)), (0, 1, 2, 3)),
+    }[walk]
+    gc.collect()
+    gc.disable()
+    try:
+        assert call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_einfty_decompose_counit():
