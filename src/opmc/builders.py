@@ -91,7 +91,7 @@ def com_cochains(ring, r_max, validate=True):
             }
     C = CooperadTruncation(
         ring, r_max, components, tables,
-        unit_name="c0", counit_name="c1", label="com-cochains",
+        unit_name="c0", counit_name="c1",
     )
     products = {}
     units = {}
@@ -180,7 +180,7 @@ def barratt_eccles(ring, r_max, d_max=None, n=None, validate=True):
             raise ShapeError("an E-infinity truncation (n=None) needs d_max")
         d_max = (n - 1) * comb(r_max, 2)
     op = be_chain_operad(ring, r_max, d_max, n)
-    C = dualize(op, label=f"be{n if n is not None else 'inf'}-cochains")
+    C = dualize(op)
     H = be_cup_structure(ring, C)
     if validate:
         validate_cooperad(C).require("barratt-eccles cooperad")
@@ -193,8 +193,8 @@ def be_chain_operad(ring, r_max, d_max, n=None):
 
     Each basis name is split once into its tuple of vertex names, and
     each vertex composition (shape, vertex tuple) runs
-    ``compose_permutations`` once per operad; compositions and faces
-    then work on vertex names only.
+    ``compose_permutations`` once per operad; compositions then work on
+    vertex names only.
     """
     components = {}
     for r in range(r_max + 1):
@@ -237,24 +237,10 @@ def be_chain_operad(ring, r_max, d_max, n=None):
             terms.append((nm, sign))
         return [(c, nm) for nm, c in ring.collect(terms).items()]
 
-    def faces(r, name):
-        s = vertices[name]
-        terms = []
-        for i in range(len(s)):
-            t = s[:i] + s[i + 1:]
-            if not t or not be_nondegenerate(t):
-                continue
-            nm = "|".join(t)
-            if nm not in name_sets[r]:
-                continue
-            terms.append((nm, 1 if i % 2 == 0 else -1))
-        return [(c, nm) for nm, c in ring.collect(terms).items()]
-
     return ChainOperad(
         ring, r_max, components, compose_name,
         id_name=be_name((Permutation.identity(1),)),
         unit_name=be_name((Permutation.identity(0),)),
-        faces=faces, label=f"be{n if n is not None else 'inf'}-chains",
     )
 
 
@@ -296,8 +282,7 @@ def en_restriction_morphism(source, target, validate=True):
         maps[r] = LinearMap(
             source.component(r).module, target.component(r).module, 0,
             {(nm, nm): 1 for nm in source.basis_names(r) if nm in tgt})
-    phi = CooperadMorphism(source, target, maps,
-                           label=f"{source.label}->{target.label}")
+    phi = CooperadMorphism(source, target, maps)
     if validate:
         validate_morphism(phi).require("cochain restriction morphism")
     return phi

@@ -86,9 +86,6 @@ class CofreeCoalgebra:
 
     # -- basic structure ---------------------------------------------------
 
-    def zero(self):
-        return self.module.zero()
-
     def unit(self):
         return self.module.gen((0, self.cooperad.unit_name, ()))
 
@@ -412,26 +409,18 @@ def square_check(Qt):
 
 
 def completeness_check(Qt):
-    """Weight additivity of every component, plus a nilpotence bound."""
-    cf = Qt.cofree
-    report = []
-    ok = True
+    """The components that lower weight, as ("weight-violation", key,
+    min weight of the value, weight of the key's v-tuple); the
+    coderivation is complete when there are none.  ``Coderivation``
+    keeps no zero value, so every value has a min weight."""
+    weight = Qt.cofree.V.weight
+    violations = []
     for key, val in Qt.comps.items():
-        r, rep, vt = key
-        wt_in = sum(cf.V.weight(v) for v in vt)
+        wt_in = sum(weight(v) for v in key[2])
         mw = val.min_weight()
-        if mw is not None and mw < wt_in:
-            ok = False
-            report.append(("weight-violation", key, mw, wt_in))
-    max_arity = 0
-    for key, val in Qt.comps.items():
-        if not val.is_zero():
-            max_arity = max(max_arity, key[0])
-    return {
-        "complete": ok,
-        "violations": report,
-        "nilpotent_bound": max_arity,
-    }
+        if mw < wt_in:
+            violations.append(("weight-violation", key, mw, wt_in))
+    return violations
 
 
 # ---------------------------------------------------------------------------

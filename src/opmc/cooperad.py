@@ -154,8 +154,7 @@ class Report:
 
 
 class CooperadTruncation:
-    def __init__(self, ring, r_max, components, cocomp, unit_name, counit_name,
-                 label=""):
+    def __init__(self, ring, r_max, components, cocomp, unit_name, counit_name):
         self.ring = ring
         self.r_max = r_max
         self.components = dict(components)
@@ -170,7 +169,6 @@ class CooperadTruncation:
         self.cocomp = cocomp
         self.unit_name = unit_name
         self.counit_name = counit_name
-        self.label = label
         for r in range(r_max + 1):
             if r not in self.components:
                 raise ShapeError(f"missing component in arity {r}")
@@ -238,11 +236,10 @@ class HopfStructure:
 class CooperadMorphism:
     """Degree-0 per-arity linear maps commuting with all structure."""
 
-    def __init__(self, source, target, maps, label=""):
+    def __init__(self, source, target, maps):
         self.source = source
         self.target = target
         self.maps = maps  # r -> LinearMap
-        self.label = label
 
     def apply_name(self, r, name):
         return self.maps[r].apply_name(name)

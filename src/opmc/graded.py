@@ -80,9 +80,6 @@ class GradedModule:
     def __len__(self):
         return len(self.names)
 
-    def __contains__(self, name):
-        return name in self.basis
-
 
 def _items(terms):
     """The (key, coeff) pairs of a mapping, or the pairs themselves."""
@@ -108,9 +105,6 @@ class Element:
         self._check(other)
         return Element(self.module, self.module.ring.collect(
             chain(self.terms.items(), other.terms.items())))
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
 
     def scale(self, coeff):
         mul = self.module.ring.mul
@@ -179,11 +173,6 @@ class LinearMap:
                 )
             self.entries.setdefault(src, {})[tgt] = c
 
-    def pairs(self):
-        """The nonzero entries as ((src, tgt), coeff) pairs."""
-        return (((src, tgt), c) for src, row in self.entries.items()
-                for tgt, c in row.items())
-
     def apply(self, x):
         if x.module is not self.source:
             raise ShapeError("element not in the source module")
@@ -196,44 +185,6 @@ class LinearMap:
     def apply_name(self, name):
         """The image of a basis name; it shares the stored row."""
         return Element(self.target, self.entries.get(name, {}))
-
-    def compose(self, other):
-        """self after other (source of self = target of other)."""
-        if other.target is not self.source:
-            raise ShapeError("maps not composable")
-        mul = self.ring.mul
-        return LinearMap(other.source, self.target, self.degree + other.degree, (
-            ((src, tgt), mul(c, e))
-            for (src, mid), c in other.pairs()
-            for tgt, e in self.entries.get(mid, {}).items()))
-
-    def add(self, other):
-        if other.source is not self.source or other.target is not self.target:
-            raise ShapeError("maps between different modules")
-        if other.degree != self.degree:
-            raise ShapeError("maps of different degrees")
-        return LinearMap(self.source, self.target, self.degree,
-                         chain(self.pairs(), other.pairs()))
-
-    def scale(self, coeff):
-        mul = self.ring.mul
-        return LinearMap(self.source, self.target, self.degree,
-                         ((key, mul(c, coeff)) for key, c in self.pairs()))
-
-    def is_zero(self):
-        return not self.entries
-
-    def eq(self, other):
-        return (
-            self.degree == other.degree
-            and self.source is other.source
-            and self.target is other.target
-            and self.entries == other.entries
-        )
-
-    @classmethod
-    def identity(cls, module):
-        return cls(module, module, 0, (((n, n), 1) for n in module.names))
 
 
 def koszul_sign_images(images, degrees):

@@ -185,9 +185,9 @@ def parse_instance(doc, validate=True):
         comps[key] = val
     Qt = Coderivation(cf, comps)
     if validate:
-        report = completeness_check(Qt)
-        if not report["complete"]:
-            kind, key, *_ = report["violations"][0]
+        violations = completeness_check(Qt)
+        if violations:
+            kind, key, *_ = violations[0]
             raise CompletenessError(
                 f"coderivation is not complete: {kind} at entry {key!r}"
             )

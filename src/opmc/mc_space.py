@@ -86,10 +86,6 @@ class ConvolutionElement:
         self.degree = degree
         self.values = {}
 
-    @property
-    def n(self):
-        return self.cx.n
-
     def set(self, I, val):
         I = tuple(I)
         self.check(I, val)

@@ -3,9 +3,9 @@
 A chain operad truncation stores, per arity r <= R_max, a free
 S_r-module of non-negatively graded basis elements together with a full
 composition rule gamma(b; b_1..b_k) given by a callback on basis names.
-All compositions have degree 0; the differential (when present) is kept
-as separate face data and used only for chain-level consistency tests,
-never carried into the dual cooperad.
+All compositions have degree 0.  The operad carries no differential:
+dualizing transposes the composition alone, so the cooperad truncations
+are graded objects without an internal differential.
 
 Dualizing transposes the composition tables: cochain basis names equal
 chain basis names, cochain degree is minus the chain degree, and the
@@ -27,20 +27,17 @@ class ChainOperad:
     """Truncated chain operad with free symmetric group actions.
 
     ``compose_name(outer_name, shape, inner_names)`` returns a list of
-    (coeff, out_name) for gamma(outer; inners); ``faces``, when given,
-    maps (r, name) to the terms (coeff, name') of the differential.
+    (coeff, out_name) for gamma(outer; inners).
     """
 
     def __init__(self, ring, r_max, components, compose_name, id_name,
-                 unit_name, faces=None, label=""):
+                 unit_name):
         self.ring = ring
         self.r_max = r_max
         self.components = dict(components)
         self._compose = compose_name
         self.id_name = id_name
         self.unit_name = unit_name
-        self.faces = faces
-        self.label = label
         for r in range(r_max + 1):
             if r not in self.components:
                 raise ShapeError(f"missing chain component in arity {r}")
@@ -48,13 +45,8 @@ class ChainOperad:
     def compose(self, outer, shape, inners):
         return self._compose(outer, tuple(shape), tuple(inners))
 
-    def differential(self, r, name):
-        if self.faces is None:
-            return []
-        return self.faces(r, name)
 
-
-def dualize(op, label=""):
+def dualize(op):
     """Transpose a chain operad's composition into cocomposition tables.
 
     Compositions have degree 0 and chain degrees are non-negative, so an
@@ -126,7 +118,6 @@ def dualize(op, label=""):
         tables,
         unit_name=op.unit_name,
         counit_name=op.id_name,
-        label=label or (op.label + "-dual"),
     )
 
 

@@ -15,7 +15,10 @@ _EXACT = (int, Fraction)  # scalar types that RationalRing combines directly
 
 
 class Ring:
-    """Handle exposing 0, 1 and exact arithmetic for one coefficient ring."""
+    """Handle exposing 0, 1 and exact arithmetic for one coefficient ring.
+
+    Each subclass defines ``normalize``, ``is_unit``, ``inv`` and ``spec``.
+    """
 
     contains_rationals = False
     finite = False
@@ -23,9 +26,6 @@ class Ring:
     def __init__(self):
         self.zero = self.normalize(0)
         self.one = self.normalize(1)
-
-    def normalize(self, x):
-        raise NotImplementedError
 
     # An int pair takes one operation and one normalize.  Any other
     # operand is normalized first, so a str never meets Python's own
@@ -75,19 +75,6 @@ class Ring:
             if s:
                 out[key] = s
         return out
-
-    def is_unit(self, a):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def elements(self):
-        """All ring elements; only available for finite rings."""
-        raise NotImplementedError(f"{self} is not finite")
-
-    def spec(self):
-        raise NotImplementedError
 
 
 class IntegerRing(Ring):
@@ -151,9 +138,10 @@ class RationalRing(Ring):
 
     Each rational has exactly one such form, and ``Fraction(n)`` equals,
     hashes and prints as ``n``, so the form never shows in keys, equality
-    or output.  An int pair takes Python's own + and *; int and
-    ``Fraction`` operands run once and an integral result becomes an int;
-    other operands (a str, say) are normalized first.
+    or output.  ``mul`` takes Python's own * on an int pair; int and
+    ``Fraction`` factors multiply once and an integral product becomes an
+    int; other operands (a str, say) are normalized first.  Every other
+    operation is the generic one of ``Ring``.
     """
 
     contains_rationals = True
@@ -165,14 +153,6 @@ class RationalRing(Ring):
             x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
 
-    def add(self, a, b):
-        if type(a) is int and type(b) is int:
-            return a + b
-        if type(a) not in _EXACT or type(b) not in _EXACT:
-            a, b = self.normalize(a), self.normalize(b)
-        s = a + b
-        return s.numerator if s.denominator == 1 else s
-
     def mul(self, a, b):
         if type(a) is int and type(b) is int:
             return a * b
@@ -180,9 +160,6 @@ class RationalRing(Ring):
             a, b = self.normalize(a), self.normalize(b)
         p = a * b
         return p.numerator if p.denominator == 1 else p
-
-    def is_zero(self, a):
-        return a == 0 if type(a) in _EXACT else Fraction(a) == 0
 
     def is_unit(self, a):
         return Fraction(a) != 0

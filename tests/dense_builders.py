@@ -11,6 +11,12 @@ of every shuffle term through ``compose_permutations``,
 ``be_complexity``, and ``dense_cup_products`` tries every pair of names.
 They are slow (about 2 s for the tables of E2 at r_max=3, d_max=2), so
 tests keep their instances small.
+
+The chain-level oracles live here too: the package's operads carry no
+differential, since ``dualize`` transposes the composition alone, so the
+Barratt-Eccles face differential (``be_chain_differential``) and the
+surjection boundary (``surjection_boundary``) serve only the tests that
+d^2 = 0 and that composition and the interval-cut action are chain maps.
 """
 
 from itertools import product as _product
@@ -27,6 +33,7 @@ from opmc.builders import (
 from opmc.cooperad import compositions
 from opmc.graded import BasisElement
 from opmc.operads import ChainOperad, nary_ez
+from opmc.simplex_chains import Surjection
 from opmc.symmetric import OrbitModule, Permutation, all_permutations
 
 
@@ -88,7 +95,7 @@ def dense_ass_chain_operad(ring, r_max):
 
     return ChainOperad(
         ring, r_max, components, compose_name,
-        id_name="1", unit_name=UNIT_NAME, label="ass-chains",
+        id_name="1", unit_name=UNIT_NAME,
     )
 
 
@@ -187,3 +194,59 @@ def dense_cup_products(C, d_max):
                     table[(a, b)] = [(ring.one, nm)]
         products[r] = table
     return products
+
+
+def be_chain_differential(op, r, name):
+    """The differential of the Barratt-Eccles chains ``op`` on the simplex
+    ``name`` of arity r: the alternating sum of its faces, without the
+    degenerate ones and those outside the truncation, as (coeff, name')
+    terms."""
+    s = name.split("|")
+    names = set(op.components[r].module.names)
+    terms = []
+    for i in range(len(s)):
+        t = s[:i] + s[i + 1:]
+        if not t or not be_nondegenerate(t):
+            continue
+        nm = "|".join(t)
+        if nm not in names:
+            continue
+        terms.append((nm, 1 if i % 2 == 0 else -1))
+    return [(c, nm) for nm, c in op.ring.collect(terms).items()]
+
+
+def surjection_boundary(u):
+    """Boundary of a surjection: signed single-entry deletions.
+
+    Returns [(coeff, Surjection)]; deletions producing equal adjacent
+    values or losing a value are dropped (normalization).  Orientation:
+    each non-final occurrence of a value (caesura) carries a degree-1
+    marker, in position order.  Deleting a caesura removes its own
+    marker; deleting a final occurrence turns the previous occurrence of
+    that value into the final one, removing that marker and flipping the
+    overall orientation.  The resulting signs make the interval-cut
+    action a chain map and square to zero (both verified exhaustively in
+    the tests for lengths up to 6).
+    """
+    seq = u.seq
+    l = len(seq)
+    last = {v: max(i for i in range(l) if seq[i] == v) for v in set(seq)}
+    caesuras = [t for t in range(l) if t != last[seq[t]]]
+    counts = {}
+    for v in seq:
+        counts[v] = counts.get(v, 0) + 1
+    out = []
+    for t in range(l):
+        v = seq[t]
+        if counts[v] == 1:
+            continue
+        rest = seq[:t] + seq[t + 1:]
+        if any(rest[i] == rest[i + 1] for i in range(len(rest) - 1)):
+            continue
+        if t != last[v]:
+            sign = (-1) ** sum(1 for c in caesuras if c < t)
+        else:
+            prev = max(i for i in range(t) if seq[i] == v)
+            sign = -((-1) ** sum(1 for c in caesuras if c < prev))
+        out.append((sign, Surjection(rest)))
+    return out

@@ -1,8 +1,13 @@
-"""Shared helpers for randomized test instances."""
+"""Shared helpers for randomized test instances, and the algebra of
+elements, linear maps and surjections that only the tests' identities
+use (d o d = 0, dh + hd = id - p o eps, the surjection degree)."""
 
 from fractions import Fraction
+from itertools import chain
 
 from opmc.cofree import Coderivation, coderivation_extend
+from opmc.errors import ShapeError
+from opmc.graded import LinearMap
 
 
 def coleibniz_defect(cf, Qt, ks=(1, 2)):
@@ -65,3 +70,59 @@ def random_coderivation(cf, rng, curved=False, density=0.6):
                 terms[vn] = rand_scalar(ring, rng)
         comps[key] = V.element(terms)
     return Coderivation(cf, comps)
+
+
+def sub(x, y):
+    """x - y for two elements of one module."""
+    return x.add(y.scale(-1))
+
+
+def chain_gen(cx, I, coeff=1):
+    """coeff * e_I in the chains ``cx`` on a simplex, I in any order."""
+    return cx.module.gen(tuple(sorted(I)), coeff)
+
+
+def surjection_degree(u):
+    """The degree of a surjection: its length minus its arity."""
+    return len(u.seq) - u.arity
+
+
+def map_pairs(f):
+    """The nonzero entries of a linear map as ((src, tgt), coeff) pairs."""
+    return (((src, tgt), c) for src, row in f.entries.items()
+            for tgt, c in row.items())
+
+
+def compose(f, g):
+    """f after g (the source of f is the target of g)."""
+    if g.target is not f.source:
+        raise ShapeError("maps not composable")
+    mul = f.ring.mul
+    return LinearMap(g.source, f.target, f.degree + g.degree, (
+        ((src, tgt), mul(c, e))
+        for (src, mid), c in map_pairs(g)
+        for tgt, e in f.entries.get(mid, {}).items()))
+
+
+def map_add(f, g):
+    if g.source is not f.source or g.target is not f.target:
+        raise ShapeError("maps between different modules")
+    if g.degree != f.degree:
+        raise ShapeError("maps of different degrees")
+    return LinearMap(f.source, f.target, f.degree,
+                     chain(map_pairs(f), map_pairs(g)))
+
+
+def map_scale(f, coeff):
+    mul = f.ring.mul
+    return LinearMap(f.source, f.target, f.degree,
+                     ((key, mul(c, coeff)) for key, c in map_pairs(f)))
+
+
+def map_identity(module):
+    return LinearMap(module, module, 0, (((n, n), 1) for n in module.names))
+
+
+def map_eq(f, g):
+    return (f.degree == g.degree and f.source is g.source
+            and f.target is g.target and f.entries == g.entries)

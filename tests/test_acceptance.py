@@ -10,7 +10,16 @@ from itertools import combinations, product
 
 import pytest
 
-from helpers import coleibniz_defect, rand_scalar, random_coderivation
+from helpers import (
+    coleibniz_defect,
+    compose,
+    map_add,
+    map_eq,
+    map_identity,
+    map_scale,
+    rand_scalar,
+    random_coderivation,
+)
 from opmc.builders import (
     ass_cochains,
     barratt_eccles,
@@ -96,15 +105,14 @@ def test_criterion_01_norm_map_isomorphism():
 
 
 def test_criterion_02_contraction_identities():
-    from opmc.graded import LinearMap
-
     # chain-level identity on every basis element, 0 <= k <= n <= 4
     for n in range(5):
         for k in range(n + 1):
             cx, eps, p, h = contraction(Z, k, n)
-            lhs = cx.d.compose(h).add(h.compose(cx.d))
-            rhs = LinearMap.identity(cx.module).add(p.compose(eps).scale(-1))
-            assert lhs.eq(rhs), (n, k)
+            lhs = map_add(compose(cx.d, h), compose(h, cx.d))
+            rhs = map_add(map_identity(cx.module),
+                          map_scale(compose(p, eps), -1))
+            assert map_eq(lhs, rhs), (n, k)
     # lifted identity on random convolution elements
     C, _ = ass_cochains(Z, 3, validate=False)
     spec = [("a0", 0, 1), ("a1", 1, 1), ("a2", 2, 1), ("a3", 3, 1),
@@ -172,7 +180,7 @@ def test_criterion_04_twist_squares_and_involutive():
             V = cf.V
             for t in range(n_inst):
                 Qt = random_coderivation(cf, rng, curved=(t % 2 == 0))
-                assert completeness_check(Qt)["complete"]
+                assert completeness_check(Qt) == []
                 v = V.gen("x", rand_scalar(ring, rng)).add(
                     V.gen("z", rand_scalar(ring, rng)))
                 Tw = twist(H, Qt, v, verify=False)

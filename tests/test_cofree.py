@@ -39,7 +39,7 @@ def cfZ(assZ):
 
 
 def random_element(cf, rng, n_terms=4):
-    out = cf.zero()
+    out = cf.module.zero()
     for _ in range(n_terms):
         key = rng.choice(cf.module.names)
         out = out.add(cf.module.gen(key, rng.randint(-2, 2)))
@@ -240,12 +240,11 @@ def test_completeness_check(assZ):
     cf = cofree_build(C, V, 3)
     cu = C.counit_name
     good = Coderivation(cf, {(1, cu, ("x",)): V.zero()})
-    rep = completeness_check(good)
-    assert rep["complete"] and rep["nilpotent_bound"] == 0
+    assert completeness_check(good) == []
     bad = Coderivation(cf, {(1, cu, ("z",)): V.gen("x")})
-    rep = completeness_check(bad)
-    assert not rep["complete"]
-    assert rep["violations"][0][0] == "weight-violation"
+    # the value x has weight 1 on a key whose v-tuple has weight 2
+    assert completeness_check(bad) == [
+        ("weight-violation", (1, cu, ("z",)), 1, 2)]
 
 
 @pytest.mark.parametrize("build, names", [

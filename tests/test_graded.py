@@ -13,6 +13,7 @@ from opmc.graded import (
 )
 from opmc.rings import ring_make
 from opmc.symmetric import Permutation, all_permutations
+from helpers import compose, map_identity, map_pairs, sub
 from test_rings import (AXIOM_RINGS, _is_scalar, _operand, _operand_domain,
                         _oracle)
 
@@ -52,14 +53,14 @@ def test_koszul_sign_homomorphism():
 
 def test_linmap_identity_compose_zero():
     m = simple_module([(0, 1), (1, 1)])
-    ident = LinearMap.identity(m)
+    ident = map_identity(m)
     x = m.gen("b1", 3)
     assert ident.apply(x).eq(x)
     zero = LinearMap(m, m, -1)
     assert zero.apply(x).is_zero()
     d = LinearMap(m, m, -1, {("b1", "b0"): 1})
-    assert d.compose(ident).degree == -1
-    assert ident.compose(d).degree == -1
+    assert compose(d, ident).degree == -1
+    assert compose(ident, d).degree == -1
 
 
 def test_linmap_degree_enforced():
@@ -73,14 +74,13 @@ def test_differential_squares_to_zero():
     # the zero entry is dropped
     d = LinearMap(m, m, -1, {("b2", "b1"): 2, ("b1", "b0"): 0})
     assert d.entries == {"b2": {"b1": 2}}
-    dd = d.compose(d)
-    assert dd.is_zero()
+    assert compose(d, d).entries == {}
 
 
 def test_element_arith():
     m = simple_module([(0, 1), (0, 1)])
     x = m.gen("b0", 2).add(m.gen("b1", 3))
-    y = x.sub(x)
+    y = sub(x, x)
     assert y.is_zero()
     assert x.scale(0).is_zero()
     assert x.coeff("b1") == 3
@@ -147,18 +147,18 @@ def test_operations_return_normal_form(ring, data):
 
     _assert_normal(ring, X.terms, x)
     _assert_normal(ring, X.add(Y).terms, fold(*x.items(), *y.items()))
-    _assert_normal(ring, X.sub(Y).terms,
+    _assert_normal(ring, sub(X, Y).terms,
                    fold(*x.items(), *((n, -c) for n, c in y.items())))
     _assert_normal(ring, X.scale(_operand(k, data.draw(st.sampled_from(forms)))).terms,
                    {n: c * Fraction(k) for n, c in x.items()})
-    _assert_normal(ring, dict(F.pairs()), f)
+    _assert_normal(ring, dict(map_pairs(F)), f)
     assert all(F.entries.values())
     _assert_normal(ring, F.apply(X).terms, fold(*(
         (t, c * e) for n, c in x.items() for (s, t), e in f.items() if s == n)))
     for n in NAMES:
         _assert_normal(ring, F.apply_name(n).terms,
                        {t: e for (s, t), e in f.items() if s == n})
-    _assert_normal(ring, dict(F.compose(G).pairs()), fold(*(
+    _assert_normal(ring, dict(map_pairs(compose(F, G))), fold(*(
         ((s, t), c * e) for (s, m), c in g.items()
         for (m2, t), e in f.items() if m2 == m)))
 

@@ -35,7 +35,7 @@ from opmc.simplex_chains import (
 from opmc.twisting import mc_enumerate
 
 from dense_convolution import dense_mu, dense_precompose
-from helpers import random_coderivation
+from helpers import compose, map_scale, random_coderivation
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -409,8 +409,8 @@ def _chain_maps_into(ring, n):
     maps.append(("d", cx.d, cx))
     for k in range(n + 1):
         _, eps, p, h = contraction(ring, k, n)
-        maps += [(f"h{k}", h, cx), (f"2h{k}", h.scale(2), cx),
-                 (f"p eps{k}", p.compose(eps), cx)]
+        maps += [(f"h{k}", h, cx), (f"2h{k}", map_scale(h, 2), cx),
+                 (f"p eps{k}", compose(p, eps), cx)]
     return maps
 
 

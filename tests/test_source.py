@@ -1,15 +1,22 @@
 """Checks on the package source itself."""
 
 import ast
-import importlib
+import importlib.util
+import io
+import json
 import random
+import runpy
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from helpers import random_coderivation
 from opmc.builders import ass_cochains
+from opmc.cli import main
 from opmc.cofree import coderivation_extend, cofree_build
 from opmc.graded import BasisElement, GradedModule
 from opmc.rings import ring_make
+from test_golden import CASES
 
 SRC = Path(__file__).parent.parent / "src" / "opmc"
 
@@ -59,66 +66,224 @@ def test_private_attributes_stay_with_their_object():
     assert found == []
 
 
-# functions and methods that no module, demo or benchmark calls, kept as
-# library API that the tests exercise (the tests that do, by entry)
-TESTED_API = {
-    "CofreeCoalgebra.from_v",  # V -> uC(V): test_cofree, test_twisting
-    "CofreeCoalgebra.tangent",  # uC(V) -> V: test_cofree, criterion 03
-    "morphism_extend",  # coalgebra maps from corestrictions: test_cofree
-    "HopfStructure.multiply",  # test_twisting, the dense_validators oracle
-    "LinearMap.apply",  # test_graded, test_simplex_chains
-    "surjection_boundary",  # the chain-map tests of surjection_action
-    "OrbitModule.act_element",  # the dense_validators oracle
-    # d(psi) and the arity sum, which mc_defect forms in one pass:
-    # test_mc_space, criterion 02 of test_acceptance
-    "MCProblem.differential",
-    "MCProblem.star",  # test_mc_space
-    # the chain operad's d^2 = 0 and chain-map tests of test_cooperad_builders
-    "ChainOperad.differential",
-}
-
-
-def _definitions(tree):
-    """(qualified name, name) of each function of a module and each
-    method of its classes, dunder methods left out."""
-    out = []
-    for node in tree.body:
+def definitions(path):
+    """{first line: qualified name} of each function of the module at
+    ``path`` and each method of its classes, dunder methods left out.
+    The first line is that of the ``def`` or of its first decorator,
+    which is the ``co_firstlineno`` of the function's code (Python 3.10
+    has no ``co_qualname``)."""
+    out = {}
+    for node in ast.parse(path.read_text("utf-8")).body:
         fns = [(f"{node.name}.", fn) for fn in node.body] \
             if isinstance(node, ast.ClassDef) else [("", node)]
-        out.extend((prefix + fn.name, fn.name) for prefix, fn in fns
-                   if isinstance(fn, ast.FunctionDef)
-                   and not (fn.name.startswith("__") and fn.name.endswith("__")))
+        for prefix, fn in fns:
+            if isinstance(fn, ast.FunctionDef) \
+                    and not (fn.name.startswith("__") and fn.name.endswith("__")):
+                line = min([d.lineno for d in fn.decorator_list] + [fn.lineno])
+                out[line] = prefix + fn.name
     return out
 
 
-def _references(tree):
-    """The attribute names and the bare names that a module uses."""
-    attrs, names = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            attrs.add(node.attr)
-        elif isinstance(node, ast.Name):
-            names.add(node.id)
-    return attrs, names
+def traced(runs):
+    """The code objects that start running while ``runs`` are called in
+    turn.  The trace hook records the code of each new frame and returns
+    None, so no line event fires; the previous hook is restored after."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        seen.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        for run in runs:
+            run()
+    finally:
+        sys.settrace(previous)
+    return seen
 
 
-def test_every_function_has_a_caller():
-    """Each function and method of the package is referenced from the
-    package, the demos or the benchmark, or is tested API listed in
-    TESTED_API: a helper that only tests call is dead code.  A method is
-    reached through an attribute, so a local variable of the same name
-    does not count for it."""
-    root = SRC.parent.parent
-    attrs, names = set(), set()
-    for part in ("src", "demos", "bench"):
-        for path in sorted((root / part).rglob("*.py")):
-            a, n = _references(ast.parse(path.read_text("utf-8")))
-            attrs |= a
-            names |= n
-    defs = [qual for path in sorted(SRC.glob("*.py"))
-            for qual, name in _definitions(ast.parse(path.read_text("utf-8")))
-            if name not in attrs and ("." in qual or name not in names)]
-    assert sorted(defs) == sorted(TESTED_API)
+def unreached(paths, codes):
+    """The qualified names of the definitions in the modules at ``paths``
+    whose code is not among ``codes``."""
+    started = {(Path(c.co_filename).resolve(), c.co_firstlineno) for c in codes}
+    return {qual for path in paths
+            for line, qual in definitions(path).items()
+            if (path.resolve(), line) not in started}
+
+
+SAMPLE = """\
+import functools
+
+
+def decorate(fn):
+    @functools.wraps(fn)
+    def wrapper():
+        return fn()
+    return wrapper
+
+
+@decorate
+def decorated():
+    return {"a": 1}.copy()
+
+
+class Box:
+    @property
+    def size(self):
+        return 1
+
+    @classmethod
+    def make(cls):
+        return cls()
+
+    def copy(self):
+        return Box()
+"""
+
+
+def test_caller_check_maps_code_to_definitions(tmp_path):
+    """A decorated function maps by its first decorator's line, a
+    property and a classmethod by theirs, and a method named ``copy``
+    that never runs stays unreached while ``dict.copy`` runs."""
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE, "utf-8")
+    spec = importlib.util.spec_from_file_location("sample", path)
+    sample = importlib.util.module_from_spec(spec)
+    codes = traced([lambda: spec.loader.exec_module(sample),
+                    lambda: sample.decorated(), lambda: sample.Box.make().size])
+    lines = {qual: line for line, qual in definitions(path).items()}
+    assert lines == {
+        "decorate": sample.decorate.__code__.co_firstlineno,
+        "decorated": sample.decorated.__wrapped__.__code__.co_firstlineno,
+        "Box.size": sample.Box.size.fget.__code__.co_firstlineno,
+        "Box.make": sample.Box.make.__func__.__code__.co_firstlineno,
+        "Box.copy": sample.Box.copy.__code__.co_firstlineno,
+    }
+    assert SAMPLE.splitlines()[lines["decorated"] - 1] == "@decorate"
+    assert unreached([path], codes) == {"Box.copy"}
+
+
+ROOT = SRC.parent.parent
+DATA = ROOT / "tests" / "data"
+ASS = str(ROOT / "demos" / "instances" / "ass_z2.json")
+# Golden commands (test_golden.CASES), run from tests/data: with the runs
+# below they reach every function that all the golden commands and 1 s
+# of each benchmark workload reach, and each reaches one that no other
+# run does
+GOLDEN_RUNS = (
+    "ass_twist_x", "ass_z_twist_x", "ass_z3_decompose_top",
+    "ass_build_cooperad", "ass_kan_check", "quad_horn_fill_2_0",
+)
+
+
+def _error_runs(tmp_path):
+    """CLI commands that end in an error: (argv, exit code).  An E-infinity
+    truncation cut at d_max 1 fails its Hopf check (the failed laws of
+    the Report), a horn on e2_z.json meets its Q o Q != 0 (the internal
+    check that blames the input), and a simplex that is not a solution
+    fails --verify-simplex (the witness from the defect's support)."""
+    doc = json.loads(Path(ASS).read_text("utf-8"))
+    doc.update(coderivation=[], cooperad={
+        "builder": "be", "r_max": 3, "d_max": 1, "n": None})
+    files = {
+        "einf.json": doc,
+        "horn.json": {"format": "opmc-horn/1", "n": 2, "k": 0, "values": [
+            {"class": [1], "value": [["z", "2"]]},
+            {"class": [0, 1], "value": [["a", "1"]]}]},
+        "simplex.json": {"format": "opmc-simplex/1", "n": 1, "values": [
+            {"class": [0], "value": [["x", "1"]]}]},
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content), "utf-8")
+    return [
+        (["validate", str(tmp_path / "einf.json")], 1),
+        (["horn-fill", "--instance", "e2_z.json",
+          "--horn", str(tmp_path / "horn.json")], 1),
+        (["mc-simplicial", "--instance", ASS,
+          "--verify-simplex", str(tmp_path / "simplex.json")], 1),
+    ]
+
+
+def _cli(argv, code):
+    def run():
+        assert main(argv) == code, argv
+    return run
+
+
+def _library_tour():
+    runpy.run_path(str(ROOT / "demos" / "library_tour.py"), run_name="__main__")
+
+
+def _bench_selftest():
+    """``bench/selftest.py``, in this process: its spoiled outputs reach
+    ``ConvolutionElement.copy``.  The benchmark's own modules and its
+    additions to ``sys.path`` are dropped afterwards."""
+    bench = ROOT / "bench"
+    path = list(sys.path)
+    sys.path.insert(0, str(bench))
+    try:
+        assert runpy.run_path(str(bench / "selftest.py"))["main"]() == 0
+    finally:
+        sys.path[:] = path
+        for name, module in list(sys.modules.items()):
+            if str(getattr(module, "__file__", None)).startswith(f"{bench}/"):
+                del sys.modules[name]
+
+
+# Functions and methods that no program run reaches, kept as library API
+# for the paper's objects or as a checked path no valid input takes,
+# with the tests that use each
+TESTED_API = {
+    "Ring.add": "test_rings, helpers, the dense_validators oracle",
+    "Ring.sub": "test_rings",
+    "Ring.is_zero": "test_rings, the dense oracles, CofreeCoalgebra.decompose",
+    "IntegerRing.is_unit": "test_rings",
+    "IntegerRing.inv": "test_rings",
+    "ModularRing.is_unit": "test_rings",
+    "ModularRing.inv": "test_rings",
+    "Element.coeff": "test_graded, CofreeCoalgebra.counit_coefficient",
+    "LinearMap.apply": "test_graded, test_simplex_chains",
+    "OrbitModule.act_element": "the dense_validators oracle",
+    "HopfStructure.multiply": "test_twisting, the dense_validators oracle",
+    # the full equivariance loop, which the validator walks only when
+    # the generators fail: the spoiled tables of test_validators
+    "_block_permutations": "test_validators",
+    # V -> uC(V) -> V, the counit and the components of x in
+    # uC(k) (x) uC(V)^k
+    "CofreeCoalgebra.from_v": "test_cofree, test_twisting",
+    "CofreeCoalgebra.tangent": "test_cofree, test_acceptance",
+    "CofreeCoalgebra.counit_coefficient": "test_cofree, morphism_extend",
+    "CofreeCoalgebra.decompose": "test_cofree, test_twisting, helpers",
+    "CofreeCoalgebra._block_to_key": "CofreeCoalgebra.decompose",
+    "morphism_extend": "test_cofree",
+    "ConvolutionElement.eq": "test_mc_space, test_acceptance",
+    # mu_r, d(psi) and the arity sum, which mc_defect forms in one pass
+    "MCProblem.mu": "test_mc_space",
+    "MCProblem.differential": "test_mc_space, test_acceptance",
+    "MCProblem.star": "test_mc_space",
+}
+
+
+def test_every_function_has_a_caller(tmp_path, monkeypatch):
+    """Each function and method of the package starts running in some
+    program run, or is listed in TESTED_API: a helper that only tests
+    call is dead code.  The runs are CLI commands, the library tour and
+    the benchmark's self-test, in this process, traced by code object,
+    so a method is reached only when it runs, whatever shares its name.
+    The package's memos are cleared first, so earlier tests leave no
+    call answered from a warm cache."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opmc"):
+            for obj in vars(module).values():
+                getattr(obj, "cache_clear", lambda: None)()
+    monkeypatch.chdir(DATA)
+    runs = [_cli(CASES[name], 0) for name in GOLDEN_RUNS]
+    runs += [_cli(argv, code) for argv, code in _error_runs(tmp_path)]
+    runs += [_library_tour, _bench_selftest]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = traced(runs)
+    assert unreached(sorted(SRC.glob("*.py")), codes) == set(TESTED_API)
 
 
 TRACER = SRC.parent.parent / "bench" / "tracer.py"

@@ -42,7 +42,7 @@ def make_cf(ring, r_max=3, w_max=3, spec=(("x", 0, 1), ("y", -1, 2)),
 
 
 def random_element(cf, rng, n_terms=4, keys=None):
-    out = cf.zero()
+    out = cf.module.zero()
     for _ in range(n_terms):
         key = rng.choice(keys or cf.module.names)
         out = out.add(cf.module.gen(key, rng.randint(-2, 2)))
