@@ -17,7 +17,7 @@ from .cooperad import (
 )
 from .errors import ShapeError
 from .graded import BasisElement, LinearMap
-from .operads import ChainOperad, dualize, nary_ez
+from .operads import be_cocomposition
 from .symmetric import OrbitModule, Permutation, TrivialModule, all_permutations
 
 __all__ = [
@@ -40,27 +40,6 @@ def perm_from_name(name):
     if "-" in name:
         return Permutation(tuple(int(t) for t in name.split("-")))
     return Permutation(tuple(int(ch) for ch in name))
-
-
-def compose_permutations(mu, shape, taus):
-    """gamma for the permutation (word) operad, substitution style.
-
-    Input slot i of mu consumes the consecutive letters of block i (sizes
-    given by shape); the output word splices the (shifted) word of
-    taus[i-1] wherever mu's word reads i.  With this convention the
-    operad structure is equivariant for the left-translation action.
-    """
-    k = mu.r
-    offsets = [0]
-    for s in shape:
-        offsets.append(offsets[-1] + s)
-    word = []
-    for p in range(1, k + 1):
-        i = mu(p)
-        base = offsets[i - 1]
-        tau = taus[i - 1]
-        word.extend(base + tau(q) for q in range(1, shape[i - 1] + 1))
-    return Permutation(tuple(word))
 
 
 def ass_cochains(ring, r_max, validate=True):
@@ -119,10 +98,6 @@ def be_from_name(name):
     return tuple(perm_from_name(part) for part in name.split("|"))
 
 
-def be_nondegenerate(simplex):
-    return all(simplex[i] != simplex[i + 1] for i in range(len(simplex) - 1))
-
-
 def be_simplices(r, d_max, n):
     """Non-degenerate simplices of dimension <= d_max, complexity <= n.
 
@@ -170,17 +145,24 @@ def barratt_eccles(ring, r_max, d_max=None, n=None, validate=True):
     E-infinity truncation); n=1, d_max=0 is ``ass_cochains``.  For a
     finite ``n``, ``d_max`` defaults to the top dimension
     (n-1)*C(r_max, 2) of the complexity-n simplices of arity r_max, which
-    gives the whole arity truncation of E_n.  Chain-level composition is
-    the shuffle (EZ) map followed by vertex-wise block composition; the
-    Hopf product is the simplicial cup product (front face times back
-    face).
+    gives the whole arity truncation of E_n.  The cocomposition is the
+    transpose of the chain-level composition (the shuffle (EZ) map
+    followed by vertex-wise block composition), which
+    ``operads.be_cocomposition`` reads off each simplex; the Hopf
+    product is the simplicial cup product (front face times back face).
     """
     if d_max is None:
         if n is None:
             raise ShapeError("an E-infinity truncation (n=None) needs d_max")
         d_max = (n - 1) * comb(r_max, 2)
-    op = be_chain_operad(ring, r_max, d_max, n)
-    C = dualize(op)
+    simplices = {r: {be_name(s): s for s in be_simplices(r, d_max, n)}
+                 for r in range(r_max + 1)}
+    C = CooperadTruncation(
+        ring, r_max, be_components(ring, simplices),
+        be_cocomposition(simplices),
+        unit_name=be_name((Permutation.identity(0),)),
+        counit_name=be_name((Permutation.identity(1),)),
+    )
     H = be_cup_structure(ring, C)
     if validate:
         validate_cooperad(C).require("barratt-eccles cooperad")
@@ -188,60 +170,20 @@ def barratt_eccles(ring, r_max, d_max=None, n=None, validate=True):
     return C, H
 
 
-def be_chain_operad(ring, r_max, d_max, n=None):
-    """Barratt-Eccles chains, with names as "|"-joined vertex names.
-
-    Each basis name is split once into its tuple of vertex names, and
-    each vertex composition (shape, vertex tuple) runs
-    ``compose_permutations`` once per operad; compositions then work on
-    vertex names only.
-    """
+def be_components(ring, simplices):
+    """The cochain components, one per arity of ``simplices`` ({r: {name:
+    simplex}}): the dual of a k-simplex has degree -k, the orbit
+    representatives start at the identity, and sigma acts on every
+    vertex."""
     components = {}
-    for r in range(r_max + 1):
-        simplices = be_simplices(r, d_max, n)
-        # degree of a k-simplex is k; orbit reps start at the identity
-        basis = [BasisElement(be_name(s), len(s) - 1) for s in simplices]
-        reps = [be_name(s) for s in simplices if s[0].is_identity()]
-        actions = {sigma.images: {b.name: be_name(tuple(sigma.compose(p) for p in s))
-                                  for b, s in zip(basis, simplices)}
+    for r, named in simplices.items():
+        basis = [BasisElement(nm, 1 - len(s)) for nm, s in named.items()]
+        reps = [nm for nm, s in named.items() if s[0].is_identity()]
+        actions = {sigma.images: {nm: be_name(tuple(sigma.compose(p) for p in s))
+                                  for nm, s in named.items()}
                    for sigma in all_permutations(r)}
         components[r] = OrbitModule(ring, r, basis, reps, actions)
-
-    name_sets = {r: set(components[r].module.names) for r in range(r_max + 1)}
-    vertices = {nm: tuple(nm.split("|")) for names in name_sets.values()
-                for nm in names}
-    perm_of = {perm_name(p): p for r in range(r_max + 1)
-               for p in all_permutations(r)}
-    composed = {}
-
-    def compose_vertex(shape, vtx):
-        """Name of gamma(vtx[0]; vtx[1:]), computed once per (shape, vtx)."""
-        key = (shape, vtx)
-        if key not in composed:
-            composed[key] = perm_name(compose_permutations(
-                perm_of[vtx[0]], shape, [perm_of[v] for v in vtx[1:]]))
-        return composed[key]
-
-    def compose_name(outer, shape, inners):
-        terms = []
-        factors = [vertices[outer]] + [vertices[nm] for nm in inners]
-        for term, sign in nary_ez(factors):
-            # term[j] = (w-vertex, v1-vertex, ..., vk-vertex) at position j
-            names = [compose_vertex(shape, vtx) for vtx in term]
-            if not be_nondegenerate(names):
-                continue
-            nm = "|".join(names)
-            if nm not in name_sets[sum(shape)]:
-                # outside the complexity/dimension truncation
-                continue
-            terms.append((nm, sign))
-        return [(c, nm) for nm, c in ring.collect(terms).items()]
-
-    return ChainOperad(
-        ring, r_max, components, compose_name,
-        id_name=be_name((Permutation.identity(1),)),
-        unit_name=be_name((Permutation.identity(0),)),
-    )
+    return components
 
 
 def be_cup_structure(ring, C):

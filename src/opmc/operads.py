@@ -1,210 +1,165 @@
-"""Finite-type chain operads and their dualization into cocomposition tables.
+"""The Barratt-Eccles cocomposition tables, read off each simplex.
 
-A chain operad truncation stores, per arity r <= R_max, a free
-S_r-module of non-negatively graded basis elements together with a full
-composition rule gamma(b; b_1..b_k) given by a callback on basis names.
-All compositions have degree 0.  The operad carries no differential:
-dualizing transposes the composition alone, so the cooperad truncations
-are graded objects without an internal differential.
+Chains on the Barratt-Eccles operad compose by the Eilenberg-Zilber
+shuffle map followed by vertex-wise block composition of permutations
+(Berger-Fresse, "Combinatorial operad actions on cochains", 2004).  The
+cochain cooperad transposes that composition: cochain basis names equal
+chain basis names, the cochain degree is minus the chain degree, and the
+group action table is shared (sigma . delta_x = delta_{sigma . x}).  The
+operad carries no differential here, so the truncations are graded
+objects without an internal differential.  The transpose has a closed
+form, and no product is ever formed:
 
-Dualizing transposes the composition tables: cochain basis names equal
-chain basis names, cochain degree is minus the chain degree, and the
-group action table is shared (sigma . delta_x = delta_{sigma . x}).
+- A shape (k; r_1..r_k) without an arity-0 inner.  Block i holds the r_i
+  values after r_1 + .. + r_{i-1}.  A permutation z is a block composite
+  mu(tau_1..tau_k) exactly when every block is contiguous in z's word;
+  mu is then the block quotient of z and tau_i the restriction of z to
+  block i.  A term of gamma(b; c_1..c_k) walks a path through the
+  product of the simplices, one factor moving at each step, and composes
+  vertex by vertex.  So an output simplex w fixes the whole path: its
+  factors are the quotients and restrictions of w's vertices, repeats
+  collapsed, and its row has at most one term.  The term exists when
+  every vertex keeps its blocks contiguous and each step moves exactly
+  one factor.  Its factors are basis simplices of the truncation, since
+  neither the quotient nor a restriction raises the dimension or the
+  complexity.  Its sign is the sign of the shuffle: (-1) to the number
+  of inversions in the sequence of moving factors.
+- A shape with an arity-0 inner; the arity-0 part is the unit alone.
+  The restriction of b along the 0/1 pattern p of the shape is
+  gamma(b; p), the unit in each arity-0 slot and the identity in every
+  other one.  By associativity gamma(b; c_1..c_k) = gamma(gamma(b; p); c')
+  with c' the inners of positive arity.  The restriction is the
+  vertex-wise restricted word of b, which keeps the dimension and cannot
+  raise the complexity; so it is a basis simplex unless two neighbouring
+  vertices are equal, and then it is 0 in normalised chains.  The row of
+  w is therefore the row of w in the reduced shape (zeros dropped), each
+  of its terms (b'; c') joined with every b that restricts to b', and
+  the unit placed in the arity-0 slots.
+
+Rows and terms come in the order in which the loop over every product,
+outer then inners in basis order, would meet them, the terms of one
+product in the order of the iterated shuffle map.
 """
 
-from functools import cache
-from itertools import combinations
+from .cooperad import shapes
 
-from .cooperad import CooperadTruncation, shapes
-from .errors import ShapeError
-from .graded import BasisElement
-from .symmetric import OrbitModule
-
-__all__ = ["ChainOperad", "dualize", "binary_ez", "nary_ez"]
+__all__ = ["be_cocomposition"]
 
 
-class ChainOperad:
-    """Truncated chain operad with free symmetric group actions.
-
-    ``compose_name(outer_name, shape, inner_names)`` returns a list of
-    (coeff, out_name) for gamma(outer; inners).
-    """
-
-    def __init__(self, ring, r_max, components, compose_name, id_name,
-                 unit_name):
-        self.ring = ring
-        self.r_max = r_max
-        self.components = dict(components)
-        self._compose = compose_name
-        self.id_name = id_name
-        self.unit_name = unit_name
-        for r in range(r_max + 1):
-            if r not in self.components:
-                raise ShapeError(f"missing chain component in arity {r}")
-
-    def compose(self, outer, shape, inners):
-        return self._compose(outer, tuple(shape), tuple(inners))
-
-
-def dualize(op):
-    """Transpose a chain operad's composition into cocomposition tables.
-
-    Compositions have degree 0 and chain degrees are non-negative, so an
-    (outer, inners) product whose degree sum exceeds the top degree of
-    the output arity meets no basis element.  Such products are never
-    formed: each factor is drawn from the names its share of the degree
-    budget allows, in basis order, so every table lists its terms in the
-    order of the full product.
-
-    When the arity-0 part is the unit alone, a shape with an arity-0
-    inner also drops every outer whose restriction is 0 before any
-    product is formed (the restriction operators from which
-    Berger-Fresse build E_n).  The restriction of b along the 0/1
-    pattern p of the shape is gamma(b; p), the unit in each arity-0 slot
-    and the identity in every other one, and by associativity
-    gamma(b; c_1..c_k) = gamma(gamma(b; p); c') with c' the inners of
-    positive arity.  So a zero restriction zeroes every product with
-    that outer, provided the truncation keeps every nonzero restriction
-    of a basis element.  Barratt-Eccles truncations do: the restriction
-    is the vertex-wise restricted word of b, which keeps the dimension
-    and cannot raise the complexity, so it is a basis simplex unless two
-    neighbouring vertices are equal, and then it is 0 in normalised
-    chains.
-    """
-    ring = op.ring
-    components = {}
-    for r, om in op.components.items():
-        basis = [
-            BasisElement(n, -om.module.degree(n), om.module.weight(n))
-            for n in om.module.names
-        ]
-        components[r] = OrbitModule(ring, r, basis, om.orbit_reps, om.actions)
-
-    buckets = {r: _degree_buckets(om.module) for r, om in op.components.items()}
-    restricts = op.components[0].module.names == [op.unit_name]
-    restricted = {}
-
-    def restriction_vanishes(b, pattern):
-        key = (b, pattern)
-        if key not in restricted:
-            slots = [op.id_name if p else op.unit_name for p in pattern]
-            restricted[key] = not op.compose(b, pattern, slots)
-        return restricted[key]
-
+def be_cocomposition(simplices):
+    """The cocomposition tables {(k, shape): {name: [(coeff, outer,
+    inners)]}} of the Barratt-Eccles cochains, for every shape of the
+    truncation.  ``simplices[r]`` maps each basis name of arity r, in
+    basis order, to its tuple of vertex permutations, for r = 0..r_max."""
+    r_max = max(simplices)
+    words = {r: {nm: tuple(p.images for p in s) for nm, s in named.items()}
+             for r, named in simplices.items()}
+    names = {r: {w: nm for nm, w in named.items()} for r, named in words.items()}
+    unit = next(iter(words[0]))
+    rows = {(): {unit: [(1, unit, ())]}}
     tables = {}
-    for r in range(op.r_max + 1):
-        top = len(buckets[r]) - 1
-        for k, shape in shapes(r, op.r_max):
+    for r in range(r_max + 1):
+        for k, shape in shapes(r, r_max):
+            reduced = tuple(x for x in shape if x)
+            if reduced not in rows:
+                rows[reduced] = _rows_by_outer(reduced, words, names)
+            pattern = tuple(x > 0 for x in shape)
+            joined = {}
+            for low, terms in rows[reduced].items():
+                joined[low] = [(c, w, _with_units(inners, pattern, unit))
+                               for c, w, inners in terms]
             table = {}
-            outers = buckets[k]
-            if restricts and 0 in shape:
-                pattern = tuple(min(ri, 1) for ri in shape)
-                outers = [[(n, d) for n, d in bucket
-                           if not restriction_vanishes(n, pattern)]
-                          for bucket in outers]
-            pools = [outers] + [buckets[ri] for ri in shape]
-            for names in _bounded_products(pools, top):
-                b, inners = names[0], names[1:]
-                for coeff, out in op.compose(b, shape, inners):
-                    coeff = ring.normalize(coeff)
-                    if coeff == ring.zero:
-                        continue
-                    table.setdefault(out, []).append((coeff, b, inners))
+            for b, low in _restrictions(words[k], pattern, names[len(reduced)]):
+                for c, w, inners in joined.get(low, ()):
+                    table.setdefault(w, []).append((c, b, inners))
             tables[(k, shape)] = table
-    return CooperadTruncation(
-        ring,
-        op.r_max,
-        components,
-        tables,
-        unit_name=op.unit_name,
-        counit_name=op.id_name,
-    )
+    return tables
 
 
-def _degree_buckets(module):
-    """buckets[d]: the (name, degree) pairs of degree <= d, in basis order,
-    for d up to the top degree."""
-    degrees = [(n, module.degree(n)) for n in module.names]
-    top = max((d for _, d in degrees), default=-1)
-    return [[(n, d) for n, d in degrees if d <= b] for b in range(top + 1)]
+def _rows_by_outer(shape, words, names):
+    """{b: [(sign, w, inners)]}: the one-term rows of a shape without
+    arity-0 inners, grouped by outer, each group ordered by the basis
+    positions of the inners and then by the order of the shuffle map."""
+    k, r = len(shape), sum(shape)
+    block, start = [], []
+    for i, size in enumerate(shape):
+        start.append(len(block))
+        block.extend([i] * size)
+    position = {a: {nm: j for j, nm in enumerate(words[a])} for a in set(shape)}
+    split = {}
 
+    def split_vertex(z):
+        """(block quotient, restrictions to the blocks), or None when a
+        block is not contiguous in z."""
+        quotient, parts = [], [[] for _ in shape]
+        for x in z:
+            i = block[x - 1]
+            if not quotient or quotient[-1] != i + 1:
+                quotient.append(i + 1)
+            parts[i].append(x - start[i])
+        if len(quotient) != k:
+            return None
+        return (tuple(quotient),) + tuple(map(tuple, parts))
 
-def _bounded_products(pools, budget):
-    """The name tuples of the product of the pools whose degree sum is at
-    most ``budget``, in product order; pools[i] are degree buckets."""
-    if not pools:
-        yield ()
-        return
-    if budget < 0 or not pools[0]:
-        return
-    for name, d in pools[0][min(budget, len(pools[0]) - 1)]:
-        for rest in _bounded_products(pools[1:], budget - d):
-            yield (name,) + rest
-
-
-# ---------------------------------------------------------------------------
-# Eilenberg-Zilber shuffle map on vertex-tuple simplices
-#
-# All simplicial sets in this package are "nerve-like": a q-simplex is a
-# (q+1)-tuple of vertices, faces drop entries, degeneracies repeat them,
-# and a simplex is degenerate iff two adjacent entries are equal.  The
-# shuffle map then has a clean staircase description: a term of
-# EZ(x (x) y) picks a monotone lattice path from (0,0) to (p,q) and reads
-# off the vertex pairs along it; the sign is the parity of the shuffle.
-
-
-@cache
-def _staircases(p, q):
-    """Monotone paths as (vertex-index pairs, sign), memoised per (p, q)."""
-    out = []
-    n = p + q
-    # choose which of the n steps advance the first factor
-    for steps_x in combinations(range(n), p):
-        sx = set(steps_x)
-        a = b = 0
-        pairs = [(0, 0)]
-        for step in range(n):
-            if step in sx:
-                a += 1
+    found = []
+    for w, vertices in words[r].items():
+        path = []
+        for z in vertices:
+            if z not in split:
+                split[z] = split_vertex(z)
+            if split[z] is None:
+                break
+            path.append(split[z])
+        else:
+            moves = []
+            for before, after in zip(path, path[1:]):
+                moved = [i for i in range(k + 1) if before[i] != after[i]]
+                if len(moved) != 1:
+                    break
+                moves.append(moved[0])
             else:
-                b += 1
-            pairs.append((a, b))
-        # sign: parity of the shuffle placing x-steps at steps_x
-        inv = 0
-        for i in steps_x:
-            inv += sum(1 for j in range(i) if j not in sx)
-        out.append((tuple(pairs), -1 if inv % 2 else 1))
-    return tuple(out)
+                b, *inners = [names[a][_collapse(f)]
+                              for a, f in zip((k,) + shape, zip(*path))]
+                inversions = sum(m > later for j, m in enumerate(moves)
+                                 for later in moves[j + 1:])
+                # the iterated shuffle merges factor t into the path of
+                # factors 0..t-1, earlier merges varying slowest
+                order = tuple(tuple(m == t for m in moves if m <= t)
+                              for t in range(1, k + 1))
+                inner_positions = tuple(position[a][c] for a, c in zip(shape, inners))
+                found.append((inner_positions, order, -1 if inversions % 2 else 1,
+                              w, b, tuple(inners)))
+    found.sort(key=lambda entry: entry[:2])
+    rows = {}
+    for _, _, sign, w, b, inners in found:
+        rows.setdefault(b, []).append((sign, w, inners))
+    return rows
 
 
-def binary_ez(x, y):
-    """EZ(x (x) y) for vertex tuples x, y; terms ((paired tuple), sign).
-
-    Each output term is a tuple of (vx, vy) vertex pairs of length
-    len(x)-1 + len(y)-1 + 1; degenerate terms are not filtered here.
-    """
-    p, q = len(x) - 1, len(y) - 1
+def _restrictions(words_k, pattern, names):
+    """(b, restriction of b along pattern) for each basis simplex b of
+    arity k whose restriction is not 0, in basis order."""
+    kept = {v: j for j, v in enumerate(
+        (v for v, keep in enumerate(pattern, 1) if keep), 1)}
+    cut = {}
     out = []
-    for pairs, sign in _staircases(p, q):
-        out.append((tuple((x[a], y[b]) for a, b in pairs), sign))
+    for b, vertices in words_k.items():
+        low = []
+        for z in vertices:
+            if z not in cut:
+                cut[z] = tuple(kept[x] for x in z if x in kept)
+            low.append(cut[z])
+        if all(x != y for x, y in zip(low, low[1:])):
+            out.append((b, names[tuple(low)]))
     return out
 
 
-def nary_ez(factors):
-    """Iterated shuffle map on a list of vertex tuples.
+def _with_units(inners, pattern, unit):
+    """The inners of positive arity, with the unit in each arity-0 slot."""
+    rest = iter(inners)
+    return tuple(next(rest) if keep else unit for keep in pattern)
 
-    Returns terms (tuple-of-vertex-tuples, sign): each term is a simplex
-    of the product, presented as one tuple of vertices per position, i.e.
-    term[j] collects the j-th vertex of every factor.
-    """
-    if not factors:
-        raise ShapeError("empty product of simplices")
-    acc = [(tuple((v,) for v in factors[0]), 1)]
-    for fac in factors[1:]:
-        nxt = []
-        for xs, s1 in acc:
-            for pairs, s2 in binary_ez(xs, fac):
-                merged = tuple(vx + (vy,) for vx, vy in pairs)
-                nxt.append((merged, s1 * s2))
-        acc = nxt
-    return acc
+
+def _collapse(seq):
+    """seq with each run of equal neighbours kept once."""
+    return tuple(v for j, v in enumerate(seq) if j == 0 or seq[j - 1] != v)

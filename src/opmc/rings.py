@@ -7,7 +7,6 @@ implicitly.
 """
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import InvalidRingError, NonUnitError
 
@@ -17,7 +16,9 @@ _EXACT = (int, Fraction)  # scalar types that RationalRing combines directly
 class Ring:
     """Handle exposing 0, 1 and exact arithmetic for one coefficient ring.
 
-    Each subclass defines ``normalize``, ``is_unit``, ``inv`` and ``spec``.
+    Each subclass defines ``normalize`` and ``spec``; ``RationalRing``
+    alone has ``is_unit`` and ``inv``, for the norm map of
+    ``TrivialModule``.
     """
 
     contains_rationals = False
@@ -87,14 +88,6 @@ class IntegerRing(Ring):
             return int(x)
         return int(x)
 
-    def is_unit(self, a):
-        return a in (1, -1)
-
-    def inv(self, a):
-        if not self.is_unit(a):
-            raise NonUnitError(f"{a} is not a unit in Z")
-        return a
-
     def spec(self):
         return {"kind": "integers"}
 
@@ -113,15 +106,6 @@ class ModularRing(Ring):
 
     def normalize(self, x):
         return int(x) % self.modulus
-
-    def is_unit(self, a):
-        return gcd(self.normalize(a), self.modulus) == 1
-
-    def inv(self, a):
-        a = self.normalize(a)
-        if not self.is_unit(a):
-            raise NonUnitError(f"{a} is not a unit in Z/{self.modulus}")
-        return pow(a, -1, self.modulus)
 
     def elements(self):
         return list(range(self.modulus))

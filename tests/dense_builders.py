@@ -1,40 +1,156 @@
-"""Dense reference builders: the oracle for ``opmc.operads.dualize`` and
-the Barratt-Eccles construction in ``opmc.builders``, with the word
-operad ``dense_ass_chain_operad`` as an oracle for ``ass_cochains`` that
-does not go through Barratt-Eccles.
+"""Dense reference builders: the oracle for the Barratt-Eccles
+construction in ``opmc.builders`` and its closed-form tables in
+``opmc.operads``, with the word operad ``dense_ass_chain_operad`` as an
+oracle for ``ass_cochains`` that does not go through Barratt-Eccles.
 
-These are the straightforward loops that the pruned, memoised builder
-replaces: ``dense_tables`` calls ``compose`` on every (outer, inners)
-product of basis names, ``dense_be_chain_operad`` composes every vertex
-of every shuffle term through ``compose_permutations``,
-``dense_be_simplices`` filters the full enumeration of vertex tuples by
-``be_complexity``, and ``dense_cup_products`` tries every pair of names.
-They are slow (about 2 s for the tables of E2 at r_max=3, d_max=2), so
-tests keep their instances small.
+These are the straightforward loops that the closed form and the pruned
+enumeration replace: ``dense_tables`` calls ``compose`` on every
+(outer, inners) product of basis names of a ``ChainOperad``,
+``dense_be_chain_operad`` composes every vertex of every shuffle term
+(``nary_ez``) through ``compose_permutations``, ``dense_be_simplices``
+filters the full enumeration of vertex tuples by ``be_complexity``, and
+``dense_cup_products`` tries every pair of names.  They are slow (about
+2 s for the tables of E2 at r_max=3, d_max=2), so tests keep their
+instances small.
 
-The chain-level oracles live here too: the package's operads carry no
-differential, since ``dualize`` transposes the composition alone, so the
-Barratt-Eccles face differential (``be_chain_differential``) and the
+The chain-level oracles live here too: the package's cooperads carry no
+differential, since their tables transpose the composition alone, so
+the Barratt-Eccles face differential (``be_chain_differential``) and the
 surjection boundary (``surjection_boundary``) serve only the tests that
 d^2 = 0 and that composition and the interval-cut action are chain maps.
 """
 
-from itertools import product as _product
+from functools import cache
+from itertools import combinations, product as _product
 
 from opmc.builders import (
     UNIT_NAME,
     be_from_name,
     be_name,
-    be_nondegenerate,
-    compose_permutations,
     perm_from_name,
     perm_name,
 )
 from opmc.cooperad import compositions
+from opmc.errors import ShapeError
 from opmc.graded import BasisElement
-from opmc.operads import ChainOperad, nary_ez
 from opmc.simplex_chains import Surjection
 from opmc.symmetric import OrbitModule, Permutation, all_permutations
+
+
+class ChainOperad:
+    """Truncated chain operad with free symmetric group actions.
+
+    ``compose_name(outer_name, shape, inner_names)`` returns a list of
+    (coeff, out_name) for gamma(outer; inners).
+    """
+
+    def __init__(self, ring, r_max, components, compose_name, id_name,
+                 unit_name):
+        self.ring = ring
+        self.r_max = r_max
+        self.components = dict(components)
+        self._compose = compose_name
+        self.id_name = id_name
+        self.unit_name = unit_name
+        for r in range(r_max + 1):
+            if r not in self.components:
+                raise ShapeError(f"missing chain component in arity {r}")
+
+    def compose(self, outer, shape, inners):
+        return self._compose(outer, tuple(shape), tuple(inners))
+
+
+def compose_permutations(mu, shape, taus):
+    """gamma for the permutation (word) operad, substitution style.
+
+    Input slot i of mu consumes the consecutive letters of block i (sizes
+    given by shape); the output word splices the (shifted) word of
+    taus[i-1] wherever mu's word reads i.  With this convention the
+    operad structure is equivariant for the left-translation action.
+    """
+    k = mu.r
+    offsets = [0]
+    for s in shape:
+        offsets.append(offsets[-1] + s)
+    word = []
+    for p in range(1, k + 1):
+        i = mu(p)
+        base = offsets[i - 1]
+        tau = taus[i - 1]
+        word.extend(base + tau(q) for q in range(1, shape[i - 1] + 1))
+    return Permutation(tuple(word))
+
+
+def be_nondegenerate(simplex):
+    return all(simplex[i] != simplex[i + 1] for i in range(len(simplex) - 1))
+
+
+# ---------------------------------------------------------------------------
+# Eilenberg-Zilber shuffle map on vertex-tuple simplices
+#
+# All simplicial sets in this package are "nerve-like": a q-simplex is a
+# (q+1)-tuple of vertices, faces drop entries, degeneracies repeat them,
+# and a simplex is degenerate iff two adjacent entries are equal.  The
+# shuffle map then has a clean staircase description: a term of
+# EZ(x (x) y) picks a monotone lattice path from (0,0) to (p,q) and reads
+# off the vertex pairs along it; the sign is the parity of the shuffle.
+
+
+@cache
+def _staircases(p, q):
+    """Monotone paths as (vertex-index pairs, sign), memoised per (p, q)."""
+    out = []
+    n = p + q
+    # choose which of the n steps advance the first factor
+    for steps_x in combinations(range(n), p):
+        sx = set(steps_x)
+        a = b = 0
+        pairs = [(0, 0)]
+        for step in range(n):
+            if step in sx:
+                a += 1
+            else:
+                b += 1
+            pairs.append((a, b))
+        # sign: parity of the shuffle placing x-steps at steps_x
+        inv = 0
+        for i in steps_x:
+            inv += sum(1 for j in range(i) if j not in sx)
+        out.append((tuple(pairs), -1 if inv % 2 else 1))
+    return tuple(out)
+
+
+def binary_ez(x, y):
+    """EZ(x (x) y) for vertex tuples x, y; terms ((paired tuple), sign).
+
+    Each output term is a tuple of (vx, vy) vertex pairs of length
+    len(x)-1 + len(y)-1 + 1; degenerate terms are not filtered here.
+    """
+    p, q = len(x) - 1, len(y) - 1
+    out = []
+    for pairs, sign in _staircases(p, q):
+        out.append((tuple((x[a], y[b]) for a, b in pairs), sign))
+    return out
+
+
+def nary_ez(factors):
+    """Iterated shuffle map on a list of vertex tuples.
+
+    Returns terms (tuple-of-vertex-tuples, sign): each term is a simplex
+    of the product, presented as one tuple of vertices per position, i.e.
+    term[j] collects the j-th vertex of every factor.
+    """
+    if not factors:
+        raise ShapeError("empty product of simplices")
+    acc = [(tuple((v,) for v in factors[0]), 1)]
+    for fac in factors[1:]:
+        nxt = []
+        for xs, s1 in acc:
+            for pairs, s2 in binary_ez(xs, fac):
+                merged = tuple(vx + (vy,) for vx, vy in pairs)
+                nxt.append((merged, s1 * s2))
+        acc = nxt
+    return acc
 
 
 def from_orbits(ring, arity, rep_basis, act_name):

@@ -1,4 +1,4 @@
-"""The pruned, memoised builders against the dense reference loops.
+"""The closed-form and pruned builders against the dense reference loops.
 
 Every table is compared as a list of (name, terms) items, so the names,
 their order and the order of the terms within each list must agree.
@@ -11,14 +11,9 @@ from math import comb
 import pytest
 
 import dense_builders as dense
-from opmc.builders import (
-    ass_cochains,
-    barratt_eccles,
-    be_chain_operad,
-    be_simplices,
-)
+from opmc import operads
+from opmc.builders import ass_cochains, barratt_eccles, be_simplices
 from opmc.errors import ShapeError
-from opmc.operads import dualize
 from opmc.rings import ring_make
 
 Z = ring_make({"kind": "integers"})
@@ -26,8 +21,12 @@ Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
 
 BE_BUILDS = {
     "e2-z2": (Z2, 3, 2, 2),
-    # complete E2: the restriction prune drops the most products here
+    # complete E2: the most restrictions that are 0
     "e2c-z2": (Z2, 3, 3, 2),
+    # the e2-twist build, the one over Z with coefficients -1: the sign
+    # of the shuffle shows at (2, (1, 2)), (2, (2, 1)) and the arity-0
+    # shapes of arity 3
+    "e2-z": (Z, 3, 2, 2),
     "einf-d1": (Z, 3, 1, None),
     "einf-r2": (Z, 2, 2, None),
 }
@@ -52,28 +51,26 @@ def test_be_tables_and_cup_products_match_dense(build):
     assert ordered(H.products) == ordered(dense.dense_cup_products(C, d_max))
 
 
-def test_an_overeager_restriction_prune_changes_the_tables():
-    """The oracle comparison catches a prune that drops one outer too
-    many.  123|213 restricts to the edge 12|21 when slot 3 takes the
-    unit, so gamma(123|213; 1, 1, ()) is not 0; here it reads 0 the
-    first time only, which is when ``dualize`` asks for the restriction."""
+def test_a_dropped_restriction_changes_the_tables(monkeypatch):
+    """The oracle comparison catches a restriction index that misses one
+    entry.  123|213 restricts to the edge 12|21 when slot 3 takes the
+    unit, so gamma(123|213; 1, 1, ()) is not 0; without that entry the
+    tables differ at exactly the shapes of pattern (1, 1, 0), the ones
+    that read it."""
+    restrictions, dropped = operads._restrictions, []
+
+    def spoiled(words_k, pattern, names):
+        out = restrictions(words_k, pattern, names)
+        if pattern == (True, True, False):
+            dropped.extend(entry for entry in out if entry[0] == "123|213")
+            out = [entry for entry in out if entry[0] != "123|213"]
+        return out
+
+    monkeypatch.setattr(operads, "_restrictions", spoiled)
     ring, r_max, d_max, n = BE_BUILDS["e2-z2"]
-    op = be_chain_operad(ring, r_max, d_max, n)
-    spoiled = ("123|213", (1, 1, 0), (op.id_name, op.id_name, op.unit_name))
-    compose, calls = op._compose, []
-    assert compose(*spoiled)
-
-    def spoil(outer, shape, inners):
-        if (outer, shape, inners) == spoiled:
-            calls.append(inners)
-            if len(calls) == 1:
-                return []
-        return compose(outer, shape, inners)
-
-    op._compose = spoil
-    tables, expect = ordered(dualize(op).cocomp), dense_be_tables("e2-z2")
-    # the outer was dropped, so the product itself was never formed
-    assert len(calls) == 1
+    C, _ = barratt_eccles(ring, r_max, d_max, n=n, validate=False)
+    assert set(dropped) == {("123|213", "12|21")}
+    tables, expect = ordered(C.cocomp), dense_be_tables("e2-z2")
     assert [key for key in tables if tables[key] != expect[key]] == [
         (3, (1, 1, 0)), (3, (1, 2, 0)), (3, (2, 1, 0))]
 

@@ -7,7 +7,6 @@ import pytest
 from opmc.builders import (
     ass_cochains,
     barratt_eccles,
-    be_chain_operad,
     be_from_name,
     com_cochains,
     en_restriction_morphism,
@@ -26,7 +25,11 @@ from opmc.instances import load_instance
 from opmc.rings import ring_make
 from opmc.symmetric import Permutation, TrivialModule, all_permutations
 
-from dense_builders import be_chain_differential
+from dense_builders import (
+    be_chain_differential,
+    compose_permutations,
+    dense_be_chain_operad,
+)
 
 Z = ring_make({"kind": "integers"})
 Q = ring_make({"kind": "rationals"})
@@ -145,8 +148,6 @@ def test_infinitesimal_arity0_insertions(ass3):
     for out, i in zero_arity:
         mu = perm_from_name(out)
         shape = tuple(0 if j == i else 1 for j in range(1, mu.r + 1))
-        from opmc.builders import compose_permutations
-
         composed = compose_permutations(
             mu, shape, [Permutation(()) if s == 0 else Permutation((1,)) for s in shape]
         )
@@ -222,7 +223,7 @@ def test_be_arity2_ranks():
 
 
 def test_be_chain_differential_squares_to_zero():
-    op = be_chain_operad(Z, 2, 3, n=None)
+    op = dense_be_chain_operad(Z, 2, 3, n=None)
     for r in (0, 1, 2):
         for nm in op.components[r].module.names:
             acc = {}
@@ -234,7 +235,7 @@ def test_be_chain_differential_squares_to_zero():
 
 def test_be_composition_is_chain_map():
     # d(gamma(a; b)) = gamma(da; b) + (-1)^{|a|} gamma(a; db) on samples
-    op = be_chain_operad(Z, 3, 2, n=None)
+    op = dense_be_chain_operad(Z, 3, 2, n=None)
     rng = random.Random(4)
     shapes = [((2,), 1), ((1, 1), 2), ((1, 2), 2), ((2, 0), 2), ((1, 1, 1), 3)]
     for shape, k in shapes:

@@ -4,7 +4,14 @@ from math import factorial
 
 import pytest
 
-from opmc.builders import ass_cochains, barratt_eccles, be_chain_operad, com_cochains
+from opmc.builders import (
+    ass_cochains,
+    barratt_eccles,
+    be_components,
+    be_name,
+    be_simplices,
+    com_cochains,
+)
 from opmc.errors import RingRequirementError, ShapeError
 from opmc.graded import BasisElement
 from opmc.rings import ring_make
@@ -356,7 +363,9 @@ def build_components(build):
     if kind == "be":
         return barratt_eccles(ring, 3, 2, validate=False)[0].components
     if kind == "be-chains":
-        return be_chain_operad(ring, 4, 1).components
+        # the action table of chains and cochains is one table
+        return be_components(ring, {r: {be_name(s): s for s in be_simplices(r, 1, None)}
+                                    for r in range(5)})
     return com_cochains(ring, 4, validate=False)[0].components
 
 
