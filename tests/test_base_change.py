@@ -1,12 +1,18 @@
 """Base change as an oracle: every structure map of the Barratt-Eccles
-cochains has integer coefficients, so the build over Z, reduced mod m,
-is the build over Z/m.  This sees the ring-specific paths (``normalize``
-and the zero tests of each ring) that the same-ring oracles cannot."""
+and associative cochains has integer coefficients, so a computation over
+Z, reduced mod m, is the same computation over Z/m: the tables, and
+above them the cofree decomposition, the twist and the residual.  This
+sees the ring-specific paths (``normalize`` and the zero tests of each
+ring) that the same-ring oracles cannot."""
+
+from pathlib import Path
 
 import pytest
 
 from opmc.builders import barratt_eccles
+from opmc.instances import parse_instance, read_json
 from opmc.rings import ring_make
+from opmc.twisting import mc_residual, twist
 
 Z = ring_make({"kind": "integers"})
 
@@ -50,3 +56,70 @@ def test_be_structure_commutes_with_reduction(build):
         units = {r: [(nm, ring.normalize(c)) for nm, c in u.terms.items()
                      if ring.normalize(c)] for r, u in H.units.items()}
         assert units == {r: list(u.terms.items()) for r, u in Hm.units.items()}, m
+
+
+# Instances over Z with r_max 3 and w_max 3, and for each a degree-0
+# element v to twist by: coefficients that vanish mod 2 or mod 3 and
+# one that is negative
+INSTANCES = {
+    "ass_z.json": [("x", 2)],
+    "e2_z.json": [("x", 3), ("z", -2)],
+}
+DATA = Path(__file__).parent / "data"
+
+
+def over(name, spec):
+    """The instance in the file ``name``, its ring replaced by ``spec``."""
+    doc = read_json(DATA / name)
+    doc["ring"] = spec
+    return parse_instance(doc, validate=False)
+
+
+def cofree_layers(inst, v_terms):
+    """What each layer above the tables computes on ``inst``: every basis
+    class decomposed at each outer arity, the twist by v (verify off),
+    its curvature and the residual of v, as plain dicts."""
+    cf, H, Qt = inst.cofree, inst.hopf, inst.Qt
+    v = inst.V.element(v_terms)
+    twisted = twist(H, Qt, v, verify=False)
+    return {
+        "decompose": {(key, k): cf.decompose(cf.module.gen(key), k)
+                      for key in cf.module.names
+                      for k in range(1, cf.cooperad.r_max + 1)},
+        "twist": {key: val.terms for key, val in twisted.comps.items()},
+        "curvature": {"": twisted.curvature().terms},
+        "residual": {"": mc_residual(H, Qt, v).terms},
+    }
+
+
+def reduce_layers(ring, layers):
+    """``layers`` with each coefficient normalised in ring, and the terms
+    and entries that become 0 dropped."""
+    out = {}
+    for layer, entries in layers.items():
+        out[layer] = {}
+        for key, terms in entries.items():
+            terms = {t: ring.normalize(c) for t, c in terms.items()}
+            terms = {t: c for t, c in terms.items() if c}
+            if terms or layer in ("curvature", "residual"):
+                out[layer][key] = terms
+    return out
+
+
+def _mod(m):
+    return {"kind": "integers-mod-m", "modulus": m}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_cofree_and_twist_commute_with_reduction(name):
+    """Z -> Z/2, Z -> Z/3 and Z/4 -> Z/2 commute with cofree
+    decomposition, the twist, its curvature and the residual."""
+    v_terms = INSTANCES[name]
+    layers = {m: cofree_layers(over(name, _mod(m)), v_terms) for m in (2, 3, 4)}
+    layers[0] = cofree_layers(over(name, {"kind": "integers"}), v_terms)
+    for source, target in ((0, 2), (0, 3), (4, 2)):
+        ring = ring_make(_mod(target))
+        got = reduce_layers(ring, layers[source])
+        want = layers[target]
+        for layer in want:
+            assert got[layer] == want[layer], (source, target, layer)
