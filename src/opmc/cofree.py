@@ -113,9 +113,8 @@ class CofreeCoalgebra:
 
     def expand(self, x):
         """Expansion by arity: {r: {(cname, vtuple): coeff}}."""
-        ring = self.ring
         return self.sum_by_arity(
-            ((key[0], pk), ring.mul(coeff, c))
+            ((key[0], pk), coeff * c)
             for key, coeff in x.terms.items()
             for pk, c in self.expand_key(key).items())
 
@@ -152,7 +151,8 @@ class CofreeCoalgebra:
         triples (r_i, inner-name, v-block).  The coefficient carries the
         Koszul sign of interleaving the inner cooperad factors into the
         v-blocks: a, g_1..g_k, v's -> a, (g_1 vb_1), ..., (g_k vb_k).
-        The sign is a plain negation; callers normalise with ``ring.mul``.
+        The sign is a plain negation; callers multiply with ``*`` and
+        normalise once, as every kernel does.
         """
         C = self.cooperad
         deg = C.degrees
@@ -179,25 +179,27 @@ class CofreeCoalgebra:
         recoverable from the key arities.
         """
         C = self.cooperad
-        ring = self.ring
+        normalize = self.ring.normalize
         terms = []
         for r, plain in self.expand(x).items():
             for shape in (s for j, s in shapes(r, C.r_max) if j == k):
                 for (cname, vt), coeff in plain.items():
                     for lam, a, blocks in self.cocompose_plain(
                             k, shape, cname, vt):
-                        cval = ring.mul(coeff, lam)
+                        cval = coeff * lam
                         keys = []
                         for block in blocks:
                             kp, kcoeff = self._block_to_key(*block)
                             if kp is None:
                                 break
                             keys.append(kp)
-                            cval = ring.mul(cval, kcoeff)
-                        if len(keys) < k or ring.is_zero(cval):
+                            cval *= kcoeff
+                        # a zero term would still fix its key's place in
+                        # collect's order
+                        if len(keys) < k or not normalize(cval):
                             continue
                         terms.append(((a, tuple(keys)), cval))
-        return ring.collect(terms)
+        return self.ring.collect(terms)
 
     def _block_to_key(self, r, g, vb):
         """Identify a plain block (g (x) vb) as (key, coefficient) or drop."""
@@ -283,9 +285,8 @@ class Coderivation:
         """The components applied term by term to a plain presentation
         {r: {(cname, vtuple): coeff}}, summed in V; ``evaluate`` is
         ``eval_plain`` or a ``plain_evaluator`` of this coderivation."""
-        ring = self.ring
-        return Element(self.cofree.V, ring.collect(
-            (vn, ring.mul(vc, c))
+        return Element(self.cofree.V, self.ring.collect(
+            (vn, vc * c)
             for r, plain in plain_by_arity.items()
             for (cname, vt), c in plain.items()
             for vn, vc in evaluate(r, cname, vt).terms.items()))
@@ -373,7 +374,7 @@ def coderivation_extend(Qt):
                         if val.is_zero():
                             continue
                         odd = C.degrees[k][out] + pdeg[start]
-                        base = ring.mul(coeff, -lam if odd % 2 else lam)
+                        base = coeff * (-lam if odd % 2 else lam)
                         # the weight vn may have: the block's is freed
                         free = room + pwt[start + m] - pwt[start]
                         prefix, suffix = vt[:start], vt[start + m:]
@@ -381,14 +382,14 @@ def coderivation_extend(Qt):
                             if weight(vn) > free:
                                 continue
                             terms.append(((k, (out, prefix + (vn,) + suffix)),
-                                          ring.mul(base, vc)))
+                                          base * vc))
         res = cf.collect(cf.sum_by_arity(terms))
         cache[key] = res
         return res
 
     def Q(x):
         return Element(cf.module, ring.collect(
-            (k, ring.mul(c, coeff))
+            (k, c * coeff)
             for key, coeff in x.terms.items()
             for k, c in on_key(key).terms.items()))
 
@@ -435,7 +436,6 @@ def morphism_extend(g_comps, source, target):
     unitary class plus nothing (strict morphisms only, so the arity-0
     component must be absent or zero).
     """
-    ring = source.ring
     C = source.cooperad
     if C is not target.cooperad:
         raise PreconditionError("source and target must share the cooperad")
@@ -451,7 +451,7 @@ def morphism_extend(g_comps, source, target):
                     c = coeff
                     names = []
                     for vn, vc in combo:
-                        c = ring.mul(c, vc)
+                        c *= vc
                         names.append(vn)
                     wt = sum(target.V.weight(v) for v in names)
                     if wt > target.w_max:

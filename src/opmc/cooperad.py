@@ -222,9 +222,8 @@ class HopfStructure:
 
     def multiply(self, r, x, y):
         """Bilinear extension of mu_r to Elements."""
-        ring = self.cooperad.ring
         return self.cooperad.component(r).module.element(
-            (c, ring.mul(ring.mul(ca, cb), coeff))
+            (c, ca * cb * coeff)
             for a, ca in x.terms.items()
             for b, cb in y.terms.items()
             for coeff, c in self.multiply_names(r, a, b))
@@ -517,7 +516,7 @@ def _equivariance_check(C, r, deg, act, elements):
                         if parities not in signs:
                             signs[parities] = koszul_sign_images(mu, parities[1:])
                         row[a, tuple(gs[i] for i in order)] = (
-                            v if signs[parities] > 0 else ring.neg(v))
+                            v if signs[parities] > 0 else ring.normalize(-v))
         # the block permutation (mu; sigma_1..sigma_k) of 1..r
         hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
         inners = [act[shape[i]][sigmas[i]] for i in order]

@@ -16,7 +16,10 @@ outside go through ``GradedModule.element`` and map entries through the
 ``LinearMap`` constructor, both summed by ``Ring.collect``; every
 operation here builds its result in normal form directly or through
 ``collect``.  ``Element.__init__`` trusts its terms, so reads never
-re-normalise, and neither class has a mutator.
+re-normalise, and neither class has a mutator.  Products of terms are
+Python's own ``*`` on normal values, reduced once: by ``collect``, or
+by ``normalize`` in ``Element.scale``, which normalises its operand
+first.
 """
 
 from itertools import chain
@@ -107,10 +110,11 @@ class Element:
             chain(self.terms.items(), other.terms.items())))
 
     def scale(self, coeff):
-        mul = self.module.ring.mul
+        normalize = self.module.ring.normalize
+        coeff = normalize(coeff)
         # a product vanishes when coeff does, or over Z/m at a zero divisor
         return Element(self.module, {n: p for n, c in self.terms.items()
-                                     if (p := mul(c, coeff))})
+                                     if (p := normalize(c * coeff))})
 
     def coeff(self, name):
         return self.terms.get(name, self.module.ring.zero)
@@ -176,9 +180,8 @@ class LinearMap:
     def apply(self, x):
         if x.module is not self.source:
             raise ShapeError("element not in the source module")
-        ring = self.ring
-        return Element(self.target, ring.collect(
-            (tgt, ring.mul(c, e))
+        return Element(self.target, self.ring.collect(
+            (tgt, c * e)
             for n, c in x.terms.items()
             for tgt, e in self.entries.get(n, {}).items()))
 

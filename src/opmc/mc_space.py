@@ -156,12 +156,22 @@ class ConvolutionElement:
         convolution differential and the lifted homotopy are all this.
 
         Only a source class whose row of ``f`` meets the support of psi
-        gets a value, set in source-class order; every other class is
+        gets a value, stored in source-class order; every other class is
         zero and is skipped.  A row of one term, as every row of a vertex
         map and of the homotopy is, shares the stored value of psi when
         its signed coefficient is 1 and scales it otherwise; a longer
         row, as of the boundary, is summed by ``collect``.
+
+        A one-term row stores its value without ``check``: J is a basis
+        class of ``src_cx``, and the ``LinearMap`` constructor made
+        |I| = |J| + |f| for the entry J -> I, so psi's value on I, of
+        degree |I| + |psi| since ``set`` checked it, has the degree
+        |J| + |psi| + |f| of a value on J.  So is its scale, or it
+        vanishes over Z/m and J stays unset.
         """
+        if f.source is not src_cx.module or f.target is not self.cx.module:
+            raise ShapeError("precompose needs a chain map from src_cx "
+                             "into this element's simplex")
         out = ConvolutionElement(src_cx, self.V, self.degree + f.degree)
         odd = self.degree * f.degree % 2
         values, rows, ring = self.values, f.entries, self.V.ring
@@ -169,21 +179,22 @@ class ConvolutionElement:
             row = rows.get(J)
             if row is None:
                 continue
-            if len(row) == 1:
-                (I, c), = row.items()
-                val = values.get(I)
-                if val is None:
-                    continue
-                if odd:
-                    c = ring.neg(c)
-                if c != ring.one:
-                    val = val.scale(c)
-            elif values.keys().isdisjoint(row):
+            if len(row) > 1:
+                if not values.keys().isdisjoint(row):
+                    out.set(J, Element(self.V, ring.collect(
+                        _linear_terms(values, row, -1 if odd else 1))))
                 continue
-            else:
-                val = Element(self.V, ring.collect(
-                    _linear_terms(values, row, -1 if odd else 1)))
-            out.set(J, val)
+            (I, c), = row.items()
+            val = values.get(I)
+            if val is None:
+                continue
+            if odd:
+                c = ring.normalize(-c)
+            if c != ring.one:
+                val = val.scale(c)
+                if not val.terms:
+                    continue
+            out.values[J] = val
         return out
 
     def _check(self, other):

@@ -2,7 +2,14 @@
 
 Scalars are plain Python values, normalized by the ring object: an int
 for Z and Z/m; for Q an int for integral values, a reduced ``Fraction``
-otherwise.  All arithmetic is exact; nothing here ever divides
+otherwise.  A ring handle does no arithmetic.  Kernels multiply, add and
+negate normal values with Python's own ``*``, ``+`` and ``-``, exact on
+ints and Fractions, and reduce once: in ``collect``, or with
+``normalize`` where a value is stored, compared or returned.  That is
+sound because ``normalize`` is a ring homomorphism: normalize(a + b) =
+normalize(normalize(a) + normalize(b)), and the same for *.  A str
+operand (a scalar as written in a file, say) is normalized on the way
+in, so it never meets Python's + or *.  Nothing here divides
 implicitly.
 """
 
@@ -10,11 +17,10 @@ from fractions import Fraction
 
 from .errors import InvalidRingError, NonUnitError
 
-_EXACT = (int, Fraction)  # scalar types that RationalRing combines directly
-
 
 class Ring:
-    """Handle exposing 0, 1 and exact arithmetic for one coefficient ring.
+    """Handle exposing 0, 1, the normal form and the sparse sum of one
+    coefficient ring.
 
     Each subclass defines ``normalize`` and ``spec``; ``RationalRing``
     alone has ``is_unit`` and ``inv``, for the norm map of
@@ -28,40 +34,15 @@ class Ring:
         self.zero = self.normalize(0)
         self.one = self.normalize(1)
 
-    # An int pair takes one operation and one normalize.  Any other
-    # operand is normalized first, so a str never meets Python's own
-    # + or * (which would concatenate or repeat it).
-
-    def add(self, a, b):
-        if type(a) is not int or type(b) is not int:
-            a, b = self.normalize(a), self.normalize(b)
-        return self.normalize(a + b)
-
-    def sub(self, a, b):
-        if type(a) is not int or type(b) is not int:
-            a, b = self.normalize(a), self.normalize(b)
-        return self.normalize(a - b)
-
-    def neg(self, a):
-        if type(a) is not int:
-            a = self.normalize(a)
-        return self.normalize(-a)
-
-    def mul(self, a, b):
-        if type(a) is not int or type(b) is not int:
-            a, b = self.normalize(a), self.normalize(b)
-        return self.normalize(a * b)
-
-    def is_zero(self, a):
-        return self.normalize(a) == self.zero
-
     def collect(self, items):
         """Sum (key, coeff) pairs by key, normalize each sum once and drop
         the zeros; keys keep the order of their first term.
 
-        The one sparse sum of the package.  It equals folding ``add``
-        over each key's terms: an int term is summed as it is, any other
-        term is normalized first, as ``add`` does.
+        The one sparse sum of the package, and its one reduction point:
+        a term may be any product of normal values (say a ``Fraction``
+        that is integral, or an int outside 0..m-1), since ``normalize``
+        is a ring homomorphism.  An int term is summed as it is; any
+        other term is normalized first, so a str never meets Python's +.
         """
         normalize = self.normalize
         acc = {}
@@ -122,10 +103,8 @@ class RationalRing(Ring):
 
     Each rational has exactly one such form, and ``Fraction(n)`` equals,
     hashes and prints as ``n``, so the form never shows in keys, equality
-    or output.  ``mul`` takes Python's own * on an int pair; int and
-    ``Fraction`` factors multiply once and an integral product becomes an
-    int; other operands (a str, say) are normalized first.  Every other
-    operation is the generic one of ``Ring``.
+    or output.  A product of Fractions that is integral stays a
+    ``Fraction`` until it is normalized.
     """
 
     contains_rationals = True
@@ -136,14 +115,6 @@ class RationalRing(Ring):
         if type(x) is not Fraction:
             x = Fraction(x)
         return x.numerator if x.denominator == 1 else x
-
-    def mul(self, a, b):
-        if type(a) is int and type(b) is int:
-            return a * b
-        if type(a) not in _EXACT or type(b) not in _EXACT:
-            a, b = self.normalize(a), self.normalize(b)
-        p = a * b
-        return p.numerator if p.denominator == 1 else p
 
     def is_unit(self, a):
         return Fraction(a) != 0

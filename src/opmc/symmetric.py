@@ -285,12 +285,11 @@ class TrivialModule(OrbitModule):
         h = _stabilizer_sum(srt, vdegree)
         if not h:
             return {}
-        base = ring.mul(ring.normalize(sign * h),
-                        ring.inv(ring.normalize(factorial(self.arity))))
+        base = sign * h * ring.inv(factorial(self.arity))
         out = {}
         for w in sorted(set(_itperms(srt))):
             eps = self.coinv_normalize(rep, w, [vdegree(v) for v in w])[2]
-            out[rep, w] = ring.mul(base, eps)
+            out[rep, w] = ring.normalize(base * eps)
         return out
 
     def collection_coefficient(self, name, slots, vdegree):
@@ -301,8 +300,7 @@ class TrivialModule(OrbitModule):
         if not h:
             return None
         ring = self.ring
-        return ring.mul(ring.normalize(factorial(self.arity)),
-                        ring.inv(ring.normalize(h)))
+        return ring.normalize(factorial(self.arity) * ring.inv(h))
 
 
 def _stabilizer_sum(slots, vdegree):
@@ -333,13 +331,12 @@ def _stabilizer_sum(slots, vdegree):
 
 def act_plain(om, sigma, terms, vdegree):
     """Diagonal action of sigma on a plain tensor over OrbitModule om."""
-    ring = om.ring
     out = []
     for (cname, vtuple), coeff in terms.items():
         degs = tuple(vdegree(v) for v in vtuple)
         nname, nslots, sign = om.act_class(sigma, cname, vtuple, degs)
-        out.append(((nname, nslots), ring.mul(coeff, sign)))
-    return ring.collect(out)
+        out.append(((nname, nslots), coeff * sign))
+    return om.ring.collect(out)
 
 
 def norm_plain(om, terms, vdegree):
@@ -356,10 +353,9 @@ def orbit_classes(om, terms, vdegree):
     does not read are dropped; returns {(rep, vtuple): coeff}.  The
     classes expand back to ``terms`` exactly when ``terms`` is invariant.
     """
-    ring = om.ring
     out = []
     for (cname, vt), coeff in terms.items():
         lam = om.collection_coefficient(cname, vt, vdegree)
         if lam is not None:
-            out.append(((cname, vt), ring.mul(coeff, lam)))
-    return ring.collect(out)
+            out.append(((cname, vt), coeff * lam))
+    return om.ring.collect(out)

@@ -81,7 +81,7 @@ def _shuffle_plain(H, cf, u, xs):
             for lam, a, blocks in cf.cocompose_plain(k, shape, cname, vt):
                 degs = [deg[ri][g] + sum(vdeg(v) for v in vb)
                         for ri, g, vb in blocks]
-                cocomp.append((ring.mul(c, lam), a, degs))
+                cocomp.append((c * lam, a, degs))
             res.append((vt, sum(weight(v) for v in vt), cocomp))
         return res
 
@@ -90,7 +90,7 @@ def _shuffle_plain(H, cf, u, xs):
     results = []
     for x in xs:
         eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
-        out = [((0, (C.unit_name, ())), ring.mul(eps_u, eps_x))]
+        out = [((0, (C.unit_name, ())), eps_u * eps_x)]
         for p, uplain in u.items():
             for q, xplain in x.items():
                 k = p + q
@@ -112,12 +112,12 @@ def _shuffle_plain(H, cf, u, xs):
                                 for cb, b, degsB in xcomp:
                                     # a, A_1..A_k, b, B_1..B_k
                                     #   -> (a b), (A_1 B_1), ..., (A_k B_k)
-                                    coeff = ring.mul(ca, cb)
+                                    coeff = ca * cb
                                     if riffle_parity(deg[k][b], degsA, degsB):
-                                        coeff = ring.neg(coeff)
+                                        coeff = -coeff
                                     for pc, c in H.multiply_names(k, a, b):
                                         out.append(((k, (c, names)),
-                                                    ring.mul(coeff, pc)))
+                                                    coeff * pc))
         results.append(cf.sum_by_arity(out))
     return results
 
@@ -135,7 +135,7 @@ def _weighted_tuples(cf, terms, r):
             w = wt + cf.V.weight(vn)
             if w > cf.w_max:
                 continue
-            rec(depth + 1, names + [vn], ring.mul(coeff, c), w)
+            rec(depth + 1, names + [vn], coeff * c, w)
 
     rec(0, [], ring.one, 0)
     return out
@@ -152,7 +152,7 @@ def _one_param_plain(H, cf, v, lam):
             )
     w = v.scale(lam)
     terms = [((0, (C.unit_name, ())), ring.one)]
-    terms.extend(((r, (cname, vt)), ring.mul(e, c))
+    terms.extend(((r, (cname, vt)), e * c)
                  for r in range(1, C.r_max + 1)
                  for cname, e in H.unit(r).terms.items()
                  for vt, c in _weighted_tuples(cf, w.terms, r))
@@ -219,14 +219,13 @@ def mc_residual(H, Qt, v):
     sign inconsistency and raises an internal error.
     """
     cf = Qt.cofree
-    ring = cf.ring
     total = Qt.value_on(exp_element(H, cf, v))
     direct = Qt.curvature()
     for r in range(1, cf.cooperad.r_max + 1):
         for cname, e in H.unit(r).terms.items():
             for vt, c in _weighted_tuples(cf, v.terms, r):
                 val = Qt.eval_plain(r, cname, vt)
-                direct = direct.add(val.scale(ring.mul(e, c)))
+                direct = direct.add(val.scale(e * c))
     if not total.eq(direct):
         raise InternalCheckError(
             "exp-expansion and eta-sum forms of the residual disagree"

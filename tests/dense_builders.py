@@ -185,7 +185,7 @@ def dense_tables(op):
                     for inners in _product(*inner_choices):
                         for coeff, out in op.compose(b, shape, inners):
                             coeff = ring.normalize(coeff)
-                            if ring.is_zero(coeff):
+                            if not coeff:
                                 continue
                             table.setdefault(out, []).append((coeff, b, inners))
                 tables[(k, shape)] = table

@@ -121,7 +121,7 @@ def dense_einfty_decompose(E, I, r):
                 out[name, key] = out.get((name, key), 0) + c
     ring = E.ring
     norm = {k: ring.normalize(c) for k, c in out.items()}
-    return {k: c for k, c in norm.items() if not ring.is_zero(c)}, count
+    return {k: c for k, c in norm.items() if c}, count
 
 
 def dense_precompose(psi, f, src_cx):
@@ -169,7 +169,7 @@ def dense_mu(problem, psis):
             for combo in product(*(v.terms.items() for v in vals)):
                 coeff = ring.normalize(c * sgn)
                 for _, ci in combo:
-                    coeff = ring.mul(coeff, ci)
+                    coeff = ring.normalize(coeff * ci)
                 vt = tuple(vn for vn, _ in combo)
                 acc = acc.add(Qt.eval_plain(r, cname, vt).scale(coeff))
         out.set(I, acc)
@@ -191,13 +191,13 @@ def dense_shuffle_plain(H, cf, u, x):
             for lam, a, blocks in cf.cocompose_plain(k, shape, cname, vt):
                 degs = [deg[ri][g] + sum(vdeg(v) for v in vb)
                         for ri, g, vb in blocks]
-                cocomp.append((ring.mul(c, lam), a, degs))
+                cocomp.append((ring.normalize(c * lam), a, degs))
             res.append((vt, sum(cf.V.weight(v) for v in vt), cocomp))
         return res
 
     eps_u = u.get(0, {}).get((C.unit_name, ()), ring.zero)
     eps_x = x.get(0, {}).get((C.unit_name, ()), ring.zero)
-    out.append(((0, (C.unit_name, ())), ring.mul(eps_u, eps_x)))
+    out.append(((0, (C.unit_name, ())), ring.normalize(eps_u * eps_x)))
     for p, uplain in u.items():
         for q, xplain in x.items():
             k = p + q
@@ -215,12 +215,12 @@ def dense_shuffle_plain(H, cf, u, x):
                                       for s in shape)
                         for ca, a, degsA in ucomp:
                             for cb, b, degsB in xcomp:
-                                coeff = ring.mul(ca, cb)
+                                coeff = ring.normalize(ca * cb)
                                 if riffle_parity(deg[k][b], degsA, degsB):
-                                    coeff = ring.neg(coeff)
+                                    coeff = ring.normalize(-coeff)
                                 for pc, c in H.multiply_names(k, a, b):
                                     out.append(((k, (c, names)),
-                                                ring.mul(coeff, pc)))
+                                                ring.normalize(coeff * pc)))
     return cf.sum_by_arity(out)
 
 
@@ -261,11 +261,11 @@ def dense_on_key(Qt, key):
                         continue
                     prefix, suffix = vt[:start], vt[start + m:]
                     odd = C.degrees[k][out] + sum(vdeg(v) for v in prefix)
-                    base = ring.mul(coeff, -lam if odd % 2 else lam)
+                    base = ring.normalize(coeff * (-lam if odd % 2 else lam))
                     for vn, vc in val.terms.items():
                         nvt = prefix + (vn,) + suffix
                         if sum(cf.V.weight(v) for v in nvt) > cf.w_max:
                             continue
-                        terms.append(((k, (out, nvt)), ring.mul(base, vc)))
+                        terms.append(((k, (out, nvt)), ring.normalize(base * vc)))
     plain = cf.sum_by_arity(terms)
     return plain, cf.collect(plain)

@@ -63,8 +63,8 @@ def _term_dict(ring, terms):
     out = {}
     for coeff, outer, inner in terms:
         key = (outer, tuple(inner))
-        out[key] = ring.add(out.get(key, ring.zero), coeff)
-    return {k: c for k, c in out.items() if not ring.is_zero(c)}
+        out[key] = ring.normalize(out.get(key, 0) + coeff)
+    return {k: c for k, c in out.items() if c}
 
 
 def validate_cooperad(C):
@@ -159,9 +159,9 @@ def _coassoc_check(C, r, grand_shapes):
         for coeff, a, gs in C.cocompose(k, flat_shape, c):
             for coeff2, o, cs in C.cocompose(m, child_sizes, a):
                 key = (o, tuple(cs), tuple(gs))
-                val = ring.mul(coeff, coeff2)
-                side_a[key] = ring.add(side_a.get(key, ring.zero), val)
-        side_a = {kk: v for kk, v in side_a.items() if not ring.is_zero(v)}
+                val = ring.normalize(coeff * coeff2)
+                side_a[key] = ring.normalize(side_a.get(key, 0) + val)
+        side_a = {kk: v for kk, v in side_a.items() if v}
 
         # Path B: Delta_{m; mid}(c), then inner cocompositions per slot
         side_b = {}
@@ -174,7 +174,7 @@ def _coassoc_check(C, r, grand_shapes):
                 coeff_b = coeff
                 cs, g_blocks = [], []
                 for (cf, ci, gi) in combo:
-                    coeff_b = ring.mul(coeff_b, cf)
+                    coeff_b = ring.normalize(coeff_b * cf)
                     cs.append(ci)
                     g_blocks.append(tuple(gi))
                 # natural order: o, c_1, g-block_1, c_2, g-block_2, ...
@@ -196,9 +196,9 @@ def _coassoc_check(C, r, grand_shapes):
                 new_order = positions_c + [p for blk in positions_g for p in blk]
                 sign = reorder_sign(degs, new_order)
                 key = (o, tuple(cs), tuple(g for blk in g_blocks for g in blk))
-                val = ring.mul(coeff_b, sign)
-                side_b[key] = ring.add(side_b.get(key, ring.zero), val)
-        side_b = {kk: v for kk, v in side_b.items() if not ring.is_zero(v)}
+                val = ring.normalize(coeff_b * sign)
+                side_b[key] = ring.normalize(side_b.get(key, 0) + val)
+        side_b = {kk: v for kk, v in side_b.items() if v}
 
         if side_a != side_b:
             return (r, c, grand_shapes, "coassociativity mismatch")
@@ -235,10 +235,8 @@ def _equivariance_check(C, r):
                             degs = [C.degree(shape[i], gs[i]) for i in range(k)]
                             sign = mu.koszul_sign(degs)
                             key = (a2, tuple(gs2))
-                            rhs[key] = ring.add(
-                                rhs.get(key, ring.zero), ring.mul(coeff, sign)
-                            )
-                        rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
+                            rhs[key] = ring.normalize(rhs.get(key, 0) + coeff * sign)
+                        rhs = {kk: v for kk, v in rhs.items() if v}
                         if lhs != rhs:
                             return (r, c, k, shape, mu.images,
                                     tuple(s.images for s in sigmas))
@@ -323,10 +321,8 @@ def _hopf_compat_check(C, H, r):
                     for coeff, c in H.multiply_names(r, a, b):
                         for coeff2, o, gs in C.cocompose(k, shape, c):
                             key = (o, tuple(gs))
-                            lhs[key] = ring.add(
-                                lhs.get(key, ring.zero), ring.mul(coeff, coeff2)
-                            )
-                    lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
+                            lhs[key] = ring.normalize(lhs.get(key, 0) + coeff * coeff2)
+                    lhs = {kk: v for kk, v in lhs.items() if v}
 
                     # RHS: (mu_k (x) mu_{r_i}) after interleaving Delta(a), Delta(b)
                     rhs = {}
@@ -342,7 +338,7 @@ def _hopf_compat_check(C, H, r):
                             for i in range(k):
                                 new_order += [1 + i, k + 2 + i]
                             sign = reorder_sign(degs, new_order)
-                            coeff0 = ring.mul(ring.mul(ca, cb), sign)
+                            coeff0 = ring.normalize(ca * cb * sign)
                             outer_terms = H.multiply_names(k, a0, b0)
                             inner_lists = [
                                 H.multiply_names(shape[i], xs[i], ys[i])
@@ -350,14 +346,14 @@ def _hopf_compat_check(C, H, r):
                             ]
                             for co, o in outer_terms:
                                 for combo in _product(*inner_lists):
-                                    cval = ring.mul(coeff0, co)
+                                    cval = ring.normalize(coeff0 * co)
                                     gs = []
                                     for (ci, g) in combo:
-                                        cval = ring.mul(cval, ci)
+                                        cval = ring.normalize(cval * ci)
                                         gs.append(g)
                                     key = (o, tuple(gs))
-                                    rhs[key] = ring.add(rhs.get(key, ring.zero), cval)
-                    rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
+                                    rhs[key] = ring.normalize(rhs.get(key, 0) + cval)
+                    rhs = {kk: v for kk, v in rhs.items() if v}
                     if lhs != rhs:
                         return (r, k, shape, a, b)
     return None
@@ -410,23 +406,21 @@ def validate_morphism(phi):
                             for combo in _product(
                                 *[list(e.terms.items()) for e in inner_imgs]
                             ):
-                                cval = ring.mul(coeff, cco)
+                                cval = ring.normalize(coeff * cco)
                                 names = []
                                 for n, cc in combo:
-                                    cval = ring.mul(cval, cc)
+                                    cval = ring.normalize(cval * cc)
                                     names.append(n)
                                 key = (oname, tuple(names))
-                                lhs[key] = ring.add(lhs.get(key, ring.zero), cval)
-                    lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
+                                lhs[key] = ring.normalize(lhs.get(key, 0) + cval)
+                    lhs = {kk: v for kk, v in lhs.items() if v}
                     # Delta_T(phi(c))
                     rhs = {}
                     for name, cc in phi.maps[r].apply_name(c).terms.items():
                         for coeff, o, gs in T.cocompose(k, shape, name):
                             key = (o, tuple(gs))
-                            rhs[key] = ring.add(
-                                rhs.get(key, ring.zero), ring.mul(cc, coeff)
-                            )
-                    rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
+                            rhs[key] = ring.normalize(rhs.get(key, 0) + cc * coeff)
+                    rhs = {kk: v for kk, v in rhs.items() if v}
                     if lhs != rhs:
                         ok_all, witness = False, (r, k, shape, c)
                         break
@@ -450,8 +444,8 @@ def hopf_unit_cocomp_check(C, H, r):
             for name, cc in H.unit(r).terms.items():
                 for coeff, o, gs in C.cocompose(k, shape, name):
                     key = (o, tuple(gs))
-                    lhs[key] = ring.add(lhs.get(key, ring.zero), ring.mul(cc, coeff))
-            lhs = {kk: v for kk, v in lhs.items() if not ring.is_zero(v)}
+                    lhs[key] = ring.normalize(lhs.get(key, 0) + cc * coeff)
+            lhs = {kk: v for kk, v in lhs.items() if v}
             rhs = {}
             inner = [H.unit(shape[i]) for i in range(k)]
             for oname, cco in H.unit(k).terms.items():
@@ -459,11 +453,11 @@ def hopf_unit_cocomp_check(C, H, r):
                     cval = cco
                     names = []
                     for n, cc in combo:
-                        cval = ring.mul(cval, cc)
+                        cval = ring.normalize(cval * cc)
                         names.append(n)
                     key = (oname, tuple(names))
-                    rhs[key] = ring.add(rhs.get(key, ring.zero), cval)
-            rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
+                    rhs[key] = ring.normalize(rhs.get(key, 0) + cval)
+            rhs = {kk: v for kk, v in rhs.items() if v}
             if lhs != rhs:
                 return (r, k, shape)
     return None

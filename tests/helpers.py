@@ -35,9 +35,9 @@ def coleibniz_defect(cf, Qt, ks=(1, 2)):
                         nk = (a, keys[:i] + (key2,) + keys[i + 1:])
                         if sum(cf.module.weight(kk) for kk in nk[1]) > cf.w_max:
                             continue
-                        val = ring.mul(ring.mul(c, c2), sign)
-                        rhs[nk] = ring.add(rhs.get(nk, ring.zero), val)
-            rhs = {kk: v for kk, v in rhs.items() if not ring.is_zero(v)}
+                        val = ring.normalize(c * c2 * sign)
+                        rhs[nk] = ring.normalize(rhs.get(nk, 0) + val)
+            rhs = {kk: v for kk, v in rhs.items() if v}
             if lhs != rhs:
                 bad.append((key, k))
     return bad
@@ -97,9 +97,8 @@ def compose(f, g):
     """f after g (the source of f is the target of g)."""
     if g.target is not f.source:
         raise ShapeError("maps not composable")
-    mul = f.ring.mul
     return LinearMap(g.source, f.target, f.degree + g.degree, (
-        ((src, tgt), mul(c, e))
+        ((src, tgt), f.ring.normalize(c * e))
         for (src, mid), c in map_pairs(g)
         for tgt, e in f.entries.get(mid, {}).items()))
 
@@ -114,9 +113,10 @@ def map_add(f, g):
 
 
 def map_scale(f, coeff):
-    mul = f.ring.mul
+    normalize = f.ring.normalize
+    coeff = normalize(coeff)
     return LinearMap(f.source, f.target, f.degree,
-                     ((key, mul(c, coeff)) for key, c in map_pairs(f)))
+                     ((key, normalize(c * coeff)) for key, c in map_pairs(f)))
 
 
 def map_identity(module):

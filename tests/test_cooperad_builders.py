@@ -87,7 +87,7 @@ def test_corrupted_table_detected(ass3):
     key = (2, (1, 2))
     name = next(iter(tables[key]))
     coeff, o, gs = tables[key][name][0]
-    tables[key][name][0] = (Z.add(coeff, 1), o, gs)
+    tables[key][name][0] = (Z.normalize(coeff + 1), o, gs)
     bad = CooperadTruncation(Z, C.r_max, C.components, tables,
                              C.unit_name, C.counit_name)
     rep = validate_cooperad(bad)

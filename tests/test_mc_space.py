@@ -447,6 +447,13 @@ def test_precompose_matches_dense_oracle(ring):
                     assert _as_items(got) == _as_items(want), (n, deg, name)
                     nonzero += not got.is_zero()
     assert nonzero >= 150
+    # the degree argument that lets one-term rows skip the check needs
+    # f to map src into psi's simplex
+    psi = ConvolutionElement(chains(ring, 2), V, 0)
+    with pytest.raises(ShapeError, match="chain map"):
+        psi.precompose(face_map(ring, 0, 2), chains(ring, 2))
+    with pytest.raises(ShapeError, match="chain map"):
+        psi.precompose(face_map(ring, 0, 3), chains(ring, 2))
 
 
 @lru_cache(maxsize=None)
@@ -741,8 +748,10 @@ def test_memo_counts_of_a_shipped_e2_fill(monkeypatch):
 def test_set_counts_of_a_shipped_e2_fill(monkeypatch):
     # a gate on counts: filling e2_horn_3_0, then taking each face and
     # degeneracy of the filler (each checked), sets no class to zero and
-    # makes 87 set calls in all; setting every class of each composite,
-    # of each defect and of the horn made 495, 408 of them zero
+    # makes 8 set calls in all, for the rows of more than one term; the
+    # one-term rows store psi's value without set, which made 87 calls;
+    # setting every class of each composite, of each defect and of the
+    # horn made 495, 408 of them zero
     data = Path(__file__).parent / "data"
     inst = instances.load_instance(str(data / "e2_z2.json"))
     P = instances.make_problem(inst)
@@ -757,7 +766,7 @@ def test_set_counts_of_a_shipped_e2_fill(monkeypatch):
         P.face(i, psi)
         P.degeneracy(i, psi)
     assert all(calls)
-    assert len(calls) == 87
+    assert len(calls) == 8
 
 
 def test_make_problem_builds_no_cooperad(monkeypatch):

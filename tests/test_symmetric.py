@@ -59,7 +59,7 @@ def expand_classes(om, classes, vdegree):
     """The plain tensor of {(rep, vtuple): coeff}: each class expanded
     by ``om.orbit_sum``."""
     ring = om.ring
-    return ring.collect((pk, ring.mul(c, e)) for (rep, vt), c in classes.items()
+    return ring.collect((pk, c * e) for (rep, vt), c in classes.items()
                         for pk, e in om.orbit_sum(rep, vt, vdegree).items())
 
 
@@ -119,7 +119,7 @@ def test_norm_inverse_round_trip():
                     for _ in range(rng.randint(1, 3)):
                         vt = tuple(rng.choice("ab") for _ in range(r))
                         x[(ident, vt)] = ring.normalize(rng.randint(1, 5))
-                    x = {k: c for k, c in x.items() if not ring.is_zero(c)}
+                    x = {k: c for k, c in x.items() if c}
                     y = norm_plain(om, x, vdeg_const(d))
                     back = orbit_classes(om, y, vdeg_const(d))
                     assert back == x, (rname, r, d)
@@ -168,7 +168,7 @@ def test_divided_norm_inverse_on_the_trivial_module():
             assert reads_back(om, y, degree.get)
             normed = norm_plain(om, x, degree.get)
             assert orbit_classes(om, normed, degree.get) == {
-                k: Q.mul(c, fact) for k, c in x.items()}
+                k: Q.normalize(c * fact) for k, c in x.items()}
             assert reads_back(om, normed, degree.get)
     om = TrivialModule(Q, 2, "c")
     # one ordering alone is not invariant; an odd name twice is
@@ -286,7 +286,7 @@ def test_trivial_module_closed_forms():
             degs = tuple(degree[v] for v in vt)
             # oracle: the whole norm over S_r, divided by r!
             norm = norm_plain(om, {("c", vt): Q.one}, degree.get)
-            want = {k: Q.mul(c, Q.inv(Q.normalize(factorial(r))))
+            want = {k: Q.normalize(c * Q.inv(factorial(r)))
                     for k, c in norm.items()}
             assert om.orbit_sum("c", vt, degree.get) == want
             svt = tuple(sorted(vt))

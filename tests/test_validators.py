@@ -169,8 +169,8 @@ def test_witness_is_the_lowest_position_in_any_table_order(ass3, einf2):
     def spoiled(C, key, later, earlier):
         tables = copy.deepcopy(C.cocomp)
         rest = tables[key]
-        rows = {n: [(C.ring.add(rest[n][0][0], 1),) + rest[n][0][1:]] + rest[n][1:]
-                for n in (later, earlier)}
+        rows = {n: [(C.ring.normalize(rest[n][0][0] + 1),) + rest[n][0][1:]]
+                + rest[n][1:] for n in (later, earlier)}
         tables[key] = {**rows, **{n: t for n, t in rest.items() if n not in rows}}
         bad = CooperadTruncation(C.ring, C.r_max, C.components, tables,
                                  C.unit_name, C.counit_name)
@@ -260,7 +260,7 @@ def test_spoiled_cocomposition_coefficient(einf2):
     tables = copy.deepcopy(C.cocomp)
     row = tables[(2, (2, 0))]["12|21"]
     coeff, o, gs = row[0]
-    row[0] = (Z.add(coeff, 1), o, gs)
+    row[0] = (Z.normalize(coeff + 1), o, gs)
     bad = CooperadTruncation(Z, C.r_max, C.components, tables,
                              C.unit_name, C.counit_name)
     rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
@@ -366,7 +366,7 @@ def test_spoiled_table_first_witness_not_a_generator(ass3):
     row = tables[(3, (2, 1, 0))]
     name = next(n for n in C.basis_names(3) if row.get(n))
     coeff, o, gs = row[name][0]
-    row[name][0] = (Z.add(coeff, 1), o, gs)
+    row[name][0] = (Z.normalize(coeff + 1), o, gs)
     bad = CooperadTruncation(Z, C.r_max, C.components, tables,
                              C.unit_name, C.counit_name)
     rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
