@@ -23,11 +23,12 @@ coefficients with plain * and negation, and each side is reduced once
 per key by one ``Ring.collect`` (delayed modular reduction, as in
 Dumas-Giorgi-Pernet, "FFPACK", ISSAC 2004):
 
-* Coassociativity, per 2-level tree: both evaluation orders over the
-  whole table, keyed (c, outer, inners, grands).  ``coassoc_trees``
-  lists the table keys of each tree once per (r, r_max); a tree whose
-  flat and middle tables are empty is skipped, and each inner table is
-  read with its degrees once per validation.
+* Coassociativity, per arity: both evaluation orders of every 2-level
+  tree in one join per side, keyed (tree index, c, outer, inners,
+  grands), so the first tree that differs is the witness.
+  ``coassoc_trees`` lists the table keys of each tree once per (r,
+  r_max); a tree whose flat and middle tables are empty is skipped, and
+  each table is read with its degrees once per validation.
 * Hopf associativity: each nonzero (a, b) -> d meets the products
   (d, c) -> e through an index by left factor, each (b, c) -> f meets
   (a, f) -> e through an index by right factor; compare on (a, b, c, e).
@@ -60,10 +61,13 @@ Dumas-Giorgi-Pernet, "FFPACK", ISSAC 2004):
   degrees, and the table passes ``symmetric.is_group_action``, the
   group law the module constructor checks.  All block permutations are
   walked, in the order of the dense loops, only when the tables fail it
-  or a generator fails.  Under the identity mu the table is read as it
-  is; otherwise the Koszul sign of mu is memoised on the degree
-  parities of the inner factors.  Each name's moved terms are compared
-  with the cached Delta of its image, name by name.
+  or a generator fails.  Both walks read a ``_plan``, grouped by (shape,
+  mu) with each element's block images precomputed; the generators'
+  plan is cached per (r, r_max).  Per group, Delta(c) is signed once:
+  under the identity mu it is read as it is, otherwise with the Koszul
+  sign of mu memoised on the degree parities of the inner factors.
+  Each name's moved terms are compared with the Delta of its image,
+  name by name.
 
 Degrees are read from the truncation's ``degrees`` table and group
 actions from the components' stored ``actions`` rows.  A failing law
@@ -73,7 +77,7 @@ order of the table dicts.
 """
 
 from functools import lru_cache
-from itertools import product as _product
+from itertools import groupby, product as _product
 
 from .errors import ShapeError, ValidationError
 from .graded import koszul_sign_images
@@ -277,12 +281,6 @@ def _positions(names):
     return {n: i for i, n in enumerate(names)}
 
 
-def _block_starts(mu, shape):
-    """Where each block lands when mu moves blocks of the given sizes:
-    the total size of the blocks that mu places before it."""
-    return [sum(s for s, m in zip(shape, mu) if m < mi) for mi in mu]
-
-
 def _actions(C):
     """Per arity, the component's action table (``OrbitModule.actions``)."""
     return {r: C.component(r).actions for r in range(C.r_max + 1)}
@@ -320,11 +318,13 @@ def validate_cooperad(C):
                 if not ok:
                     break
 
-    slots = {}  # the inner tables of the trees, read by _inner_terms
+    # each table of the truncation with the degrees of its terms: the
+    # inner slot of many trees
+    slots = {key: _inner_terms(C, key) for R in range(C.r_max + 1)
+             for key in shapes(R, C.r_max) if key in C.cocomp}
     for r in range(C.r_max + 1):
-        pos = _positions(C.basis_names(r))
-        rep.add_first(f"coassociativity arity {r}", (
-            _coassoc_check(C, r, pos, tree, slots) for tree in coassoc_trees(r, C.r_max)))
+        res = _coassoc_check(C, r, _positions(C.basis_names(r)), slots)
+        rep.add(f"coassociativity arity {r}", res is None, res)
     del slots  # not kept alive through the equivariance checks
 
     deg = C.degrees
@@ -333,9 +333,9 @@ def validate_cooperad(C):
     for r in range(C.r_max + 1):
         res = None
         if not generators_suffice or _equivariance_check(
-                C, r, deg, act, _block_generators(r, C.r_max)) is not None:
+                C, r, deg, act, _generator_plan(r, C.r_max)) is not None:
             res = _equivariance_check(
-                C, r, deg, act, _block_permutations(r, C.r_max, act))
+                C, r, deg, act, _plan(_block_permutations(r, C.r_max, act)))
         rep.add(f"equivariance arity {r}", res is None, res)
     return rep
 
@@ -389,32 +389,34 @@ def coassoc_trees(r, r_max):
     return tuple(trees)
 
 
-def _inner_terms(C, key, slots):
-    """Table ``key`` as {b: [(coeff, c_i, g-block, |c_i|, |g-block|)]},
-    built once per validation: the inner table of a slot in many trees."""
-    if key not in slots:
-        deg = C.degrees
-        k, shape = key
-        slots[key] = {b: [(cf, ci, gi, deg[k][ci], sum(deg[s][g] for s, g in zip(shape, gi)))
-                          for cf, ci, gi in terms]
-                      for b, terms in C.table(k, shape).items()}
-    return slots[key]
+def _inner_terms(C, key):
+    """Table ``key`` as {b: [(coeff, (c_i,), g-block, |c_i|, |g-block|)]}:
+    the inner table of a slot in many trees, built once per validation."""
+    deg = C.degrees
+    k, shape = key
+    return {b: [(cf, (ci,), gi, deg[k][ci], sum(deg[s][g] for s, g in zip(shape, gi)))
+                for cf, ci, gi in terms]
+            for b, terms in C.cocomp[key].items()}
 
 
-def _coassoc_check(C, r, pos, tree, slots):
-    """Compare the two evaluation orders of one 2-level cocomposition on
-    the whole table, keyed (c, outer, inners, grands).  Returns a witness
-    for the first basis name c that differs, None when equal."""
-    grand_shapes, flat_key, outer_key, middle_key, inner_keys = tree
-    flat, middle = C.table(*flat_key), C.table(*middle_key)
-    if not flat and not middle:
-        return None
-    outer = C.table(*outer_key)
-    inner = [_inner_terms(C, key, slots) for key in inner_keys]
+def _coassoc_check(C, r, pos, slots):
+    """Compare the two evaluation orders of every 2-level cocomposition of
+    arity r on the whole table, in one join per side keyed (tree index, c,
+    outer, inners, grands).  Returns a witness for the first tree, and in
+    it the first basis name c, that differs; None when all are equal."""
+    trees = coassoc_trees(r, C.r_max)
+    table = C.cocomp.get
+    live = []  # (tree index, flat, outer, middle, inner slots)
+    for t, (_, flat_key, outer_key, middle_key, inner_keys) in enumerate(trees):
+        flat, middle = table(flat_key, {}), table(middle_key, {})
+        if flat or middle:
+            live.append((t, flat, table(outer_key, {}), middle,
+                         [slots.get(key, {}) for key in inner_keys]))
 
     # Path A: Delta_{k; flat}(c), then Delta_{m;(k_1..k_m)} on the outer
     side_a = C.ring.collect(
-        ((c, o, cs, gs), coeff * coeff2)
+        ((t, c, o, cs, gs), coeff * coeff2)
+        for t, flat, outer, _, _ in live
         for c, terms in flat.items() if c in pos
         for coeff, a, gs in terms
         for coeff2, o, cs in outer.get(a, ()))
@@ -423,22 +425,23 @@ def _coassoc_check(C, r, pos, tree, slots):
         # Delta_{m; mid}(c), then inner cocompositions per slot, read in
         # the order o, c_1, g-block_1, c_2, g-block_2, ...  Moving to o,
         # c_1..c_m, g_1..g_k takes each c_i past the g-blocks before it.
-        for c, terms in middle.items():
-            if c not in pos:
-                continue
-            for coeff, o, bs in terms:
-                for combo in _product(*[slot.get(b, ()) for slot, b in zip(inner, bs)]):
-                    val, odd, passed = coeff, 0, 0
-                    for cf, _, _, dc, dg in combo:
-                        val *= cf
-                        odd += dc * passed
-                        passed += dg
-                    yield ((c, o, tuple(t[1] for t in combo),
-                            tuple(g for t in combo for g in t[2])),
-                           -val if odd % 2 else val)
+        for t, _, _, middle, inner in live:
+            for c, terms in middle.items():
+                if c not in pos:
+                    continue
+                for coeff, o, bs in terms:
+                    for combo in _product(*[slot.get(b, ()) for slot, b in zip(inner, bs)]):
+                        val, odd, passed, cs, gs = coeff, 0, 0, (), ()
+                        for cf, ci, gi, dc, dg in combo:
+                            val *= cf
+                            odd += dc * passed
+                            passed += dg
+                            cs += ci
+                            gs += gi
+                        yield (t, c, o, cs, gs), -val if odd % 2 else val
 
-    key = _mismatch(side_a, C.ring.collect(path_b()), lambda key: pos[key[0]])
-    return None if key is None else (r, key[0], grand_shapes, "coassociativity mismatch")
+    key = _mismatch(side_a, C.ring.collect(path_b()), lambda key: (key[0], pos[key[1]]))
+    return None if key is None else (r, key[1], trees[key[0]][0], "coassociativity mismatch")
 
 
 def _block_permutations(r, r_max, act):
@@ -463,6 +466,27 @@ def _block_generators(r, r_max):
                 yield k, shape, tuple(range(1, k + 1)), ids[:i] + (tau,) + ids[i + 1:]
 
 
+def _plan(elements):
+    """Block permutations (k, shape, mu, sigmas), in their order, grouped
+    by (shape, mu): per group (k, shape, mu, order, new_shape, [(sigmas,
+    images)]).  order lists the inner slots in the order mu puts them in,
+    new_shape their sizes in that order, and images is the block
+    permutation (mu; sigma_1..sigma_k) of 1..r: each block lands after
+    the blocks that mu places before it."""
+    for (k, shape, mu), group in groupby(elements, key=lambda e: e[:3]):
+        order = tuple(sorted(range(k), key=mu.__getitem__))
+        starts = [sum(s for s, m in zip(shape, mu) if m < mi) for mi in mu]
+        yield k, shape, mu, order, tuple(shape[i] for i in order), [
+            (sigmas, tuple(st + x for st, sg in zip(starts, sigmas) for x in sg))
+            for *_, sigmas in group]
+
+
+@lru_cache(maxsize=None)
+def _generator_plan(r, r_max):
+    """``_block_generators`` of arity r as a ``_plan``, once per (r, r_max)."""
+    return tuple(_plan(_block_generators(r, r_max)))
+
+
 def _acts_by_homomorphisms(deg, act):
     """Whether every arity acts on its names by a group action that keeps
     degrees: each adjacent swap sends names to names of the same degree,
@@ -479,55 +503,50 @@ def _acts_by_homomorphisms(deg, act):
     return True
 
 
-def _equivariance_check(C, r, deg, act, elements):
-    """The first block permutation (k, shape, mu, sigmas) of ``elements``
+def _equivariance_check(C, r, deg, act, plan):
+    """The first block permutation (k, shape, mu, sigmas) of a ``_plan``
     that the tables do not commute with, as a witness; None if none."""
     ring = C.ring
     names = C.basis_names(r)
-    deltas = {}  # (shape, name) -> Delta_{k; shape}(name) as a sparse dict
+    rows = {}  # shape -> {name: Delta_{k; shape}(name) as a sparse dict}
 
-    def delta(k, shape, name):
-        if (shape, name) not in deltas:
-            deltas[shape, name] = _term_dict(ring, C.cocompose(k, shape, name))
-        return deltas[shape, name]
+    def delta(k, shape):
+        if shape not in rows:
+            rows[shape] = {n: _term_dict(ring, terms) for n, terms in C.table(k, shape).items()}
+        return rows[shape]
 
     signs = {}  # (mu, degree parities of the inner factors) -> Koszul sign of mu
-    signed_for = None  # the (shape, mu) that ``signed`` was built for
-    for k, shape, mu, sigmas in elements:
-        if signed_for != (shape, mu):
-            signed_for = shape, mu
-            outer = act[k][mu]
-            # the inner slots in the order mu puts them in
-            order = sorted(range(k), key=lambda i: mu[i])
-            new_shape = tuple(shape[i] for i in order)
-            starts = _block_starts(mu, shape)
-            if order == list(range(k)):
-                # the identity mu: Delta(c) as it is
-                signed = {c: delta(k, shape, c) for c in names}
-            else:
-                # Delta(c) with its inner factors in that order and the
-                # Koszul sign of mu on them
-                degs = [deg[s] for s in shape]
-                signed = {}
-                for c in names:
-                    row = signed[c] = {}
-                    for (a, gs), v in delta(k, shape, c).items():
-                        parities = (mu,) + tuple(d[g] % 2 for d, g in zip(degs, gs))
-                        if parities not in signs:
-                            signs[parities] = koszul_sign_images(mu, parities[1:])
-                        row[a, tuple(gs[i] for i in order)] = (
-                            v if signs[parities] > 0 else ring.normalize(-v))
-        # the block permutation (mu; sigma_1..sigma_k) of 1..r
-        hat = act[r][tuple(st + x for st, sg in zip(starts, sigmas) for x in sg)]
-        inners = [act[shape[i]][sigmas[i]] for i in order]
-        for c in names:
-            moved = [((outer[a], tuple([f[g] for f, g in zip(inners, gs)])), v)
-                     for (a, gs), v in signed[c].items()]
-            rhs = dict(moved)
-            if len(rhs) < len(moved):  # two terms moved onto one key
-                rhs = ring.collect(moved)
-            if delta(k, new_shape, hat[c]) != rhs:
-                return (r, c, k, shape, mu, sigmas)
+    for k, shape, mu, order, new_shape, elements in plan:
+        outer = act[k][mu]
+        source = delta(k, shape)
+        if order == tuple(range(k)):
+            # the identity mu: Delta(c) as it is
+            signed = {c: source.get(c, {}) for c in names}
+        else:
+            # Delta(c) with its inner factors in that order and the
+            # Koszul sign of mu on them
+            degs = [deg[s] for s in shape]
+            signed = {}
+            for c in names:
+                row = signed[c] = {}
+                for (a, gs), v in source.get(c, {}).items():
+                    parities = (mu,) + tuple([d[g] % 2 for d, g in zip(degs, gs)])
+                    if parities not in signs:
+                        signs[parities] = koszul_sign_images(mu, parities[1:])
+                    row[a, tuple([gs[i] for i in order])] = (
+                        v if signs[parities] > 0 else ring.normalize(-v))
+        target = delta(k, new_shape)
+        for sigmas, images in elements:
+            hat = act[r][images]
+            inners = [act[shape[i]][sigmas[i]] for i in order]
+            for c in names:
+                moved = [((outer[a], tuple([f[g] for f, g in zip(inners, gs)])), v)
+                         for (a, gs), v in signed[c].items()]
+                rhs = dict(moved)
+                if len(rhs) < len(moved):  # two terms moved onto one key
+                    rhs = ring.collect(moved)
+                if target.get(hat[c], {}) != rhs:
+                    return (r, c, k, shape, mu, sigmas)
     return None
 
 

@@ -61,13 +61,14 @@ class Ring:
 
 class IntegerRing(Ring):
     def normalize(self, x):
+        """An int as it is; a ``Fraction`` or a str (say "6/2") as an int
+        when it is integral, and ``NonUnitError`` when it is not."""
         if type(x) is int:
             return x
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise NonUnitError(f"{x} is not an integer")
-            return int(x)
-        return int(x)
+        f = Fraction(x)
+        if f.denominator != 1:
+            raise NonUnitError(f"{x} is not an integer")
+        return f.numerator
 
     def spec(self):
         return {"kind": "integers"}
@@ -86,7 +87,9 @@ class ModularRing(Ring):
         super().__init__()
 
     def normalize(self, x):
-        return int(x) % self.modulus
+        # a scalar that is no int is read as an integer first, and refused
+        # as Z refuses it: Z/m holds no fraction
+        return (x if type(x) is int else IntegerRing.normalize(self, x)) % self.modulus
 
     def elements(self):
         return list(range(self.modulus))

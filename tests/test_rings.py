@@ -68,6 +68,15 @@ def test_mod8_arith():
 def test_nonunit_errors():
     with pytest.raises(NonUnitError):
         Q.inv(0)
+    # Z and Z/m refuse a scalar that is not integral, whatever its form,
+    # and take an integral one in any form
+    Z3 = ring_make({"kind": "integers-mod-m", "modulus": 3})
+    for ring in (Z, Z2, Z3):
+        for bad in (Fraction(1, 2), Fraction(-5, 3), "1/2", "7/4"):
+            with pytest.raises(NonUnitError):
+                ring.normalize(bad)
+    assert [Z3.normalize(x) for x in (Fraction(6, 2), "6/2", "-4", 5, -1)] == [0, 0, 2, 2, 2]
+    assert Z.normalize("6/2") == 3 and type(Z.normalize(Fraction(4, 2))) is int
 
 
 def test_normalization():

@@ -7,6 +7,7 @@ validators must reject them at the same law with the same witness.
 """
 
 import copy
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -22,7 +23,8 @@ from opmc.builders import (
 )
 from opmc.cooperad import CooperadMorphism, CooperadTruncation, HopfStructure
 from opmc.graded import koszul_sign_images
-from opmc.rings import ring_make
+from opmc.rings import Ring, ring_make
+from opmc.symmetric import Permutation
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -194,6 +196,46 @@ def test_witness_is_the_lowest_position_in_any_table_order(ass3, einf2):
         2, 2, (2, 0), "12", "12")
 
 
+def test_witness_is_the_first_tree_that_fails(ass3):
+    """Two trees of arity 3 fail, and the later one at a name of lower
+    basis position: both reports name the earlier tree and its name."""
+    tables = copy.deepcopy(ass3.cocomp)
+    for key, name in (((3, (0, 1, 2)), "321"), ((3, (0, 2, 1)), "312")):
+        coeff, o, gs = tables[key][name][0]
+        tables[key][name][0] = (coeff + 1, o, gs)
+    bad = CooperadTruncation(Z, ass3.r_max, ass3.components, tables,
+                             ass3.unit_name, ass3.counit_name)
+    trees = [tree[0] for tree in cooperad.coassoc_trees(3, 3)]
+    assert trees.index(((0,), (1, 2))) < trees.index(((0,), (2, 1)))
+    names = ass3.basis_names(3)
+    assert names.index("312") < names.index("321")
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    assert dict(rep.failures())["coassociativity arity 3"] == (
+        3, "321", ((0,), (1, 2)), "coassociativity mismatch")
+    # the later tree alone fails at the lower name
+    assert dense._coassoc_check(bad, 3, ((0,), (2, 1)))[:2] == (3, "312")
+
+
+def test_collect_calls_per_validation(monkeypatch):
+    """``Ring.collect`` calls in one validate_cooperad: one per side per
+    arity for coassociativity, one per table row read for equivariance,
+    and one per name for the counit laws.  They were 1,602 and 1,490 when
+    coassociativity was joined one tree at a time."""
+    calls = []
+    collect = Ring.collect
+
+    def counted(self, items):
+        calls.append(1)
+        return collect(self, items)
+
+    monkeypatch.setattr(Ring, "collect", counted)
+    for label, want in (("com-Q-4", 142), ("E2-Z2-d2", 874)):
+        C, _ = build(label)
+        calls.clear()
+        assert cooperad.validate_cooperad(C).ok
+        assert (label, len(calls)) == (label, want)
+
+
 def test_compositions_children_within_budget():
     for r_max in (2, 3, 4):
         for r in range(r_max + 1):
@@ -330,7 +372,7 @@ def equivariance_parts(C, r):
     deg, act = C.degrees, cooperad._actions(C)
     return (cooperad._acts_by_homomorphisms(deg, act),
             cooperad._equivariance_check(
-                C, r, deg, act, cooperad._block_generators(r, C.r_max)))
+                C, r, deg, act, cooperad._generator_plan(r, C.r_max)))
 
 
 def is_generator(mu, sigmas):
@@ -346,9 +388,16 @@ def ass3():
     return C
 
 
+def flatten(plan):
+    """The block permutations (k, shape, mu, sigmas) of a plan, in order."""
+    return [(k, shape, mu, sigmas)
+            for k, shape, mu, _, _, elements in plan for sigmas, _ in elements]
+
+
 def test_block_generator_counts():
     """450 generators stand in for 8,142 block permutations at r_max 4,
-    and 76 for 322 at r_max 3."""
+    and 76 for 322 at r_max 3.  The cached plan lists the generators in
+    the order of ``_block_generators``, each with its block images."""
     for r_max, n_gen, n_all in ((3, 76, 322), (4, 450, 8142)):
         C, _ = com_cochains(Q, r_max, validate=False)
         act = cooperad._actions(C)
@@ -358,6 +407,35 @@ def test_block_generator_counts():
                 for g in cooperad._block_permutations(r, r_max, act)]
         assert (len(gens), len(set(gens)), len(full)) == (n_gen, n_gen, n_all)
         assert set(gens) == {g for g in full if is_generator(g[2], g[3])}
+        for r in range(r_max + 1):
+            plan = cooperad._generator_plan(r, r_max)
+            assert plan is cooperad._generator_plan(r, r_max)
+            assert flatten(plan) == list(cooperad._block_generators(r, r_max))
+            for k, shape, mu, order, new_shape, elements in plan:
+                assert [mu[i] for i in order] == list(range(1, k + 1))
+                assert new_shape == tuple(shape[i] for i in order)
+                for sigmas, images in elements:
+                    assert images == dense.block_permutation(
+                        Permutation(mu), shape, [Permutation(s) for s in sigmas]).images
+
+
+def test_spoiled_table_seen_by_a_mu_swap_only():
+    """A spoiled Delta_{2;(1,3)} on com-Q-4: the inner swaps with mu the
+    identity compare each table with itself, since every arity acts
+    trivially, so only the swap of mu sees it."""
+    C, _ = build("com-Q-4")
+    tables = copy.deepcopy(C.cocomp)
+    tables[(2, (1, 3))]["c4"] = [(Fraction(1, 2), "c2", ("c1", "c3"))]
+    bad = CooperadTruncation(Q, C.r_max, C.components, tables,
+                             C.unit_name, C.counit_name)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    witness = (4, "c4", 2, (1, 3), (2, 1), ((1,), (1, 2, 3)))
+    assert dict(rep.failures())["equivariance arity 4"] == witness
+    assert equivariance_parts(bad, 4) == (True, witness)
+    plan = cooperad._generator_plan(4, C.r_max)
+    deg, act = bad.degrees, cooperad._actions(bad)
+    assert cooperad._equivariance_check(
+        bad, 4, deg, act, [g for g in plan if g[3] == tuple(range(g[0]))]) is None
 
 
 def test_spoiled_table_first_witness_not_a_generator(ass3):
