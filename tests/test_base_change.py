@@ -1,17 +1,20 @@
 """Base change as an oracle: every structure map of the Barratt-Eccles
 and associative cochains has integer coefficients, so a computation over
 Z, reduced mod m, is the same computation over Z/m: the tables, and
-above them the cofree decomposition, the twist and the residual.  This
+above them the cofree decomposition, the twist, the residual and the
+solution defect on the simplices.  This
 sees the ring-specific paths (``normalize`` and the zero tests of each
 ring) that the same-ring oracles cannot."""
 
+import random
 from pathlib import Path
 
 import pytest
 
 from opmc.builders import barratt_eccles
-from opmc.instances import parse_instance, read_json
+from opmc.instances import make_problem, parse_instance, read_json
 from opmc.rings import ring_make
+from opmc.simplex_chains import chains
 from opmc.twisting import mc_residual, twist
 
 Z = ring_make({"kind": "integers"})
@@ -123,3 +126,50 @@ def test_cofree_and_twist_commute_with_reduction(name):
         want = layers[target]
         for layer in want:
             assert got[layer] == want[layer], (source, target, layer)
+
+
+# coefficients of the degree-0 elements on the simplices: negatives, and
+# multiples of 2 and of 3 that vanish under one reduction and not the other
+PSI_COEFFS = (-6, -3, -2, -1, 1, 2, 3, 4, 6)
+
+
+def psi_terms(V, seed):
+    """For each simplex dimension n <= 3, the terms of a degree-0 element
+    on Delta^n over Z: {class: [(name, coeff)]}, drawn from ``seed``."""
+    rng = random.Random(seed)
+    out = {}
+    for n in range(4):
+        terms = {}
+        for I in chains(Z, n).module.names:
+            names = [b for b in V.names if V.degree(b) == len(I) - 1]
+            terms[I] = [(b, rng.choice(PSI_COEFFS)) for b in names
+                        if rng.random() < 0.8]
+        out[n] = terms
+    return out
+
+
+def defect_layers(inst, terms):
+    """The solution defect of each element of ``terms`` on its simplex."""
+    P = make_problem(inst)
+    out = {}
+    for n, values in terms.items():
+        psi = P.zero(n)
+        for I, ts in values.items():
+            psi.set(I, inst.V.element(ts))
+        out.update({(n, I): v.terms for I, v in P.mc_defect(psi).values.items()})
+    return {"defect": out}
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_mc_defect_commutes_with_reduction(name):
+    """Z -> Z/2, Z -> Z/3 and Z/4 -> Z/2 commute with the solution defect
+    of a degree-0 element on the simplices of dimension 0 to 3."""
+    rings = {m: over(name, _mod(m)) for m in (2, 3, 4)}
+    rings[0] = over(name, {"kind": "integers"})
+    terms = psi_terms(rings[0].V, 29)
+    layers = {m: defect_layers(inst, terms) for m, inst in rings.items()}
+    assert layers[0]["defect"]
+    for source, target in ((0, 2), (0, 3), (4, 2)):
+        ring = ring_make(_mod(target))
+        got = reduce_layers(ring, layers[source])
+        assert got == layers[target], (source, target)
