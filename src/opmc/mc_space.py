@@ -17,32 +17,36 @@ support, and where a row has one term with signed coefficient 1, as
 every row of a face or a degeneracy has, it shares the stored value
 instead of copying it.
 
+The program evaluates the condition only at degree 0, in one kernel,
+``MCProblem.mc_defect``; the general-degree mu_r is the test oracle's.
 The chain coproduct is stored once per class size and arity, as the
 coproduct of the top class of the simplex of that size, in vertex
 positions 0..m.  Relabelling it through a class I gives the coproduct of
 I exactly: the interval-cut action reads only positions within I (the
 cuts, the parity of a cut, and which vertices are equal), never the
-vertex values.  mu_r joins that positional coproduct with the support of
-its arguments, skipping every term with a block on which some argument
-vanishes, and the problem memoises the coderivation's plain evaluations.
+vertex values.  The kernel joins that positional coproduct with the
+support of psi, skipping every term with a block on which psi vanishes,
+and the problem memoises the coderivation's plain evaluations.
 
-The same relabelling makes the value of mu_r on a class I a function of
-r, |I|, the argument degrees and the arguments on the subclasses of I,
+The same relabelling makes the sum of mu_r(psi, ..., psi) over the
+arities on a class I a function of |I| and psi on the subclasses of I,
 in positions.  ``simplex_chains.subclass_table``, built once per problem
 and simplex dimension, lists the subclasses of each class in one
-positional order per class size, so an argument's content on I is a
-tuple of (subclass position, frozen value) pairs, read by lookup.  Each problem memoises mu
-per such content for its own lifetime, as it does the evaluations;
-nothing is shared between problems.  The solution defect is one pass over the classes: each
-class's content is read once and keys mu_r for every arity, and the
-class value, boundary term included, is summed once.  A horn fill reads
-most of it back: the filler's classes other than the top and the open
-face lie in the faces already checked, and every later check of the
-filler or of its faces finds every class stored.
+positional order per class size, so psi's content on I is a tuple of
+(subclass position, frozen value) pairs, read by lookup.  Each problem
+memoises that sum per (|I|, content) for its own lifetime, as it does
+the evaluations; nothing is shared between problems.  The solution
+defect is one pass over the classes: each class's content is read once
+and keys one memo entry, and the class value, boundary term included,
+is summed once.  A horn fill reads most of it back: the filler's classes
+other than the top and the open face lie in the faces already checked,
+and every later check of the filler or of its faces finds every class
+stored.
 """
 
 import random
 from itertools import chain, product
+from math import prod
 
 from .cofree import plain_evaluator, square_check
 from .errors import (
@@ -222,21 +226,16 @@ def _linear_terms(values, combination, scale=1):
                 yield vn, c * vc
 
 
-def _frozen(values):
-    """The values of a convolution element as hashable term sets."""
-    return {K: frozenset(v.terms.items()) for K, v in values.items()}
-
-
 def _content(frozen, subclasses):
-    """An argument's part of the memo key on a class: (position, frozen
-    value) of each subclass that carries a value, in positional order."""
+    """psi's part of the memo key on a class: (position, frozen value) of
+    each subclass that carries a value, in positional order."""
     return tuple((j, f) for j, K in enumerate(subclasses)
                  if (f := frozen.get(K)) is not None)
 
 
 def _local(values, subclasses):
-    """An argument restricted to a class, keyed by its subclasses in
-    positions (the last subclass is the class itself)."""
+    """psi restricted to a class, keyed by its subclasses in positions
+    (the last subclass is the class itself)."""
     positions = simplex_classes(len(subclasses[-1]) - 1)
     return {J: v for J, K in zip(positions, subclasses)
             if (v := values.get(K)) is not None}
@@ -304,7 +303,9 @@ class MCProblem:
 
     ``phi`` is a cooperad morphism from permutation-tuple cochains, its
     source, onto the cooperad of ``Qt``'s cofree object; it is how each
-    simplex becomes a coalgebra over that cooperad.
+    simplex becomes a coalgebra over that cooperad.  The problem keeps
+    its memos for its lifetime: the chain coproducts, their join indexes,
+    the plain evaluations and the arity sum per class content.
     """
 
     def __init__(self, Qt, phi, cap=DEFAULT_RESOURCE_CAP):
@@ -385,155 +386,85 @@ class MCProblem:
             )
         raise InternalCheckError(message)
 
-    # -- operations ----------------------------------------------------
-
-    def mu(self, psis):
-        """mu_r(psi_1, ..., psi_r): structure map after the chain coproduct.
-
-        A sparse join, memoised per class as the module docstring says:
-        each argument's content on a class, read through the problem's
-        ``subclass_table``, keys the memo ``_mus``, which lives as long
-        as the problem, like its ``plain_evaluator``; an empty sum is
-        stored too.  Each distinct argument object is frozen once.
-
-        On a miss the coproduct of the class size, in positions and
-        grouped by its first block, is joined with the restricted
-        arguments: a term is evaluated only when each of its blocks
-        carries a value of its argument.  Evaluations go through the
-        problem's ``plain_evaluator`` of Qt, and each class is summed
-        once by ``ring.collect``.  ``mc_defect`` reads the same memo
-        under the same keys.
-        """
-        r = len(psis)
-        if r < 1:
-            raise ShapeError("mu needs at least one argument")
-        cx = psis[0].cx
-        for p in psis[1:]:
-            if p.cx.n != cx.n:
-                raise ShapeError("mu arguments live on different simplices")
-        dtot = sum(p.degree for p in psis)
-        out = ConvolutionElement(cx, self.V, dtot - 1)
-        if r > self.C.r_max:
-            return out
-        degrees = tuple(p.degree for p in psis)
-        distinct = {id(p): p for p in psis}
-        frozen = {k: _frozen(p.values) for k, p in distinct.items()}
-        args = [p.values for p in psis]
-        for I, subs in zip(cx.module.names, self._subclass_table(cx.n)):
-            content = {k: _content(f, subs) for k, f in frozen.items()}
-            out.set(I, self._mu_stored(out, I, subs, degrees, tuple(
-                content[id(p)] for p in psis), args))
-        return out
-
-    def _mu_stored(self, out, I, subs, degrees, contents, args):
-        """mu on the class I from the memo ``_mus``, keyed by |I|, the
-        argument degrees and the arguments' contents on I; a miss
-        computes it from the argument values ``args``, checks it as a
-        value of ``out`` on I and stores it."""
-        key = (len(I), degrees, contents)
-        val = self._mus.get(key)
-        if val is None:
-            val = self._mus[key] = self._mu_class(
-                len(I), degrees, [_local(v, subs) for v in args])
-            out.check(I, val)
-        return val
-
-    def _mu_class(self, size, degrees, local):
-        """The value of mu on a class of ``size`` vertices, from the
-        arguments restricted to it in positions."""
-        r = len(local)
-        index = self._join_index(size, r)
-        # bit i set when psi_i has odd degree; a term's Koszul sign is the
-        # parity of the odd arguments that cross an odd-degree prefix
-        odd = sum(1 << i for i, d in enumerate(degrees) if d % 2)
-        first, *rest = local
-        acc = []
-        for J0, v0 in first.items():
-            for cname, Js, c, crossing in index.get(J0, ()):
-                vals = [v0]
-                for loc, J in zip(rest, Js):
-                    v = loc.get(J)
-                    if v is None:
-                        break
-                    vals.append(v)
-                else:
-                    if (crossing & odd).bit_count() % 2:
-                        c = -c
-                    terms = [v.terms.items() for v in vals]
-                    for combo in product(*terms):
-                        vt, coeffs = zip(*combo)
-                        coeff = c
-                        for ci in coeffs:
-                            coeff *= ci
-                        acc.append((self._evaluate(r, cname, vt).terms, coeff))
-        return Element(self.V, self.ring.collect(
-            (vn, coeff * c) for ev, coeff in acc for vn, c in ev.items()))
-
-    def _join_index(self, size, r):
-        """The arity-r coproduct of a class of ``size`` vertices, in
-        positions, as {J_1: [(cname, (J_2..J_r), coeff, crossing)]}.
-
-        Bit i of ``crossing`` is set when psi_i crosses an odd degree:
-        the cooperad factor and the chain factors to its left.
-        """
-        top = tuple(range(size))
-        dec = self._decompose(size - 1, top, r)
-        key = (size, r)
-        if key not in self._joins:
-            index = self._joins[key] = {}
-            degree = self.C.degrees[r]
-            for (cname, Js), c in dec.items():
-                crossing = 0
-                crossed = degree[cname]
-                for i, J in enumerate(Js):
-                    if crossed % 2:
-                        crossing |= 1 << i
-                    crossed += len(J) - 1
-                entry = (cname, Js[1:], c, crossing)
-                index.setdefault(Js[0], []).append(entry)
-        return self._joins[key]
-
-    def differential(self, psi):
-        """d(psi) = Q_1 o psi - psi o d, the composite signed by precompose."""
-        return self.mu([psi]).sub(psi.precompose(psi.cx.d, psi.cx))
-
-    def star(self, psi):
-        """The curvature-type sum over arities >= 2 at a degree-0 element."""
-        self._require_flat()
-        if psi.degree != 0:
-            raise ShapeError("the arity sum is only formed in degree 0")
-        out = ConvolutionElement(psi.cx, self.V, -1)
-        for r in range(2, self.C.r_max + 1):
-            out = out.add(self.mu([psi] * r))
-        return out
+    # -- the solution defect ------------------------------------------
 
     def mc_defect(self, psi):
-        """d(psi) + sum_{r >= 2} mu_r(psi, ..., psi) in one pass over the
-        classes, for a degree-0 psi.
+        """d(psi) + sum_{r >= 2} mu_r(psi, ..., psi) for a degree-0 psi, in
+        one pass over the classes.
 
-        Each class's content is read once and keys mu_r for every arity
-        r, as ``mu([psi] * r)`` keys it.  The class value is the sum of
-        mu_1, the boundary term -psi o d and mu_2..mu_{r_max}, in one
+        With d(psi) = mu_1(psi) - psi o d, the value on a class I is the
+        memo entry of psi's content on I, the sum of mu_r(psi, ..., psi)
+        over 1 <= r <= r_max, plus the boundary term -psi o d, in one
         ``collect``; a class whose sum vanishes is not set.
         """
         self._require_flat()
         if psi.degree != 0:
             raise ShapeError("the arity sum is only formed in degree 0")
         cx, values = psi.cx, psi.values
-        frozen = _frozen(values)
-        arities = range(1, self.C.r_max + 1)
+        # the values as hashable term sets, for the memo keys
+        frozen = {K: frozenset(v.terms.items()) for K, v in values.items()}
         out = ConvolutionElement(cx, self.V, -1)
         for I, subs in zip(cx.module.names, self._subclass_table(cx.n)):
-            content = _content(frozen, subs)
-            mus = [self._mu_stored(out, I, subs, (0,) * r, (content,) * r,
-                                   [values] * r).terms.items()
-                   for r in arities]
+            mus = self._mu_sum(out, I, subs, values, frozen)
             boundary = _linear_terms(values, cx.d.apply_name(I).terms, -1)
-            # summed in the order of d(psi) + star(psi)
-            val = self.ring.collect(chain(*mus[:1], boundary, *mus[1:]))
+            val = self.ring.collect(chain(mus.terms.items(), boundary))
             if val:
                 out.set(I, Element(self.V, val))
         return out
+
+    def _mu_sum(self, out, I, subs, values, frozen):
+        """The sum of mu_r(psi, ..., psi) over 1 <= r <= r_max on the class
+        I, from the memo ``_mus``, keyed by |I| and psi's content on I; an
+        empty sum is stored too.  A miss computes it from psi restricted
+        to I, checks it as a value of ``out`` on I and stores it.
+
+        For each arity the coproduct of the class size, in positions and
+        grouped by its first block, is joined with the restricted psi: a
+        term is evaluated, through the problem's ``plain_evaluator``, only
+        when each of its blocks carries a value.  The entry is summed once
+        by ``ring.collect``.
+        """
+        key = (len(I), _content(frozen, subs))
+        val = self._mus.get(key)
+        if val is None:
+            local = _local(values, subs)
+            acc = []
+            for r in range(1, self.C.r_max + 1):
+                index = self._join_index(len(I), r)
+                for J0, v0 in local.items():
+                    for cname, Js, c in index.get(J0, ()):
+                        vals = [v0]
+                        for J in Js:
+                            v = local.get(J)
+                            if v is None:
+                                break
+                            vals.append(v)
+                        else:
+                            for combo in product(*(v.terms.items() for v in vals)):
+                                vt, coeffs = zip(*combo)
+                                acc.append((self._evaluate(r, cname, vt).terms,
+                                            prod(coeffs, start=c)))
+            val = self._mus[key] = Element(self.V, self.ring.collect(
+                (vn, coeff * c) for ev, coeff in acc for vn, c in ev.items()))
+            out.check(I, val)
+        return val
+
+    def _join_index(self, size, r):
+        """The arity-r coproduct of a class of ``size`` vertices, in
+        positions, as {J_1: [(cname, (J_2..J_r), coeff)]}.
+
+        A term carries no Koszul sign: psi_i crosses the cooperad factor
+        and the chain factors to its left, a sign of (-1)^{|psi_i| times
+        their degree}, and every argument psi_i has degree 0.
+        """
+        key = (size, r)
+        index = self._joins.get(key)
+        if index is None:
+            index = self._joins[key] = {}
+            dec = self._decompose(size - 1, tuple(range(size)), r)
+            for (cname, Js), c in dec.items():
+                index.setdefault(Js[0], []).append((cname, Js[1:], c))
+        return index
 
     def mc_check(self, psi):
         """(solves, defect) for a degree-0 convolution element."""
@@ -658,9 +589,13 @@ class MCProblem:
 
         Trial t fills a horn of dimension 1 + t mod 3.  Vertices come from
         exhaustive enumeration, refused past 4096 candidates; higher
-        simplices from fillers and degeneracies of lower ones.  Returns a
-        report dict.
+        simplices from fillers and degeneracies of lower ones.  More
+        trials than the problem's cap are refused before any work.
+        Returns a report dict.
         """
+        if trials > self.cap:
+            raise ResourceLimitError(
+                f"{trials} trials exceed the cap {self.cap}")
         rng = random.Random(seed)
         report = {"attempted": 0, "filled": 0, "cases": []}
         vertices = self.mc_simplices(0, cap=4096)

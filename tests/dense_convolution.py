@@ -1,7 +1,11 @@
-"""Dense reference convolution: the oracles for ``MCProblem.mu``,
+"""Dense reference convolution: the oracles for ``MCProblem.mc_defect``,
 ``ConvolutionElement.precompose`` and ``einfty_decompose``.
 
-This is the straightforward per-class loop that the sparse join in
+``dense_mu`` is the one mu_r of general degree, with its own Koszul
+sign, and ``dense_differential`` is d(psi) = mu_1(psi) - psi o d; the
+laws of the convolution complex are tested on them, and their degree-0
+sums are what ``mc_defect`` must equal.  ``dense_mu`` is the
+straightforward per-class loop that the memoised join of
 ``opmc.mc_space`` replaces.  For every basis class of the simplex it
 computes the chain coproduct of that class with ``c_coalgebra_decompose``,
 reads every block value through ``ConvolutionElement.value`` and adds
@@ -174,6 +178,11 @@ def dense_mu(problem, psis):
                 acc = acc.add(Qt.eval_plain(r, cname, vt).scale(coeff))
         out.set(I, acc)
     return out
+
+
+def dense_differential(problem, psi):
+    """d(psi) = mu_1(psi) - psi o d, the composite signed by precompose."""
+    return dense_mu(problem, [psi]).sub(psi.precompose(psi.cx.d, psi.cx))
 
 
 def dense_shuffle_plain(H, cf, u, x):

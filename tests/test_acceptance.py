@@ -10,6 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
+from dense_convolution import dense_differential
 from helpers import (
     coleibniz_defect,
     compose,
@@ -142,8 +143,8 @@ def test_criterion_02_contraction_identities():
                             if V.degree(vn) == want and rng.random() < 0.7:
                                 val = val.add(V.gen(vn, rng.randint(-2, 2)))
                         psi.set(I, val)
-                    lhs = prob.differential(psi.precompose(h, cx)).add(
-                        prob.differential(psi).precompose(h, cx))
+                    lhs = dense_differential(prob, psi.precompose(h, cx)).add(
+                        dense_differential(prob, psi).precompose(h, cx))
                     proj = psi.precompose(p, pt).precompose(eps, cx)
                     assert lhs.eq(psi.sub(proj)), (n, k, deg)
                     checked += 1

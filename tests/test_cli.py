@@ -11,6 +11,7 @@ from opmc.instances import (
     load_instance,
     parse_instance,
 )
+from opmc.mc_space import MCProblem
 
 BASE = {
     "format": "opmc-instance/1",
@@ -390,6 +391,22 @@ def test_kan_check_deterministic(inst_file, capsys):
     assert "attempted=6 filled=6" in first
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_kan_check_refuses_trials_past_the_cap(inst_file, capsys, monkeypatch):
+    # more trials than the cap are refused before any vertex is
+    # enumerated or any horn filled
+    def refuse(*args, **kwargs):
+        raise AssertionError("kan-check started work past the cap")
+
+    monkeypatch.setattr(MCProblem, "mc_simplices", refuse)
+    monkeypatch.setattr(MCProblem, "horn_fill", refuse)
+    monkeypatch.setenv("OPMC_RESOURCE_CAP", "5")
+    assert main(["kan-check", "--instance", inst_file, "--trials", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error[resource-limit]: 6 trials exceed the cap 5")
 
 
 def test_decompose_simplex_output(inst_file, capsys):

@@ -276,10 +276,6 @@ TESTED_API = {
     "CofreeCoalgebra._block_to_key": "CofreeCoalgebra.decompose",
     "morphism_extend": "test_cofree",
     "ConvolutionElement.eq": "test_mc_space, test_acceptance",
-    # mu_r, d(psi) and the arity sum, which mc_defect forms in one pass
-    "MCProblem.mu": "test_mc_space",
-    "MCProblem.differential": "test_mc_space, test_acceptance",
-    "MCProblem.star": "test_mc_space",
 }
 
 
@@ -306,7 +302,8 @@ def test_every_function_has_a_caller(tmp_path, monkeypatch):
 
 TRACER = SRC.parent.parent / "bench" / "tracer.py"
 # qualnames the tracer still names after their code was removed
-STALE_TRACER_NAMES = {"builders.be1_to_ass_iso", "builders.compose_permutations"}
+STALE_TRACER_NAMES = {"builders.be1_to_ass_iso", "builders.compose_permutations",
+                      "mc_space.MCProblem.mu"}
 
 
 def _tracer_tables():
