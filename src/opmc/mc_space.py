@@ -42,6 +42,14 @@ is summed once.  A horn fill reads most of it back: the filler's classes
 other than the top and the open face lie in the faces already checked,
 and every later check of the filler or of its faces finds every class
 stored.
+
+Each stored coproduct is computed from the problem's plan of its arity,
+``simplex_chains.coproduct_plan(phi, r)``: the table reductions of the
+arity-r source names and phi's images of them.  The plan is built at
+the first coproduct of its arity, so each name is reduced once per
+problem whatever the class sizes, and it lives as long as the problem,
+like the coproducts it gives: it belongs to the problem's phi, and no
+store outlives a problem.
 """
 
 import random
@@ -63,6 +71,7 @@ from .simplex_chains import (
     c_coalgebra_decompose,
     chains,
     contraction,
+    coproduct_plan,
     degeneracy_map,
     face_map,
     simplex_classes,
@@ -304,8 +313,9 @@ class MCProblem:
     ``phi`` is a cooperad morphism from permutation-tuple cochains, its
     source, onto the cooperad of ``Qt``'s cofree object; it is how each
     simplex becomes a coalgebra over that cooperad.  The problem keeps
-    its memos for its lifetime: the chain coproducts, their join indexes,
-    the plain evaluations and the arity sum per class content.
+    its memos for its lifetime: the coproduct plans, the chain
+    coproducts, their join indexes, the plain evaluations and the arity
+    sum per class content.
     """
 
     def __init__(self, Qt, phi, cap=DEFAULT_RESOURCE_CAP):
@@ -318,6 +328,7 @@ class MCProblem:
             raise ShapeError("morphism does not land in the coderivation's cooperad")
         self.phi = phi
         self.cap = cap
+        self._plans = {}
         self._dec = {}
         self._joins = {}
         self._evaluate = plain_evaluator(Qt)  # Qt is fixed: one memo
@@ -348,9 +359,10 @@ class MCProblem:
     def _decompose(self, n, I, r):
         """The arity-r chain coproduct of the class I of the n-simplex.
 
-        Only the coproduct of the top class of each Delta^m is computed
-        and stored (keyed as that top class); a class with m + 1
-        vertices reads it with position j relabelled to I[j].
+        Only the coproduct of the top class of each Delta^m is computed,
+        from the problem's plan of arity r, and stored (keyed as that top
+        class); a class with m + 1 vertices reads it with position j
+        relabelled to I[j].
         """
         cx = self.chains(n)
         I = tuple(I)
@@ -360,8 +372,10 @@ class MCProblem:
         top = tuple(range(m + 1))
         key = (m, top, r)
         if key not in self._dec:
+            if r not in self._plans:
+                self._plans[r] = coproduct_plan(self.phi, r)
             self._dec[key] = c_coalgebra_decompose(
-                self.phi, top, r, cap=self.cap)
+                self._plans[r], top, cap=self.cap)
         if I == top:
             return self._dec[key]
         return {

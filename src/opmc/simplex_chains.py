@@ -7,6 +7,16 @@ boundary.  The module also provides the explicit vertex contractions
 and the chain-level coalgebra structure over permutation-tuple cochains:
 a tuple of permutations reduces to a sum of surjections by the table
 procedure, and surjections act on chains through interval cuts.
+
+The coproduct along a cooperad morphism phi out of those cochains is
+split in two.  ``coproduct_plan(phi, r)`` holds what does not depend on
+the class: for each source name of arity r, in basis order, the
+surjections of its table reduction and phi's image of the name.
+``c_coalgebra_decompose(plan, I)`` walks the plan once for a class I,
+acts with each distinct surjection once and sums every term, pushed
+through phi, in one ``collect``.  The caller keeps the plan for as long
+as it decomposes classes along that phi: ``MCProblem`` keeps one per
+arity for its own lifetime, and this module stores none.
 """
 
 from functools import cache
@@ -28,7 +38,7 @@ __all__ = [
     "Surjection",
     "surjection_action",
     "table_reduction",
-    "einfty_decompose",
+    "coproduct_plan",
     "c_coalgebra_decompose",
 ]
 
@@ -253,56 +263,56 @@ def table_reduction(simplex):
     return out
 
 
-def einfty_decompose(E, I, r, cap=DEFAULT_RESOURCE_CAP):
-    """Arity-r chain coproduct over permutation-tuple cochains.
+def coproduct_plan(phi, r):
+    """What the arity-r chain coproduct along ``phi`` reads of its
+    cooperads, the same for every class: (ring, rows).
 
-    ``E`` is the cochain cooperad on tuples of permutations (with its
-    complexity filter) and ``I`` a basis class of the chains on a
-    simplex; the simplex itself is not read.  Returns {(dual-basis name,
-    (J_1..J_r)): coeff}: the dual basis element against the image of e_I
-    under the table reduction of the named tuple.
-
-    I and r are fixed within a call, so the action of a surjection is the
-    same wherever it appears: each distinct surjection acts once, and the
-    others read its terms.  Every term read still counts against ``cap``.
+    ``phi`` is a cooperad morphism out of permutation-tuple cochains.
+    Each source name of arity r gives one row, in basis order: the
+    surjections of its table reduction, and phi's image of the name as
+    (target name, coeff) pairs.  An arity above the truncation is
+    refused before any reduction, a negative one by the source's
+    ``basis_names``.
     """
+    E = phi.source
     if r > E.r_max:
         raise ShapeError(f"arity {r} exceeds the truncation {E.r_max}")
-    if r == 0:
-        return {}
-    terms = []
+    return phi.target.ring, [
+        (table_reduction(be_from_name(name)),
+         tuple(phi.apply_name(r, name).terms.items()))
+        for name in (E.basis_names(r) if r else ())]
+
+
+def c_coalgebra_decompose(plan, I, cap=DEFAULT_RESOURCE_CAP):
+    """The chain coproduct of the class I, pushed along a cooperad
+    morphism out of permutation-tuple cochains, from its
+    ``coproduct_plan``.
+
+    Returns {(target-cooperad name, (J_1..J_r)): coeff}: each source name
+    pairs, as the dual basis element, with the image of e_I under its
+    table reduction, and goes to phi's image of the name.  The action of
+    a surjection on I is the same in every row, so each distinct
+    surjection acts once, and the others read its terms.  Every term
+    read counts against ``cap`` before the push, and the pushed terms
+    are summed by one ``collect``; through the identity morphism the
+    result, order included, is the coproduct over the source itself.
+    """
+    ring, rows = plan
     actions = {}
-    for name in E.basis_names(r):
-        simplex = be_from_name(name)
-        for surj in table_reduction(simplex):
+    read = 0
+    terms = []
+    for surjections, image in rows:
+        for surj in surjections:
             action = actions.get(surj.seq)
             if action is None:
                 action = actions[surj.seq] = surjection_action(surj, I)
-            if len(terms) + len(action) > cap:
+            read += len(action)
+            if read > cap:
                 raise ResourceLimitError(
                     f"decomposition exceeded the term cap {cap}"
                 )
-            terms.extend(((name, key), c) for key, c in action.items())
-    return E.ring.collect(terms)
-
-
-def c_coalgebra_decompose(phi, I, r, cap=DEFAULT_RESOURCE_CAP):
-    """Push the chain coproduct along a cooperad morphism out of cochains.
-
-    Returns {(target-cooperad name, (J_1..J_r)): coeff}.  The image of
-    each source name is read from ``phi`` once per call.
-    """
-    ring = phi.target.ring
-    images = {}
-
-    def image(name):
-        if name not in images:
-            images[name] = phi.apply_name(r, name).terms.items()
-        return images[name]
-
-    # both factors are normal, so the products are summed by ``collect``
-    return ring.collect(
-        ((tname, key), c * tc)
-        for (name, key), c in einfty_decompose(
-            phi.source, I, r, cap=cap).items()
-        for tname, tc in image(name))
+            # both factors are normal, so the products are summed by
+            # ``collect``
+            terms += [((tname, key), c * tc)
+                      for key, c in action.items() for tname, tc in image]
+    return ring.collect(terms)

@@ -1,5 +1,5 @@
 """Dense reference convolution: the oracles for ``MCProblem.mc_defect``,
-``ConvolutionElement.precompose`` and ``einfty_decompose``.
+``ConvolutionElement.precompose`` and ``c_coalgebra_decompose``.
 
 ``dense_mu`` is the one mu_r of general degree, with its own Koszul
 sign, and ``dense_differential`` is d(psi) = mu_1(psi) - psi o d; the
@@ -7,15 +7,17 @@ laws of the convolution complex are tested on them, and their degree-0
 sums are what ``mc_defect`` must equal.  ``dense_mu`` is the
 straightforward per-class loop that the memoised join of
 ``opmc.mc_space`` replaces.  For every basis class of the simplex it
-computes the chain coproduct of that class with ``c_coalgebra_decompose``,
-reads every block value through ``ConvolutionElement.value`` and adds
-each evaluated term to the class value as an ``Element``.  Nothing is
-shared between classes or calls, so it is slow; tests keep their
-simplices small.  ``dense_einfty_decompose`` is the chain coproduct with
-every (name, surjection) pair acting on the class anew, through
-``dense_surjection_action`` (every cut of the class, each regrouped and
-signed on its own) and ``dense_table_reduction`` (every row-length
-composition, filtered at the end).
+builds a ``coproduct_plan`` and computes the chain coproduct of that
+class with ``c_coalgebra_decompose``, reads every block value through
+``ConvolutionElement.value`` and adds each evaluated term to the class
+value as an ``Element``.  Nothing is shared between classes or calls,
+so it is slow; tests keep their simplices small.
+``dense_einfty_decompose`` is the chain coproduct over the cochains
+themselves, what ``c_coalgebra_decompose`` gives through the identity
+morphism, with every (name, surjection) pair acting on the class anew,
+through ``dense_surjection_action`` (every cut of the class, each
+regrouped and signed on its own) and ``dense_table_reduction`` (every
+row-length composition, filtered at the end).
 
 ``dense_precompose`` is the composite with a chain map as a loop that
 sums and sets a value on every class of the source, zeros included.
@@ -35,7 +37,11 @@ from opmc.cooperad import riffle_parity, shapes
 from opmc.errors import ShapeError
 from opmc.graded import Element, koszul_sign_images
 from opmc.mc_space import ConvolutionElement
-from opmc.simplex_chains import Surjection, c_coalgebra_decompose
+from opmc.simplex_chains import (
+    Surjection,
+    c_coalgebra_decompose,
+    coproduct_plan,
+)
 
 
 def _cut_positions(l, p):
@@ -157,7 +163,8 @@ def dense_mu(problem, psis):
     degs = [p.degree for p in psis]
     for I in cx.module.names:
         acc = V.zero()
-        dec = c_coalgebra_decompose(problem.phi, I, r, cap=problem.cap)
+        dec = c_coalgebra_decompose(coproduct_plan(problem.phi, r), I,
+                                    cap=problem.cap)
         for (cname, Js), c in dec.items():
             # Koszul sign: psi_i crosses the cooperad factor and the
             # chain factors to its left

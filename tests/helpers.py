@@ -5,9 +5,11 @@ use (d o d = 0, dh + hd = id - p o eps, the surjection degree)."""
 from fractions import Fraction
 from itertools import chain
 
+from opmc.builders import en_restriction_morphism
 from opmc.cofree import Coderivation, coderivation_extend
-from opmc.errors import ShapeError
+from opmc.errors import DEFAULT_RESOURCE_CAP, ShapeError
 from opmc.graded import LinearMap
+from opmc.simplex_chains import c_coalgebra_decompose, coproduct_plan
 
 
 def coleibniz_defect(cf, Qt, ks=(1, 2)):
@@ -80,6 +82,14 @@ def sub(x, y):
 def chain_gen(cx, I, coeff=1):
     """coeff * e_I in the chains ``cx`` on a simplex, I in any order."""
     return cx.module.gen(tuple(sorted(I)), coeff)
+
+
+def decompose_over(E, I, r, cap=DEFAULT_RESOURCE_CAP):
+    """The arity-r chain coproduct of e_I over the cochains E themselves:
+    ``c_coalgebra_decompose`` through the identity morphism, as
+    ``make_problem`` sets it up."""
+    phi = en_restriction_morphism(E, E, validate=False)
+    return c_coalgebra_decompose(coproduct_plan(phi, r), I, cap=cap)
 
 
 def surjection_degree(u):

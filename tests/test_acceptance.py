@@ -14,6 +14,7 @@ from dense_convolution import dense_differential
 from helpers import (
     coleibniz_defect,
     compose,
+    decompose_over,
     map_add,
     map_eq,
     map_identity,
@@ -38,7 +39,7 @@ from opmc.cofree import (
 from opmc.graded import BasisElement, GradedModule, koszul_sign_images
 from opmc.mc_space import HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
-from opmc.simplex_chains import chains, contraction, einfty_decompose
+from opmc.simplex_chains import chains, contraction
 from opmc.symmetric import norm_plain, orbit_classes
 from opmc.twisting import (
     exp_element,
@@ -380,7 +381,7 @@ def test_criterion_09_cup_product_recovery():
         E, _ = barratt_eccles(Z, 2, n + 1, n=n, validate=False)
         cx = chains(Z, n)
         for I in cx.module.names:
-            got = einfty_decompose(E, I, 2)
+            got = decompose_over(E, I, 2)
             aw = {k: c for (nm, k), c in got.items() if nm == "12"}
             want = {
                 (I[:i + 1], I[i:]): 1 for i in range(len(I))

@@ -2,7 +2,8 @@
 and associative cochains has integer coefficients, so a computation over
 Z, reduced mod m, is the same computation over Z/m: the tables, and
 above them the cofree decomposition, the twist, the residual and the
-solution defect on the simplices.  This
+solution defect on the simplices.  The Barratt-Eccles tables, Hopf
+products and units over Z are also those over Q.  This
 sees the ring-specific paths (``normalize`` and the zero tests of each
 ring) that the same-ring oracles cannot."""
 
@@ -49,16 +50,20 @@ def as_lists(rows):
 
 @pytest.mark.parametrize("build", sorted(BUILDS))
 def test_be_structure_commutes_with_reduction(build):
+    """Z -> Z/2 and Z -> Z/3 commute with the tables, the Hopf products
+    and the units, and so does the inclusion Z -> Q: the tables are
+    integral, so the build over Q is the build over Z."""
     r_max, d_max, n = BUILDS[build]
     C, H = barratt_eccles(Z, r_max, d_max, n=n, validate=False)
-    for m in (2, 3):
-        ring = ring_make({"kind": "integers-mod-m", "modulus": m})
+    for spec in (_mod(2), _mod(3), {"kind": "rationals"}):
+        ring = ring_make(spec)
         Cm, Hm = barratt_eccles(ring, r_max, d_max, n=n, validate=False)
-        assert reduced(ring, C.cocomp) == as_lists(Cm.cocomp), m
-        assert reduced(ring, H.products) == as_lists(Hm.products), m
+        assert reduced(ring, C.cocomp) == as_lists(Cm.cocomp), ring
+        assert reduced(ring, H.products) == as_lists(Hm.products), ring
         units = {r: [(nm, ring.normalize(c)) for nm, c in u.terms.items()
                      if ring.normalize(c)] for r, u in H.units.items()}
-        assert units == {r: list(u.terms.items()) for r, u in Hm.units.items()}, m
+        assert units == {r: list(u.terms.items())
+                         for r, u in Hm.units.items()}, ring
 
 
 # Instances over Z with r_max 3 and w_max 3, and for each a degree-0

@@ -435,6 +435,27 @@ def test_decompose_simplex_refuses_non_classes(inst_file, capsys, cls):
     assert "error[shape]" in captured.err
 
 
+@pytest.mark.parametrize("arity, err", [
+    ("4", "error[shape]: arity 4 exceeds the truncation 3\n"),
+    ("-1", "error[shape]: arity -1 outside truncation (R_max=3)\n"),
+    ("0", None),
+])
+def test_decompose_simplex_arity_range(capsys, arity, err):
+    # arities outside 0..r_max are refused before any coproduct work;
+    # arity 0 has no terms
+    inst = str(Path(__file__).parent / "data" / "e2_z2.json")
+    code = main(["decompose-simplex", "--instance", inst,
+                 "--n", "2", "--class", "0,1", "--arity", arity])
+    captured = capsys.readouterr()
+    if err is None:
+        assert code == 0
+        assert captured.out == "total: 0 terms\n"
+    else:
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == err
+
+
 @pytest.mark.parametrize("cls", ["0,1,2", "1,2,3"])
 def test_decompose_simplex_term_cap(inst_file, capsys, monkeypatch, cls):
     # a 3-vertex class has 36 arity-3 terms; at cap 35 the top class of

@@ -29,6 +29,7 @@ from opmc.simplex_chains import (
     c_coalgebra_decompose,
     chains,
     contraction,
+    coproduct_plan,
     degeneracy_map,
     face_map,
 )
@@ -512,12 +513,14 @@ def test_mc_defect_refusals_keep_their_messages():
 @pytest.mark.parametrize("case", ["ass-Z", "E2-Z2"])
 def test_relabelled_decomposition_matches_per_class(case):
     P = MCProblem(*(odd_parts() if case == "ass-Z" else e2_parts(Z2)))
+    plans = {r: coproduct_plan(P.phi, r) for r in range(1, P.C.r_max + 1)}
     for n in range(5):
         cx = P.chains(n)
         for I in cx.module.names:
-            for r in range(1, P.C.r_max + 1):
-                want = c_coalgebra_decompose(P.phi, I, r, cap=P.cap)
-                assert P._decompose(n, I, r) == want, (n, I, r)
+            for r, plan in plans.items():
+                want = c_coalgebra_decompose(plan, I, cap=P.cap)
+                got = P._decompose(n, I, r)
+                assert list(got.items()) == list(want.items()), (n, I, r)
 
 
 def test_horn_basis_shapes():
@@ -716,6 +719,32 @@ def test_memo_counts_of_a_shipped_e2_fill(monkeypatch):
     psi = P.horn_fill(horn_from_doc(inst.V, doc))
     assert all(P.mc_check(P.face(i, psi, verify=False))[0] for i in range(4))
     assert len(computed) == len(P._mus) == 6
+
+
+def test_coproduct_counts_of_shipped_e2_fills(monkeypatch):
+    # a gate on counts: horns of dimensions 1, 2 and 3 filled in one
+    # problem need the coproducts of class sizes 1-4 at arities 1-3.
+    # The problem's plan reduces each source name of an arity once, 77
+    # names in all (1 + 4 + 72); reducing every name again for each
+    # coproduct made 308 reductions.  Each coproduct acts with each of
+    # its distinct surjections once, 164 actions.  A second problem
+    # shares nothing with the first, so it repeats both counts
+    data = Path(__file__).parent / "data"
+    inst = instances.load_instance(str(data / "e2_z2.json"))
+    counts = dict.fromkeys(("table_reduction", "surjection_action"), 0)
+    for name in counts:
+        def counted(*args, name=name, fn=getattr(simplex_chains, name)):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(simplex_chains, name, counted)
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        P = instances.make_problem(inst)
+        report = P.kan_spot_check(trials=3)
+        assert [case["n"] for case in report["cases"]] == [1, 2, 3]
+        assert sorted({r for _, _, r in P._dec}) == [1, 2, 3]
+        assert [len(P.C.basis_names(r)) for r in (1, 2, 3)] == [1, 4, 72]
+        assert counts == {"table_reduction": 77, "surjection_action": 164}
 
 
 def test_set_counts_of_a_shipped_e2_fill(monkeypatch):

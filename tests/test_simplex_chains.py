@@ -16,8 +16,8 @@ from opmc.simplex_chains import (
     c_coalgebra_decompose,
     chains,
     contraction,
+    coproduct_plan,
     degeneracy_map,
-    einfty_decompose,
     face_map,
     induced_map,
     surjection_action,
@@ -33,6 +33,7 @@ from dense_convolution import (
 from helpers import (
     chain_gen,
     compose,
+    decompose_over,
     map_add,
     map_eq,
     map_identity,
@@ -347,18 +348,18 @@ def test_einfty_decompose_counit():
     E, _ = barratt_eccles(Z, 3, 2, n=2, validate=False)
     cx = chains(Z, 2)
     for I in cx.module.names:
-        got = einfty_decompose(E, I, 1)
+        got = decompose_over(E, I, 1)
         assert got == {("1", (I,)): 1}, I
-    assert einfty_decompose(E, (0, 1), 0) == {}
+    assert decompose_over(E, (0, 1), 0) == {}
     with pytest.raises(ShapeError):
-        einfty_decompose(E, (0, 1), 4)
+        decompose_over(E, (0, 1), 4)
 
 
 def test_einfty_decompose_cap():
     E, _ = barratt_eccles(Z, 3, 2, n=2, validate=False)
     cx = chains(Z, 2)
     with pytest.raises(ResourceLimitError):
-        einfty_decompose(E, cx.top(), 2, cap=3)
+        decompose_over(E, cx.top(), 2, cap=3)
 
 
 @pytest.mark.parametrize("ring", [Z, Z2], ids=["Z", "Z2"])
@@ -373,7 +374,7 @@ def test_einfty_decompose_matches_plain_loop(ring):
         cx = chains(ring, n)
         for I in cx.module.names:
             for r in (1, 2, 3):
-                got = einfty_decompose(E, I, r)
+                got = decompose_over(E, I, r)
                 want, _ = dense_einfty_decompose(E, I, r)
                 assert list(got.items()) == list(want.items()), (n, I, r)
 
@@ -385,14 +386,14 @@ def test_einfty_decompose_cap_counts_every_term_read(r):
     cx = chains(Z, 3)
     for I in ((0, 1, 3), cx.top()):
         want, count = dense_einfty_decompose(E, I, r)
-        assert einfty_decompose(E, I, r, cap=count) == want
+        assert decompose_over(E, I, r, cap=count) == want
         with pytest.raises(ResourceLimitError):
-            einfty_decompose(E, I, r, cap=count - 1)
+            decompose_over(E, I, r, cap=count - 1)
 
 
 def test_einfty_decompose_interval():
     E, _ = barratt_eccles(Z, 2, 2, n=2, validate=False)
-    got = einfty_decompose(E, (0, 1), 2)
+    got = decompose_over(E, (0, 1), 2)
     assert got == {
         ("12", ((0,), (0, 1))): 1,
         ("12", ((0, 1), (1,))): 1,
@@ -410,7 +411,7 @@ def test_cup_product_recovery(n):
     E, _ = barratt_eccles(Z, 2, n + 1, n=n, validate=False)
     cx = chains(Z, n)
     top = cx.top()
-    got = einfty_decompose(E, top, 2)
+    got = decompose_over(E, top, 2)
     aw = {k: c for (nm, k), c in got.items() if nm == "12"}
     want = {
         (tuple(range(i + 1)), tuple(range(i, n + 1))): 1
@@ -424,7 +425,7 @@ def test_c_coalgebra_decompose_via_renaming():
     E1, _ = barratt_eccles(Z, 2, 2, n=1, validate=False)
     assC, _ = ass_cochains(Z, 2)
     phi = en_restriction_morphism(E1, assC)
-    got = c_coalgebra_decompose(phi, (0, 1), 2)
+    got = c_coalgebra_decompose(coproduct_plan(phi, 2), (0, 1))
     assert got == {
         ("12", ((0,), (0, 1))): 1,
         ("12", ((0, 1), (1,))): 1,
@@ -439,8 +440,10 @@ def test_c_coalgebra_decompose_via_restriction():
     E2, _ = barratt_eccles(Z, 2, 2, n=2, validate=False)
     E1, _ = barratt_eccles(Z, 2, 2, n=1, validate=False)
     assC, _ = ass_cochains(Z, 2)
-    got = c_coalgebra_decompose(en_restriction_morphism(E2, assC), (0, 1), 2)
-    want = c_coalgebra_decompose(en_restriction_morphism(E1, assC), (0, 1), 2)
+    got = c_coalgebra_decompose(
+        coproduct_plan(en_restriction_morphism(E2, assC), 2), (0, 1))
+    want = c_coalgebra_decompose(
+        coproduct_plan(en_restriction_morphism(E1, assC), 2), (0, 1))
     assert got == want
 
 
@@ -448,6 +451,6 @@ def test_decompose_mod_two():
     # signs disappear but the support is the same
     Ez, _ = barratt_eccles(Z, 2, 2, n=2, validate=False)
     E2, _ = barratt_eccles(Z2, 2, 2, n=2, validate=False)
-    a = einfty_decompose(Ez, (0, 1, 2), 2)
-    b = einfty_decompose(E2, (0, 1, 2), 2)
+    a = decompose_over(Ez, (0, 1, 2), 2)
+    b = decompose_over(E2, (0, 1, 2), 2)
     assert b == {k: 1 for k, c in a.items() if c % 2}

@@ -303,7 +303,7 @@ def test_every_function_has_a_caller(tmp_path, monkeypatch):
 TRACER = SRC.parent.parent / "bench" / "tracer.py"
 # qualnames the tracer still names after their code was removed
 STALE_TRACER_NAMES = {"builders.be1_to_ass_iso", "builders.compose_permutations",
-                      "mc_space.MCProblem.mu"}
+                      "mc_space.MCProblem.mu", "simplex_chains.einfty_decompose"}
 
 
 def _tracer_tables():
