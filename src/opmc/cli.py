@@ -232,7 +232,7 @@ def cmd_decompose_simplex(args):
         raise InstanceFormatError(
             f"--class must be a comma list of vertices, got {args.simplex_class!r}"
         ) from None
-    terms = problem._decompose(args.n, I, args.arity)
+    terms = problem.coproduct(args.n, I, args.arity)
     for (cname, Js), c in sorted(terms.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
         blocks = " ; ".join(",".join(str(v) for v in J) for J in Js)
         print(f"{cname} | {blocks} -> {c}")

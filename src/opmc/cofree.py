@@ -4,8 +4,9 @@ cogenerator-level data to coderivations and coalgebra morphisms.
 Representation.  A basis key (r, rep, v-tuple) stands for the orbit sum
 of the plain tensor rep (x) v_1..v_r.  Every operation expands keys into
 plain tensors, applies plain dual tables in order, and collects outputs
-back into key form.  The arity-r cooperad component supplies all that
-depends on its symmetric group action, so there is one code path:
+back into key form.  The arity-r cooperad component, arity 0 included,
+supplies all that depends on its symmetric group action, so there is one
+code path:
 
 - ``class_tuples``: the v-tuples that key a class;
 - ``orbit_sum``: the plain expansion of a key;
@@ -60,8 +61,8 @@ class CofreeCoalgebra:
         self.V = V
         self.ring = C.ring
         self.w_max = w_max
-        basis = [BasisElement((0, C.unit_name, ()), 0, 0)]
-        for r in range(1, C.r_max + 1):
+        basis = []
+        for r in range(C.r_max + 1):
             om = C.component(r)
             if not om.orbit_reps:
                 continue
@@ -131,13 +132,9 @@ class CofreeCoalgebra:
         into key form by ``orbit_classes``."""
         terms = []
         for r, plain in plain_by_arity.items():
-            if r == 0:
-                terms.extend(((0, cname, ()), coeff)
-                             for (cname, vt), coeff in plain.items())
-            else:
-                terms.extend(((r, cname, vt), coeff) for (cname, vt), coeff
-                             in orbit_classes(self.cooperad.component(r), plain,
-                                              self.V.degree).items())
+            terms.extend(((r, cname, vt), coeff) for (cname, vt), coeff
+                         in orbit_classes(self.cooperad.component(r), plain,
+                                          self.V.degree).items())
         basis = self.module.basis
         return Element(self.module, {k: c for k, c in self.ring.collect(terms).items()
                                      if k in basis})
@@ -203,8 +200,6 @@ class CofreeCoalgebra:
 
     def _block_to_key(self, r, g, vb):
         """Identify a plain block (g (x) vb) as (key, coefficient) or drop."""
-        if r == 0:
-            return (0, self.cooperad.unit_name, ()), self.ring.one
         lam = self.cooperad.component(r).collection_coefficient(
             g, vb, self.V.degree)
         key = (r, g, vb)
@@ -262,8 +257,6 @@ class Coderivation:
     def eval_plain(self, r, cname, vt):
         """Value on a plain tensor via equivariance."""
         cf = self.cofree
-        if r == 0:
-            return self.curvature()
         degs = tuple(cf.V.degree(v) for v in vt)
         rep, wt, sign = cf.cooperad.component(r).coinv_normalize(cname, vt, degs)
         base = self.comps.get((r, rep, wt))

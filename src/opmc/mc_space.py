@@ -19,14 +19,15 @@ instead of copying it.
 
 The program evaluates the condition only at degree 0, in one kernel,
 ``MCProblem.mc_defect``; the general-degree mu_r is the test oracle's.
-The chain coproduct is stored once per class size and arity, as the
-coproduct of the top class of the simplex of that size, in vertex
-positions 0..m.  Relabelling it through a class I gives the coproduct of
-I exactly: the interval-cut action reads only positions within I (the
-cuts, the parity of a cut, and which vertices are equal), never the
-vertex values.  The kernel joins that positional coproduct with the
-support of psi, skipping every term with a block on which psi vanishes,
-and the problem memoises the coderivation's plain evaluations.
+The chain coproduct of a class I equals that of the top class of the
+simplex of size |I|, in vertex positions 0..m, relabelled through I:
+the interval-cut action reads only positions within I (the cuts, the
+parity of a cut, and which vertices are equal), never the vertex
+values.  So the coproduct has one stored form, the join index of each
+class size and arity: the positional coproduct grouped by its first
+block.  The kernel joins it with the support of psi, skipping every
+term with a block on which psi vanishes, and the problem memoises the
+coderivation's plain evaluations.
 
 The same relabelling makes the sum of mu_r(psi, ..., psi) over the
 arities on a class I a function of |I| and psi on the subclasses of I,
@@ -43,13 +44,14 @@ other than the top and the open face lie in the faces already checked,
 and every later check of the filler or of its faces finds every class
 stored.
 
-Each stored coproduct is computed from the problem's plan of its arity,
+``MCProblem.coproduct`` computes the coproduct of any class, unstored,
+from the problem's plan of its arity,
 ``simplex_chains.coproduct_plan(phi, r)``: the table reductions of the
 arity-r source names and phi's images of them.  The plan is built at
 the first coproduct of its arity, so each name is reduced once per
 problem whatever the class sizes, and it lives as long as the problem,
-like the coproducts it gives: it belongs to the problem's phi, and no
-store outlives a problem.
+like the join indexes built from it: it belongs to the problem's phi,
+and no store outlives a problem.
 """
 
 import random
@@ -313,9 +315,10 @@ class MCProblem:
     ``phi`` is a cooperad morphism from permutation-tuple cochains, its
     source, onto the cooperad of ``Qt``'s cofree object; it is how each
     simplex becomes a coalgebra over that cooperad.  The problem keeps
-    its memos for its lifetime: the coproduct plans, the chain
-    coproducts, their join indexes, the plain evaluations and the arity
-    sum per class content.
+    its memos for its lifetime: the coproduct plan per arity, the join
+    index per class size and arity (the one stored form of the chain
+    coproduct), the subclass table per simplex dimension, the plain
+    evaluations and the arity sum per class content.
     """
 
     def __init__(self, Qt, phi, cap=DEFAULT_RESOURCE_CAP):
@@ -329,7 +332,6 @@ class MCProblem:
         self.phi = phi
         self.cap = cap
         self._plans = {}
-        self._dec = {}
         self._joins = {}
         self._evaluate = plain_evaluator(Qt)  # Qt is fixed: one memo
         self._mus = {}
@@ -356,32 +358,16 @@ class MCProblem:
             self._subclasses[n] = subclass_table(n)
         return self._subclasses[n]
 
-    def _decompose(self, n, I, r):
-        """The arity-r chain coproduct of the class I of the n-simplex.
-
-        Only the coproduct of the top class of each Delta^m is computed,
-        from the problem's plan of arity r, and stored (keyed as that top
-        class); a class with m + 1 vertices reads it with position j
-        relabelled to I[j].
-        """
+    def coproduct(self, n, I, r):
+        """The arity-r chain coproduct of the class I of the n-simplex,
+        from the problem's plan of arity r; not stored."""
         cx = self.chains(n)
         I = tuple(I)
         if I not in cx.module.basis:
             raise ShapeError(f"{I} is not a basis class of the {n}-simplex")
-        m = len(I) - 1
-        top = tuple(range(m + 1))
-        key = (m, top, r)
-        if key not in self._dec:
-            if r not in self._plans:
-                self._plans[r] = coproduct_plan(self.phi, r)
-            self._dec[key] = c_coalgebra_decompose(
-                self._plans[r], top, cap=self.cap)
-        if I == top:
-            return self._dec[key]
-        return {
-            (cname, tuple(tuple(I[j] for j in J) for J in Js)): c
-            for (cname, Js), c in self._dec[key].items()
-        }
+        if r not in self._plans:
+            self._plans[r] = coproduct_plan(self.phi, r)
+        return c_coalgebra_decompose(self._plans[r], I, cap=self.cap)
 
     def _require_flat(self):
         if not self.Qt.flat:
@@ -475,8 +461,7 @@ class MCProblem:
         index = self._joins.get(key)
         if index is None:
             index = self._joins[key] = {}
-            dec = self._decompose(size - 1, tuple(range(size)), r)
-            for (cname, Js), c in dec.items():
+            for (cname, Js), c in self.coproduct(size - 1, range(size), r).items():
                 index.setdefault(Js[0], []).append((cname, Js[1:], c))
         return index
 

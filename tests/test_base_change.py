@@ -1,8 +1,8 @@
 """Base change as an oracle: every structure map of the Barratt-Eccles
 and associative cochains has integer coefficients, so a computation over
 Z, reduced mod m, is the same computation over Z/m: the tables, and
-above them the cofree decomposition, the twist, the residual and the
-solution defect on the simplices.  The Barratt-Eccles tables, Hopf
+above them the cofree decomposition, the twist, the residual, the
+solution defect on the simplices and the horn fillers.  The Barratt-Eccles tables, Hopf
 products and units over Z are also those over Q.  This
 sees the ring-specific paths (``normalize`` and the zero tests of each
 ring) that the same-ring oracles cannot."""
@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from opmc.builders import barratt_eccles
+from opmc.cofree import square_check
 from opmc.instances import make_problem, parse_instance, read_json
+from opmc.mc_space import HornData
 from opmc.rings import ring_make
 from opmc.simplex_chains import chains
 from opmc.twisting import mc_residual, twist
@@ -174,6 +176,64 @@ def test_mc_defect_commutes_with_reduction(name):
     terms = psi_terms(rings[0].V, 29)
     layers = {m: defect_layers(inst, terms) for m, inst in rings.items()}
     assert layers[0]["defect"]
+    for source, target in ((0, 2), (0, 3), (4, 2)):
+        ring = ring_make(_mod(target))
+        got = reduce_layers(ring, layers[source])
+        assert got == layers[target], (source, target)
+
+
+def fill(P, n, k, values):
+    """The filler of the (n, k) horn with values {class: terms}."""
+    return P.horn_fill(HornData(
+        n, k, P.V, {I: P.V.element(t) for I, t in values.items()}))
+
+
+def z_horns(P, seed):
+    """Horns over Z on ``ass_z.json``, three of each dimension 1 to 3, as
+    (n, k, {class: terms}).  Its only degree-0 vertex over Z is zero (x
+    squares to y), so the data are edges valued in u: a 1-horn is the
+    vertex of such an edge, a 2-horn two such edges, and a 3-horn a
+    degeneracy of a filler over Z of a 2-horn."""
+    rng = random.Random(seed)
+    fillers = []
+    horns = []
+    for n in (1, 2, 3):
+        for _ in range(3):
+            k = rng.randrange(n + 1)
+            if n == 1:
+                values = {(k,): {}}
+            elif n == 2:
+                values = {(min(k, i), max(k, i)): {"u": rng.choice(PSI_COEFFS)}
+                          for i in range(3) if i != k}
+                fillers.append(fill(P, n, k, values))
+            else:
+                full = P.degeneracy(rng.randrange(3), rng.choice(fillers),
+                                    verify=False)
+                values = {I: v.terms for I, v in
+                          HornData.from_simplex(full, k).values.items()}
+            horns.append((n, k, values))
+    return horns
+
+
+def test_horn_fillers_commute_with_reduction():
+    """Z -> Z/2, Z -> Z/3 and Z/4 -> Z/2 commute with horn filling on
+    ``ass_z.json``, which squares to zero over Z: the filler of a horn
+    over Z, reduced, is the filler of the reduced horn."""
+    rings = {m: over("ass_z.json", _mod(m)) for m in (2, 3, 4)}
+    rings[0] = over("ass_z.json", {"kind": "integers"})
+    assert square_check(rings[0].Qt)[0]
+    P = make_problem(rings[0])
+    # the (2, 0) horn with e_01 -> 2u and e_02 -> -3u fills with e_12 -> -5u
+    filled = fill(P, 2, 0, {(0, 1): {"u": 2}, (0, 2): {"u": -3}})
+    assert filled.value((1, 2)).terms == {"u": -5}
+    horns = z_horns(P, 31)
+    layers = {}
+    for m, inst in rings.items():
+        Pm = make_problem(inst)
+        layers[m] = {"filler": {
+            (i, I): v.terms for i, horn in enumerate(horns)
+            for I, v in fill(Pm, *horn).values.items()}}
+    assert any(len(I) == 2 for _, I in layers[0]["filler"])
     for source, target in ((0, 2), (0, 3), (4, 2)):
         ring = ring_make(_mod(target))
         got = reduce_layers(ring, layers[source])

@@ -8,9 +8,9 @@ the convolution operations behind ``horn-fill``, ``mc-simplicial`` and
 ``decompose-simplex`` (the ``ass`` demo and ``e2_z2.json``, E2 cochains
 over Z/2).  ``twist``, ``mc`` and ``decompose-simplex`` are pinned again
 where signs do not vanish: the ``ass`` demo over Z (``ass_z.json``) and
-Z/3 (``ass_z3.json``), and the E2 instance over Z (``e2_z.json``).  A
-quadratic instance over Z/3 (``quad_z3.json``) pins a horn fill that
-needs one correction step.
+Z/3 (``ass_z3.json``), and the E2 instance over Z (``e2_z.json``),
+whose coproduct of a face is pinned too.  A quadratic instance over Z/3
+(``quad_z3.json``) pins a horn fill that needs one correction step.
 """
 
 import json
@@ -76,6 +76,10 @@ for inst in ("ass_z", "ass_z3", "e2_z"):
     CASES[f"{inst}_decompose_top"] = ["decompose-simplex", "--instance",
                                       f"{inst}.json", "--n", "2",
                                       "--class", "0,1,2", "--arity", "2"]
+# a class other than the top, with signs: its coproduct is computed for
+# the class itself
+CASES["e2_z_decompose_face"] = ["decompose-simplex", "--instance", "e2_z.json",
+                                "--n", "3", "--class", "0,2,3", "--arity", "2"]
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -510,17 +510,24 @@ def test_mc_defect_refusals_keep_their_messages():
         MCProblem(curved, P.phi).mc_check(P.zero(1))
 
 
-@pytest.mark.parametrize("case", ["ass-Z", "E2-Z2"])
+@pytest.mark.parametrize("case", ["ass-Z", "E2-Z2", "E2-Z"])
 def test_relabelled_decomposition_matches_per_class(case):
-    P = MCProblem(*(odd_parts() if case == "ass-Z" else e2_parts(Z2)))
+    # the join index, and so the arity sum, reads the coproduct of a
+    # class as that of the top class of its size, in positions: relabelled
+    # through the class, it is the class's own coproduct, order included
+    P = MCProblem(*(odd_parts() if case == "ass-Z"
+                    else e2_parts(Z2 if case == "E2-Z2" else Z)))
     plans = {r: coproduct_plan(P.phi, r) for r in range(1, P.C.r_max + 1)}
+    tops = {(m, r): P.coproduct(m, range(m + 1), r)
+            for m in range(5) for r in plans}
     for n in range(5):
-        cx = P.chains(n)
-        for I in cx.module.names:
+        for I in P.chains(n).module.names:
             for r, plan in plans.items():
                 want = c_coalgebra_decompose(plan, I, cap=P.cap)
-                got = P._decompose(n, I, r)
+                got = {(cname, tuple(tuple(I[j] for j in J) for J in Js)): c
+                       for (cname, Js), c in tops[len(I) - 1, r].items()}
                 assert list(got.items()) == list(want.items()), (n, I, r)
+                assert list(P.coproduct(n, I, r).items()) == list(want.items())
 
 
 def test_horn_basis_shapes():
@@ -727,8 +734,10 @@ def test_coproduct_counts_of_shipped_e2_fills(monkeypatch):
     # The problem's plan reduces each source name of an arity once, 77
     # names in all (1 + 4 + 72); reducing every name again for each
     # coproduct made 308 reductions.  Each coproduct acts with each of
-    # its distinct surjections once, 164 actions.  A second problem
-    # shares nothing with the first, so it repeats both counts
+    # its distinct surjections once, 164 actions.  The coproduct is
+    # stored once, as the join index of its class size and arity, so it
+    # is computed once per index.  A second problem shares nothing with
+    # the first, so it repeats every count
     data = Path(__file__).parent / "data"
     inst = instances.load_instance(str(data / "e2_z2.json"))
     counts = dict.fromkeys(("table_reduction", "surjection_action"), 0)
@@ -737,12 +746,18 @@ def test_coproduct_counts_of_shipped_e2_fills(monkeypatch):
             counts[name] += 1
             return fn(*args)
         monkeypatch.setattr(simplex_chains, name, counted)
+    coproducts = []
+    decompose = mc_space.c_coalgebra_decompose
+    monkeypatch.setattr(mc_space, "c_coalgebra_decompose",
+                        lambda *a, **k: coproducts.append(a) or decompose(*a, **k))
     for _ in range(2):
         counts.update(dict.fromkeys(counts, 0))
+        coproducts.clear()
         P = instances.make_problem(inst)
         report = P.kan_spot_check(trials=3)
         assert [case["n"] for case in report["cases"]] == [1, 2, 3]
-        assert sorted({r for _, _, r in P._dec}) == [1, 2, 3]
+        assert sorted({r for _, r in P._joins}) == [1, 2, 3]
+        assert len(coproducts) == len(P._joins)
         assert [len(P.C.basis_names(r)) for r in (1, 2, 3)] == [1, 4, 72]
         assert counts == {"table_reduction": 77, "surjection_action": 164}
 

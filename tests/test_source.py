@@ -40,12 +40,6 @@ def test_imports_are_at_module_level():
     assert found == []
 
 
-# (module, expression) pairs allowed to touch a private attribute of
-# another object: the benchmark tracer hooks MCProblem._decompose by
-# that name, so the CLI calls it there
-PRIVATE_ACCESS = {("cli.py", "problem._decompose")}
-
-
 def _private_access(tree):
     """(expression, line) of each _-prefixed, non-dunder attribute
     touched on an object other than self or cls."""
@@ -61,8 +55,7 @@ def test_private_attributes_stay_with_their_object():
     """A module reads what another object exposes, never its private
     state: each layer depends on the public interface only."""
     found = [(path.name, expr, line) for path in sorted(SRC.glob("*.py"))
-             for expr, line in _private_access(ast.parse(path.read_text("utf-8")))
-             if (path.name, expr) not in PRIVATE_ACCESS]
+             for expr, line in _private_access(ast.parse(path.read_text("utf-8")))]
     assert found == []
 
 
@@ -303,7 +296,8 @@ def test_every_function_has_a_caller(tmp_path, monkeypatch):
 TRACER = SRC.parent.parent / "bench" / "tracer.py"
 # qualnames the tracer still names after their code was removed
 STALE_TRACER_NAMES = {"builders.be1_to_ass_iso", "builders.compose_permutations",
-                      "mc_space.MCProblem.mu", "simplex_chains.einfty_decompose"}
+                      "mc_space.MCProblem._decompose", "mc_space.MCProblem.mu",
+                      "simplex_chains.einfty_decompose"}
 
 
 def _tracer_tables():
