@@ -18,7 +18,7 @@ from .cooperad import (
 from .errors import ShapeError
 from .graded import BasisElement, LinearMap
 from .operads import be_cocomposition
-from .symmetric import OrbitModule, Permutation, TrivialModule, all_permutations
+from .symmetric import OrbitModule, TrivialModule, all_permutations, compose, inverse
 
 __all__ = [
     "ass_cochains",
@@ -31,15 +31,16 @@ UNIT_NAME = "()"
 
 
 def perm_name(p):
-    return p.oneline() if p.r else UNIT_NAME
+    """The images of p run together, joined by "-" from arity 10 on."""
+    if not p:
+        return UNIT_NAME
+    return ("" if len(p) < 10 else "-").join(map(str, p))
 
 
 def perm_from_name(name):
     if name == UNIT_NAME:
-        return Permutation(())
-    if "-" in name:
-        return Permutation(tuple(int(t) for t in name.split("-")))
-    return Permutation(tuple(int(ch) for ch in name))
+        return ()
+    return tuple(map(int, name.split("-") if "-" in name else name))
 
 
 def ass_cochains(ring, r_max, validate=True):
@@ -114,8 +115,8 @@ def be_simplices(r, d_max, n):
     # order[p][t]: p puts the smaller value of pair t first
     order = {}
     for p in perms:
-        inv = p.inverse()
-        order[p] = tuple(inv(i) < inv(j) for i, j in pairs)
+        inv = inverse(p)
+        order[p] = tuple(inv[i - 1] < inv[j - 1] for i, j in pairs)
 
     def within(runs):
         return n is None or max(runs, default=0) <= n
@@ -160,8 +161,8 @@ def barratt_eccles(ring, r_max, d_max=None, n=None, validate=True):
     C = CooperadTruncation(
         ring, r_max, be_components(ring, simplices),
         be_cocomposition(simplices),
-        unit_name=be_name((Permutation.identity(0),)),
-        counit_name=be_name((Permutation.identity(1),)),
+        unit_name=be_name(((),)),
+        counit_name=be_name(((1,),)),
     )
     H = be_cup_structure(ring, C)
     if validate:
@@ -178,9 +179,10 @@ def be_components(ring, simplices):
     components = {}
     for r, named in simplices.items():
         basis = [BasisElement(nm, 1 - len(s)) for nm, s in named.items()]
-        reps = [nm for nm, s in named.items() if s[0].is_identity()]
-        actions = {sigma.images: {nm: be_name(tuple(sigma.compose(p) for p in s))
-                                  for nm, s in named.items()}
+        ident = tuple(range(1, r + 1))
+        reps = [nm for nm, s in named.items() if s[0] == ident]
+        actions = {sigma: {nm: be_name(tuple(compose(sigma, p) for p in s))
+                           for nm, s in named.items()}
                    for sigma in all_permutations(r)}
         components[r] = OrbitModule(ring, r, basis, reps, actions)
     return components

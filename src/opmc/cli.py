@@ -28,7 +28,6 @@ from .instances import (
     instance_to_dict,
     load_instance,
     make_problem,
-    parse_scalar,
     read_json,
 )
 from .mc_space import HornData
@@ -55,20 +54,11 @@ def parse_element_spec(V, spec):
     spec = spec.strip()
     if spec == "0":
         return V.zero()
-    terms = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part:
-            name, _, coeff = part.partition("=")
-            name, coeff = name.strip(), coeff.strip()
-        else:
-            name, coeff = part, "1"
-        if name not in V.basis:
-            raise InstanceFormatError(f"unknown module generator {name!r}")
-        terms.append((name, parse_scalar(coeff, V.ring)))
-    return V.element(terms)
+    pairs = []
+    for part in filter(None, map(str.strip, spec.split(","))):
+        name, eq, coeff = part.partition("=")
+        pairs.append([name.strip(), coeff.strip() if eq else "1"])
+    return element_from_list(V, pairs)
 
 
 def _emit(doc, path):

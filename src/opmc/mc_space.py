@@ -349,8 +349,8 @@ class MCProblem:
             )
         return chains(self.ring, n)
 
-    def zero(self, n, degree=0):
-        return ConvolutionElement(self.chains(n), self.V, degree)
+    def zero(self, n):
+        return ConvolutionElement(self.chains(n), self.V, 0)
 
     def _subclass_table(self, n):
         """``subclass_table(n)``, kept as long as the memo it keys."""

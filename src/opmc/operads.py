@@ -46,14 +46,13 @@ from .cooperad import shapes
 __all__ = ["be_cocomposition"]
 
 
-def be_cocomposition(simplices):
+def be_cocomposition(words):
     """The cocomposition tables {(k, shape): {name: [(coeff, outer,
     inners)]}} of the Barratt-Eccles cochains, for every shape of the
-    truncation.  ``simplices[r]`` maps each basis name of arity r, in
-    basis order, to its tuple of vertex permutations, for r = 0..r_max."""
-    r_max = max(simplices)
-    words = {r: {nm: tuple(p.images for p in s) for nm, s in named.items()}
-             for r, named in simplices.items()}
+    truncation.  ``words[r]`` maps each basis name of arity r, in basis
+    order, to its word: the tuple of its vertex permutations, each a
+    tuple of images, for r = 0..r_max."""
+    r_max = max(words)
     names = {r: {w: nm for nm, w in named.items()} for r, named in words.items()}
     unit = next(iter(words[0]))
     rows = {(): {unit: [(1, unit, ())]}}

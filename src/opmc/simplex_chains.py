@@ -6,7 +6,9 @@ boundary.  The module also provides the explicit vertex contractions
 (counit, vertex inclusion, chain homotopy), the cosimplicial structure,
 and the chain-level coalgebra structure over permutation-tuple cochains:
 a tuple of permutations reduces to a sum of surjections by the table
-procedure, and surjections act on chains through interval cuts.
+procedure, and surjections act on chains through interval cuts.  A
+permutation is its tuple of images and a surjection its sequence of
+values, with no wrapper object.
 
 The coproduct along a cooperad morphism phi out of those cochains is
 split in two.  ``coproduct_plan(phi, r)`` holds what does not depend on
@@ -35,7 +37,6 @@ __all__ = [
     "face_map",
     "degeneracy_map",
     "contraction",
-    "Surjection",
     "surjection_action",
     "table_reduction",
     "coproduct_plan",
@@ -147,43 +148,17 @@ def contraction(ring, k, n):
     return cx, eps, p, h
 
 
-class Surjection:
-    """A surjection {1..len} ->> {1..r} with no equal adjacent values."""
-
-    __slots__ = ("seq", "arity")
-
-    def __init__(self, seq):
-        seq = tuple(seq)
-        if not seq:
-            raise ShapeError("empty surjection")
-        arity = max(seq)
-        if set(seq) != set(range(1, arity + 1)):
-            raise ShapeError(f"{seq} is not onto 1..{arity}")
-        if any(seq[i] == seq[i + 1] for i in range(len(seq) - 1)):
-            raise ShapeError(f"{seq} has equal adjacent values (degenerate)")
-        self.seq = seq
-        self.arity = arity
-
-    def __eq__(self, other):
-        return isinstance(other, Surjection) and self.seq == other.seq
-
-    def __hash__(self):
-        return hash(self.seq)
-
-    def __repr__(self):
-        return f"Surjection{self.seq}"
-
-
-def surjection_action(u, I):
+def surjection_action(seq, I):
     """Interval-cut action of a surjection on a chain basis class.
 
-    Returns {(J_1, ..., J_r): coeff}; total output degree is
-    |e_I| + len(u.seq) - u.arity.  The sign is the Koszul sign of
-    regrouping the interval pieces by output slot -- a piece ending a
-    non-final occurrence is graded one above its interior degree and
-    contributes the parity of its right cut -- the orientation convention
-    fixed by the chain-map property against the surjection boundary,
-    which the tests keep as a chain-level oracle.
+    ``seq`` is the surjection's sequence of values (u(1), .., u(l)),
+    onto 1..r with no two equal neighbours.  Returns {(J_1, ..., J_r):
+    coeff}; total output degree is |e_I| + l - r.  The sign is the
+    Koszul sign of regrouping the interval pieces by output slot -- a
+    piece ending a non-final occurrence is graded one above its interior
+    degree and contributes the parity of its right cut -- the
+    orientation convention fixed by the chain-map property against the
+    surjection boundary, which the tests keep as a chain-level oracle.
 
     The cuts 0 = c_0 <= ... <= c_l = |I| - 1 are walked in lexicographic
     order, one piece at a time, with the sign carried along: a piece
@@ -192,12 +167,11 @@ def surjection_action(u, I):
     a vertex, so every cut completing it gives a degenerate class and
     the walk leaves that branch.
     """
-    seq = u.seq
     l = len(seq)
     p = len(I) - 1
     slots = [v - 1 for v in seq]
     caesura = [v in seq[t + 1:] for t, v in enumerate(seq)]
-    segs = [()] * u.arity
+    segs = [()] * max(seq)
     out = {}
 
     def place(t, a, sign, odd):
@@ -233,17 +207,18 @@ def surjection_action(u, I):
 def table_reduction(simplex):
     """Reduce a tuple of permutations to a sum of surjections.
 
-    ``simplex`` is a (d+1)-tuple of permutations of the same arity; the
-    result lists the surjections of length arity + d produced by the
-    table procedure, one per admissible row-length composition, without
-    signs (the convention matching the degree-0 and mod-2 uses below).
+    ``simplex`` is a (d+1)-tuple of permutations of the same arity r,
+    each a tuple of images; the result lists the surjections of length
+    r + d produced by the table procedure, each as its sequence of
+    values, one per admissible row-length composition, without signs
+    (the convention matching the degree-0 and mod-2 uses below).
     """
     d = len(simplex) - 1
-    r = simplex[0].r
+    r = len(simplex[0])
     out = []
 
     def rec(i, closed, seq, remaining_len):
-        row_all = [v for v in simplex[i].images if v not in closed]
+        row_all = [v for v in simplex[i] if v not in closed]
         # every take from this row starts with row_all[0], and a row
         # repeats no value: the one place two equal values can meet
         if seq and row_all and row_all[0] == seq[-1]:
@@ -251,7 +226,7 @@ def table_reduction(simplex):
         max_take = len(row_all)
         if i == d:
             if len(row_all) == remaining_len:
-                out.append(Surjection(seq + row_all))
+                out.append(tuple(seq + row_all))
             return
         for a in range(1, min(max_take, remaining_len - (d - i)) + 1):
             take = row_all[:a]
@@ -303,9 +278,9 @@ def c_coalgebra_decompose(plan, I, cap=DEFAULT_RESOURCE_CAP):
     terms = []
     for surjections, image in rows:
         for surj in surjections:
-            action = actions.get(surj.seq)
+            action = actions.get(surj)
             if action is None:
-                action = actions[surj.seq] = surjection_action(surj, I)
+                action = actions[surj] = surjection_action(surj, I)
             read += len(action)
             if read > cap:
                 raise ResourceLimitError(

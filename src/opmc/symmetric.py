@@ -1,6 +1,10 @@
 """Permutations, symmetric group modules given by orbit representatives,
 the norm map and normal forms for coinvariant classes.
 
+A permutation sigma of 1..r is its tuple of images (sigma(1), ..,
+sigma(r)); ``compose``, ``inverse`` and ``permute_slots`` act on those
+tuples.
+
 A free S_r-module is presented by a set of orbit representatives: the
 basis is {sigma . rep} and the action permutes basis names (no signs on
 the module factor; Koszul signs only enter through the tensor slots that
@@ -8,7 +12,7 @@ an action permutes alongside).  ``TrivialModule`` is the one non-free
 module: rank one, trivial action, over a ring containing Q.
 
 A module stores its action once, as the table ``actions`` of rows
-{name: sigma . name} keyed by sigma.images; its constructor checks the
+{name: sigma . name} keyed by sigma; its constructor checks the
 group law at every arity (``is_group_action``), and every layer reads it.
 """
 
@@ -20,73 +24,34 @@ from math import factorial
 from .errors import FreenessError, RingRequirementError, ShapeError
 from .graded import BasisElement, Element, GradedModule, koszul_sign_images
 
-__all__ = ["Permutation", "OrbitModule", "TrivialModule", "adjacent_swaps",
-           "all_permutations", "is_group_action"]
-
-
-class Permutation:
-    """Bijection of {1..r}, stored as the tuple of images."""
-
-    __slots__ = ("r", "images")
-
-    def __init__(self, images):
-        images = tuple(images)
-        r = len(images)
-        if sorted(images) != list(range(1, r + 1)):
-            raise ShapeError(f"not a permutation of 1..{r}: {images}")
-        self.r = r
-        self.images = images
-
-    def __call__(self, i):
-        return self.images[i - 1]
-
-    def compose(self, other):
-        """self after other."""
-        if other.r != self.r:
-            raise ShapeError("arity mismatch in composition")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.r + 1)))
-
-    def inverse(self):
-        inv = [0] * self.r
-        for i, im in enumerate(self.images, start=1):
-            inv[im - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self):
-        return self.images == tuple(range(1, self.r + 1))
-
-    def permute_slots(self, items):
-        """Place items[i] into slot self(i+1); returns a tuple."""
-        if len(items) != self.r:
-            raise ShapeError("slot count does not match arity")
-        out = [None] * self.r
-        for i, x in enumerate(items, start=1):
-            out[self(i) - 1] = x
-        return tuple(out)
-
-    def koszul_sign(self, degrees):
-        return koszul_sign_images(self.images, degrees)
-
-    @classmethod
-    def identity(cls, r):
-        return cls(tuple(range(1, r + 1)))
-
-    def oneline(self):
-        return "".join(str(i) for i in self.images) if self.r < 10 else \
-            "-".join(str(i) for i in self.images)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({self.images})"
+__all__ = ["OrbitModule", "TrivialModule", "adjacent_swaps", "all_permutations",
+           "compose", "inverse", "is_group_action", "permute_slots"]
 
 
 def all_permutations(r):
-    return [Permutation(p) for p in _itperms(range(1, r + 1))]
+    """The permutations of 1..r, each as its tuple of images."""
+    return list(_itperms(range(1, r + 1)))
+
+
+def compose(s, t):
+    """s after t: the images of t read through s."""
+    return tuple(s[i - 1] for i in t)
+
+
+def inverse(s):
+    """The permutation that undoes s."""
+    inv = [0] * len(s)
+    for i, im in enumerate(s, start=1):
+        inv[im - 1] = i
+    return tuple(inv)
+
+
+def permute_slots(s, items):
+    """Place items[i] into slot s[i]; returns a tuple."""
+    out = [None] * len(s)
+    for x, im in zip(items, s):
+        out[im - 1] = x
+    return tuple(out)
 
 
 def adjacent_swaps(r):
@@ -96,7 +61,7 @@ def adjacent_swaps(r):
 
 
 def is_group_action(r, actions):
-    """Whether ``actions``, sigma.images -> {name: sigma . name} with
+    """Whether ``actions``, sigma -> {name: sigma . name} with
     every row on the names of the identity row, is an action of S_r: the
     identity fixes every name, and act[s t] = act[s] o act[t] for every s
     and every adjacent swap t.  The swaps generate S_r, so by induction
@@ -117,7 +82,7 @@ def is_group_action(r, actions):
 class OrbitModule:
     """Free S_r permutation module on named basis elements.
 
-    ``actions`` maps sigma.images -> {name: sigma . name}: one row per
+    ``actions`` maps sigma -> {name: sigma . name}: one row per
     sigma, keyed in the order of ``all_permutations``, each row in basis
     order.  The constructor is the one place that checks it: every sigma
     has a row, each row maps the basis into itself, the rows form a group
@@ -130,16 +95,15 @@ class OrbitModule:
         self.arity = arity
         self.module = GradedModule(ring, basis)
         self.orbit_reps = list(orbit_reps)
-        self._group = all_permutations(arity)
         known = self.module.basis
         self.actions = {}
-        for sigma in self._group:
-            row = actions.get(sigma.images)
+        for sigma in all_permutations(arity):
+            row = actions.get(sigma)
             if row is None:
-                raise ShapeError(f"action table has no row for {sigma.images}")
+                raise ShapeError(f"action table has no row for {sigma}")
             if row.keys() != known.keys() or not set(row.values()) <= known.keys():
-                raise ShapeError(f"row {sigma.images} is no map of the basis to itself")
-            self.actions[sigma.images] = {n: row[n] for n in known}
+                raise ShapeError(f"row {sigma} is no map of the basis to itself")
+            self.actions[sigma] = {n: row[n] for n in known}
         if not is_group_action(arity, self.actions):
             raise ShapeError("action table is not a group action")
         for rep in self.orbit_reps:
@@ -153,14 +117,14 @@ class OrbitModule:
         self._locate = {}
         self._normal = {}
         for rep in self.orbit_reps:
-            for sigma in self._group:
-                name = self.actions[sigma.images][rep]
+            for sigma, row in self.actions.items():
+                name = row[rep]
                 if name in self._locate:
                     raise FreenessError(
                         f"action is not free: {name!r} reached twice from orbit reps"
                     )
                 self._locate[name] = (rep, sigma)
-                self._normal[name] = (rep, sigma.inverse().images)
+                self._normal[name] = (rep, inverse(sigma))
         if len(self._locate) != len(self.module.names):
             raise FreenessError("orbit representatives do not generate the basis")
 
@@ -169,12 +133,11 @@ class OrbitModule:
         return self.module.ring
 
     def group(self):
-        return self._group
+        """The permutations of S_r, in the order of ``all_permutations``."""
+        return self.actions.keys()
 
     def act_name(self, sigma, name):
-        if sigma.r != self.arity:
-            raise ShapeError(f"arity mismatch: {sigma.r} vs {self.arity}")
-        return self.actions[sigma.images][name]
+        return self.actions[sigma][name]
 
     def locate(self, name):
         """Return (rep, sigma) with name = sigma . rep."""
@@ -187,9 +150,8 @@ class OrbitModule:
         """Diagonal action on c (x) v_1...v_r: returns (name', slots', sign)."""
         if len(slots) != self.arity:
             raise ShapeError("slot count does not match arity")
-        new_name = self.act_name(sigma, name)
-        new_slots = sigma.permute_slots(slots)
-        return new_name, new_slots, sigma.koszul_sign(slot_degrees)
+        return (self.act_name(sigma, name), permute_slots(sigma, slots),
+                koszul_sign_images(sigma, slot_degrees))
 
     def coinv_normalize(self, name, slots, slot_degrees):
         """Carry c to its orbit representative; returns (rep, slots', sign).
@@ -200,11 +162,7 @@ class OrbitModule:
         if len(slots) != self.arity:
             raise ShapeError("slot count does not match arity")
         rep, inv = self._normal[name]
-        sign = koszul_sign_images(inv, slot_degrees)
-        out = [None] * self.arity
-        for x, im in zip(slots, inv):
-            out[im - 1] = x
-        return rep, tuple(out), sign
+        return rep, permute_slots(inv, slots), koszul_sign_images(inv, slot_degrees)
 
     # -- what the cofree coalgebra reads of a component -------------------
 
@@ -248,12 +206,12 @@ class TrivialModule(OrbitModule):
                 "which requires Q in the ring"
             )
         super().__init__(ring, arity, [BasisElement(name, 0)], [name], {
-            images: {name: name} for images in _itperms(range(1, arity + 1))})
+            sigma: {name: name} for sigma in all_permutations(arity)})
 
     def _index(self):
         """The one name is its own representative; the action is not free."""
         name = self.orbit_reps[0]
-        self._locate = {name: (name, Permutation.identity(self.arity))}
+        self._locate = {name: (name, tuple(range(1, self.arity + 1)))}
 
     def coinv_normalize(self, name, slots, slot_degrees):
         """Sort the slots; the sign is the Koszul sign of the (stable) sort."""

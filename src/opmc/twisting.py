@@ -42,7 +42,6 @@ from .errors import (
 
 __all__ = [
     "shuffle",
-    "one_param",
     "exp_element",
     "twist",
     "mc_residual",
@@ -141,8 +140,8 @@ def _weighted_tuples(cf, terms, r):
     return out
 
 
-def _one_param_plain(H, cf, v, lam):
-    """Plain presentation of gamma_v(lambda): eta_r against (lambda v)^r."""
+def _exp_plain(H, cf, v):
+    """Plain presentation of exp(v): eta_r against v^r."""
     ring = cf.ring
     C = cf.cooperad
     for vn in v.terms:
@@ -150,23 +149,18 @@ def _one_param_plain(H, cf, v, lam):
             raise PreconditionError(
                 "one-parameter subgroups need a degree-0 element"
             )
-    w = v.scale(lam)
     terms = [((0, (C.unit_name, ())), ring.one)]
     terms.extend(((r, (cname, vt)), e * c)
                  for r in range(1, C.r_max + 1)
                  for cname, e in H.unit(r).terms.items()
-                 for vt, c in _weighted_tuples(cf, w.terms, r))
+                 for vt, c in _weighted_tuples(cf, v.terms, r))
     return cf.sum_by_arity(terms)
 
 
-def one_param(H, cf, v, lam):
-    """The grouplike element gamma_v(lambda): eta_r against (lambda v)^r."""
-    return cf.collect(_one_param_plain(H, cf, v, lam))
-
-
 def exp_element(H, cf, v):
-    """exp(v) = the one-parameter subgroup of v at the unit scalar."""
-    return one_param(H, cf, v, cf.ring.one)
+    """The grouplike element exp(v): eta_r against v^r.  Its
+    one-parameter subgroup is exp(lambda v) for scalars lambda."""
+    return cf.collect(_exp_plain(H, cf, v))
 
 
 def twist(H, Qt, v, verify=True):
@@ -186,7 +180,7 @@ def twist(H, Qt, v, verify=True):
     names = cf.module.names
     evaluate = plain_evaluator(Qt)  # one memo for every key of this call
     keys = [{r: {(rep, vt): ring.one}} for r, rep, vt in names]
-    moved = _shuffle_plain(H, cf, _one_param_plain(H, cf, v, ring.one), keys)
+    moved = _shuffle_plain(H, cf, _exp_plain(H, cf, v), keys)
     comps = {}
     for key, w in zip(names, moved):
         val = Qt.value_on_plain(w, evaluate)

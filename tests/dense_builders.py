@@ -33,8 +33,7 @@ from opmc.builders import (
 from opmc.cooperad import compositions
 from opmc.errors import ShapeError
 from opmc.graded import BasisElement
-from opmc.simplex_chains import Surjection
-from opmc.symmetric import OrbitModule, Permutation, all_permutations
+from opmc.symmetric import OrbitModule, all_permutations, compose, inverse
 
 
 class ChainOperad:
@@ -68,17 +67,14 @@ def compose_permutations(mu, shape, taus):
     taus[i-1] wherever mu's word reads i.  With this convention the
     operad structure is equivariant for the left-translation action.
     """
-    k = mu.r
     offsets = [0]
     for s in shape:
         offsets.append(offsets[-1] + s)
     word = []
-    for p in range(1, k + 1):
-        i = mu(p)
+    for i in mu:
         base = offsets[i - 1]
-        tau = taus[i - 1]
-        word.extend(base + tau(q) for q in range(1, shape[i - 1] + 1))
-    return Permutation(tuple(word))
+        word.extend(base + x for x in taus[i - 1])
+    return tuple(word)
 
 
 def be_nondegenerate(simplex):
@@ -164,7 +160,7 @@ def from_orbits(ring, arity, rep_basis, act_name):
             if name not in seen:
                 seen.add(name)
                 basis.append(BasisElement(name, rep.degree, rep.weight))
-    actions = {sigma.images: {b.name: act_name(sigma, b.name) for b in basis}
+    actions = {sigma: {b.name: act_name(sigma, b.name) for b in basis}
                for sigma in group}
     return OrbitModule(ring, arity, basis, [r.name for r in rep_basis], actions)
 
@@ -198,10 +194,10 @@ def dense_ass_chain_operad(ring, r_max):
     components = {}
     for r in range(r_max + 1):
         def act(sigma, name, _r=r):
-            return perm_name(sigma.compose(perm_from_name(name)))
+            return perm_name(compose(sigma, perm_from_name(name)))
 
         components[r] = from_orbits(
-            ring, r, [BasisElement(perm_name(Permutation.identity(r)), 0)], act
+            ring, r, [BasisElement(perm_name(tuple(range(1, r + 1))), 0)], act
         )
 
     def compose_name(outer, shape, inners):
@@ -225,8 +221,8 @@ def be_complexity(simplex, r):
             word = []
             for p in simplex:
                 # restriction of p to the values {i, j}, in position order
-                inv = p.inverse()
-                first = i if inv(i) < inv(j) else j
+                inv = inverse(p)
+                first = i if inv[i - 1] < inv[j - 1] else j
                 if not word or word[-1] != first:
                     word.append(first)
             worst = max(worst, len(word))
@@ -256,12 +252,12 @@ def dense_be_chain_operad(ring, r_max, d_max, n=None):
     for r in range(r_max + 1):
         simplices = dense_be_simplices(r, d_max, n)
         basis = [BasisElement(be_name(s), len(s) - 1) for s in simplices]
-        reps = [be_name(s) for s in simplices if s[0].is_identity()]
+        reps = [be_name(s) for s in simplices if s[0] == tuple(range(1, r + 1))]
         action = {}
         for s in simplices:
             for sigma in all_permutations(r):
-                moved = tuple(sigma.compose(p) for p in s)
-                action.setdefault(sigma.images, {})[be_name(s)] = be_name(moved)
+                moved = tuple(compose(sigma, p) for p in s)
+                action.setdefault(sigma, {})[be_name(s)] = be_name(moved)
         components[r] = OrbitModule(ring, r, basis, reps, action)
     name_sets = {r: set(components[r].module.names) for r in range(r_max + 1)}
 
@@ -283,8 +279,8 @@ def dense_be_chain_operad(ring, r_max, d_max, n=None):
 
     return ChainOperad(
         ring, r_max, components, compose_name,
-        id_name=be_name((Permutation.identity(1),)),
-        unit_name=be_name((Permutation.identity(0),)),
+        id_name=be_name(((1,),)),
+        unit_name=be_name(((),)),
     )
 
 
@@ -331,10 +327,11 @@ def be_chain_differential(op, r, name):
     return [(c, nm) for nm, c in op.ring.collect(terms).items()]
 
 
-def surjection_boundary(u):
-    """Boundary of a surjection: signed single-entry deletions.
+def surjection_boundary(seq):
+    """Boundary of a surjection, given as its sequence of values: signed
+    single-entry deletions.
 
-    Returns [(coeff, Surjection)]; deletions producing equal adjacent
+    Returns [(coeff, sequence)]; deletions producing equal adjacent
     values or losing a value are dropped (normalization).  Orientation:
     each non-final occurrence of a value (caesura) carries a degree-1
     marker, in position order.  Deleting a caesura removes its own
@@ -344,7 +341,6 @@ def surjection_boundary(u):
     action a chain map and square to zero (both verified exhaustively in
     the tests for lengths up to 6).
     """
-    seq = u.seq
     l = len(seq)
     last = {v: max(i for i in range(l) if seq[i] == v) for v in set(seq)}
     caesuras = [t for t in range(l) if t != last[seq[t]]]
@@ -364,5 +360,5 @@ def surjection_boundary(u):
         else:
             prev = max(i for i in range(t) if seq[i] == v)
             sign = -((-1) ** sum(1 for c in caesuras if c < prev))
-        out.append((sign, Surjection(rest)))
+        out.append((sign, rest))
     return out

@@ -37,11 +37,7 @@ from opmc.cooperad import riffle_parity, shapes
 from opmc.errors import ShapeError
 from opmc.graded import Element, koszul_sign_images
 from opmc.mc_space import ConvolutionElement
-from opmc.simplex_chains import (
-    Surjection,
-    c_coalgebra_decompose,
-    coproduct_plan,
-)
+from opmc.simplex_chains import c_coalgebra_decompose, coproduct_plan
 
 
 def _cut_positions(l, p):
@@ -59,13 +55,13 @@ def _cut_positions(l, p):
     return out
 
 
-def dense_surjection_action(u, I):
-    """The interval-cut action of u on e_I, one cut at a time: each cut
-    is regrouped by output slot, dropped when a slot repeats a vertex,
-    and signed by ``koszul_sign_images`` of the stable sort by slot."""
-    seq = u.seq
+def dense_surjection_action(seq, I):
+    """The interval-cut action of the surjection ``seq`` on e_I, one cut
+    at a time: each cut is regrouped by output slot, dropped when a slot
+    repeats a vertex, and signed by ``koszul_sign_images`` of the stable
+    sort by slot."""
     l = len(seq)
-    r = u.arity
+    r = max(seq)
     p = len(I) - 1
     last_occ = {v: max(t for t in range(l) if seq[t] == v) for v in set(seq)}
     out = {}
@@ -103,19 +99,19 @@ def dense_table_reduction(simplex):
     out = []
 
     def rec(i, closed, seq, remaining_len):
-        row_all = [v for v in simplex[i].images if v not in closed]
+        row_all = [v for v in simplex[i] if v not in closed]
         if i == d:
             full = seq + row_all
             if len(row_all) == remaining_len and all(
                     full[t] != full[t + 1] for t in range(len(full) - 1)):
-                out.append(Surjection(full))
+                out.append(tuple(full))
             return
         for a in range(1, min(len(row_all), remaining_len - (d - i)) + 1):
             take = row_all[:a]
             rec(i + 1, closed | set(take[:-1]), seq + take,
                 remaining_len - a)
 
-    rec(0, frozenset(), [], simplex[0].r + d)
+    rec(0, frozenset(), [], len(simplex[0]) + d)
     return out
 
 

@@ -12,13 +12,14 @@ from itertools import product as _product
 
 from opmc.cooperad import Report, compositions
 from opmc.errors import ShapeError
-from opmc.symmetric import Permutation, all_permutations
+from opmc.graded import koszul_sign_images
+from opmc.symmetric import all_permutations, permute_slots
 
 
 def block_permutation(mu, shape, inner=None):
     """The permutation of {1..sum(shape)} acting by mu on blocks of the
     given sizes, optionally composed with inner permutations per block."""
-    k = mu.r
+    k = len(mu)
     if len(shape) != k:
         raise ShapeError("shape length does not match outer arity")
     r = sum(shape)
@@ -32,15 +33,15 @@ def block_permutation(mu, shape, inner=None):
     for i in range(1, k + 1):
         s = 0
         for ip in range(1, k + 1):
-            if mu(ip) < mu(i):
+            if mu[ip - 1] < mu[i - 1]:
                 s += shape[ip - 1]
         out_start[i - 1] = s
     images = [0] * r
     for i in range(1, k + 1):
         for j in range(1, shape[i - 1] + 1):
-            jj = inner[i - 1](j) if inner is not None else j
+            jj = inner[i - 1][j - 1] if inner is not None else j
             images[starts[i - 1] + j - 1] = out_start[i - 1] + jj
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def reorder_sign(degrees, new_order):
@@ -218,7 +219,7 @@ def _equivariance_check(C, r):
                 inner_groups = [all_permutations(ri) for ri in shape]
                 for sigmas in _product(*inner_groups):
                     sigma_hat = block_permutation(mu, shape, [s for s in sigmas])
-                    new_shape = tuple(mu.permute_slots(shape))
+                    new_shape = permute_slots(mu, shape)
                     for c in C.basis_names(r):
                         lhs = _term_dict(
                             ring,
@@ -231,15 +232,14 @@ def _equivariance_check(C, r):
                                 C.component(shape[i]).act_name(sigmas[i], gs[i])
                                 for i in range(k)
                             ]
-                            gs2 = mu.permute_slots(acted)
+                            gs2 = permute_slots(mu, acted)
                             degs = [C.degree(shape[i], gs[i]) for i in range(k)]
-                            sign = mu.koszul_sign(degs)
+                            sign = koszul_sign_images(mu, degs)
                             key = (a2, tuple(gs2))
                             rhs[key] = ring.normalize(rhs.get(key, 0) + coeff * sign)
                         rhs = {kk: v for kk, v in rhs.items() if v}
                         if lhs != rhs:
-                            return (r, c, k, shape, mu.images,
-                                    tuple(s.images for s in sigmas))
+                            return (r, c, k, shape, mu, sigmas)
     return None
 
 
@@ -279,7 +279,7 @@ def validate_hopf(C, H):
         ok, witness = True, None
         for sigma in om.group():
             if not om.act_element(sigma, eta).eq(eta):
-                ok, witness = False, (r, sigma.images)
+                ok, witness = False, (r, sigma)
                 break
             for a in names:
                 for b in names:
@@ -287,7 +287,7 @@ def validate_hopf(C, H):
                                      mod.gen(om.act_name(sigma, b)))
                     rhs = om.act_element(sigma, H.multiply(r, mod.gen(a), mod.gen(b)))
                     if not lhs.eq(rhs):
-                        ok, witness = False, (r, sigma.images, a, b)
+                        ok, witness = False, (r, sigma, a, b)
                         break
                 if not ok:
                     break
@@ -376,7 +376,7 @@ def validate_morphism(phi):
                 lhs = f.apply_name(om_s.act_name(sigma, name))
                 rhs = om_t.act_element(sigma, f.apply_name(name))
                 if not lhs.eq(rhs):
-                    ok, witness = False, (r, sigma.images, name)
+                    ok, witness = False, (r, sigma, name)
                     break
             if not ok:
                 break

@@ -12,6 +12,12 @@ from opmc.graded import LinearMap
 from opmc.simplex_chains import c_coalgebra_decompose, coproduct_plan
 
 
+# The Barratt-Eccles truncations at r_max 3 whose whole basis some tests
+# walk, as (d_max, n): the shipped E2 (tests/data/e2_z2.json), complete
+# E2 (e2c_z2.json, whose d_max defaults to 3) and E3 (d_max 6)
+BE_AT_3 = {"e2": (2, 2), "e2c": (3, 2), "e3": (6, 3)}
+
+
 def coleibniz_defect(cf, Qt, ks=(1, 2)):
     """Keys where decompose_k(Q x) differs from the coderivation rule.
 
@@ -92,9 +98,10 @@ def decompose_over(E, I, r, cap=DEFAULT_RESOURCE_CAP):
     return c_coalgebra_decompose(coproduct_plan(phi, r), I, cap=cap)
 
 
-def surjection_degree(u):
-    """The degree of a surjection: its length minus its arity."""
-    return len(u.seq) - u.arity
+def surjection_degree(seq):
+    """The degree of a surjection, given as its sequence of values: its
+    length minus its arity."""
+    return len(seq) - max(seq)
 
 
 def map_pairs(f):

@@ -37,15 +37,14 @@ from opmc.cofree import (
     square_check,
 )
 from opmc.graded import BasisElement, GradedModule, koszul_sign_images
-from opmc.mc_space import HornData, MCProblem, horn_basis
+from opmc.mc_space import ConvolutionElement, HornData, MCProblem, horn_basis
 from opmc.rings import ring_make
 from opmc.simplex_chains import chains, contraction
-from opmc.symmetric import norm_plain, orbit_classes
+from opmc.symmetric import inverse, norm_plain, orbit_classes, permute_slots
 from opmc.twisting import (
     exp_element,
     mc_enumerate,
     mc_residual,
-    one_param,
     shuffle,
     twist,
 )
@@ -136,7 +135,7 @@ def test_criterion_02_contraction_identities():
             cx, eps, p, h = contraction(Z, k, n)
             for deg in (-1, 0, 1):
                 for _ in range(3):
-                    psi = prob.zero(n, deg)
+                    psi = ConvolutionElement(prob.chains(n), prob.V, deg)
                     for I in prob.chains(n).module.names:
                         want = len(I) - 1 + deg
                         val = V.zero()
@@ -251,9 +250,9 @@ def test_criterion_06_exponential_laws():
         v = V.gen("x")
         for _ in range(6):
             kappa, lam = rand_scalar(ring, rng), rand_scalar(ring, rng)
-            lhs = shuffle(H, cf, one_param(H, cf, v, kappa),
-                          one_param(H, cf, v, lam))
-            assert lhs.eq(one_param(H, cf, v, ring.normalize(kappa + lam)))
+            lhs = shuffle(H, cf, exp_element(H, cf, v.scale(kappa)),
+                          exp_element(H, cf, v.scale(lam)))
+            assert lhs.eq(exp_element(H, cf, v.scale(ring.normalize(kappa + lam))))
         ev = exp_element(H, cf, v)
         em = exp_element(H, cf, v.scale(-1))
         assert shuffle(H, cf, em, ev).eq(cf.unit())
@@ -283,7 +282,7 @@ def test_criterion_07_a_infinity_oracle():
                     coeff = 1
                     for vn in letters:
                         coeff = Z2.normalize(coeff * v.terms[vn])
-                    vt = tuple(sigma.inverse().permute_slots(letters))
+                    vt = permute_slots(inverse(sigma), letters)
                     want = want.add(
                         Qt.component((r, ident[r], vt)).scale(coeff))
         return want

@@ -190,6 +190,62 @@ def test_element_spec_parsing(inst_file):
     assert format_element(el) in ("u + x", "x + u")
 
 
+ENTRY = BASE["coderivation"][0]
+# Input refusals: (argv, document, error line).  "inst" in argv stands
+# for the BASE instance and "doc" for the document, written to a file.
+REFUSALS = {
+    "bad-coefficient": (
+        ["validate", "doc"],
+        {**BASE, "coderivation": [{**ENTRY, "value": [["y", "1/0"]]}]},
+        "error[instance-format]: bad coefficient '1/0': Fraction(1, 0)"),
+    "cooperad-r-max-0": (
+        ["validate", "doc"], {**BASE, "cooperad": {"builder": "ass", "r_max": 0}},
+        "error[instance-format]: cooperad r_max must be a positive int, got 0"),
+    "be-d-max-negative": (
+        ["validate", "doc"],
+        {**BASE, "cooperad": {"builder": "be", "r_max": 2, "d_max": -1, "n": 2},
+         "coderivation": []},
+        "error[instance-format]: bad d_max -1"),
+    "w-max-0": (
+        ["validate", "doc"], {**BASE, "options": {"w_max": 0}},
+        "error[instance-format]: bad w_max 0"),
+    "duplicate-coderivation-entry": (
+        ["validate", "doc"], {**BASE, "coderivation": [ENTRY, ENTRY]},
+        "error[instance-format]: duplicate coderivation entry "
+        "(2, '12', ('x', 'x'))"),
+    # com cochains have no chain coproduct, so no simplicial set
+    "kan-check-on-com": (
+        ["kan-check", "--instance",
+         str(Path(__file__).parent / "data" / "linf_q.json"), "--trials", "1"],
+        None,
+        "error[unsupported]: no chain-coalgebra structure available for "
+        "builder 'com'"),
+    "simplex-n-negative": (
+        ["mc-simplicial", "--instance", "inst", "--verify-simplex", "doc"],
+        {"format": "opmc-simplex/1", "n": -1, "values": []},
+        "error[instance-format]: bad simplex dimension -1"),
+    "horn-value-of-mixed-degree": (
+        ["horn-fill", "--instance", "inst", "--horn", "doc"],
+        {"format": "opmc-horn/1", "n": 1, "k": 0, "values": [
+            {"class": [0], "value": [["x", "1"], ["u", "1"]]}]},
+        "error[shape]: horn value on e_(0,) must be homogeneous of degree 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_input_refusals_print_one_error_line(inst_file, tmp_path, capsys, case):
+    """Each refusal exits 1 with its error line as the whole of stderr:
+    no traceback and nothing on stdout."""
+    argv, doc, line = REFUSALS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [{"inst": inst_file, "doc": str(path)}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
 def test_validate_command(inst_file, tmp_path, capsys):
     assert main(["validate", inst_file]) == 0
     assert "ok" in capsys.readouterr().out

@@ -8,6 +8,8 @@ from opmc.builders import (
     ass_cochains,
     barratt_eccles,
     be_from_name,
+    be_name,
+    be_simplices,
     com_cochains,
     en_restriction_morphism,
     perm_from_name,
@@ -23,13 +25,14 @@ from opmc.cooperad import (
 from opmc.errors import RingRequirementError, ValidationError
 from opmc.instances import load_instance
 from opmc.rings import ring_make
-from opmc.symmetric import Permutation, TrivialModule, all_permutations
+from opmc.symmetric import TrivialModule, all_permutations
 
 from dense_builders import (
     be_chain_differential,
     compose_permutations,
     dense_be_chain_operad,
 )
+from helpers import BE_AT_3
 
 Z = ring_make({"kind": "integers"})
 Q = ring_make({"kind": "rationals"})
@@ -42,12 +45,12 @@ Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
 
 def as_sequence_op(p):
     """A permutation as an operation reordering sequences."""
-    return lambda xs: [xs[p(j) - 1] for j in range(1, p.r + 1)]
+    return lambda xs: [xs[j - 1] for j in p]
 
 
 def partial_compose_oracle(outer, i, inner):
     """outer o_i inner via nested evaluation on labelled letters."""
-    k, m = outer.r, inner.r
+    k, m = len(outer), len(inner)
     r = k + m - 1
     letters = list(range(1, r + 1))
     blocks = []
@@ -60,7 +63,7 @@ def partial_compose_oracle(outer, i, inner):
             blocks.append([letters[j + m - 2]])
     flat = [x for blk in as_sequence_op(outer)(blocks) for x in blk]
     # flat[p-1] is the letter at output position p, i.e. the image tuple
-    return Permutation(tuple(flat))
+    return tuple(flat)
 
 
 @pytest.fixture(scope="module")
@@ -147,10 +150,8 @@ def test_infinitesimal_arity0_insertions(ass3):
     assert zero_arity  # insertion terms exist
     for out, i in zero_arity:
         mu = perm_from_name(out)
-        shape = tuple(0 if j == i else 1 for j in range(1, mu.r + 1))
-        composed = compose_permutations(
-            mu, shape, [Permutation(()) if s == 0 else Permutation((1,)) for s in shape]
-        )
+        shape = tuple(0 if j == i else 1 for j in range(1, len(mu) + 1))
+        composed = compose_permutations(mu, shape, [(1,) * s for s in shape])
         assert perm_name(composed) == "21"
 
 
@@ -295,6 +296,33 @@ def test_be1_matches_ass():
     assert validate_morphism(phi).ok
 
 
+@pytest.mark.parametrize("build", sorted(BE_AT_3))
+def test_basis_names_read_back_to_their_simplices(build):
+    """Each basis name is the name of its simplex, in basis order, and
+    ``be_from_name`` reads it back to the simplex's vertex tuples, the
+    unit () and the counit 1 included.  The package reads no name it
+    did not write, so this round trip is the format's whole contract."""
+    d_max, n = BE_AT_3[build]
+    C, _ = barratt_eccles(Z2, 3, d_max, n=n, validate=False)
+    for r in range(4):
+        names = list(C.basis_names(r))
+        simplices = be_simplices(r, d_max, n)
+        assert [be_from_name(nm) for nm in names] == simplices, r
+        assert [be_name(s) for s in simplices] == names, r
+    assert (C.unit_name, C.counit_name) == ("()", "1")
+    assert (be_from_name("()"), be_from_name("1")) == (((),), ((1,),))
+
+
+def test_perm_names_from_arity_ten_are_dash_joined():
+    """Below arity 10 the images run together; from 10 on a name
+    joins them with "-", and both forms read back."""
+    for p, name in [((10, 1, 2, 3, 4, 5, 6, 7, 8, 9), "10-1-2-3-4-5-6-7-8-9"),
+                    ((9, 8, 7, 6, 5, 4, 3, 2, 1), "987654321")]:
+        assert perm_name(p) == name
+        assert perm_from_name(name) == p
+        assert be_name((p,)) == name and be_from_name(name) == (p,)
+
+
 def cooperad_items(C, H):
     """Everything a cochain cooperad and its Hopf structure hold, as
     ordered lists: names, degrees, orbit reps, action tables,
@@ -305,7 +333,7 @@ def cooperad_items(C, H):
         names = list(comp.module.names)
         arities.append((
             names, [C.degree(r, nm) for nm in names], list(comp.orbit_reps),
-            [(sigma.images, nm, comp.act_name(sigma, nm))
+            [(sigma, nm, comp.act_name(sigma, nm))
              for sigma in comp.group() for nm in names],
             list(H.products[r].items()), list(H.unit(r).terms.items()),
         ))

@@ -61,7 +61,7 @@ def _mk(V, v):
 
 def rand_psi(P, rng, n, deg=0, coeffs=(-2, -1, 1, 2)):
     V = P.V
-    psi = P.zero(n, deg)
+    psi = ConvolutionElement(P.chains(n), V, deg)
     for I in P.chains(n).module.names:
         want = len(I) - 1 + deg
         val = V.zero()
@@ -503,7 +503,7 @@ def test_mc_defect_matches_dense_oracle(builder, ring):
 def test_mc_defect_refusals_keep_their_messages():
     P = MCProblem(*full_parts("e2", Z))
     with pytest.raises(ShapeError, match="^the arity sum is only formed in degree 0$"):
-        P.mc_defect(P.zero(1, 1))
+        P.mc_defect(ConvolutionElement(P.chains(1), P.V, 1))
     curved = Coderivation(P.cofree, {(0, P.C.unit_name, ()): P.V.gen("Y")})
     with pytest.raises(ConventionError, match=(
             "^the convolution solution condition assumes a flat coderivation$")):

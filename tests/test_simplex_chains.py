@@ -7,12 +7,12 @@ from opmc.builders import (
     ass_cochains,
     barratt_eccles,
     be_from_name,
+    be_simplices,
     en_restriction_morphism,
 )
 from opmc.errors import ResourceLimitError, ShapeError
 from opmc.rings import ring_make
 from opmc.simplex_chains import (
-    Surjection,
     c_coalgebra_decompose,
     chains,
     contraction,
@@ -31,6 +31,7 @@ from dense_convolution import (
     dense_table_reduction,
 )
 from helpers import (
+    BE_AT_3,
     chain_gen,
     compose,
     decompose_over,
@@ -149,20 +150,9 @@ def test_contraction_examples():
     assert eps.apply_name((2,)).terms == {(0,): 1}
 
 
-def test_surjection_validation():
-    assert surjection_degree(Surjection((1, 2, 1))) == 1
-    assert surjection_degree(Surjection((1, 2))) == 0
-    with pytest.raises(ShapeError):
-        Surjection((1, 1, 2))  # degenerate
-    with pytest.raises(ShapeError):
-        Surjection((1, 3))  # not onto
-    with pytest.raises(ShapeError):
-        Surjection(())
-
-
 def test_action_identity_surjection():
     cx = chains(Z, 3)
-    u = Surjection((1,))
+    u = (1,)
     for I in cx.module.names:
         assert surjection_action(u, I) == {(I,): 1}
 
@@ -171,13 +161,13 @@ def test_action_degree_zero_is_alexander_whitney():
     # (1,2) cuts front/back; (2,1) the transposed cuts
     cx = chains(Z, 2)
     top = cx.top()
-    assert surjection_action(Surjection((1, 2)), top) == {
+    assert surjection_action((1, 2), top) == {
         ((0,), (0, 1, 2)): 1,
         ((0, 1), (1, 2)): 1,
         ((0, 1, 2), (2,)): 1,
     }
     # the middle term regroups two degree-1 pieces past each other
-    assert surjection_action(Surjection((2, 1)), top) == {
+    assert surjection_action((2, 1), top) == {
         ((0, 1, 2), (0,)): 1,
         ((1, 2), (0, 1)): -1,
         ((2,), (0, 1, 2)): 1,
@@ -185,7 +175,7 @@ def test_action_degree_zero_is_alexander_whitney():
 
 
 def test_action_cup_one_on_interval():
-    got = surjection_action(Surjection((1, 2, 1)), (0, 1))
+    got = surjection_action((1, 2, 1), (0, 1))
     assert got == {((0, 1), (0, 1)): 1}
 
 
@@ -196,7 +186,7 @@ def all_surjections(arity, length):
             continue
         if any(seq[i] == seq[i + 1] for i in range(length - 1)):
             continue
-        out.append(Surjection(seq))
+        out.append(seq)
     return out
 
 
@@ -246,8 +236,7 @@ def test_action_is_chain_map(arity, max_len):
 def test_action_chain_map_spot_checks_n3():
     cx = chains(Z, 3)
     top = cx.top()
-    for u in [Surjection(s) for s in
-              [(1, 2, 1), (2, 1, 2), (1, 2, 1, 2), (1, 2, 3, 1), (2, 1, 3, 1)]]:
+    for u in [(1, 2, 1), (2, 1, 2), (1, 2, 1, 2), (1, 2, 3, 1), (2, 1, 3, 1)]:
         lhs = tensor_d(cx, surjection_action(u, top))
         rhs = {}
         for c, v in surjection_boundary(u):
@@ -266,7 +255,7 @@ def test_surjection_boundary_squares_to_zero(arity):
             acc = {}
             for c, v in surjection_boundary(u):
                 for c2, w in surjection_boundary(v):
-                    acc[w.seq] = acc.get(w.seq, 0) + c * c2
+                    acc[w] = acc.get(w, 0) + c * c2
             assert all(c == 0 for c in acc.values()), u
 
 
@@ -284,42 +273,52 @@ def test_surjection_action_matches_the_cut_loop(arity, max_len):
                 assert list(got.items()) == list(want.items()), (u, I)
 
 
-def P(*images):
-    from opmc.builders import Permutation
-
-    return Permutation(images)
-
-
 def test_table_reduction_examples():
-    assert table_reduction((P(1, 2),)) == [Surjection((1, 2))]
-    assert table_reduction((P(2, 1),)) == [Surjection((2, 1))]
-    assert table_reduction((P(1, 2), P(2, 1))) == [Surjection((1, 2, 1))]
-    assert table_reduction((P(2, 1), P(1, 2))) == [Surjection((2, 1, 2))]
-    assert table_reduction((P(1, 2, 3), P(1, 3, 2))) == [
-        Surjection((1, 2, 3, 2))
-    ]
+    assert table_reduction(((1, 2),)) == [(1, 2)]
+    assert table_reduction(((2, 1),)) == [(2, 1)]
+    assert table_reduction(((1, 2), (2, 1))) == [(1, 2, 1)]
+    assert table_reduction(((2, 1), (1, 2))) == [(2, 1, 2)]
+    assert table_reduction(((1, 2, 3), (1, 3, 2))) == [(1, 2, 3, 2)]
 
 
 def test_table_reduction_lengths():
     # every output has length arity + dimension
     sims = [
-        (P(1, 2), P(2, 1), P(1, 2)),
-        (P(1, 2, 3), P(2, 1, 3), P(3, 1, 2)),
+        ((1, 2), (2, 1), (1, 2)),
+        ((1, 2, 3), (2, 1, 3), (3, 1, 2)),
     ]
     for s in sims:
         for u in table_reduction(s):
-            assert len(u.seq) == s[0].r + len(s) - 1
+            assert len(u) == len(s[0]) + len(s) - 1
+
+
+@pytest.mark.parametrize("build", sorted(BE_AT_3))
+def test_table_reduction_gives_surjections(build):
+    """Every table reduction of a basis simplex of dimension d and arity
+    r is onto 1..r, has no two equal neighbours and has length r + d:
+    what ``surjection_action`` reads a sequence as, which nothing checks
+    at run time."""
+    d_max, n = BE_AT_3[build]
+    count = 0
+    for r in range(4):
+        for simplex in be_simplices(r, d_max, n):
+            for u in table_reduction(simplex):
+                assert sorted(set(u)) == list(range(1, r + 1)), (simplex, u)
+                assert all(a != b for a, b in zip(u, u[1:])), (simplex, u)
+                assert len(u) == r + len(simplex) - 1, (simplex, u)
+                count += 1
+    assert count
 
 
 def test_table_reduction_matches_the_row_loop():
     # pruning a row whose first value repeats the previous one keeps the
     # list and its order, on every tuple of 1 to 4 permutations of 1..3
-    perms = [P(*images) for images in product((1, 2, 3), repeat=3)
+    perms = [images for images in product((1, 2, 3), repeat=3)
              if len(set(images)) == 3]
-    perms += [P(1, 2), P(2, 1)]
+    perms += [(1, 2), (2, 1)]
     for d in range(4):
         for simplex in product(perms, repeat=d + 1):
-            if len({p.r for p in simplex}) != 1:
+            if len({len(p) for p in simplex}) != 1:
                 continue
             want = dense_table_reduction(simplex)
             assert table_reduction(simplex) == want, simplex
@@ -331,9 +330,9 @@ def test_walks_leave_no_reference_cycle(walk):
     # for the cyclic collector to find
     call = {
         "table_reduction": lambda: table_reduction(
-            (P(1, 2, 3), P(2, 1, 3), P(3, 1, 2))),
+            ((1, 2, 3), (2, 1, 3), (3, 1, 2))),
         "surjection_action": lambda: surjection_action(
-            Surjection((1, 2, 1, 3, 2)), (0, 1, 2, 3)),
+            (1, 2, 1, 3, 2), (0, 1, 2, 3)),
     }[walk]
     gc.collect()
     gc.disable()
@@ -367,7 +366,7 @@ def test_einfty_decompose_matches_plain_loop(ring):
     # one action per distinct surjection gives the plain loop's dict,
     # insertion order included, on top and non-top classes
     E, _ = barratt_eccles(ring, 3, 2, n=2, validate=False)
-    pairs = [surj.seq for name in E.basis_names(3)
+    pairs = [surj for name in E.basis_names(3)
              for surj in table_reduction(be_from_name(name))]
     assert len(set(pairs)) < len(pairs)
     for n in (0, 1, 2, 3):

@@ -11,23 +11,28 @@ from opmc.builders import (
     be_name,
     be_simplices,
     com_cochains,
+    perm_from_name,
+    perm_name,
 )
 from opmc.errors import RingRequirementError, ShapeError
-from opmc.graded import BasisElement
+from opmc.graded import BasisElement, koszul_sign_images
 from opmc.rings import ring_make
 from opmc.symmetric import (
     OrbitModule,
-    Permutation,
     TrivialModule,
     act_plain,
     adjacent_swaps,
     all_permutations,
+    compose,
+    inverse,
     is_group_action,
     norm_plain,
     orbit_classes,
+    permute_slots,
 )
 
 from dense_builders import from_orbits
+from helpers import BE_AT_3
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -39,15 +44,12 @@ RINGS = {"Z": Z, "Z2": Z2, "Z8": Z8, "Q": Q}
 
 def regular_module(ring, r):
     """Free module R[S_r] with left-multiplication action."""
-    perms = all_permutations(r)
-    ident = Permutation.identity(r)
 
     def act(sigma, name):
-        tau = Permutation(tuple(int(ch) for ch in name))
-        return sigma.compose(tau).oneline()
+        return perm_name(compose(sigma, perm_from_name(name)))
 
     return from_orbits(
-        ring, r, [BasisElement(ident.oneline(), 0)], act
+        ring, r, [BasisElement(perm_name(tuple(range(1, r + 1))), 0)], act
     )
 
 
@@ -72,9 +74,9 @@ def reads_back(om, y, vdegree):
 
 def test_act_identity_and_koszul():
     om = regular_module(Z, 2)
-    tau = Permutation((2, 1))
+    tau = (2, 1)
     x = {("12", ("v", "w")): 1}
-    assert act_plain(om, Permutation.identity(2), x, vdeg_const(0)) == x
+    assert act_plain(om, (1, 2), x, vdeg_const(0)) == x
     acted = act_plain(om, tau, x, vdeg_const(0))
     assert acted == {("21", ("w", "v")): 1}
     # both slots odd: sign -1
@@ -112,7 +114,7 @@ def test_norm_inverse_round_trip():
     for rname, ring in RINGS.items():
         for r in (1, 2, 3, 4):
             om = regular_module(ring, r)
-            ident = Permutation.identity(r).oneline()
+            ident = perm_name(tuple(range(1, r + 1)))
             for d in (0, 1):
                 for _ in range(10):
                     x = {}
@@ -233,7 +235,7 @@ def test_normalize_constant_on_orbits():
     for _ in range(30):
         vt = tuple(rng.choice("ab") for _ in range(3))
         degs = vdeg_const(rng.choice([0, 1]))
-        x = {(rng.choice(perms).oneline(), vt): 1}
+        x = {(perm_name(rng.choice(perms)), vt): 1}
         base = normal_form(om, x, degs)
         sigma = rng.choice(perms)
         moved = act_plain(om, sigma, x, degs)
@@ -248,8 +250,8 @@ def test_action_is_group_action_with_signs():
         s, t = rng.choice(perms), rng.choice(perms)
         vt = tuple(rng.choice("ab") for _ in range(3))
         degs = vdeg_const(1)
-        x = {(rng.choice(perms).oneline(), vt): 1}
-        lhs = act_plain(om, s.compose(t), x, degs)
+        x = {(perm_name(rng.choice(perms)), vt): 1}
+        lhs = act_plain(om, compose(s, t), x, degs)
         rhs = act_plain(om, s, act_plain(om, t, x, degs), degs)
         assert lhs == rhs
 
@@ -291,16 +293,16 @@ def test_trivial_module_closed_forms():
             assert om.orbit_sum("c", vt, degree.get) == want
             svt = tuple(sorted(vt))
             # oracle: the first sigma carrying vt to its sorted tuple
-            sign = next(s.koszul_sign(degs) for s in group
-                        if s.permute_slots(vt) == svt)
+            sign = next(koszul_sign_images(s, degs) for s in group
+                        if permute_slots(s, vt) == svt)
             assert om.coinv_normalize("c", vt, degs) == ("c", svt, sign)
             lam = om.collection_coefficient("c", vt, degree.get)
             if vt != svt:
                 assert lam is None
             else:
                 # oracle: signed sum over the stabilizer of vt
-                h = sum(s.koszul_sign(degs) for s in group
-                        if s.permute_slots(vt) == vt)
+                h = sum(koszul_sign_images(s, degs) for s in group
+                        if permute_slots(s, vt) == vt)
                 assert lam == (None if h == 0 else Q.normalize(factorial(r)) / h)
                 if h:
                     keys.add(vt)
@@ -318,15 +320,15 @@ def dense_is_group_action(r, actions):
     names of the identity row into them, the identity fixes each name,
     and act[s t] = act[s] o act[t] for every s and t."""
     group = all_permutations(r)
-    names = actions[Permutation.identity(r).images]
+    names = actions[tuple(range(1, r + 1))]
     if any(x not in names for row in actions.values() for x in row.values()):
         return False
     if any(x != n for n, x in names.items()):
         return False
     for s in group:
         for t in group:
-            fst = actions[s.compose(t).images]
-            fs, ft = actions[s.images], actions[t.images]
+            fst = actions[compose(s, t)]
+            fs, ft = actions[s], actions[t]
             if any(fst[n] != fs[ft[n]] for n in names):
                 return False
     return True
@@ -337,7 +339,8 @@ def spoiled_tables(r, actions):
     first and the last name swapped in the reversal row, the identity
     moving the first name onto the last, and the last adjacent swap
     sending the first name off the basis."""
-    names = list(actions[Permutation.identity(r).images])
+    ident = tuple(range(1, r + 1))
+    names = list(actions[ident])
     first, last = names[0], names[-1]
 
     def spoil(images, changes):
@@ -348,7 +351,7 @@ def spoiled_tables(r, actions):
         rev = tuple(range(r, 0, -1))
         row = actions[rev]
         out.append(spoil(rev, {first: row[last], last: row[first]}))
-        out.append(spoil(Permutation.identity(r).images, {first: last}))
+        out.append(spoil(ident, {first: last}))
     if r > 1:
         out.append(spoil(adjacent_swaps(r)[-1], {first: "off-the-basis"}))
     return out
@@ -413,3 +416,21 @@ def test_orbit_representative_outside_the_basis_is_refused(reps):
     basis = [BasisElement(n, 0) for n in om.module.names]
     with pytest.raises(ShapeError, match="is not a basis name"):
         OrbitModule(Z, 2, basis, reps, om.actions)
+
+
+@pytest.mark.parametrize("build", sorted(BE_AT_3))
+def test_vertices_and_their_composites_are_permutations(build):
+    """Every vertex of a basis simplex is a permutation of 1..r, and so
+    are its inverse and its composite with every sigma of S_r, which the
+    action table is built from: nothing checks an image tuple at run
+    time."""
+    d_max, n = BE_AT_3[build]
+    for r in range(4):
+        ident = tuple(range(1, r + 1))
+        vertices = {p for s in be_simplices(r, d_max, n) for p in s}
+        assert vertices == set(all_permutations(r))
+        for p in vertices:
+            assert tuple(sorted(inverse(p))) == ident
+            assert compose(inverse(p), p) == compose(p, inverse(p)) == ident
+            for sigma in all_permutations(r):
+                assert tuple(sorted(compose(sigma, p))) == ident

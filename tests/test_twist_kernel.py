@@ -76,7 +76,7 @@ def cases(label, seeds=(0, 1, 2)):
 def test_twist_components_match_oracle(label):
     H, cf = build(label)
     for Qt, v in cases(label):
-        ev_plain = twisting._one_param_plain(H, cf, v, cf.ring.one)
+        ev_plain = twisting._exp_plain(H, cf, v)
         want = dense_twist_components(H, Qt, ev_plain)
         got = twisting.twist(H, Qt, v, verify=False).comps
         assert [(k, items(c)) for k, c in got.items()] == \

@@ -16,12 +16,12 @@ from opmc import twisting
 from opmc.errors import InternalCheckError, ResourceLimitError, UnsupportedError
 from opmc.graded import BasisElement, GradedModule
 from opmc.rings import ring_make
+from opmc.symmetric import inverse, permute_slots
 from opmc.twisting import (
     exp_element,
     is_mc,
     mc_enumerate,
     mc_residual,
-    one_param,
     shuffle,
     twist,
 )
@@ -165,7 +165,7 @@ def test_shuffle_divided_powers_oracle():
 def test_one_param_profile():
     H, cf = make_cf(Z, spec=(("x", 0, 1),))
     cu = cf.cooperad.counit_name
-    g = one_param(H, cf, cf.V.gen("x"), 2)
+    g = exp_element(H, cf, cf.V.gen("x").scale(2))
     assert g.terms == {
         (0, cf.cooperad.unit_name, ()): 1,
         (1, cu, ("x",)): 2,
@@ -181,8 +181,9 @@ def test_exp_one_parameter_group():
         v = cf.V.gen("x")
         for _ in range(4):
             k, l = rand_scalar(ring, rng), rand_scalar(ring, rng)
-            lhs = shuffle(H, cf, one_param(H, cf, v, k), one_param(H, cf, v, l))
-            assert lhs.eq(one_param(H, cf, v, ring.normalize(k + l)))
+            lhs = shuffle(H, cf, exp_element(H, cf, v.scale(k)),
+                          exp_element(H, cf, v.scale(l)))
+            assert lhs.eq(exp_element(H, cf, v.scale(ring.normalize(k + l))))
         ev = exp_element(H, cf, v)
         em = exp_element(H, cf, v.scale(-1))
         assert shuffle(H, cf, em, ev).eq(cf.unit())
@@ -330,7 +331,7 @@ def test_residual_matches_homotopy_relations_oracle():
                 def rec(i, letters):
                     nonlocal want
                     if i == r:
-                        vt = tuple(sigma.inverse().permute_slots(letters))
+                        vt = permute_slots(inverse(sigma), letters)
                         want = want.add(
                             Qt.component((r, ident[r], vt))
                         )
