@@ -13,8 +13,9 @@ code path:
 - ``collection_coefficient``: the coefficient with which a plain term
   is read back as a key, or None when it is not read; with it
   ``symmetric.orbit_classes``, the one inverse of ``orbit_sum``, reads
-  every output back, unchecked: the outputs are invariant by
-  construction, and the tests check the round trip;
+  every output back (``collect``, each block of ``decompose``),
+  unchecked: the outputs are invariant by construction, and the tests
+  check the round trip;
 - ``coinv_normalize``: the normal form on which a coderivation is read.
 
 A free action (``OrbitModule``) keys every tuple, expands by the norm and
@@ -129,15 +130,15 @@ class CofreeCoalgebra:
 
     def collect(self, plain_by_arity):
         """Read invariant plain tensors {r: {(cname, vtuple): coeff}} back
-        into key form by ``orbit_classes``."""
-        terms = []
-        for r, plain in plain_by_arity.items():
-            terms.extend(((r, cname, vt), coeff) for (cname, vt), coeff
-                         in orbit_classes(self.cooperad.component(r), plain,
-                                          self.V.degree).items())
+        into basis keys by ``orbit_classes``, one sum per arity."""
         basis = self.module.basis
-        return Element(self.module, {k: c for k, c in self.ring.collect(terms).items()
-                                     if k in basis})
+        terms = {}
+        for r, plain in plain_by_arity.items():
+            for (cname, vt), coeff in orbit_classes(
+                    self.cooperad.component(r), plain, self.V.degree).items():
+                if (r, cname, vt) in basis:
+                    terms[r, cname, vt] = coeff
+        return Element(self.module, terms)
 
     # -- cocomposition -----------------------------------------------------
 
@@ -177,6 +178,7 @@ class CofreeCoalgebra:
         """
         C = self.cooperad
         normalize = self.ring.normalize
+        read = {}  # block -> its key by ``collect``: many terms share a block
         terms = []
         for r, plain in self.expand(x).items():
             for shape in (s for j, s in shapes(r, C.r_max) if j == k):
@@ -185,10 +187,14 @@ class CofreeCoalgebra:
                             k, shape, cname, vt):
                         cval = coeff * lam
                         keys = []
-                        for block in blocks:
-                            kp, kcoeff = self._block_to_key(*block)
-                            if kp is None:
+                        for ri, g, vb in blocks:
+                            got = read.get((ri, g, vb))
+                            if got is None:
+                                got = read[ri, g, vb] = self.collect(
+                                    {ri: {(g, vb): 1}}).terms
+                            if not got:
                                 break
+                            (kp, kcoeff), = got.items()
                             keys.append(kp)
                             cval *= kcoeff
                         # a zero term would still fix its key's place in
@@ -197,15 +203,6 @@ class CofreeCoalgebra:
                             continue
                         terms.append(((a, tuple(keys)), cval))
         return self.ring.collect(terms)
-
-    def _block_to_key(self, r, g, vb):
-        """Identify a plain block (g (x) vb) as (key, coefficient) or drop."""
-        lam = self.cooperad.component(r).collection_coefficient(
-            g, vb, self.V.degree)
-        key = (r, g, vb)
-        if lam is None or key not in self.module.basis:
-            return None, None
-        return key, lam
 
 
 def cofree_build(C, V, w_max):

@@ -301,22 +301,18 @@ def validate_cooperad(C):
         except KeyError:
             rep.add(f"freeness arity {r}", False, f"unlocated basis in arity {r}")
 
-    # counit laws
+    # counit laws, one entry per law and arity: the first failing name
+    one, counit = ring.one, C.counit_name
     for r in range(C.r_max + 1):
-        for c in C.basis_names(r):
-            t = _term_dict(ring, C.cocompose(1, (r,), c))
-            ok = t == {(C.counit_name, (c,)): ring.one}
-            rep.add("counit-outer", ok, None if ok else (r, c))
-            if not ok:
-                break
+        names = C.basis_names(r)
+        rep.add_first(f"counit-outer arity {r}", (
+            (r, c) for c in names
+            if _term_dict(ring, C.cocompose(1, (r,), c)) != {(counit, (c,)): one}))
         if r >= 1:
-            shape = (1,) * r
-            for c in C.basis_names(r):
-                t = _term_dict(ring, C.cocompose(r, shape, c))
-                ok = t == {(c, (C.counit_name,) * r): ring.one}
-                rep.add("counit-inner", ok, None if ok else (r, c))
-                if not ok:
-                    break
+            shape, inners = (1,) * r, (counit,) * r
+            rep.add_first(f"counit-inner arity {r}", (
+                (r, c) for c in names
+                if _term_dict(ring, C.cocompose(r, shape, c)) != {(c, inners): one}))
 
     # each table of the truncation with the degrees of its terms: the
     # inner slot of many trees

@@ -50,8 +50,10 @@ def parse_scalar(s, ring):
     """Ring scalar from its string form (integers or a/b fractions)."""
     try:
         f = Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InstanceFormatError(f"bad coefficient {s!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise InstanceFormatError(f"bad coefficient {s!r}: zero denominator") from exc
     if not ring.contains_rationals and f.denominator != 1:
         raise InstanceFormatError(f"coefficient {s!r} is not integral")
     return ring.normalize(f if ring.contains_rationals else f.numerator)

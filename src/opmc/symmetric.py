@@ -132,26 +132,9 @@ class OrbitModule:
     def ring(self):
         return self.module.ring
 
-    def group(self):
-        """The permutations of S_r, in the order of ``all_permutations``."""
-        return self.actions.keys()
-
-    def act_name(self, sigma, name):
-        return self.actions[sigma][name]
-
     def locate(self, name):
         """Return (rep, sigma) with name = sigma . rep."""
         return self._locate[name]
-
-    def is_rep(self, name):
-        return self._locate[name][0] == name
-
-    def act_class(self, sigma, name, slots, slot_degrees):
-        """Diagonal action on c (x) v_1...v_r: returns (name', slots', sign)."""
-        if len(slots) != self.arity:
-            raise ShapeError("slot count does not match arity")
-        return (self.act_name(sigma, name), permute_slots(sigma, slots),
-                koszul_sign_images(sigma, slot_degrees))
 
     def coinv_normalize(self, name, slots, slot_degrees):
         """Carry c to its orbit representative; returns (rep, slots', sign).
@@ -181,12 +164,13 @@ class OrbitModule:
         cooperad factor is a representative, with coefficient one; other
         terms are not read (None).
         """
-        return self.ring.one if self.is_rep(name) else None
+        return self.ring.one if self._locate[name][0] == name else None
 
     def act_element(self, sigma, x):
         """Action on a plain Element of the underlying module."""
+        row = self.actions[sigma]
         return Element(self.module, self.ring.collect(
-            (self.act_name(sigma, n), c) for n, c in x.terms.items()))
+            (row[n], c) for n, c in x.terms.items()))
 
 
 class TrivialModule(OrbitModule):
@@ -275,33 +259,29 @@ def _stabilizer_sum(slots, vdegree):
     return h
 
 
-# -- diagonal action on C(r) (x) V^{(x)r}, on plain term dicts ---------------
+# -- the norm and its inverse, on plain term dicts ----------------------------
 #
 # A "plain tensor" is a dict (cname, vtuple) -> coeff, where vtuple is a
 # tuple of V-basis names and vdegree gives their degrees.  ``norm_plain``
-# is the norm map Tr(x) = sum_sigma sigma.x.  ``orbit_classes`` is the one
-# inverse of a component's ``orbit_sum`` (the norm for a free action, the
-# norm over r! for the trivial one): it reads an invariant tensor back as
-# classes, and the cofree coalgebra collects every output through it.
-# Those outputs are invariant by construction, which orbit_classes
-# assumes and does not check; the tests check the round trip.
-
-
-def act_plain(om, sigma, terms, vdegree):
-    """Diagonal action of sigma on a plain tensor over OrbitModule om."""
-    out = []
-    for (cname, vtuple), coeff in terms.items():
-        degs = tuple(vdegree(v) for v in vtuple)
-        nname, nslots, sign = om.act_class(sigma, cname, vtuple, degs)
-        out.append(((nname, nslots), coeff * sign))
-    return om.ring.collect(out)
+# is the norm map, one pass over the action table.  ``orbit_classes`` is
+# the one inverse of a component's ``orbit_sum`` (the norm for a free
+# action, the norm over r! for the trivial one): it reads an invariant
+# tensor back as classes, and the cofree coalgebra reads every output
+# back through it, ``decompose``'s blocks included.  Those outputs are
+# invariant by construction, which orbit_classes assumes and does not
+# check; the tests check the round trip.
 
 
 def norm_plain(om, terms, vdegree):
-    """Tr(x) = sum over sigma of sigma.x (diagonal action with Koszul signs)."""
+    """Tr(x) = sum over sigma of sigma.x, sigma.(c (x) vt) = sigma.c (x)
+    sigma.vt with the Koszul sign; keys come sigma by sigma, term by term."""
+    plain = [(cname, vt, coeff, tuple(vdegree(v) for v in vt))
+             for (cname, vt), coeff in terms.items()]
     return om.ring.collect(
-        term for sigma in om.group()
-        for term in act_plain(om, sigma, terms, vdegree).items())
+        ((row[cname], permute_slots(sigma, vt)),
+         coeff * koszul_sign_images(sigma, degs))
+        for sigma, row in om.actions.items()
+        for cname, vt, coeff, degs in plain)
 
 
 def orbit_classes(om, terms, vdegree):

@@ -83,22 +83,23 @@ def validate_cooperad(C):
         except KeyError:
             rep.add(f"freeness arity {r}", False, f"unlocated basis in arity {r}")
 
-    # counit laws
+    # counit laws, one entry per law and arity: the first failing name
     for r in range(C.r_max + 1):
+        witness = None
         for c in C.basis_names(r):
             t = _term_dict(ring, C.cocompose(1, (r,), c))
-            ok = t == {(C.counit_name, (c,)): ring.one}
-            rep.add("counit-outer", ok, None if ok else (r, c))
-            if not ok:
+            if t != {(C.counit_name, (c,)): ring.one}:
+                witness = (r, c)
                 break
+        rep.add(f"counit-outer arity {r}", witness is None, witness)
         if r >= 1:
-            shape = (1,) * r
+            witness = None
             for c in C.basis_names(r):
-                t = _term_dict(ring, C.cocompose(r, shape, c))
-                ok = t == {(c, (C.counit_name,) * r): ring.one}
-                rep.add("counit-inner", ok, None if ok else (r, c))
-                if not ok:
+                t = _term_dict(ring, C.cocompose(r, (1,) * r, c))
+                if t != {(c, (C.counit_name,) * r): ring.one}:
+                    witness = (r, c)
                     break
+            rep.add(f"counit-inner arity {r}", witness is None, witness)
 
     # coassociativity on all 2-level trees within truncation
     for r in range(C.r_max + 1):
@@ -223,13 +224,13 @@ def _equivariance_check(C, r):
                     for c in C.basis_names(r):
                         lhs = _term_dict(
                             ring,
-                            C.cocompose(k, new_shape, om.act_name(sigma_hat, c)),
+                            C.cocompose(k, new_shape, om.actions[sigma_hat][c]),
                         )
                         rhs = {}
                         for coeff, a, gs in C.cocompose(k, shape, c):
-                            a2 = outer_om.act_name(mu, a)
+                            a2 = outer_om.actions[mu][a]
                             acted = [
-                                C.component(shape[i]).act_name(sigmas[i], gs[i])
+                                C.component(shape[i]).actions[sigmas[i]][gs[i]]
                                 for i in range(k)
                             ]
                             gs2 = permute_slots(mu, acted)
@@ -277,14 +278,14 @@ def validate_hopf(C, H):
         rep.add(f"hopf-associativity arity {r}", ok, witness)
 
         ok, witness = True, None
-        for sigma in om.group():
+        for sigma in om.actions:
             if not om.act_element(sigma, eta).eq(eta):
                 ok, witness = False, (r, sigma)
                 break
             for a in names:
                 for b in names:
-                    lhs = H.multiply(r, mod.gen(om.act_name(sigma, a)),
-                                     mod.gen(om.act_name(sigma, b)))
+                    lhs = H.multiply(r, mod.gen(om.actions[sigma][a]),
+                                     mod.gen(om.actions[sigma][b]))
                     rhs = om.act_element(sigma, H.multiply(r, mod.gen(a), mod.gen(b)))
                     if not lhs.eq(rhs):
                         ok, witness = False, (r, sigma, a, b)
@@ -371,9 +372,9 @@ def validate_morphism(phi):
 
         om_s, om_t = S.component(r), T.component(r)
         ok, witness = True, None
-        for sigma in om_s.group():
+        for sigma in om_s.actions:
             for name in om_s.module.names:
-                lhs = f.apply_name(om_s.act_name(sigma, name))
+                lhs = f.apply_name(om_s.actions[sigma][name])
                 rhs = om_t.act_element(sigma, f.apply_name(name))
                 if not lhs.eq(rhs):
                     ok, witness = False, (r, sigma, name)

@@ -197,7 +197,11 @@ REFUSALS = {
     "bad-coefficient": (
         ["validate", "doc"],
         {**BASE, "coderivation": [{**ENTRY, "value": [["y", "1/0"]]}]},
-        "error[instance-format]: bad coefficient '1/0': Fraction(1, 0)"),
+        "error[instance-format]: bad coefficient '1/0': zero denominator"),
+    # the same reader serves an element given on the command line
+    "bad-element-coefficient": (
+        ["mc", "--instance", "inst", "--element", "x=1/0"], None,
+        "error[instance-format]: bad coefficient '1/0': zero denominator"),
     "cooperad-r-max-0": (
         ["validate", "doc"], {**BASE, "cooperad": {"builder": "ass", "r_max": 0}},
         "error[instance-format]: cooperad r_max must be a positive int, got 0"),

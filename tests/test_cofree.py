@@ -15,7 +15,7 @@ from opmc.cofree import (
 )
 from opmc.errors import ResourceLimitError
 from opmc.graded import BasisElement, GradedModule
-from opmc.rings import ring_make
+from opmc.rings import Ring, ring_make
 
 Z = ring_make({"kind": "integers"})
 Z2 = ring_make({"kind": "integers-mod-m", "modulus": 2})
@@ -83,6 +83,22 @@ def test_expand_collect_roundtrip_divided():
     for key in cf.module.names:
         x = cf.module.gen(key)
         assert cf.collect(cf.expand(x)).eq(x), key
+
+
+def test_collect_sums_each_arity_once(cfZ, monkeypatch):
+    """``collect`` reads each arity present back with one ``Ring.collect``
+    (``orbit_classes``) and sums nothing again: keys of different
+    arities differ."""
+    calls = []
+    collect = Ring.collect
+    monkeypatch.setattr(Ring, "collect", lambda self, items: calls.append(1)
+                        or collect(self, items))
+    x = cfZ.module.element((key, 1) for key in cfZ.module.names)
+    plain = cfZ.expand(x)
+    assert sorted(plain) == [0, 1, 2, 3]
+    calls.clear()
+    assert cfZ.collect(plain).eq(x)
+    assert len(calls) == len(plain)
 
 
 def test_decompose_counit_component(cfZ):

@@ -333,8 +333,8 @@ def cooperad_items(C, H):
         names = list(comp.module.names)
         arities.append((
             names, [C.degree(r, nm) for nm in names], list(comp.orbit_reps),
-            [(sigma, nm, comp.act_name(sigma, nm))
-             for sigma in comp.group() for nm in names],
+            [(sigma, nm, row[nm])
+             for sigma, row in comp.actions.items() for nm in names],
             list(H.products[r].items()), list(H.unit(r).terms.items()),
         ))
     tables = [(key, list(table.items())) for key, table in C.cocomp.items()]

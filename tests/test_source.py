@@ -266,7 +266,6 @@ TESTED_API = {
     "CofreeCoalgebra.tangent": "test_cofree, test_acceptance",
     "CofreeCoalgebra.counit_coefficient": "test_cofree, morphism_extend",
     "CofreeCoalgebra.decompose": "test_cofree, test_twisting, helpers",
-    "CofreeCoalgebra._block_to_key": "CofreeCoalgebra.decompose",
     "morphism_extend": "test_cofree",
     "ConvolutionElement.eq": "test_mc_space, test_acceptance",
 }

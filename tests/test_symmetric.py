@@ -16,11 +16,10 @@ from opmc.builders import (
 )
 from opmc.errors import RingRequirementError, ShapeError
 from opmc.graded import BasisElement, koszul_sign_images
-from opmc.rings import ring_make
+from opmc.rings import Ring, ring_make
 from opmc.symmetric import (
     OrbitModule,
     TrivialModule,
-    act_plain,
     adjacent_swaps,
     all_permutations,
     compose,
@@ -55,6 +54,17 @@ def regular_module(ring, r):
 
 def vdeg_const(d):
     return lambda name: d
+
+
+def act_plain(om, sigma, terms, vdegree):
+    """The diagonal action of sigma on a plain tensor {(c, vt): coeff}:
+    sigma.c (x) the v's permuted by sigma, with the Koszul sign of that
+    permutation."""
+    row = om.actions[sigma]
+    return om.ring.collect(
+        ((row[c], permute_slots(sigma, vt)),
+         coeff * koszul_sign_images(sigma, [vdegree(v) for v in vt]))
+        for (c, vt), coeff in terms.items())
 
 
 def expand_classes(om, classes, vdegree):
@@ -95,6 +105,19 @@ def test_norm_r2_and_r1():
     om1 = regular_module(Z, 1)
     x1 = {("1", ("v",)): 5}
     assert norm_plain(om1, x1, vdeg_const(0)) == x1
+
+
+def test_orbit_sum_is_one_collect(monkeypatch):
+    """The norm of a free key is one pass over the action table: one
+    ``Ring.collect`` for the six permutations of an arity-3 E2 key."""
+    C, _ = barratt_eccles(Z, 3, 2, n=2, validate=False)
+    om = C.component(3)
+    calls = []
+    collect = Ring.collect
+    monkeypatch.setattr(Ring, "collect", lambda self, items: calls.append(1)
+                        or collect(self, items))
+    norm = om.orbit_sum(om.orbit_reps[0], ("a", "b", "a"), vdeg_const(1))
+    assert (len(calls), len(norm)) == (1, 6)
 
 
 def test_norm_well_defined_on_representatives():
@@ -196,7 +219,7 @@ def test_checked_inverse_refuses_a_spoiled_reading(r):
     om = regular_module(Z, r)
     basis = [BasisElement(n, 0) for n in om.module.names]
     spoiled = ReadsOneNonRepresentative(Z, r, basis, om.orbit_reps, om.actions)
-    spoiled.extra = next(n for n in om.module.names if not om.is_rep(n))
+    spoiled.extra = next(n for n in om.module.names if n not in om.orbit_reps)
     x = {(om.orbit_reps[0], tuple("abc"[:r])): 1}
     for d in (0, 1):
         y = norm_plain(om, x, vdeg_const(d))

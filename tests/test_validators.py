@@ -360,6 +360,64 @@ def test_spoiled_action_not_a_bijection(einf2):
     assert failing_laws(rep)[0] == "hopf-equivariance arity 2"
 
 
+def test_spoiled_action_merging_two_names(einf2):
+    """A hand-built module whose swap sends both vertices "12" and "21"
+    to "12": the moved terms of one Delta row then meet on one key,
+    where the sparse check sums them as the dense loop does.  With
+    Delta_{2;(1,0)} of the counit set to that sum, the swap of mu on
+    the shape (0,1) passes, and arity 1 first fails on the shape (1,0);
+    a check that kept one of the two terms would fail on (0,1)."""
+    C, _ = einf2
+    om = copy.copy(C.component(2))
+    row = om.actions[(2, 1)]
+    om.actions = {**om.actions, (2, 1): {**row, "12": row["21"]}}
+    components = dict(C.components)
+    components[2] = om
+    tables = copy.deepcopy(C.cocomp)
+    assert tables[(2, (1, 0))]["1"] == [(1, "12", ("1", "()")), (1, "21", ("1", "()"))]
+    tables[(2, (1, 0))]["1"] = [(2, "12", ("1", "()"))]
+    bad = CooperadTruncation(Z, C.r_max, components, tables,
+                             C.unit_name, C.counit_name)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    assert rep.failures() == [
+        ("equivariance arity 0", (0, "()", 2, (0, 0), (2, 1), ((), ()))),
+        ("equivariance arity 1", (1, "1", 2, (1, 0), (2, 1), ((1,), ()))),
+        ("equivariance arity 2", (2, "12", 2, (0, 2), (2, 1), ((), (1, 2))))]
+
+
+def test_unlocated_name_fails_freeness(einf2):
+    """A copy of the arity-2 component whose orbit index lacks one name,
+    as no module built through the constructor can: freeness is the one
+    law that fails."""
+    C, _ = einf2
+    om = copy.copy(C.component(2))
+    om._locate = {n: at for n, at in om._locate.items() if n != "21|12"}
+    components = dict(C.components)
+    components[2] = om
+    bad = CooperadTruncation(Z, C.r_max, components, C.cocomp,
+                             C.unit_name, C.counit_name)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    assert rep.failures() == [("freeness arity 2", "unlocated basis in arity 2")]
+
+
+def test_one_counit_entry_per_law_and_arity(einf2):
+    """The counit laws report once per arity, with the first failing
+    name as the witness: here two names of arity 2 fail the outer law."""
+    C, _ = einf2
+    laws = [law for law, _, _ in cooperad.validate_cooperad(C).checks]
+    assert [law for law in laws if law.startswith("counit")] == [
+        "counit-outer arity 0", "counit-outer arity 1", "counit-inner arity 1",
+        "counit-outer arity 2", "counit-inner arity 2"]
+    tables = copy.deepcopy(C.cocomp)
+    for name in ("21|12", "12|21"):
+        tables[(1, (2,))][name] = []
+    bad = CooperadTruncation(Z, C.r_max, C.components, tables,
+                             C.unit_name, C.counit_name)
+    rep = same_reports(cooperad.validate_cooperad(bad), dense.validate_cooperad(bad))
+    assert rep.failures()[0] == ("counit-outer arity 2", (2, "12|21"))
+    assert [law for law, _ in rep.failures()].count("counit-outer arity 2") == 1
+
+
 # ---------------------------------------------------------------------------
 # table equivariance: the generators and the full walk
 
